@@ -9,6 +9,7 @@ are bit exact.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -37,6 +38,12 @@ def save_tensors(path, named: dict[str, np.ndarray]) -> None:
             f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _is_shape(shape) -> bool:
+    """A list of non-negative ints (bools excluded)."""
+    return isinstance(shape, list) and all(
+        type(d) is int and d >= 0 for d in shape)
+
+
 def load_tensors(path) -> dict[str, np.ndarray]:
     """Read a container back into an insertion-ordered name -> array dict."""
     path = Path(path)
@@ -57,10 +64,12 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(str(path), f"invalid tensor header: {exc}") from exc
         pos += hlen
+        if not isinstance(header, dict):
+            raise ParseError(str(path), f"tensor header must be an object, got {header!r}")
         name, dtype, shape = header.get("name"), header.get("dtype"), header.get("shape")
-        if dtype != "f32" or not isinstance(name, str) or not isinstance(shape, list):
+        if dtype != "f32" or not isinstance(name, str) or not _is_shape(shape):
             raise ParseError(str(path), f"malformed header {header}")
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         nbytes = count * 4
         if pos + nbytes > len(raw):
             raise ParseError(str(path), f"truncated payload for tensor '{name}'")

@@ -206,10 +206,15 @@ def backward(loss: Tensor) -> None:
                 t.grad = g.copy() if t.grad is None else t.grad + g
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """True when gradient flowing into ``t`` reaches a requires_grad leaf."""
+    return t.requires_grad or t.node is not None
+
+
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
             backward_fn) -> Tensor:
     out = Tensor(out_data)
-    if _STATE.grad_enabled and any(t.requires_grad or t.node is not None for t in inputs):
+    if _STATE.grad_enabled and any(_needs_grad(t) for t in inputs):
         out.requires_grad = True
         out.node = TapeNode(op, inputs, out, backward_fn)
     return out
@@ -375,23 +380,149 @@ def softmax(t, axis: int = -1) -> Tensor:
     return _record("softmax", (tt,), y, bw)
 
 
+def _out_size(size: int, k: int, stride: int, padding: int) -> int:
+    return (size + 2 * padding - k) // stride + 1
+
+
+def _taps(k: int, stride: int, oh: int, ow: int) -> list[tuple[int, slice, slice]]:
+    """Each kernel tap's flat index and its row and column slices of the padded input."""
+    return [(ki * k + kj, slice(ki, ki + stride * oh, stride), slice(kj, kj + stride * ow, stride))
+            for ki in range(k) for kj in range(k)]
+
+
 def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
     n, c = xp.shape[:2]
-    cols = np.empty((n, c, k, k, oh, ow), dtype=xp.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            cols[:, :, ki, kj] = xp[:, :, ki:ki + stride * oh:stride,
-                                    kj:kj + stride * ow:stride]
+    cols = np.empty((n, c, k * k, oh, ow), dtype=xp.dtype)
+    for t, rows, cs in _taps(k, stride, oh, ow):
+        cols[:, :, t] = xp[:, :, rows, cs]
     return cols
 
 
 def _col2im(cols: np.ndarray, xp_shape, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
     gx = np.zeros(xp_shape, dtype=cols.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            gx[:, :, ki:ki + stride * oh:stride,
-               kj:kj + stride * ow:stride] += cols[:, :, ki, kj]
+    for t, rows, cs in _taps(k, stride, oh, ow):
+        gx[:, :, rows, cs] += cols[:, :, t]
     return gx
+
+
+def _conv_im2col(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int, groups: int,
+                 need_gx: bool, need_gw: bool):
+    """Any grouping: im2col plus one matmul per group. The reference path."""
+    n, c_in, h, w = xd.shape
+    c_out, cgi, k, _ = wd.shape
+    oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
+    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding))) \
+        if padding else xd
+    xp_shape = xp.shape
+    cgo, l, ckk = c_out // groups, oh * ow, cgi * k * k
+    cols_m = np.ascontiguousarray(
+        _im2col(xp, k, stride, oh, ow).reshape(n, groups, ckk, l).transpose(1, 2, 0, 3)) \
+        .reshape(groups, ckk, n * l)
+    w_m = wd.reshape(groups, cgo, ckk)
+    out = np.matmul(w_m, cols_m).reshape(groups, cgo, n, l).transpose(2, 0, 1, 3) \
+        .reshape(n, c_out, oh, ow)
+    if not need_gw:
+        cols_m = None  # only the weight gradient reads the columns
+
+    def bw(gout):
+        go_m = np.ascontiguousarray(
+            gout.reshape(n, groups, cgo, l).transpose(1, 2, 0, 3)).reshape(groups, cgo, n * l)
+        gx = gw = None
+        if need_gw:
+            gw = np.matmul(go_m, cols_m.transpose(0, 2, 1)).reshape(c_out, cgi, k, k)
+        if need_gx:
+            gcols = np.matmul(w_m.transpose(0, 2, 1), go_m) \
+                .reshape(groups, ckk, n, l).transpose(2, 0, 1, 3) \
+                .reshape(n, c_in, k * k, oh, ow)
+            gx = _col2im(gcols, xp_shape, k, stride, oh, ow)[
+                :, :, padding:padding + h, padding:padding + w]
+        return gx, gw
+
+    return out, bw
+
+
+# Byte budget for one row block's input rows in the depthwise tap loop:
+# all k^2 taps sweep the block, so it should stay in a core's L2.
+_DW_BLOCK_BYTES = 1 << 19
+
+
+def _dw_row_step(n: int, wp: int, c: int, stride: int) -> int:
+    """Output rows per block, from the size of one padded input row."""
+    return max(1, _DW_BLOCK_BYTES // (stride * n * wp * c * np.dtype(DTYPE).itemsize))
+
+
+def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int,
+                    need_gx: bool, need_gw: bool):
+    """Depthwise conv as k^2 shifted multiply-accumulates over blocks of rows.
+
+    Works channels-last, so a tap's inner loop runs over a whole output
+    row of all channels rather than over one short row of one plane.
+    """
+    n, c, h, w = xd.shape
+    k = wd.shape[-1]
+    oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
+    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
+    xp[:, padding:padding + h, padding:padding + w] = xd.transpose(0, 2, 3, 1)
+    wt = np.ascontiguousarray(wd.reshape(c, k * k).T)
+    step = _dw_row_step(n, xp.shape[2], c, stride)
+    blocks = []  # (output rows, the input rows they read, the taps over those)
+    for r0 in range(0, oh, step):
+        r1 = min(oh, r0 + step)
+        blocks.append((slice(r0, r1), slice(stride * r0, stride * (r1 - 1) + k),
+                       _taps(k, stride, r1 - r0, ow)))
+    out = np.empty((n, oh, ow, c), dtype=DTYPE)
+    for orows, irows, taps in blocks:
+        acc, xb = out[:, orows], xp[:, irows]
+        tmp = np.empty_like(acc)
+        for t, rows, cs in taps:
+            if t == 0:
+                np.multiply(xb[:, rows, cs], wt[t], out=acc)
+            else:
+                np.multiply(xb[:, rows, cs], wt[t], out=tmp)
+                acc += tmp
+    if not need_gw:
+        xp = None  # only the weight gradient reads the padded input
+
+    def bw(gout):
+        g = np.ascontiguousarray(gout.transpose(0, 2, 3, 1))
+        gw = np.zeros((k * k, c), dtype=DTYPE) if need_gw else None
+        gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE) \
+            if need_gx else None
+        for orows, irows, taps in blocks:
+            gb = g[:, orows]
+            tmp = np.empty_like(gb)
+            for t, rows, cs in taps:
+                if need_gw:
+                    np.multiply(gb, xp[:, irows][:, rows, cs], out=tmp)
+                    gw[t] += tmp.reshape(-1, c).sum(axis=0)
+                if need_gx:
+                    np.multiply(gb, wt[t], out=tmp)
+                    gxp[:, irows][:, rows, cs] += tmp
+        gx = None
+        if need_gx:
+            gx = np.ascontiguousarray(
+                gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
+        return gx, None if gw is None else gw.T.reshape(wd.shape)
+
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), bw
+
+
+def _conv_pointwise(xd: np.ndarray, wd: np.ndarray, need_gx: bool, need_gw: bool):
+    """Stride-1 1x1 conv: one matmul of (C_out, C_in) with (N, C_in, H*W)."""
+    n, c_in, h, w = xd.shape
+    c_out = wd.shape[0]
+    w2 = wd.reshape(c_out, c_in)
+    x3 = xd.reshape(n, c_in, h * w)
+    out = np.matmul(w2, x3).reshape(n, c_out, h, w)
+
+    def bw(gout):
+        g3 = gout.reshape(n, c_out, h * w)
+        gx = np.matmul(w2.T, g3).reshape(xd.shape) if need_gx else None
+        gw = np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0).reshape(wd.shape) \
+            if need_gw else None
+        return gx, gw
+
+    return out, bw
 
 
 def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
@@ -399,6 +530,11 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
 
     ``groups=1`` is a dense convolution, ``groups=C_in`` a depthwise one.
     Output spatial size is ``floor((H + 2*padding - k)/stride) + 1``.
+
+    Depthwise convs run as shifted multiply-accumulates and stride-1 1x1
+    convs as one matmul; every other shape goes through im2col. The
+    backward computes the input and weight gradients only for the
+    operands that need one when the op is recorded.
     """
     xt, wt = as_tensor(x), as_tensor(weight)
     if stride < 1:
@@ -422,8 +558,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     if c_g != c_in // groups:
         raise DimensionError(
             f"weight expects {c_g} channels per group, input provides {c_in // groups}")
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (w + 2 * padding - k) // stride + 1
+    oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
     if oh < 1 or ow < 1:
         raise DimensionError(f"kernel {k} does not fit input {h}x{w} with padding {padding}")
 
@@ -432,35 +567,13 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
         counter.conv_calls += 1
         counter.madds += n * k * k * (c_in // groups) * c_out * oh * ow
 
-    if padding:
-        xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    need_gx, need_gw = _needs_grad(xt), _needs_grad(wt)
+    if groups == c_in == c_out:
+        out, bw = _conv_depthwise(xd, wd, stride, padding, need_gx, need_gw)
+    elif k == 1 and stride == 1 and padding == 0 and groups == 1:
+        out, bw = _conv_pointwise(xd, wd, need_gx, need_gw)
     else:
-        xp = xd
-    cols = _im2col(xp, k, stride, oh, ow)
-    g_n = groups
-    cgi, cgo = c_in // g_n, c_out // g_n
-    l = oh * ow
-    ckk = cgi * k * k
-    cols_m = np.ascontiguousarray(
-        cols.reshape(n, g_n, ckk, l).transpose(1, 2, 0, 3)).reshape(g_n, ckk, n * l)
-    w_m = wd.reshape(g_n, cgo, ckk)
-    out = np.matmul(w_m, cols_m).reshape(g_n, cgo, n, l).transpose(2, 0, 1, 3) \
-        .reshape(n, c_out, oh, ow)
-
-    def bw(gout):
-        go_m = np.ascontiguousarray(
-            gout.reshape(n, g_n, cgo, l).transpose(1, 2, 0, 3)).reshape(g_n, cgo, n * l)
-        gw = np.matmul(go_m, cols_m.transpose(0, 2, 1)).reshape(c_out, cgi, k, k)
-        gcols = np.matmul(w_m.transpose(0, 2, 1), go_m) \
-            .reshape(g_n, ckk, n, l).transpose(2, 0, 1, 3) \
-            .reshape(n, c_in, k, k, oh, ow)
-        gxp = _col2im(gcols, xp.shape, k, stride, oh, ow)
-        if padding:
-            gx = gxp[:, :, padding:padding + h, padding:padding + w]
-        else:
-            gx = gxp
-        return gx, gw
-
+        out, bw = _conv_im2col(xd, wd, stride, padding, groups, need_gx, need_gw)
     return _record("conv2d", (xt, wt), out, bw)
 
 
@@ -491,7 +604,8 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
 
     if training:
         mean = xd.mean(axis=(0, 2, 3))
-        var = xd.var(axis=(0, 2, 3))
+        xhat = xd - mean[None, :, None, None]
+        var = np.square(xhat).mean(axis=(0, 2, 3))
         if update_stats:
             running_mean *= DTYPE(1.0 - momentum)
             running_mean += DTYPE(momentum) * mean
@@ -499,23 +613,30 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
             running_var += DTYPE(momentum) * var
     else:
         mean, var = running_mean, running_var
+        xhat = xd - mean[None, :, None, None]
 
     invstd = 1.0 / np.sqrt(var + DTYPE(eps))
-    xhat = (xd - mean[None, :, None, None]) * invstd[None, :, None, None]
-    out = gt.data[None, :, None, None] * xhat + bt.data[None, :, None, None]
+    xhat *= invstd[None, :, None, None]
+    out = gt.data[None, :, None, None] * xhat
+    out += bt.data[None, :, None, None]
+    need_gx, need_gg, need_gb = _needs_grad(xt), _needs_grad(gt), _needs_grad(bt)
+    batch_grads = need_gx and training  # dx in train mode reads dgamma and dbeta
 
     def bw(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3))
-        dbeta = g.sum(axis=(0, 2, 3))
-        dxhat = g * gt.data[None, :, None, None]
-        if training:
-            cnt = xd.shape[0] * xd.shape[2] * xd.shape[3]
-            s1 = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-            dx = (invstd[None, :, None, None] / cnt) * (cnt * dxhat - s1 - xhat * s2)
-        else:
-            dx = dxhat * invstd[None, :, None, None]
-        return dx.astype(DTYPE, copy=False), dgamma, dbeta
+        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if need_gg or batch_grads else None
+        dbeta = g.sum(axis=(0, 2, 3)) if need_gb or batch_grads else None
+        dx = None
+        if need_gx:
+            scale = gt.data * invstd
+            if training:
+                cnt = g.size // c
+                dx = cnt * g
+                dx -= dbeta[None, :, None, None]
+                dx -= xhat * dgamma[None, :, None, None]
+                dx *= (scale / cnt)[None, :, None, None]
+            else:
+                dx = g * scale[None, :, None, None]
+        return dx, dgamma if need_gg else None, dbeta if need_gb else None
 
     return _record("batch_norm", (xt, gt, bt), out, bw)
 

@@ -5,9 +5,11 @@ operation parameters w train (SGD with momentum) on half A. Afterwards
 every half-A batch's w step is followed by a half-B batch step on the
 architecture logits alone (Adam), minimizing the model loss plus the
 cost regularizer: a first-order alternation standing in for the nested
-two-level problem. Phases are strictly separated: a w step never touches
-alpha/beta, an arch step never touches w (including the normalization
-running statistics, which only update during w steps).
+two-level problem. Phases are strictly separated by construction: each
+phase turns ``requires_grad`` off on the idle parameter group, so a w step
+computes no alpha/beta gradient and an arch step no w gradient. An arch
+step also leaves the normalization running statistics alone; they only
+update during w steps.
 """
 
 from __future__ import annotations
@@ -153,6 +155,14 @@ def _snapshot(net: Supernet, epoch: int) -> EpochSnapshot:
     )
 
 
+def _train_only(active: list[Tensor], idle: list[Tensor]) -> None:
+    """Scope gradients to one parameter group: the idle one gets none computed."""
+    for p in idle:
+        p.requires_grad = False
+    for p in active:
+        p.requires_grad = True
+
+
 def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
            cost_cfg: CostConfig, head: ProxyHead | None = None,
            ) -> tuple[Supernet, SearchHistory]:
@@ -173,6 +183,7 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
 
     w_params = net.weight_params() + head.params()
     arch_params = net.arch_params()
+    requires_grad_before = [p.requires_grad for p in w_params + arch_params]
     w_opt = SGD(w_params, lr=schedule.w_lr, momentum=W_MOMENTUM,
                 weight_decay=W_WEIGHT_DECAY)
     arch_opt = Adam(arch_params, lr=schedule.arch_lr, weight_decay=ARCH_WEIGHT_DECAY)
@@ -189,58 +200,58 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
             return float(expected_cost(net.alpha, net.beta, table).data) \
                 / cost_cfg.normalizer
 
-    def zero_all():
+    try:
+        for epoch in range(1, schedule.total_epochs + 1):
+            arch_phase = epoch > schedule.warmup_epochs
+            for _ in range(steps_per_epoch):
+                _train_only(w_params, arch_params)
+                for _ in range(schedule.alternation[0]):
+                    step += 1
+                    w_step += 1
+                    idx = batches_a.next()
+                    w_opt.lr = lr_schedule(w_step, total_w_steps, schedule.w_lr,
+                                           schedule.lr_mode)
+                    feats = net.forward(Tensor(dataset.images[idx]), training=True)
+                    loss = model_loss(feats[-1], head, dataset.labels[idx])
+                    m_val = loss.item()
+                    _check_finite(m_val, step, epoch, "w")
+                    w_opt.zero_grad()
+                    backward(loss)
+                    clip_grad_norm(w_params, GRAD_CLIP_NORM)
+                    w_opt.step()
+                    c_val = cost_value()
+                    history.steps.append(StepRecord(
+                        step=step, epoch=epoch, phase="w", model_loss=m_val,
+                        expected_cost=c_val,
+                        total_loss=m_val + cost_cfg.lam * c_val))
+                if not arch_phase:
+                    continue
+                _train_only(arch_params, w_params)
+                for _ in range(schedule.alternation[1]):
+                    step += 1
+                    idx = batches_b.next()
+                    feats = net.forward(Tensor(dataset.images[idx]), training=True,
+                                        update_stats=False)
+                    m_loss = model_loss(feats[-1], head, dataset.labels[idx])
+                    cost = expected_cost(net.alpha, net.beta, table)
+                    loss = m_loss + cost * np.float32(lam_over_norm)
+                    t_val = loss.item()
+                    m_val = m_loss.item()
+                    _check_finite(t_val, step, epoch, "arch")
+                    arch_opt.zero_grad()
+                    backward(loss)
+                    clip_grad_norm(arch_params, GRAD_CLIP_NORM)
+                    arch_opt.step()
+                    history.steps.append(StepRecord(
+                        step=step, epoch=epoch, phase="arch", model_loss=m_val,
+                        expected_cost=float(cost.data) / cost_cfg.normalizer,
+                        total_loss=t_val))
+            history.snapshots.append(_snapshot(net, epoch))
+    finally:
+        for p, flag in zip(w_params + arch_params, requires_grad_before):
+            p.requires_grad = flag
         w_opt.zero_grad()
         arch_opt.zero_grad()
-
-    for epoch in range(1, schedule.total_epochs + 1):
-        arch_phase = epoch > schedule.warmup_epochs
-        for _ in range(steps_per_epoch):
-            for _ in range(schedule.alternation[0]):
-                step += 1
-                w_step += 1
-                idx = batches_a.next()
-                w_opt.lr = lr_schedule(w_step, total_w_steps, schedule.w_lr,
-                                       schedule.lr_mode)
-                feats = net.forward(Tensor(dataset.images[idx]), training=True)
-                loss = model_loss(feats[-1], head, dataset.labels[idx])
-                m_val = loss.item()
-                _check_finite(m_val, step, epoch, "w")
-                zero_all()
-                backward(loss)
-                clip_grad_norm(w_params, GRAD_CLIP_NORM)
-                arch_opt.zero_grad()  # alpha/beta gradients are never applied here
-                w_opt.step()
-                zero_all()
-                c_val = cost_value()
-                history.steps.append(StepRecord(
-                    step=step, epoch=epoch, phase="w", model_loss=m_val,
-                    expected_cost=c_val,
-                    total_loss=m_val + cost_cfg.lam * c_val))
-            if not arch_phase:
-                continue
-            for _ in range(schedule.alternation[1]):
-                step += 1
-                idx = batches_b.next()
-                feats = net.forward(Tensor(dataset.images[idx]), training=True,
-                                    update_stats=False)
-                m_loss = model_loss(feats[-1], head, dataset.labels[idx])
-                cost = expected_cost(net.alpha, net.beta, table)
-                loss = m_loss + cost * np.float32(lam_over_norm)
-                t_val = loss.item()
-                m_val = m_loss.item()
-                _check_finite(t_val, step, epoch, "arch")
-                zero_all()
-                backward(loss)
-                clip_grad_norm(arch_params, GRAD_CLIP_NORM)
-                w_opt.zero_grad()  # w gradients are never applied here
-                arch_opt.step()
-                zero_all()
-                history.steps.append(StepRecord(
-                    step=step, epoch=epoch, phase="arch", model_loss=m_val,
-                    expected_cost=float(cost.data) / cost_cfg.normalizer,
-                    total_loss=t_val))
-        history.snapshots.append(_snapshot(net, epoch))
     return net, history
 
 

@@ -1,5 +1,8 @@
 """Shared test oracles: finite differences and a float32-aware closeness check."""
 
+import json
+import struct
+
 import numpy as np
 
 from nasadapt.numerics import Tensor
@@ -65,3 +68,9 @@ def check_gradients(build_loss, params, h=1e-3, rtol=1e-3, what=""):
 def rand_tensor(rng, shape, scale=1.0, requires_grad=True):
     return Tensor(rng.standard_normal(shape).astype(np.float32) * scale,
                   requires_grad=requires_grad)
+
+
+def write_raw_container(path, header, payload: bytes = b"\x00" * 16):
+    """Write a one-entry container around an arbitrary JSON header."""
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"NAT1" + struct.pack("<I", len(raw)) + raw + payload)

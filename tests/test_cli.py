@@ -1,12 +1,19 @@
 """CLI wiring: subcommands, exit codes, artifact round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nasadapt
 from nasadapt.cli import main
 from nasadapt.searchspace import bundled_config_path
+
+from helpers import write_raw_container
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +68,21 @@ class TestUsage:
         missing = tmp_path / "nothing.nat"
         assert main(["search", "--space", space_path, "--data", str(missing),
                      "--out", str(tmp_path / "x.nat")]) == 2
+
+    def test_malformed_container_exits_2_without_traceback(self, tmp_path, space_path):
+        bad = tmp_path / "bad.nat"
+        write_raw_container(bad, {"name": "alpha/0/0", "dtype": "f32", "shape": [2.5]})
+        src = str(Path(nasadapt.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nasadapt.cli", "derive", "--ckpt", str(bad),
+             "--space", space_path, "--out", str(tmp_path / "arch.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("nasadapt: error:")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestArtifacts:

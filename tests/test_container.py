@@ -6,6 +6,8 @@ import pytest
 from nasadapt.errors import ParameterError, ParseError
 from nasadapt.numerics import load_tensors, save_tensors
 
+from helpers import write_raw_container
+
 
 def test_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
@@ -56,3 +58,16 @@ def test_empty_container(tmp_path):
     path = tmp_path / "empty.nat"
     save_tensors(path, {})
     assert load_tensors(path) == {}
+
+
+@pytest.mark.parametrize("header", [
+    {"name": "x", "dtype": "f32", "shape": [2.5]},
+    {"name": "x", "dtype": "f32", "shape": ["x"]},
+    {"name": "x", "dtype": "f32", "shape": [-1, -1]},
+    ["x", "f32", [1]],
+], ids=["float-dim", "string-dim", "negative-dims", "list-header"])
+def test_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "bad.nat"
+    write_raw_container(path, header)
+    with pytest.raises(ParseError):
+        load_tensors(path)
