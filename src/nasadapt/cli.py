@@ -49,7 +49,7 @@ from .paramap import (
 from .searchloop import SearchSchedule, history_to_csv, search
 from .searchspace import load_config
 from .seeding import seed_for
-from .supernet import build_supernet
+from .supernet import build_supernet, load_logits
 from .toytask import (
     DatasetSpec,
     FinetuneConfig,
@@ -99,8 +99,7 @@ def _cmd_search(args) -> int:
             map_to_supernet(source, net, eps=args.eps,
                             seed=seed_for(args.seed, "noise"))
     schedule = SearchSchedule(total_epochs=args.epochs, warmup_epochs=args.warmup,
-                              batch_size=args.batch_size, seed=args.seed,
-                              lr_mode=args.lr_mode)
+                              batch_size=args.batch_size, seed=args.seed)
     net, history = search(net, dataset, schedule,
                           CostConfig(lam=getattr(args, "lambda")))
     net.save(args.out)
@@ -111,10 +110,8 @@ def _cmd_search(args) -> int:
 
 def _cmd_derive(args) -> int:
     config = load_config(args.space)
-    net = build_supernet(config, seed=0, mask_mode=args.mask_mode)
-    net.load(args.ckpt)
-    arch = derive_architecture(net.alpha, net.beta, config)
-    save_arch(arch, args.out)
+    alpha, beta = load_logits(args.ckpt, config)
+    save_arch(derive_architecture(alpha, beta, config), args.out)
     return 0
 
 
@@ -131,14 +128,14 @@ def _cmd_cost(args) -> int:
             "per_block": madds_of_discrete_per_block(arch, config),
         }
     else:
-        net = build_supernet(config, seed=0, mask_mode=args.mask_mode)
-        net.load(args.ckpt)
+        alpha, beta = load_logits(args.ckpt, config)
         table = build_madds_table(config)
         doc = {
             "kind": "expected",
-            "total": float(expected_cost(net.alpha, net.beta, table).data),
+            "total": float(expected_cost(alpha, beta, table).data),
             "stem": stem_madds(config),
-            "per_block": expected_cost_per_block(net.alpha, net.beta, table),
+            "per_block": [float(c.data)
+                          for c in expected_cost_per_block(alpha, beta, table)],
         }
     _write_json(doc, args.out)
     return 0
@@ -314,8 +311,6 @@ def build_parser() -> _Parser:
                    help="cost regularization strength (default 0.1)")
     p.add_argument("--batch-size", type=int, default=8, help="batch size (default 8)")
     p.add_argument("--seed", type=int, default=0, help="global seed")
-    p.add_argument("--lr-mode", choices=["constant", "cosine"], default="constant",
-                   help="weight learning-rate schedule")
     p.add_argument("--init-from", help="source bundle to map onto the supernet first")
     p.add_argument("--init-arch", help="architecture JSON of --init-from")
     p.add_argument("--eps", type=float, default=1e-5,
@@ -329,7 +324,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt", required=True, help="supernet checkpoint (.nat)")
     p.add_argument("--space", required=True, help="search-space JSON")
     p.add_argument("--out", required=True, help="architecture JSON output")
-    _add_mask_mode(p)
     p.set_defaults(func=_cmd_derive)
 
     p = sub.add_parser("cost", help="multiply-add cost of an architecture or supernet")
@@ -337,7 +331,6 @@ def build_parser() -> _Parser:
     p.add_argument("--arch", help="discrete architecture JSON")
     p.add_argument("--ckpt", help="supernet checkpoint for expected cost")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-    _add_mask_mode(p)
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("remap", help="map a source bundle onto an architecture or supernet")

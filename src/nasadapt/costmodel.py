@@ -108,6 +108,22 @@ def block_input_sizes(config: SearchSpaceConfig) -> list[tuple[int, int]]:
     return sizes
 
 
+def _layer_madds(config: SearchSpaceConfig, index: int, layer: int,
+                 op: OpCandidate, channels: int, size_in: tuple[int, int]) -> int:
+    """Table-convention cost of layer ``layer`` (1-based) of block ``index``.
+
+    The first layer reads the previous block's maximum width at the block's
+    input size ``size_in`` and applies the block stride; later layers map
+    ``channels`` to ``channels`` at the output size.
+    """
+    spec = config.blocks[index]
+    h_in, w_in = size_in
+    if layer == 1:
+        return madds_of_op(op, config.block_input_channels(index), channels,
+                           h_in, w_in, spec.stride)
+    return madds_of_op(op, channels, channels, *_out_hw(h_in, w_in, spec.stride), 1)
+
+
 @dataclass
 class BlockCosts:
     """Per-layer cost matrices of one block, each (channels x ops)."""
@@ -117,26 +133,20 @@ class BlockCosts:
     layer_costs: list[np.ndarray]
 
 
+@dataclass
 class MAddsTable:
     """Precomputed cost of every (block, layer, channel, op) combination."""
 
-    def __init__(self, config: SearchSpaceConfig, stem: int, blocks: list[BlockCosts]):
-        self.config = config
-        self.stem_cost = stem
-        self.blocks = blocks
-
-    def entry(self, block: int, layer: int, channel_idx: int, op_idx: int) -> float:
-        return float(self.blocks[block].layer_costs[layer][channel_idx, op_idx])
+    stem_cost: int
+    blocks: list[BlockCosts]
 
 
 def build_madds_table(config: SearchSpaceConfig) -> MAddsTable:
-    """Tabulate madds_of_op over the whole space, touching each combination once."""
+    """Tabulate _layer_madds over the whole space, touching each combination once."""
     sizes = block_input_sizes(config)
     blocks = []
     for i, spec in enumerate(config.blocks):
         cands = channel_candidates(spec)
-        h_in, w_in = sizes[i]
-        h_out, w_out = _out_hw(h_in, w_in, spec.stride)
         layer_costs = []
         op_cands = []
         for layer in range(1, spec.n_max + 1):
@@ -145,48 +155,48 @@ def build_madds_table(config: SearchSpaceConfig) -> MAddsTable:
             mat = np.zeros((len(cands), len(ops)), dtype=np.float64)
             for ci, c in enumerate(cands):
                 for oi, op in enumerate(ops):
-                    if layer == 1:
-                        mat[ci, oi] = madds_of_op(op, config.block_input_channels(i), c,
-                                                  h_in, w_in, spec.stride)
-                    else:
-                        mat[ci, oi] = madds_of_op(op, c, c, h_out, w_out, 1)
+                    mat[ci, oi] = _layer_madds(config, i, layer, op, c, sizes[i])
             layer_costs.append(mat)
         blocks.append(BlockCosts(channel_cands=cands, op_cands=op_cands,
                                  layer_costs=layer_costs))
-    return MAddsTable(config, stem_madds(config), blocks)
+    return MAddsTable(stem_madds(config), blocks)
 
 
-def expected_block_cost(alpha_block: list[Tensor], beta_block: Tensor,
-                        costs: BlockCosts) -> Tensor:
-    """Channel-weighted sum of layer costs, each op-weighted by softmax(alpha)."""
-    per_channel = None
-    for logits, mat in zip(alpha_block, costs.layer_costs):
-        if logits.data.shape[0] != mat.shape[1]:
-            raise ContractError(
-                f"alpha length {logits.data.shape[0]} does not match table ops {mat.shape[1]}")
-        contrib = matmul(Tensor(mat.astype(np.float32)), softmax(logits))
-        per_channel = contrib if per_channel is None else per_channel + contrib
-    if beta_block.data.shape[0] != len(costs.channel_cands):
-        raise ContractError(
-            f"beta length {beta_block.data.shape[0]} does not match table "
-            f"channels {len(costs.channel_cands)}")
-    return matmul(softmax(beta_block), per_channel)
+def expected_cost_per_block(alpha, beta, table: MAddsTable) -> list[Tensor]:
+    """Differentiable expected MAdds of each block.
 
-
-def expected_cost(alpha, beta, table: MAddsTable) -> Tensor:
-    """Differentiable expected MAdds of the relaxed network (stem included)."""
+    A block's cost is the softmax(beta)-weighted sum over its channel
+    candidates of its layer costs, each weighted over operations by
+    softmax(alpha).
+    """
     if len(alpha) != len(table.blocks) or len(beta) != len(table.blocks):
         raise ContractError(
             f"logits cover {len(alpha)}/{len(beta)} blocks, table has {len(table.blocks)}")
+    out = []
+    for alpha_block, beta_block, costs in zip(alpha, beta, table.blocks):
+        per_channel = None
+        for logits, mat in zip(alpha_block, costs.layer_costs):
+            if logits.data.shape[0] != mat.shape[1]:
+                raise ContractError(
+                    f"alpha length {logits.data.shape[0]} does not match table ops "
+                    f"{mat.shape[1]}")
+            contrib = matmul(Tensor(mat.astype(np.float32)), softmax(logits))
+            per_channel = contrib if per_channel is None else per_channel + contrib
+        if beta_block.data.shape[0] != len(costs.channel_cands):
+            raise ContractError(
+                f"beta length {beta_block.data.shape[0]} does not match table "
+                f"channels {len(costs.channel_cands)}")
+        out.append(matmul(softmax(beta_block), per_channel))
+    return out
+
+
+def expected_cost(alpha, beta, table: MAddsTable) -> Tensor:
+    """Differentiable expected MAdds of the relaxed network: stem plus every
+    block's, added in block order."""
     total = Tensor(np.float32(table.stem_cost))
-    for i, costs in enumerate(table.blocks):
-        total = total + expected_block_cost(alpha[i], beta[i], costs)
+    for cost in expected_cost_per_block(alpha, beta, table):
+        total = total + cost
     return total
-
-
-def expected_cost_per_block(alpha, beta, table: MAddsTable) -> list[float]:
-    return [float(expected_block_cost(alpha[i], beta[i], costs).data)
-            for i, costs in enumerate(table.blocks)]
 
 
 def total_loss(model_loss: Tensor, cost: Tensor, cfg: CostConfig) -> Tensor:
@@ -218,8 +228,9 @@ def _check_block_consistency(block, spec, index: int) -> None:
                 f"block {index} op {j}: expansion {op.expansion} not in {spec.expansions}")
 
 
-def madds_of_discrete(arch: DiscreteArchitecture, config: SearchSpaceConfig) -> int:
-    """Table-convention MAdds of a discrete architecture (stem included)."""
+def madds_of_discrete_per_block(arch: DiscreteArchitecture,
+                                config: SearchSpaceConfig) -> list[int]:
+    """Table-convention MAdds of each block of a discrete architecture."""
     if len(arch.blocks) != len(config.blocks):
         raise ContractError(
             f"architecture has {len(arch.blocks)} blocks, config has {len(config.blocks)}")
@@ -230,37 +241,17 @@ def madds_of_discrete(arch: DiscreteArchitecture, config: SearchSpaceConfig) -> 
             f"input resolution mismatch: {arch.input_resolution} vs "
             f"{config.input_resolution}")
     sizes = block_input_sizes(config)
-    total = stem_madds(config)
-    for i, (block, spec) in enumerate(zip(arch.blocks, config.blocks)):
-        _check_block_consistency(block, spec, i)
-        h_in, w_in = sizes[i]
-        h_out, w_out = _out_hw(h_in, w_in, spec.stride)
-        for j, op in enumerate(block.ops):
-            cand = OpCandidate("mbconv", kernel=op.kernel, expansion=op.expansion)
-            if j == 0:
-                total += madds_of_op(cand, config.block_input_channels(i),
-                                     block.channels, h_in, w_in, spec.stride)
-            else:
-                total += madds_of_op(cand, block.channels, block.channels,
-                                     h_out, w_out, 1)
-    return total
-
-
-def madds_of_discrete_per_block(arch: DiscreteArchitecture,
-                                config: SearchSpaceConfig) -> list[int]:
-    sizes = block_input_sizes(config)
     out = []
     for i, (block, spec) in enumerate(zip(arch.blocks, config.blocks)):
-        h_in, w_in = sizes[i]
-        h_out, w_out = _out_hw(h_in, w_in, spec.stride)
-        subtotal = 0
-        for j, op in enumerate(block.ops):
-            cand = OpCandidate("mbconv", kernel=op.kernel, expansion=op.expansion)
-            if j == 0:
-                subtotal += madds_of_op(cand, config.block_input_channels(i),
-                                        block.channels, h_in, w_in, spec.stride)
-            else:
-                subtotal += madds_of_op(cand, block.channels, block.channels,
-                                        h_out, w_out, 1)
-        out.append(subtotal)
+        _check_block_consistency(block, spec, i)
+        out.append(sum(
+            _layer_madds(config, i, j + 1,
+                         OpCandidate("mbconv", kernel=op.kernel, expansion=op.expansion),
+                         block.channels, sizes[i])
+            for j, op in enumerate(block.ops)))
     return out
+
+
+def madds_of_discrete(arch: DiscreteArchitecture, config: SearchSpaceConfig) -> int:
+    """Table-convention MAdds of a discrete architecture: stem plus every block's."""
+    return stem_madds(config) + sum(madds_of_discrete_per_block(arch, config))

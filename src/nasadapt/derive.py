@@ -126,7 +126,20 @@ def _field(obj, key, path, types, what):
     return value
 
 
+def _bounded(obj, key, path, ok, what):
+    """An integer field that must satisfy ``ok``; ``what`` names the bound."""
+    value = _field(obj, key, path, int, "an integer")
+    if not ok(value):
+        raise ParseError(f"{path}.{key}", f"must be {what}, got {value}")
+    return value
+
+
+def _positive(obj, key, path):
+    return _bounded(obj, key, path, lambda v: v >= 1, ">= 1")
+
+
 def arch_from_json(text: str) -> DiscreteArchitecture:
+    """Parse and validate an architecture document (docs/arch.schema.json)."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -140,8 +153,8 @@ def arch_from_json(text: str) -> DiscreteArchitecture:
         raise ParseError("$.input_resolution", f"expected [H, W] positives, got {res}")
     stem_raw = _field(raw, "stem", "$", dict, "an object")
     stem = StemSpec(
-        conv_channels=_field(stem_raw, "conv_channels", "$.stem", int, "an integer"),
-        mbconv_channels=_field(stem_raw, "mbconv_channels", "$.stem", int, "an integer"),
+        conv_channels=_positive(stem_raw, "conv_channels", "$.stem"),
+        mbconv_channels=_positive(stem_raw, "mbconv_channels", "$.stem"),
     )
     blocks_raw = _field(raw, "blocks", "$", list, "a list")
     if not blocks_raw:
@@ -149,7 +162,7 @@ def arch_from_json(text: str) -> DiscreteArchitecture:
     blocks = []
     for i, braw in enumerate(blocks_raw):
         path = f"blocks[{i}]"
-        channels = _field(braw, "channels", path, int, "an integer")
+        channels = _positive(braw, "channels", path)
         ops_raw = _field(braw, "ops", path, list, "a list")
         if not ops_raw:
             raise ParseError(f"{path}.ops", "a block must retain at least one operation")
@@ -160,9 +173,10 @@ def arch_from_json(text: str) -> DiscreteArchitecture:
             if kind != "mbconv":
                 raise ParseError(f"{opath}.kind", f"unknown operation kind '{kind}'")
             ops.append(DerivedOp(
-                kernel=_field(oraw, "kernel", opath, int, "an integer"),
-                expansion=_field(oraw, "expansion", opath, int, "an integer"),
-                stride=_field(oraw, "stride", opath, int, "an integer"),
+                kernel=_bounded(oraw, "kernel", opath, lambda v: v >= 1 and v % 2 == 1,
+                                "odd and >= 1"),
+                expansion=_positive(oraw, "expansion", opath),
+                stride=_bounded(oraw, "stride", opath, lambda v: v in (1, 2), "1 or 2"),
             ))
         blocks.append(DerivedBlock(channels=channels, ops=tuple(ops)))
     return DiscreteArchitecture(input_resolution=(res[0], res[1]), stem=stem,

@@ -164,20 +164,18 @@ class Stem:
         return out
 
 
-def load_named_arrays(named_params, named_state, arrays: dict[str, np.ndarray],
-                      strict: bool = True) -> None:
-    """Copy arrays into parameter tensors and state buffers by name."""
+def load_named_arrays(named_params, named_state, arrays: dict[str, np.ndarray]) -> None:
+    """Copy arrays into parameter tensors and state buffers by name; every
+    target must be present."""
     targets: dict[str, np.ndarray] = {}
     for name, tensor in named_params:
         targets[name] = tensor.data
     for name, buf in named_state:
         targets[name] = buf
     missing = [n for n in targets if n not in arrays]
-    if strict and missing:
+    if missing:
         raise KeyError(f"checkpoint missing {len(missing)} tensors, first: {missing[:3]}")
     for name, dst in targets.items():
-        if name not in arrays:
-            continue
         src = arrays[name]
         if src.shape != dst.shape:
             raise ValueError(f"shape mismatch for '{name}': {src.shape} vs {dst.shape}")

@@ -151,19 +151,12 @@ class TapeNode:
         self.backward_fn = backward_fn
 
 
-class ComputationTape:
-    """Topologically ordered nodes reachable from a root tensor."""
-
-    def __init__(self, nodes: list[TapeNode]):
-        self.nodes = nodes
-
-
-def trace(root: Tensor) -> ComputationTape:
+def trace(root: Tensor) -> list[TapeNode]:
     """Collect the subgraph that produced ``root`` in topological order."""
     nodes: list[TapeNode] = []
     visited: set[int] = set()
     if root.node is None:
-        return ComputationTape(nodes)
+        return nodes
     stack: list[tuple[TapeNode, bool]] = [(root.node, False)]
     while stack:
         node, expanded = stack.pop()
@@ -177,7 +170,7 @@ def trace(root: Tensor) -> ComputationTape:
             for t in node.inputs:
                 if t.node is not None and id(t.node) not in visited:
                     stack.append((t.node, False))
-    return ComputationTape(nodes)
+    return nodes
 
 
 def backward(loss: Tensor) -> None:
@@ -188,9 +181,8 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    tape = trace(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=DTYPE)}
-    for node in reversed(tape.nodes):
+    for node in reversed(trace(loss)):
         gout = grads.pop(id(node.output), None)
         if gout is None:
             continue

@@ -33,6 +33,7 @@ from .derive import (
     arch_to_json,
 )
 from .errors import ContractError, ParameterError
+from .layers import load_named_arrays
 from .numerics import Tensor, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
@@ -338,14 +339,9 @@ def map_to_supernet(source: ParameterBundle, net, eps: float = 0.0, seed: int = 
     stay untouched. Returns the supernet (mutated in place) and the report
     covering every weight and normalization tensor.
     """
-    from .searchspace import StemSpec
-
     source_arch = source_arch or source.architecture()
     config = net.config
-    _check_stem_compatible(
-        source_arch,
-        StemSpec(config.stem.conv_channels, config.stem.mbconv_channels),
-        "supernet mapping")
+    _check_stem_compatible(source_arch, config.stem, "supernet mapping")
     if len(source_arch.blocks) != len(config.blocks):
         raise ContractError(
             f"source has {len(source_arch.blocks)} blocks, space has "
@@ -367,10 +363,7 @@ def map_to_supernet(source: ParameterBundle, net, eps: float = 0.0, seed: int = 
                             f"block{i}/layer{l}/op{o}", src_dims[src_l], tdims,
                             out, report, copied)
     add_mapping_noise(out, report, eps, seed)
-    named_params = net.named_weight_params()
-    from .layers import load_named_arrays
-
-    load_named_arrays(named_params, net.named_state(), out)
+    load_named_arrays(net.named_weight_params(), net.named_state(), out)
     return net, report
 
 

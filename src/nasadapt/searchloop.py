@@ -15,13 +15,19 @@ update during w steps.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import CostConfig, build_madds_table, expected_cost, madds_of_discrete
-from .derive import default_source_architecture, derive_architecture
+from .costmodel import (
+    CostConfig,
+    MAddsTable,
+    build_madds_table,
+    expected_cost,
+    madds_of_discrete,
+    total_loss,
+)
+from .derive import default_source_architecture
 from .errors import ContractError, ParameterError
 from .numerics import SGD, Adam, Tensor, backward, clip_grad_norm, no_grad
 from .seeding import seed_for
@@ -41,12 +47,8 @@ ARCH_WEIGHT_DECAY = 1e-3
 class SearchSchedule:
     total_epochs: int = 14
     warmup_epochs: int = 8
-    alternation: tuple[int, int] = (1, 1)  # w steps : arch steps per round
     batch_size: int = 8
     seed: int = 0
-    w_lr: float = W_LR
-    arch_lr: float = ARCH_LR
-    lr_mode: str = "constant"  # or "cosine"
 
     def __post_init__(self):
         if not 0 <= self.warmup_epochs <= self.total_epochs:
@@ -55,10 +57,6 @@ class SearchSchedule:
                 f"({self.total_epochs})")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if min(self.alternation) < 1:
-            raise ParameterError(f"alternation parts must be >= 1, got {self.alternation}")
-        if self.lr_mode not in ("constant", "cosine"):
-            raise ParameterError(f"lr_mode must be constant or cosine, got {self.lr_mode}")
 
 
 @dataclass
@@ -75,19 +73,6 @@ def split_data(dataset_size: int, seed: int) -> DataSplit:
     order = rng.permutation(dataset_size)
     half = dataset_size // 2
     return DataSplit(train_a=np.sort(order[:half]), train_b=np.sort(order[half:]))
-
-
-def lr_schedule(step: int, total_steps: int, base_lr: float, mode: str = "constant") -> float:
-    """Constant by default; optional cosine decay to zero at the last step."""
-    if step > total_steps:
-        raise ParameterError(f"step {step} exceeds total_steps {total_steps}")
-    if mode == "constant":
-        return base_lr
-    if mode == "cosine":
-        if total_steps == 0:
-            return base_lr
-        return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
-    raise ParameterError(f"unknown lr schedule mode '{mode}'")
 
 
 @dataclass
@@ -163,6 +148,31 @@ def _train_only(active: list[Tensor], idle: list[Tensor]) -> None:
         p.requires_grad = True
 
 
+def _step(net: Supernet, head: ProxyHead, dataset: SyntheticDataset, idx: np.ndarray,
+          opt, params: list[Tensor], where: tuple[int, int, str],
+          table: MAddsTable | None = None, cost_cfg: CostConfig | None = None,
+          ) -> tuple[float, float, Tensor | None]:
+    """One step of either phase: forward, loss, finite check, zero, backward,
+    clip, step.
+
+    Given a cost ``table`` (arch steps) the loss adds the cost regularizer
+    and normalization statistics stay frozen. Returns the model loss, the
+    loss, and the expected-cost tensor (None without a table).
+    """
+    feats = net.forward(Tensor(dataset.images[idx]), training=True,
+                        update_stats=None if table is None else False)
+    m_loss = model_loss(feats[-1], head, dataset.labels[idx])
+    cost = None if table is None else expected_cost(net.alpha, net.beta, table)
+    loss = m_loss if cost is None else total_loss(m_loss, cost, cost_cfg)
+    value = loss.item()
+    _check_finite(value, *where)
+    opt.zero_grad()
+    backward(loss)
+    clip_grad_norm(params, GRAD_CLIP_NORM)
+    opt.step()
+    return m_loss.item(), value, cost
+
+
 def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
            cost_cfg: CostConfig, head: ProxyHead | None = None,
            ) -> tuple[Supernet, SearchHistory]:
@@ -184,68 +194,37 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
     w_params = net.weight_params() + head.params()
     arch_params = net.arch_params()
     requires_grad_before = [p.requires_grad for p in w_params + arch_params]
-    w_opt = SGD(w_params, lr=schedule.w_lr, momentum=W_MOMENTUM,
-                weight_decay=W_WEIGHT_DECAY)
-    arch_opt = Adam(arch_params, lr=schedule.arch_lr, weight_decay=ARCH_WEIGHT_DECAY)
+    w_opt = SGD(w_params, lr=W_LR, momentum=W_MOMENTUM, weight_decay=W_WEIGHT_DECAY)
+    arch_opt = Adam(arch_params, lr=ARCH_LR, weight_decay=ARCH_WEIGHT_DECAY)
 
     steps_per_epoch = max(1, len(split.train_a) // schedule.batch_size)
-    total_w_steps = schedule.total_epochs * steps_per_epoch * schedule.alternation[0]
     history = SearchHistory()
-    lam_over_norm = cost_cfg.lam / cost_cfg.normalizer
     step = 0
-    w_step = 0
-
-    def cost_value() -> float:
-        with no_grad():
-            return float(expected_cost(net.alpha, net.beta, table).data) \
-                / cost_cfg.normalizer
-
     try:
         for epoch in range(1, schedule.total_epochs + 1):
             arch_phase = epoch > schedule.warmup_epochs
             for _ in range(steps_per_epoch):
                 _train_only(w_params, arch_params)
-                for _ in range(schedule.alternation[0]):
-                    step += 1
-                    w_step += 1
-                    idx = batches_a.next()
-                    w_opt.lr = lr_schedule(w_step, total_w_steps, schedule.w_lr,
-                                           schedule.lr_mode)
-                    feats = net.forward(Tensor(dataset.images[idx]), training=True)
-                    loss = model_loss(feats[-1], head, dataset.labels[idx])
-                    m_val = loss.item()
-                    _check_finite(m_val, step, epoch, "w")
-                    w_opt.zero_grad()
-                    backward(loss)
-                    clip_grad_norm(w_params, GRAD_CLIP_NORM)
-                    w_opt.step()
-                    c_val = cost_value()
-                    history.steps.append(StepRecord(
-                        step=step, epoch=epoch, phase="w", model_loss=m_val,
-                        expected_cost=c_val,
-                        total_loss=m_val + cost_cfg.lam * c_val))
+                step += 1
+                m_val, _, _ = _step(net, head, dataset, batches_a.next(), w_opt, w_params,
+                                    (step, epoch, "w"))
+                with no_grad():
+                    c_val = float(expected_cost(net.alpha, net.beta, table).data) \
+                        / cost_cfg.normalizer
+                history.steps.append(StepRecord(
+                    step=step, epoch=epoch, phase="w", model_loss=m_val,
+                    expected_cost=c_val, total_loss=m_val + cost_cfg.lam * c_val))
                 if not arch_phase:
                     continue
                 _train_only(arch_params, w_params)
-                for _ in range(schedule.alternation[1]):
-                    step += 1
-                    idx = batches_b.next()
-                    feats = net.forward(Tensor(dataset.images[idx]), training=True,
-                                        update_stats=False)
-                    m_loss = model_loss(feats[-1], head, dataset.labels[idx])
-                    cost = expected_cost(net.alpha, net.beta, table)
-                    loss = m_loss + cost * np.float32(lam_over_norm)
-                    t_val = loss.item()
-                    m_val = m_loss.item()
-                    _check_finite(t_val, step, epoch, "arch")
-                    arch_opt.zero_grad()
-                    backward(loss)
-                    clip_grad_norm(arch_params, GRAD_CLIP_NORM)
-                    arch_opt.step()
-                    history.steps.append(StepRecord(
-                        step=step, epoch=epoch, phase="arch", model_loss=m_val,
-                        expected_cost=float(cost.data) / cost_cfg.normalizer,
-                        total_loss=t_val))
+                step += 1
+                m_val, t_val, cost = _step(net, head, dataset, batches_b.next(), arch_opt,
+                                           arch_params, (step, epoch, "arch"),
+                                           table, cost_cfg)
+                history.steps.append(StepRecord(
+                    step=step, epoch=epoch, phase="arch", model_loss=m_val,
+                    expected_cost=float(cost.data) / cost_cfg.normalizer,
+                    total_loss=t_val))
             history.snapshots.append(_snapshot(net, epoch))
     finally:
         for p, flag in zip(w_params + arch_params, requires_grad_before):
@@ -253,8 +232,3 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
         w_opt.zero_grad()
         arch_opt.zero_grad()
     return net, history
-
-
-def derive_from_search(net: Supernet):
-    """Convenience: collapse a searched supernet to its argmax architecture."""
-    return derive_architecture(net.alpha, net.beta, net.config)

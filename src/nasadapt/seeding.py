@@ -8,14 +8,8 @@ part of an end-to-end run. See docs/determinism.md.
 
 import zlib
 
-import numpy as np
-
 
 def seed_for(seed: int, tag: str) -> int:
     """Derive the seed for a named stage from the global seed."""
     return (int(seed) ^ zlib.crc32(tag.encode("utf-8"))) & 0x7FFFFFFF
 
-
-def rng_for(seed: int, tag: str) -> np.random.Generator:
-    """PCG64 generator for a named stage."""
-    return np.random.Generator(np.random.PCG64(seed_for(seed, tag)))

@@ -17,11 +17,9 @@ Mask semantics (mode of :func:`build_masks`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import ContractError, DimensionError, ParameterError
 from .layers import Identity, MBConv, Stem, load_named_arrays
 from .numerics import Tensor, matmul, reshape, softmax
 from .numerics.container import load_tensors, save_tensors
@@ -29,14 +27,6 @@ from .numerics.tensor import DTYPE
 from .searchspace import BlockSpec, SearchSpaceConfig, channel_candidates, op_candidates
 
 MASK_MODES = ("non_overlapping", "overlapping")
-
-
-@dataclass(frozen=True)
-class ChannelMaskBank:
-    """All per-block mask matrices of a supernet, with their shared mode."""
-
-    mode: str
-    per_block: tuple[np.ndarray, ...]
 
 
 def build_masks(candidates: list[int], mode: str = "non_overlapping") -> np.ndarray:
@@ -113,7 +103,6 @@ class MixedBlock:
         self.spec = spec
         self.candidates = channel_candidates(spec)
         self.c_full = self.candidates[-1]
-        self.mask_mode = mask_mode
         self.masks = build_masks(self.candidates, mask_mode)
         self.layers = [
             MixedLayer(spec, layer, c_in if layer == 1 else self.c_full, self.c_full, rng)
@@ -157,11 +146,7 @@ class Supernet:
 
     def __init__(self, config: SearchSpaceConfig, seed: int,
                  mask_mode: str = "non_overlapping"):
-        if mask_mode not in MASK_MODES:
-            raise ParameterError(f"mask mode must be one of {MASK_MODES}, got {mask_mode!r}")
         self.config = config
-        self.seed = seed
-        self.mask_mode = mask_mode
         rng = np.random.Generator(np.random.PCG64(seed))
         self.stem = Stem(config.stem.conv_channels, config.stem.mbconv_channels, rng)
         self.blocks = []
@@ -170,23 +155,13 @@ class Supernet:
             block = MixedBlock(spec, c_in, mask_mode, rng)
             self.blocks.append(block)
             c_in = block.c_full
-        self.alpha = [
-            [Tensor(np.zeros(len(layer.candidates), dtype=DTYPE), requires_grad=True)
-             for layer in block.layers]
-            for block in self.blocks
-        ]
-        self.beta = [
-            Tensor(np.zeros(len(block.candidates), dtype=DTYPE), requires_grad=True)
-            for block in self.blocks
-        ]
+        self.alpha, self.beta = _nest(config, {
+            name: Tensor(np.zeros(length, dtype=DTYPE), requires_grad=True)
+            for name, length in logit_lengths(config).items()})
 
     @property
     def final_channels(self) -> int:
         return self.blocks[-1].c_full
-
-    def mask_bank(self) -> ChannelMaskBank:
-        return ChannelMaskBank(mode=self.mask_mode,
-                               per_block=tuple(b.masks for b in self.blocks))
 
     def forward(self, x, training: bool = True,
                 update_stats: bool | None = None) -> list[Tensor]:
@@ -222,13 +197,7 @@ class Supernet:
         return out
 
     def named_arch_params(self):
-        out = []
-        for i, layer_vecs in enumerate(self.alpha):
-            for l, vec in enumerate(layer_vecs):
-                out.append((f"alpha/{i}/{l}", vec))
-        for i, vec in enumerate(self.beta):
-            out.append((f"beta/{i}", vec))
-        return out
+        return list(zip(logit_lengths(self.config), self.arch_params()))
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         arrays = {name: t.data for name, t in self.named_arch_params()}
@@ -249,3 +218,52 @@ def build_supernet(config: SearchSpaceConfig, seed: int,
                    mask_mode: str = "non_overlapping") -> Supernet:
     """Deterministically initialized supernet; all logits start at zero."""
     return Supernet(config, seed, mask_mode)
+
+
+def logit_lengths(config: SearchSpaceConfig) -> dict[str, int]:
+    """Checkpoint name and length of every architecture-logit vector.
+
+    ``alpha/{i}/{l}`` scores the operation candidates of layer l in block
+    i, ``beta/{i}`` the channel candidates of block i (indices 0-based);
+    all alpha vectors come first, in block then layer order.
+    """
+    lengths = {}
+    for i, spec in enumerate(config.blocks):
+        for l in range(spec.n_max):
+            lengths[f"alpha/{i}/{l}"] = len(op_candidates(spec, l + 1))
+    for i, spec in enumerate(config.blocks):
+        lengths[f"beta/{i}"] = len(channel_candidates(spec))
+    return lengths
+
+
+def _nest(config: SearchSpaceConfig, vectors: dict):
+    """Arrange logit vectors keyed by checkpoint name as (alpha, beta)."""
+    alpha = [[vectors[f"alpha/{i}/{l}"] for l in range(spec.n_max)]
+             for i, spec in enumerate(config.blocks)]
+    beta = [vectors[f"beta/{i}"] for i in range(len(config.blocks))]
+    return alpha, beta
+
+
+def load_logits(path, config: SearchSpaceConfig):
+    """Read a supernet checkpoint's architecture logits, without building it.
+
+    Returns (alpha, beta) as constant tensors nested like
+    ``Supernet.alpha``/``Supernet.beta``. The checkpoint's ``alpha/*`` and
+    ``beta/*`` vectors must be exactly the space's, with the space's
+    lengths; weights are not read.
+    """
+    arrays = load_tensors(path)
+    lengths = logit_lengths(config)
+    found = {name for name in arrays if name.startswith(("alpha/", "beta/"))}
+    if found != lengths.keys():
+        missing = sorted(lengths.keys() - found)
+        extra = sorted(found - lengths.keys())
+        raise ContractError(
+            f"{path}: architecture logits do not match the search space: "
+            f"{len(missing)} missing {missing[:3]}, {len(extra)} unexpected {extra[:3]}")
+    for name, length in lengths.items():
+        if arrays[name].shape != (length,):
+            raise ContractError(
+                f"{path}: '{name}' has shape {arrays[name].shape}, the search space "
+                f"expects ({length},)")
+    return _nest(config, {name: Tensor(arrays[name]) for name in lengths})

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .derive import DiscreteArchitecture, instantiate
+from .derive import DiscreteArchitecture, arch_to_json, instantiate
 from .errors import ContractError, ParameterError
 from .layers import trunc_normal
 from .numerics import SGD, Tensor, backward, cross_entropy, matmul, no_grad
@@ -25,6 +25,9 @@ from .paramap import ParameterBundle
 SHAPE_NAMES = ("disk", "square", "plus", "cross", "ring", "diamond")
 SCALE_FRACTIONS = (0.20, 0.28, 0.36)
 BACKGROUND_AMPLITUDE = 0.15
+
+FINETUNE_MOMENTUM = 0.9
+FINETUNE_WEIGHT_DECAY = 5e-5
 
 
 @dataclass(frozen=True)
@@ -161,8 +164,6 @@ def model_loss(features: Tensor, head: ProxyHead, labels: np.ndarray) -> Tensor:
 @dataclass
 class FinetuneConfig:
     lr: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-5
     batch_size: int = 16
 
 
@@ -193,8 +194,8 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
             head.bias.data[...] = available["head/bias"]
     curve: list[float] = []
     if epochs > 0:
-        opt = SGD(net.params() + head.params(), lr=cfg.lr, momentum=cfg.momentum,
-                  weight_decay=cfg.weight_decay)
+        opt = SGD(net.params() + head.params(), lr=cfg.lr, momentum=FINETUNE_MOMENTUM,
+                  weight_decay=FINETUNE_WEIGHT_DECAY)
         rng = np.random.Generator(np.random.PCG64(seed ^ 0x5F3759DF))
         n = len(dataset)
         step = 0
@@ -216,14 +217,8 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
     arrays = net.to_arrays()
     arrays.update({name: t.data for name, t in head.named_params()})
     bundle = ParameterBundle(tensors={k: v.copy() for k, v in arrays.items()},
-                             arch=json.loads(_arch_json(arch)))
+                             arch=json.loads(arch_to_json(arch)))
     return bundle, curve
-
-
-def _arch_json(arch: DiscreteArchitecture) -> str:
-    from .derive import arch_to_json
-
-    return arch_to_json(arch)
 
 
 def evaluate_accuracy(arch: DiscreteArchitecture, bundle: ParameterBundle,

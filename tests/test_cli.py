@@ -11,9 +11,34 @@ import pytest
 
 import nasadapt
 from nasadapt.cli import main
-from nasadapt.searchspace import bundled_config_path
+from nasadapt.costmodel import build_madds_table, expected_cost, expected_cost_per_block
+from nasadapt.derive import (
+    arch_to_json,
+    default_source_architecture,
+    derive_architecture,
+    instantiate,
+)
+from nasadapt.numerics.container import load_tensors, save_tensors
+from nasadapt.searchspace import bundled_config_path, load_bundled_config, load_config
+from nasadapt.supernet import build_supernet
 
 from helpers import write_raw_container
+
+
+def run_cli_process(argv):
+    """Run the CLI in a child process, as a shell would."""
+    src = str(Path(nasadapt.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "nasadapt.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def assert_one_line_error(code, stderr):
+    assert code == 2
+    assert "Traceback" not in stderr
+    assert stderr.startswith("nasadapt: error:")
+    assert stderr.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -72,17 +97,22 @@ class TestUsage:
     def test_malformed_container_exits_2_without_traceback(self, tmp_path, space_path):
         bad = tmp_path / "bad.nat"
         write_raw_container(bad, {"name": "alpha/0/0", "dtype": "f32", "shape": [2.5]})
-        src = str(Path(nasadapt.__file__).resolve().parents[1])
-        env = dict(os.environ,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "nasadapt.cli", "derive", "--ckpt", str(bad),
-             "--space", space_path, "--out", str(tmp_path / "arch.json")],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("nasadapt: error:")
-        assert proc.stderr.count("\n") == 1
+        proc = run_cli_process(["derive", "--ckpt", str(bad), "--space", space_path,
+                                "--out", str(tmp_path / "arch.json")])
+        assert_one_line_error(proc.returncode, proc.stderr)
+
+    def test_finetune_out_of_range_arch_exits_2_without_traceback(self, tmp_path,
+                                                                   space_path):
+        doc = json.loads(arch_to_json(default_source_architecture(
+            load_bundled_config("desk3"))))
+        doc["blocks"][0]["ops"][0]["expansion"] = 0
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps(doc))
+        proc = run_cli_process(["finetune", "--arch", str(arch),
+                                "--data", str(tmp_path / "data.nat"),
+                                "--out", str(tmp_path / "out.nat")])
+        assert_one_line_error(proc.returncode, proc.stderr)
+        assert "blocks[0].ops[0].expansion" in proc.stderr
 
 
 class TestArtifacts:
@@ -156,6 +186,48 @@ class TestArtifacts:
         assert main(["remap", "--src", str(source), "--space", space_path,
                      "--eps", "1e-5", "--seed", "2", "--out", str(out)]) == 0
         assert out.exists()
+
+
+@pytest.fixture(scope="module")
+def mismatched_checkpoints(artifacts, space_path):
+    """(checkpoint, space) pairs whose logits are not exactly the space's."""
+    root = artifacts["root"]
+    extra = root / "extra_alpha.nat"
+    save_tensors(extra, {**load_tensors(artifacts["ckpt"]),
+                         "alpha/0/9": np.zeros(3, dtype=np.float32)})
+    bundle = root / "bundle.nat"
+    source = instantiate(default_source_architecture(load_bundled_config("desk3")), seed=0)
+    save_tensors(bundle, source.to_arrays())
+    return {"other-space": (artifacts["ckpt"], str(bundled_config_path("table1"))),
+            "parameter-bundle": (bundle, space_path),
+            "extra-alpha": (extra, space_path)}
+
+
+class TestCheckpointLogits:
+    @pytest.mark.parametrize("case", ["other-space", "parameter-bundle", "extra-alpha"])
+    @pytest.mark.parametrize("command", ["derive", "cost"])
+    def test_mismatch_exits_2_with_one_line(self, capsys, tmp_path, mismatched_checkpoints,
+                                            command, case):
+        ckpt, space = mismatched_checkpoints[case]
+        out = tmp_path / "out.json"
+        code = main([command, "--ckpt", str(ckpt), "--space", space, "--out", str(out)])
+        assert_one_line_error(code, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_derive_and_cost_match_a_loaded_supernet(self, capsys, artifacts, space_path):
+        # the former path of both commands: build the supernet, load the checkpoint
+        config = load_config(space_path)
+        net = build_supernet(config, seed=0)
+        net.load(artifacts["ckpt"])
+        assert any(np.any(v.data != 0) for v in net.arch_params())
+        assert artifacts["arch"].read_text() == \
+            arch_to_json(derive_architecture(net.alpha, net.beta, config)) + "\n"
+        table = build_madds_table(config)
+        assert main(["cost", "--space", space_path, "--ckpt", str(artifacts["ckpt"])]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["total"] == float(expected_cost(net.alpha, net.beta, table).data)
+        assert doc["per_block"] == \
+            [float(c.data) for c in expected_cost_per_block(net.alpha, net.beta, table)]
 
 
 class TestEndToEnd:

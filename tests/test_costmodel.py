@@ -133,7 +133,7 @@ class TestTable:
             else:
                 h_out, w_out = _out_hw(h_in, w_in, spec.stride)
                 want = madds_of_op(ops[oi], cands[ci], cands[ci], h_out, w_out, 1)
-            assert table.entry(i, l, ci, oi) == want
+            assert table.blocks[i].layer_costs[l][ci, oi] == want
 
     def test_monotone_in_channels_table1(self):
         cfg = load_bundled_config("table1")
@@ -330,7 +330,7 @@ class TestDiscrete:
         arch = derive_architecture(alphas, betas, cfg)
         assert all(len(b.ops) == 1 for b in arch.blocks)
         sizes_want = stem_madds(cfg) + sum(
-            table.entry(i, 0, 0, 0) for i in range(len(cfg.blocks)))
+            table.blocks[i].layer_costs[0][0, 0] for i in range(len(cfg.blocks)))
         assert madds_of_discrete(arch, cfg) == pytest.approx(sizes_want)
 
     def test_inconsistent_arch_rejected(self):

@@ -135,6 +135,30 @@ class TestArchJson:
         with pytest.raises(ParseError, match=r"blocks\[1\]\.channels"):
             arch_from_json(_json.dumps(doc))
 
+    @pytest.mark.parametrize("where, key, value, path", [
+        (("stem",), "conv_channels", 0, "$.stem.conv_channels"),
+        (("stem",), "mbconv_channels", -1, "$.stem.mbconv_channels"),
+        (("blocks", 1), "channels", 0, "blocks[1].channels"),
+        (("blocks", 0, "ops", 0), "kernel", 4, "blocks[0].ops[0].kernel"),
+        (("blocks", 0, "ops", 0), "kernel", -1, "blocks[0].ops[0].kernel"),
+        (("blocks", 0, "ops", 1), "expansion", 0, "blocks[0].ops[1].expansion"),
+        (("blocks", 2, "ops", 0), "stride", 3, "blocks[2].ops[0].stride"),
+        (("blocks", 2, "ops", 0), "stride", 0, "blocks[2].ops[0].stride"),
+    ])
+    def test_out_of_range_field_names_path(self, where, key, value, path):
+        import json as _json
+
+        doc = _json.loads(arch_to_json(default_source_architecture(
+            load_bundled_config("desk3"))))
+        obj = doc
+        for step in where:
+            obj = obj[step]
+        obj[key] = value
+        with pytest.raises(ParseError) as err:
+            arch_from_json(_json.dumps(doc))
+        assert err.value.path == path
+        assert f"got {value}" in str(err.value)
+
 
 class TestInstantiate:
     def test_forward_finite_and_shaped(self):

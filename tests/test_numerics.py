@@ -270,9 +270,8 @@ class TestBackward:
     def test_tape_topological_order(self):
         w = rand_tensor(np.random.default_rng(13), (3,))
         y = (w * w + w).sum()
-        tape = trace(y)
         seen = set()
-        for node in tape.nodes:
+        for node in trace(y):
             for t in node.inputs:
                 if t.node is not None:
                     assert id(t.node) in seen, "input node must precede its consumer"

@@ -6,10 +6,11 @@ import pytest
 from nasadapt.costmodel import CostConfig
 from nasadapt.errors import ContractError, ParameterError
 from nasadapt.searchloop import (
+    ARCH_LR,
+    W_LR,
     SearchSchedule,
     _check_finite,
     history_to_csv,
-    lr_schedule,
     search,
     split_data,
 )
@@ -50,20 +51,6 @@ class TestSplit:
             split_data(1, seed=0)
 
 
-class TestLrSchedule:
-    def test_constant(self):
-        assert lr_schedule(3, 10, 0.02) == 0.02
-        assert lr_schedule(10, 10, 0.02) == 0.02
-
-    def test_cosine_endpoints(self):
-        assert lr_schedule(0, 100, 0.02, "cosine") == pytest.approx(0.02)
-        assert lr_schedule(100, 100, 0.02, "cosine") == pytest.approx(0.0, abs=1e-8)
-
-    def test_step_bound(self):
-        with pytest.raises(ParameterError):
-            lr_schedule(11, 10, 0.02)
-
-
 class TestScheduleValidation:
     def test_warmup_bounds(self):
         with pytest.raises(ParameterError):
@@ -72,8 +59,8 @@ class TestScheduleValidation:
     def test_defaults_mirror_published_schedule(self):
         s = SearchSchedule()
         assert (s.total_epochs, s.warmup_epochs, s.batch_size) == (14, 8, 8)
-        assert s.w_lr == pytest.approx(0.02)
-        assert s.arch_lr == pytest.approx(3e-4)
+        assert W_LR == pytest.approx(0.02)
+        assert ARCH_LR == pytest.approx(3e-4)
 
 
 class TestSearch:
@@ -184,7 +171,7 @@ class TestSearch:
         """100x the desk-default regularizer: majority of paired seeds derive
         architectures no costlier than unregularized runs."""
         from nasadapt.costmodel import madds_of_discrete
-        from nasadapt.searchloop import derive_from_search
+        from nasadapt.derive import derive_architecture
 
         cfg = load_bundled_config("desk3")
         wins = 0
@@ -196,6 +183,6 @@ class TestSearch:
                 schedule = SearchSchedule(total_epochs=4, warmup_epochs=2,
                                           batch_size=8, seed=seed)
                 net, _ = search(net, ds, schedule, CostConfig(lam=lam))
-                madds[lam] = madds_of_discrete(derive_from_search(net), cfg)
+                madds[lam] = madds_of_discrete(derive_architecture(net.alpha, net.beta, cfg), cfg)
             wins += madds[10.0] <= madds[0.0]
         assert wins >= 3, f"only {wins}/5 paired seeds"

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nasadapt.errors import ParameterError
+from nasadapt.errors import ContractError, ParameterError
 from nasadapt.numerics import Tensor, backward, count_madds, no_grad
+from nasadapt.numerics.container import save_tensors
 from nasadapt.searchspace import load_bundled_config, parse_config
 from nasadapt.supernet import (
     build_masks,
     build_supernet,
+    load_logits,
     mixed_block_forward,
     mixed_op_forward,
 )
@@ -50,11 +52,9 @@ class TestBuildMasks:
 
     def test_mask_bank_collects_blocks(self):
         net = build_supernet(load_bundled_config("desk3"), seed=0)
-        bank = net.mask_bank()
-        assert bank.mode == "non_overlapping"
-        assert len(bank.per_block) == 3
-        for block, masks in zip(net.blocks, bank.per_block):
-            assert masks.shape == (len(block.candidates), block.c_full)
+        assert len(net.blocks) == 3
+        for block in net.blocks:
+            assert block.masks.shape == (len(block.candidates), block.c_full)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 32), min_size=1, max_size=6, unique=True))
@@ -104,6 +104,29 @@ class TestBuildSupernet:
         a = build_supernet(cfg, seed=1)
         b = build_supernet(cfg, seed=2)
         assert a.stem.conv.weight.data.tobytes() != b.stem.conv.weight.data.tobytes()
+
+
+class TestLoadLogits:
+    def test_reads_what_a_supernet_saved(self, tmp_path):
+        cfg = load_bundled_config("desk3")
+        net = build_supernet(cfg, seed=0)
+        rng = np.random.default_rng(3)
+        for v in net.arch_params():
+            v.data[...] = rng.standard_normal(v.data.shape)
+        net.save(tmp_path / "net.nat")
+        alpha, beta = load_logits(tmp_path / "net.nat", cfg)
+        assert [len(vecs) for vecs in alpha] == [len(vecs) for vecs in net.alpha]
+        got = [v for vecs in alpha for v in vecs] + beta
+        for loaded, saved in zip(got, net.arch_params(), strict=True):
+            assert loaded.data.tobytes() == saved.data.tobytes()
+
+    def test_rejects_a_wrong_length(self, tmp_path):
+        cfg = load_bundled_config("desk3")
+        arrays = {name: t.data for name, t in build_supernet(cfg, seed=0).named_arch_params()}
+        arrays["beta/1"] = np.zeros(arrays["beta/1"].shape[0] + 1, dtype=np.float32)
+        save_tensors(tmp_path / "bad.nat", arrays)
+        with pytest.raises(ContractError, match="'beta/1' has shape"):
+            load_logits(tmp_path / "bad.nat", cfg)
 
 
 class TestMixedOp:
