@@ -90,14 +90,11 @@ def _cmd_search(args) -> int:
     net = build_supernet(config, seed=seed_for(args.seed, "supernet"),
                          mask_mode=args.mask_mode)
     if args.init_from:
-        source = ParameterBundle.load(args.init_from)
-        if args.init_arch:
-            map_to_supernet(source, net, eps=args.eps,
-                            seed=seed_for(args.seed, "noise"),
-                            source_arch=load_arch(args.init_arch))
-        else:
-            map_to_supernet(source, net, eps=args.eps,
-                            seed=seed_for(args.seed, "noise"))
+        source_arch = load_arch(args.init_arch) if args.init_arch else None
+        mapped, _ = map_to_supernet(ParameterBundle.load(args.init_from), config,
+                                    eps=args.eps, seed=seed_for(args.seed, "noise"),
+                                    source_arch=source_arch)
+        net.load_arrays(mapped.tensors)
     schedule = SearchSchedule(total_epochs=args.epochs, warmup_epochs=args.warmup,
                               batch_size=args.batch_size, seed=args.seed)
     net, history = search(net, dataset, schedule,
@@ -156,15 +153,11 @@ def _cmd_remap(args) -> int:
         bundle, report = map_to_derived(source, target, eps=args.eps,
                                         seed=seed_for(args.seed, "noise"),
                                         source_arch=source_arch)
-        bundle.save(args.out)
     else:
-        config = load_config(args.space)
-        net = build_supernet(config, seed=seed_for(args.seed, "supernet"),
-                             mask_mode=args.mask_mode)
-        net, report = map_to_supernet(source, net, eps=args.eps,
-                                      seed=seed_for(args.seed, "noise"),
-                                      source_arch=source_arch)
-        net.save(args.out)
+        bundle, report = map_to_supernet(source, load_config(args.space), eps=args.eps,
+                                         seed=seed_for(args.seed, "noise"),
+                                         source_arch=source_arch)
+    bundle.save(args.out)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
     return 0
@@ -229,7 +222,8 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
     source_madds = madds_of_discrete(source_arch, config)
 
     net = build_supernet(config, seed=seed_for(seed, "supernet"), mask_mode=mask_mode)
-    map_to_supernet(source_bundle, net, eps=eps, seed=seed_for(seed, "noise"))
+    mapped, _ = map_to_supernet(source_bundle, config, eps=eps, seed=seed_for(seed, "noise"))
+    net.load_arrays(mapped.tensors)
     schedule = SearchSchedule(total_epochs=epochs, warmup_epochs=warmup,
                               batch_size=batch_size, seed=seed)
     net, history = search(net, dataset, schedule,
@@ -338,13 +332,13 @@ def build_parser() -> _Parser:
     p.add_argument("--src-arch", help="source architecture JSON "
                                       "(defaults to the bundle's sidecar)")
     p.add_argument("--dst-arch", help="target discrete architecture JSON")
-    p.add_argument("--space", help="target search space (maps onto a fresh supernet)")
+    p.add_argument("--space", help="target search space (writes a supernet checkpoint "
+                                   "with zero logits)")
     p.add_argument("--eps", type=float, default=1e-5,
                    help="noise amplitude on zero-assigned entries (default 1e-5)")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
     p.add_argument("--out", required=True, help="output bundle/checkpoint (.nat)")
     p.add_argument("--report", help="mapping report JSON path")
-    _add_mask_mode(p)
     p.set_defaults(func=_cmd_remap)
 
     p = sub.add_parser("verify", help="check function preservation of a mapping")

@@ -21,6 +21,7 @@ from .numerics import Tensor
 from .searchspace import (
     SearchSpaceConfig,
     StemSpec,
+    _require,
     channel_candidates,
     op_candidates,
 )
@@ -117,18 +118,9 @@ def arch_to_json(arch: DiscreteArchitecture) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _field(obj, key, path, types, what):
-    if not isinstance(obj, dict) or key not in obj:
-        raise ParseError(f"{path}.{key}", "missing required field")
-    value = obj[key]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ParseError(f"{path}.{key}", f"expected {what}, got {value!r}")
-    return value
-
-
 def _bounded(obj, key, path, ok, what):
     """An integer field that must satisfy ``ok``; ``what`` names the bound."""
-    value = _field(obj, key, path, int, "an integer")
+    value = _require(obj, key, path, int, "an integer")
     if not ok(value):
         raise ParseError(f"{path}.{key}", f"must be {what}, got {value}")
     return value
@@ -146,30 +138,30 @@ def arch_from_json(text: str) -> DiscreteArchitecture:
         raise ParseError("$", f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("$", "expected a JSON object")
-    if _field(raw, "v", "$", int, "an integer") != ARCH_SCHEMA_VERSION:
+    if _require(raw, "v", "$", int, "an integer") != ARCH_SCHEMA_VERSION:
         raise ParseError("$.v", f"unsupported architecture schema version {raw['v']}")
-    res = _field(raw, "input_resolution", "$", list, "a list")
+    res = _require(raw, "input_resolution", "$", list, "a list")
     if len(res) != 2 or not all(isinstance(v, int) and v > 0 for v in res):
         raise ParseError("$.input_resolution", f"expected [H, W] positives, got {res}")
-    stem_raw = _field(raw, "stem", "$", dict, "an object")
+    stem_raw = _require(raw, "stem", "$", dict, "an object")
     stem = StemSpec(
         conv_channels=_positive(stem_raw, "conv_channels", "$.stem"),
         mbconv_channels=_positive(stem_raw, "mbconv_channels", "$.stem"),
     )
-    blocks_raw = _field(raw, "blocks", "$", list, "a list")
+    blocks_raw = _require(raw, "blocks", "$", list, "a list")
     if not blocks_raw:
         raise ParseError("$.blocks", "at least one block is required")
     blocks = []
     for i, braw in enumerate(blocks_raw):
         path = f"blocks[{i}]"
         channels = _positive(braw, "channels", path)
-        ops_raw = _field(braw, "ops", path, list, "a list")
+        ops_raw = _require(braw, "ops", path, list, "a list")
         if not ops_raw:
             raise ParseError(f"{path}.ops", "a block must retain at least one operation")
         ops = []
         for j, oraw in enumerate(ops_raw):
             opath = f"{path}.ops[{j}]"
-            kind = _field(oraw, "kind", opath, str, "a string")
+            kind = _require(oraw, "kind", opath, str, "a string")
             if kind != "mbconv":
                 raise ParseError(f"{opath}.kind", f"unknown operation kind '{kind}'")
             ops.append(DerivedOp(

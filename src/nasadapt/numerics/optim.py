@@ -20,8 +20,6 @@ def _check_common(lr: float, weight_decay: float):
 class SGD:
     """SGD with momentum; weight decay enters as an additive L2 gradient term."""
 
-    kind = "sgd-momentum"
-
     def __init__(self, params: Iterable[Tensor], lr: float,
                  momentum: float = 0.0, weight_decay: float = 0.0):
         _check_common(lr, weight_decay)
@@ -56,8 +54,6 @@ class SGD:
 
 class Adam:
     """Adam with bias correction and decoupled weight decay."""
-
-    kind = "adam"
 
     def __init__(self, params: Iterable[Tensor], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,

@@ -139,15 +139,15 @@ def as_tensor(value) -> Tensor:
 
 
 class TapeNode:
-    """One recorded primitive application."""
+    """One recorded primitive application. It holds its inputs but not its
+    output, so a graph is freed by reference counting, without the cyclic GC."""
 
-    __slots__ = ("op", "inputs", "output", "backward_fn")
+    __slots__ = ("op", "inputs", "backward_fn")
 
-    def __init__(self, op: str, inputs: Sequence[Tensor], output: Tensor,
+    def __init__(self, op: str, inputs: Sequence[Tensor],
                  backward_fn: Callable[[np.ndarray], Iterable[Optional[np.ndarray]]]):
         self.op = op
         self.inputs = tuple(inputs)
-        self.output = output
         self.backward_fn = backward_fn
 
 
@@ -181,9 +181,10 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=DTYPE)}
+    # pending output gradients, keyed by the node that produced the output
+    grads: dict[int, np.ndarray] = {id(loss.node): np.ones((), dtype=DTYPE)}
     for node in reversed(trace(loss)):
-        gout = grads.pop(id(node.output), None)
+        gout = grads.pop(id(node), None)
         if gout is None:
             continue
         gins = node.backward_fn(gout)
@@ -192,8 +193,8 @@ def backward(loss: Tensor) -> None:
                 continue
             g = np.asarray(g, dtype=DTYPE)
             if t.node is not None:
-                acc = grads.get(id(t))
-                grads[id(t)] = g if acc is None else acc + g
+                acc = grads.get(id(t.node))
+                grads[id(t.node)] = g if acc is None else acc + g
             elif t.requires_grad:
                 t.grad = g.copy() if t.grad is None else t.grad + g
 
@@ -208,7 +209,7 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     out = Tensor(out_data)
     if _STATE.grad_enabled and any(_needs_grad(t) for t in inputs):
         out.requires_grad = True
-        out.node = TapeNode(op, inputs, out, backward_fn)
+        out.node = TapeNode(op, inputs, backward_fn)
     return out
 
 

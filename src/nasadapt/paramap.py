@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +34,12 @@ from .derive import (
     arch_to_json,
 )
 from .errors import ContractError, ParameterError
-from .layers import load_named_arrays
+from .layers import Stem
 from .numerics import Tensor, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
+from .searchspace import SearchSpaceConfig, StemSpec, channel_candidates, op_candidates
+from .supernet import logit_lengths
 
 RULE_DIRECT = "direct"
 RULE_DEPTH_COPY = "depth-copy"
@@ -198,86 +201,110 @@ class _MBConvDims:
         return self.expansion * self.c_in
 
 
-def _bn_tensors(src: dict, src_prefix: str, tgt_prefix: str, source_c: int,
-                target_c: int, out: dict, report: MappingReport,
-                base_rules: list[str]) -> None:
-    for name, pad in (("gamma", 0.0), ("beta", 0.0), ("mean", 0.0), ("var", 1.0)):
-        arr = src[f"{src_prefix}/bn/{name}"]
-        mapped, mask, rule = map_channels(arr, source_c, target_c, axis=0, pad_value=pad)
-        rules = base_rules + ([rule] if rule else [])
-        target = f"{tgt_prefix}/bn/{name}"
-        out[target] = mapped
-        report.add(target, f"{src_prefix}/bn/{name}", rules, mask)
+_BN_PADS = (("gamma", 0.0), ("beta", 0.0), ("mean", 0.0), ("var", 1.0))
 
 
-def _map_mbconv(src: dict, src_prefix: str, tgt_prefix: str, sdims: _MBConvDims,
-                tdims: _MBConvDims, out: dict, report: MappingReport,
-                depth_copied: bool) -> None:
-    """Map one inverted-residual layer's tensors across dims changes."""
-    base = [RULE_DEPTH_COPY] if depth_copied else []
-    if (sdims.expansion == 1) != (tdims.expansion == 1):
+def _stages(s: _MBConvDims, t: _MBConvDims, where: str):
+    """(stage, source weight shape, weight steps, (source, target) batch-norm
+    width) of one inverted-residual layer, in tensor order."""
+    if (s.expansion == 1) != (t.expansion == 1):
         raise ContractError(
-            f"cannot map between expansion {sdims.expansion} and {tdims.expansion}: "
-            f"one side has no expansion stage ({src_prefix} -> {tgt_prefix})")
-    if sdims.expansion != 1:
-        w = src[f"{src_prefix}/expand/weight"]
-        w1, m1, r1 = map_channels(w, sdims.hidden, tdims.hidden, axis=0)
-        w2, m2, r2 = map_channels(w1, sdims.c_in, tdims.c_in, axis=1)
-        mask = map_channels(m1.astype(np.float32), sdims.c_in, tdims.c_in,
-                            axis=1, pad_value=1.0)[0].astype(bool) | m2
-        rules = base + [r for r in (r1, r2) if r]
-        report.add(f"{tgt_prefix}/expand/weight", f"{src_prefix}/expand/weight",
-                   rules, mask)
-        out[f"{tgt_prefix}/expand/weight"] = w2
-        _bn_tensors(src, f"{src_prefix}/expand", f"{tgt_prefix}/expand",
-                    sdims.hidden, tdims.hidden, out, report, base)
+            f"cannot map between expansion {s.expansion} and {t.expansion}: "
+            f"one side has no expansion stage ({where})")
 
-    w = src[f"{src_prefix}/depthwise/weight"]
-    w1, m1, r1 = map_kernel(w, tdims.kernel)
-    w2, m2, r2 = map_channels(w1, sdims.hidden, tdims.hidden, axis=0)
-    mask = map_channels(m1.astype(np.float32), sdims.hidden, tdims.hidden,
-                        axis=0, pad_value=1.0)[0].astype(bool) | m2
-    rules = base + [r for r in (r1, r2) if r]
-    report.add(f"{tgt_prefix}/depthwise/weight", f"{src_prefix}/depthwise/weight",
-               rules, mask)
-    out[f"{tgt_prefix}/depthwise/weight"] = w2
-    _bn_tensors(src, f"{src_prefix}/depthwise", f"{tgt_prefix}/depthwise",
-                sdims.hidden, tdims.hidden, out, report, base)
+    def channels(source_c, target_c, axis):
+        return partial(map_channels, source_c=source_c, target_c=target_c, axis=axis)
 
-    w = src[f"{src_prefix}/project/weight"]
-    w1, m1, r1 = map_channels(w, sdims.c_out, tdims.c_out, axis=0)
-    w2, m2, r2 = map_channels(w1, sdims.hidden, tdims.hidden, axis=1)
-    mask = map_channels(m1.astype(np.float32), sdims.hidden, tdims.hidden,
-                        axis=1, pad_value=1.0)[0].astype(bool) | m2
-    rules = base + [r for r in (r1, r2) if r]
-    report.add(f"{tgt_prefix}/project/weight", f"{src_prefix}/project/weight",
-               rules, mask)
-    out[f"{tgt_prefix}/project/weight"] = w2
-    _bn_tensors(src, f"{src_prefix}/project", f"{tgt_prefix}/project",
-                sdims.c_out, tdims.c_out, out, report, base)
+    hidden = (s.hidden, t.hidden)
+    stages = [("depthwise", (s.hidden, 1, s.kernel, s.kernel),
+               [partial(map_kernel, target_k=t.kernel), channels(*hidden, 0)], hidden),
+              ("project", (s.c_out, s.hidden, 1, 1),
+               [channels(s.c_out, t.c_out, 0), channels(*hidden, 1)], (s.c_out, t.c_out))]
+    if s.expansion != 1:
+        stages.insert(0, ("expand", (s.hidden, s.c_in, 1, 1),
+                          [channels(*hidden, 0), channels(s.c_in, t.c_in, 1)], hidden))
+    return stages
 
 
-def _copy_stem(src: dict, out: dict, report: MappingReport) -> None:
-    for name, arr in src.items():
-        if name.startswith("stem/"):
-            out[name] = arr.copy()
-            report.add(name, name, [], np.zeros(arr.shape, dtype=bool))
+def _apply(weight: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Run mapping steps in order; the mask marks entries any step zero-filled."""
+    mask = np.zeros(weight.shape, dtype=bool)
+    rules = []
+    for step in steps:
+        weight, filled, rule = step(weight)
+        mask = step(mask)[0] | filled
+        rules += [rule] if rule else []
+    return weight, mask, rules
 
 
-def _source_layer_dims(arch: DiscreteArchitecture, block: int) -> list[_MBConvDims]:
+def _layer_dims(arch: DiscreteArchitecture, block: int) -> list[_MBConvDims]:
     c_in = arch.stem.mbconv_channels if block == 0 else arch.blocks[block - 1].channels
-    dims = []
-    for j, op in enumerate(arch.blocks[block].ops):
-        dims.append(_MBConvDims(c_in=c_in if j == 0 else arch.blocks[block].channels,
-                                c_out=arch.blocks[block].channels,
-                                kernel=op.kernel, expansion=op.expansion))
-    return dims
+    c_out = arch.blocks[block].channels
+    return [_MBConvDims(c_in=c_in if j == 0 else c_out, c_out=c_out,
+                        kernel=op.kernel, expansion=op.expansion)
+            for j, op in enumerate(arch.blocks[block].ops)]
 
 
-def _check_stem_compatible(source_arch: DiscreteArchitecture, stem, where: str) -> None:
-    if source_arch.stem != stem:
+def _source_tensor(src: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
+    """``src[name]``, which must exist with the shape its architecture implies."""
+    got = src[name].shape if name in src else None
+    if got != shape:
         raise ContractError(
-            f"incompatible stem for {where}: source {source_arch.stem} vs target {stem}")
+            f"source tensor '{name}' has shape {got}, its architecture implies {shape}")
+    return src[name]
+
+
+def _map(source: ParameterBundle, source_arch: DiscreteArchitecture, stem: StemSpec,
+         blocks: list[list[list[tuple[str, _MBConvDims]]]], eps: float, seed: int,
+         ) -> tuple[dict[str, np.ndarray], MappingReport]:
+    """Map a source onto a target given as ``blocks[i][l]``: the (tensor
+    prefix, dims) of every operation of layer l in block i. The stem is
+    copied; each target layer takes its source layer from :func:`map_depth`.
+    Returns the tensors and the report in mapping order."""
+    if source_arch.stem != stem:
+        raise ContractError(f"incompatible stem: source {source_arch.stem} vs target {stem}")
+    if len(source_arch.blocks) != len(blocks):
+        raise ContractError(
+            f"source has {len(source_arch.blocks)} blocks, target has {len(blocks)}")
+    src = source.tensors
+    out: dict[str, np.ndarray] = {}
+    report = MappingReport()
+
+    def put(target, source_name, arr, mask, rules):
+        out[target] = arr
+        report.add(target, source_name, rules, mask)
+
+    # a stem is tiny; building one reads its layout from the class that defines it
+    layout = Stem(stem.conv_channels, stem.mbconv_channels, np.random.default_rng(0))
+    stem_shapes = {name: arr.shape for name, arr in layout.named_state()}
+    stem_shapes.update((name, t.data.shape) for name, t in layout.named_params())
+    for name, shape in stem_shapes.items():
+        _source_tensor(src, name, shape)
+    for name, arr in src.items():
+        if name in stem_shapes:
+            put(name, name, arr.copy(), np.zeros(arr.shape, dtype=bool), [])
+    for i, layers in enumerate(blocks):
+        src_dims = _layer_dims(source_arch, i)
+        assignment = map_depth(list(range(len(src_dims))), len(layers))
+        for (src_l, copied), ops in zip(assignment, layers):
+            base = [RULE_DEPTH_COPY] if copied else []
+            for prefix, dims in ops:
+                s_layer = f"block{i}/layer{src_l}"
+                for stage, shape, steps, (s_bn, t_bn) in _stages(
+                        src_dims[src_l], dims, f"{s_layer} -> {prefix}"):
+                    s_pre = f"{s_layer}/{stage}"
+                    weight, mask, rules = _apply(
+                        _source_tensor(src, f"{s_pre}/weight", shape), steps)
+                    put(f"{prefix}/{stage}/weight", f"{s_pre}/weight", weight, mask,
+                        base + rules)
+                    for name, pad in _BN_PADS:
+                        arr, mask, rule = map_channels(
+                            _source_tensor(src, f"{s_pre}/bn/{name}", (s_bn,)),
+                            s_bn, t_bn, axis=0, pad_value=pad)
+                        put(f"{prefix}/{stage}/bn/{name}", f"{s_pre}/bn/{name}", arr,
+                            mask, base + ([rule] if rule else []))
+    add_mapping_noise(out, report, eps, seed)
+    return out, report
 
 
 def add_mapping_noise(bundle_tensors: dict[str, np.ndarray], report: MappingReport,
@@ -310,61 +337,41 @@ def map_to_derived(source: ParameterBundle, arch: DiscreteArchitecture,
                    source_arch: DiscreteArchitecture | None = None,
                    ) -> tuple[ParameterBundle, MappingReport]:
     """Map a source bundle onto a discrete target architecture."""
-    source_arch = source_arch or source.architecture()
-    _check_stem_compatible(source_arch, arch.stem, "derived mapping")
-    if len(source_arch.blocks) != len(arch.blocks):
-        raise ContractError(
-            f"source has {len(source_arch.blocks)} blocks, target has {len(arch.blocks)}")
-    report = MappingReport()
-    out: dict[str, np.ndarray] = {}
-    _copy_stem(source.tensors, out, report)
-    for i, tgt_block in enumerate(arch.blocks):
-        src_dims = _source_layer_dims(source_arch, i)
-        tgt_dims = _source_layer_dims(arch, i)
-        assignment = map_depth(list(range(len(src_dims))), len(tgt_block.ops))
-        for l, (src_l, copied) in enumerate(assignment):
-            _map_mbconv(source.tensors, f"block{i}/layer{src_l}", f"block{i}/layer{l}",
-                        src_dims[src_l], tgt_dims[l], out, report, copied)
-    add_mapping_noise(out, report, eps, seed)
-    bundle = ParameterBundle(tensors=out, arch=json.loads(arch_to_json(arch)))
-    return bundle, report
+    blocks = [[[(f"block{i}/layer{l}", dims)] for l, dims in enumerate(_layer_dims(arch, i))]
+              for i in range(len(arch.blocks))]
+    tensors, report = _map(source, source_arch or source.architecture(), arch.stem,
+                           blocks, eps, seed)
+    return ParameterBundle(tensors=tensors, arch=json.loads(arch_to_json(arch))), report
 
 
-def map_to_supernet(source: ParameterBundle, net, eps: float = 0.0, seed: int = 0,
+def map_to_supernet(source: ParameterBundle, config: SearchSpaceConfig,
+                    eps: float = 0.0, seed: int = 0,
                     source_arch: DiscreteArchitecture | None = None,
-                    ) -> tuple[object, MappingReport]:
-    """Map a source bundle onto every operation candidate of a supernet.
+                    ) -> tuple[ParameterBundle, MappingReport]:
+    """Map a source bundle onto every operation candidate of a search space.
 
-    Architecture logits are initialization state, not mapped tensors, and
-    stay untouched. Returns the supernet (mutated in place) and the report
-    covering every weight and normalization tensor.
+    Returns a complete supernet checkpoint (no architecture metadata) and
+    the report covering every weight and normalization tensor. The
+    checkpoint holds zero architecture logits, then the parameters, then
+    the running statistics, in the order ``Supernet.to_arrays`` writes them.
     """
-    source_arch = source_arch or source.architecture()
-    config = net.config
-    _check_stem_compatible(source_arch, config.stem, "supernet mapping")
-    if len(source_arch.blocks) != len(config.blocks):
-        raise ContractError(
-            f"source has {len(source_arch.blocks)} blocks, space has "
-            f"{len(config.blocks)}")
-    report = MappingReport()
-    out: dict[str, np.ndarray] = {}
-    _copy_stem(source.tensors, out, report)
-    for i, block in enumerate(net.blocks):
-        src_dims = _source_layer_dims(source_arch, i)
-        assignment = map_depth(list(range(len(src_dims))), len(block.layers))
-        for l, (src_l, copied) in enumerate(assignment):
-            layer = block.layers[l]
-            for o, cand in enumerate(layer.candidates):
-                if cand.kind == "skip":
-                    continue
-                tdims = _MBConvDims(c_in=layer.c_in, c_out=layer.c_out,
-                                    kernel=cand.kernel, expansion=cand.expansion)
-                _map_mbconv(source.tensors, f"block{i}/layer{src_l}",
-                            f"block{i}/layer{l}/op{o}", src_dims[src_l], tdims,
-                            out, report, copied)
-    add_mapping_noise(out, report, eps, seed)
-    load_named_arrays(net.named_weight_params(), net.named_state(), out)
-    return net, report
+    blocks = []
+    for i, spec in enumerate(config.blocks):
+        c_full = channel_candidates(spec)[-1]
+        blocks.append([
+            [(f"block{i}/layer{l}/op{o}",
+              _MBConvDims(c_in=config.block_input_channels(i) if l == 0 else c_full,
+                          c_out=c_full, kernel=cand.kernel, expansion=cand.expansion))
+             for o, cand in enumerate(op_candidates(spec, l + 1)) if cand.kind != "skip"]
+            for l in range(spec.n_max)])
+    tensors, report = _map(source, source_arch or source.architecture(), config.stem,
+                           blocks, eps, seed)
+    arrays = {name: np.zeros(length, dtype=DTYPE)
+              for name, length in logit_lengths(config).items()}
+    for stats in (False, True):
+        arrays.update((name, arr) for name, arr in tensors.items()
+                      if name.endswith(_STAT_SUFFIXES) == stats)
+    return ParameterBundle(tensors=arrays), report
 
 
 def verify_function_preservation(source_net: DiscreteNetwork,

@@ -30,11 +30,6 @@ class OpCandidate:
     kernel: int | None = None
     expansion: int | None = None
 
-    def label(self) -> str:
-        if self.kind == "skip":
-            return "skip"
-        return f"mbconv_k{self.kernel}_e{self.expansion}"
-
 
 SKIP = OpCandidate(kind="skip")
 
@@ -64,10 +59,6 @@ class SearchSpaceConfig:
     input_resolution: tuple[int, int]
     stem: StemSpec = field(default_factory=StemSpec)
     blocks: tuple[BlockSpec, ...] = ()
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
 
     def block_input_channels(self, index: int) -> int:
         """Full-width input of a block: the previous block's maximum candidate."""

@@ -208,10 +208,13 @@ class Supernet:
     def save(self, path) -> None:
         save_tensors(path, self.to_arrays())
 
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Copy every logit, parameter and running statistic in by name."""
+        load_named_arrays(self.named_arch_params() + self.named_weight_params(),
+                          self.named_state(), arrays)
+
     def load(self, path) -> None:
-        arrays = load_tensors(path)
-        named_params = self.named_arch_params() + self.named_weight_params()
-        load_named_arrays(named_params, self.named_state(), arrays)
+        self.load_arrays(load_tensors(path))
 
 
 def build_supernet(config: SearchSpaceConfig, seed: int,

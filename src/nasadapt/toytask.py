@@ -15,12 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .derive import DiscreteArchitecture, arch_to_json, instantiate
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, ParseError
 from .layers import trunc_normal
 from .numerics import SGD, Tensor, backward, cross_entropy, matmul, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
 from .paramap import ParameterBundle
+from .searchspace import _require
 
 SHAPE_NAMES = ("disk", "square", "plus", "cross", "ring", "diamond")
 SCALE_FRACTIONS = (0.20, 0.28, 0.36)
@@ -121,17 +122,27 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
 
 
 def load_dataset(path) -> SyntheticDataset:
+    """Read a dataset container; its JSON sidecar must describe the arrays."""
     path = Path(path)
     arrays = load_tensors(path)
-    raw = json.loads(path.with_suffix(".json").read_text(encoding="utf-8"))
-    spec = DatasetSpec(
-        n_samples=raw["n_samples"],
-        resolution=tuple(raw["resolution"]),
-        n_classes=raw["n_classes"],
-        seed=raw["seed"],
-    )
-    return SyntheticDataset(spec, arrays["images"],
-                            arrays["labels"].astype(np.int64))
+    sidecar = path.with_suffix(".json")
+    where = f"{sidecar}:$"
+    raw = json.loads(sidecar.read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ParseError(where, f"expected a JSON object, got {type(raw).__name__}")
+    resolution = _require(raw, "resolution", where, list, "a list")
+    if len(resolution) != 2 or not all(type(v) is int and v > 0 for v in resolution):
+        raise ParseError(f"{where}.resolution", f"expected [H, W] positives, got {resolution}")
+    spec = DatasetSpec(n_samples=_require(raw, "n_samples", where, int, "an integer"),
+                       resolution=tuple(resolution),
+                       n_classes=_require(raw, "n_classes", where, int, "an integer"),
+                       seed=_require(raw, "seed", where, int, "an integer"))
+    for name, shape in (("images", (spec.n_samples, 3, *spec.resolution)),
+                        ("labels", (spec.n_samples,))):
+        got = arrays[name].shape if name in arrays else None
+        if got != shape:
+            raise ContractError(f"{path}: '{name}' has shape {got}, its sidecar implies {shape}")
+    return SyntheticDataset(spec, arrays["images"], arrays["labels"].astype(np.int64))
 
 
 class ProxyHead:

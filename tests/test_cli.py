@@ -20,7 +20,7 @@ from nasadapt.derive import (
 )
 from nasadapt.numerics.container import load_tensors, save_tensors
 from nasadapt.searchspace import bundled_config_path, load_bundled_config, load_config
-from nasadapt.supernet import build_supernet
+from nasadapt.supernet import Supernet, build_supernet
 
 from helpers import write_raw_container
 
@@ -114,6 +114,23 @@ class TestUsage:
         assert_one_line_error(proc.returncode, proc.stderr)
         assert "blocks[0].ops[0].expansion" in proc.stderr
 
+    @pytest.mark.parametrize("case", ["resolution-int", "list", "more-samples",
+                                      "classes-string"])
+    def test_bad_dataset_sidecar_exits_2_without_traceback(self, tmp_path, space_path,
+                                                           case):
+        data = tmp_path / "data.nat"
+        assert main(["gen-data", "--samples", "16", "--out", str(data)]) == 0
+        sidecar = data.with_suffix(".json")
+        doc = json.loads(sidecar.read_text())
+        doc = {"resolution-int": {**doc, "resolution": 32},
+               "list": [doc],
+               "more-samples": {**doc, "n_samples": 64},
+               "classes-string": {**doc, "n_classes": "4"}}[case]
+        sidecar.write_text(json.dumps(doc))
+        proc = run_cli_process(["search", "--space", space_path, "--data", str(data),
+                                "--out", str(tmp_path / "supernet.nat")])
+        assert_one_line_error(proc.returncode, proc.stderr)
+
 
 class TestArtifacts:
     def test_history_columns(self, artifacts):
@@ -185,7 +202,25 @@ class TestArtifacts:
         out = root / "mapped_supernet.nat"
         assert main(["remap", "--src", str(source), "--space", space_path,
                      "--eps", "1e-5", "--seed", "2", "--out", str(out)]) == 0
-        assert out.exists()
+        # a complete checkpoint of the space, in the order a supernet writes one
+        written = load_tensors(out)
+        net = build_supernet(load_config(space_path), seed=2)
+        net.load(out)
+        arrays = net.to_arrays()
+        assert list(written) == list(arrays)
+        for name, arr in arrays.items():
+            assert written[name].tobytes() == arr.tobytes(), name
+
+    def test_remap_onto_supernet_builds_no_supernet(self, artifacts, space_path,
+                                                    monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("remap --space built a supernet")
+
+        monkeypatch.setattr(Supernet, "__init__", refuse)
+        out = tmp_path / "mapped_supernet.nat"
+        assert main(["remap", "--src", str(artifacts["root"] / "source.nat"),
+                     "--space", space_path, "--seed", "2", "--out", str(out)]) == 0
+        assert out.read_bytes() == (artifacts["root"] / "mapped_supernet.nat").read_bytes()
 
 
 @pytest.fixture(scope="module")

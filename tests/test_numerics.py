@@ -1,10 +1,13 @@
 """Tensor engine tests: forward semantics, gradient oracles, optimizers."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nasadapt.derive import default_source_architecture, instantiate
 from nasadapt.errors import ContractError, DimensionError, ParameterError
 from nasadapt.numerics import (
     SGD,
@@ -20,6 +23,9 @@ from nasadapt.numerics import (
     softmax,
     trace,
 )
+from nasadapt.searchspace import load_bundled_config
+from nasadapt.supernet import build_supernet
+from nasadapt.toytask import ProxyHead, model_loss
 
 from helpers import assert_grads_close, check_gradients, finite_difference, rand_tensor
 
@@ -288,6 +294,35 @@ class TestBackward:
         h = w * 2.0
         backward((h * h).sum() )
         np.testing.assert_allclose(w.grad, 8 * w.data, rtol=1e-6)
+
+    @pytest.mark.parametrize("network", ["supernet", "discrete"])
+    def test_train_step_leaves_no_cyclic_garbage(self, network):
+        # a step's graph must be freed by reference counting alone, the
+        # moment its loss goes out of scope
+        cfg = load_bundled_config("desk3")
+        if network == "supernet":
+            net = build_supernet(cfg, seed=0)
+            params = net.weight_params()
+        else:
+            net = instantiate(default_source_architecture(cfg), seed=0)
+            params = net.params()
+        head = ProxyHead(net.final_channels, 4)
+        opt = SGD(params + head.params(), lr=0.01, momentum=0.9)
+        images = np.random.default_rng(16).random((4, 3, 32, 32), dtype=np.float32)
+
+        def step():
+            loss = model_loss(net.forward(Tensor(images))[-1], head, np.arange(4))
+            opt.zero_grad()
+            backward(loss)
+            opt.step()
+
+        gc.collect()
+        gc.disable()
+        try:
+            step()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestCrossEntropy:

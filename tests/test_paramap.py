@@ -262,7 +262,8 @@ class TestMapToSupernet:
         cfg = desk_config()
         bundle, arch = source_bundle(cfg)
         net = build_supernet(cfg, seed=4)
-        net, report = map_to_supernet(bundle, net, eps=0.0)
+        mapped, report = map_to_supernet(bundle, cfg, eps=0.0)
+        net.load_arrays(mapped.tensors)
         layer = net.blocks[2].layers[1]
         matching = [o for o, c in enumerate(layer.candidates)
                     if c.kind == "mbconv" and c.kernel == 3 and c.expansion == 6]
@@ -277,7 +278,7 @@ class TestMapToSupernet:
         cfg = desk_config()
         bundle, arch = source_bundle(cfg)
         net = build_supernet(cfg, seed=5)
-        net, report = map_to_supernet(bundle, net, eps=0.0)
+        _, report = map_to_supernet(bundle, cfg, eps=0.0)
         layer = net.blocks[0].layers[0]
         k5 = [o for o, c in enumerate(layer.candidates) if c.kernel == 5][0]
         entry = report.entries[f"block0/layer0/op{k5}/depthwise/weight"]
@@ -287,10 +288,11 @@ class TestMapToSupernet:
         cfg = desk_config()
         bundle, arch = source_bundle(cfg)
         net = build_supernet(cfg, seed=6)
-        net, report = map_to_supernet(bundle, net, eps=0.0)
+        mapped, report = map_to_supernet(bundle, cfg, eps=0.0)
         weight_names = {name for name, _ in net.named_weight_params()}
         state_names = {name for name, _ in net.named_state()}
         assert set(report.entries) == weight_names | state_names
+        assert list(mapped.tensors) == list(net.to_arrays())
         # architecture logits are not mapping targets
         assert not any(n.startswith(("alpha/", "beta/")) for n in report.entries)
 
@@ -299,7 +301,8 @@ class TestMapToSupernet:
         bundle, arch = source_bundle(cfg)
         net = build_supernet(cfg, seed=7)
         before = [v.data.copy() for v in net.arch_params()]
-        net, _ = map_to_supernet(bundle, net, eps=1e-4, seed=1)
+        mapped, _ = map_to_supernet(bundle, cfg, eps=1e-4, seed=1)
+        net.load_arrays(mapped.tensors)
         for old, new in zip(before, net.arch_params()):
             np.testing.assert_array_equal(old, new.data)
 
@@ -365,6 +368,27 @@ class TestFunctionPreservation:
         dst_net.load_arrays(mapped.tensors)
         report = verify_function_preservation(src_net, dst_net, samples=4, tol=0.0)
         assert report["max_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("target", ["derived", "supernet"])
+@pytest.mark.parametrize("name, edit", [
+    ("stem/conv/weight", lambda a: np.zeros(a.shape[:2] + (5, 5), dtype=np.float32)),
+    ("block1/layer0/expand/weight", lambda a: np.zeros(a.shape[:2] + (3, 3),
+                                                        dtype=np.float32)),
+    ("block0/layer1/depthwise/bn/var", None),
+])
+def test_source_not_matching_its_architecture_rejected(target, name, edit):
+    cfg = desk_config()
+    bundle, arch = source_bundle(cfg)
+    if edit is None:
+        del bundle.tensors[name]
+    else:
+        bundle.tensors[name] = edit(bundle.tensors[name])
+    with pytest.raises(ContractError, match=name):
+        if target == "derived":
+            map_to_derived(bundle, arch)
+        else:
+            map_to_supernet(bundle, cfg)
 
 
 class TestBundleIO:

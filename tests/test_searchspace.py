@@ -38,7 +38,7 @@ def minimal_doc(**overrides):
 class TestParse:
     def test_table1(self):
         cfg = load_bundled_config("table1")
-        assert cfg.n_blocks == 6
+        assert len(cfg.blocks) == 6
         assert [b.stride for b in cfg.blocks] == [2, 2, 2, 1, 2, 1]
         assert [b.n_max for b in cfg.blocks] == [4, 4, 4, 4, 4, 1]
         assert cfg.stem.conv_channels == 32
