@@ -87,14 +87,15 @@ def _cmd_gen_data(args) -> int:
 def _cmd_search(args) -> int:
     config = load_config(args.space)
     dataset = load_dataset(args.data)
-    net = build_supernet(config, seed=seed_for(args.seed, "supernet"),
-                         mask_mode=args.mask_mode)
     if args.init_from:
         source_arch = load_arch(args.init_arch) if args.init_arch else None
         mapped, _ = map_to_supernet(ParameterBundle.load(args.init_from), config,
                                     eps=args.eps, seed=seed_for(args.seed, "noise"),
                                     source_arch=source_arch)
-        net.load_arrays(mapped.tensors)
+        net = build_supernet(config, mask_mode=args.mask_mode, arrays=mapped.tensors)
+    else:
+        net = build_supernet(config, seed=seed_for(args.seed, "supernet"),
+                             mask_mode=args.mask_mode)
     schedule = SearchSchedule(total_epochs=args.epochs, warmup_epochs=args.warmup,
                               batch_size=args.batch_size, seed=args.seed)
     net, history = search(net, dataset, schedule,
@@ -168,10 +169,8 @@ def _cmd_verify(args) -> int:
     source_arch = load_arch(args.src_arch) if args.src_arch else source.architecture()
     target_arch = load_arch(args.dst_arch)
     mapped, _ = map_to_derived(source, target_arch, eps=0.0, source_arch=source_arch)
-    src_net = instantiate(source_arch, seed=0)
-    src_net.load_arrays(source.tensors)
-    dst_net = instantiate(target_arch, seed=0)
-    dst_net.load_arrays(mapped.tensors)
+    src_net = instantiate(source_arch, arrays=source.tensors)
+    dst_net = instantiate(target_arch, arrays=mapped.tensors)
     report = verify_function_preservation(src_net, dst_net, samples=args.samples,
                                           tol=args.tol, seed=args.seed)
     _write_json(report, args.out)
@@ -221,9 +220,8 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
     source_bundle.save(out / "source.nat")
     source_madds = madds_of_discrete(source_arch, config)
 
-    net = build_supernet(config, seed=seed_for(seed, "supernet"), mask_mode=mask_mode)
     mapped, _ = map_to_supernet(source_bundle, config, eps=eps, seed=seed_for(seed, "noise"))
-    net.load_arrays(mapped.tensors)
+    net = build_supernet(config, mask_mode=mask_mode, arrays=mapped.tensors)
     schedule = SearchSchedule(total_epochs=epochs, warmup_epochs=warmup,
                               batch_size=batch_size, seed=seed)
     net, history = search(net, dataset, schedule,

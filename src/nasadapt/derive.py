@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .layers import MBConv, Stem, load_named_arrays
+from .layers import MBConv, Stem, TensorSource
 from .numerics import Tensor
 from .searchspace import (
     SearchSpaceConfig,
@@ -141,7 +141,7 @@ def arch_from_json(text: str) -> DiscreteArchitecture:
     if _require(raw, "v", "$", int, "an integer") != ARCH_SCHEMA_VERSION:
         raise ParseError("$.v", f"unsupported architecture schema version {raw['v']}")
     res = _require(raw, "input_resolution", "$", list, "a list")
-    if len(res) != 2 or not all(isinstance(v, int) and v > 0 for v in res):
+    if len(res) != 2 or not all(type(v) is int and v > 0 for v in res):
         raise ParseError("$.input_resolution", f"expected [H, W] positives, got {res}")
     stem_raw = _require(raw, "stem", "$", dict, "an object")
     stem = StemSpec(
@@ -189,20 +189,20 @@ def load_arch(path) -> DiscreteArchitecture:
 class DiscreteNetwork:
     """A concrete backbone instantiated from a derived architecture."""
 
-    def __init__(self, arch: DiscreteArchitecture, seed: int):
+    def __init__(self, arch: DiscreteArchitecture, source: TensorSource):
         self.arch = arch
-        rng = np.random.Generator(np.random.PCG64(seed))
-        self.stem = Stem(arch.stem.conv_channels, arch.stem.mbconv_channels, rng)
+        self.stem = Stem(arch.stem.conv_channels, arch.stem.mbconv_channels,
+                         source.scope("stem"))
         self.blocks: list[list[MBConv]] = []
         c_in = arch.stem.mbconv_channels
-        for block in arch.blocks:
-            ops = []
-            for j, op in enumerate(block.ops):
-                ops.append(MBConv(c_in if j == 0 else block.channels, block.channels,
-                                  op.kernel, op.expansion, op.stride, rng))
-            self.blocks.append(ops)
+        for i, block in enumerate(arch.blocks):
+            self.blocks.append([
+                MBConv(c_in if j == 0 else block.channels, block.channels, op.kernel,
+                       op.expansion, op.stride, source.scope(f"block{i}/layer{j}"))
+                for j, op in enumerate(block.ops)])
             c_in = block.channels
         self.final_channels = c_in
+        self._tensors = source
 
     def forward(self, x, training: bool = True,
                 update_stats: bool | None = None) -> list[Tensor]:
@@ -216,31 +216,19 @@ class DiscreteNetwork:
         return feats
 
     def named_params(self):
-        out = self.stem.named_params("stem")
-        for i, ops in enumerate(self.blocks):
-            for l, op in enumerate(ops):
-                out.extend(op.named_params(f"block{i}/layer{l}"))
-        return out
-
-    def named_state(self):
-        out = self.stem.named_state("stem")
-        for i, ops in enumerate(self.blocks):
-            for l, op in enumerate(ops):
-                out.extend(op.named_state(f"block{i}/layer{l}"))
-        return out
+        return list(self._tensors.params.items())
 
     def params(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
+        return list(self._tensors.params.values())
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {name: t.data for name, t in self.named_params()}
-        arrays.update({name: buf for name, buf in self.named_state()})
-        return arrays
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        load_named_arrays(self.named_params(), self.named_state(), arrays)
+        """Parameters, then running statistics, by name."""
+        return self._tensors.arrays()
 
 
-def instantiate(arch: DiscreteArchitecture, seed: int) -> DiscreteNetwork:
-    """Freshly initialized runnable network for a derived architecture."""
-    return DiscreteNetwork(arch, seed)
+def instantiate(arch: DiscreteArchitecture, seed: int | None = None,
+                arrays: dict[str, np.ndarray] | None = None) -> DiscreteNetwork:
+    """A runnable network for a derived architecture, its tensors drawn from
+    ``seed`` or copied from ``arrays`` (extra names, e.g. ``head/*``, are
+    ignored)."""
+    return DiscreteNetwork(arch, TensorSource(seed, arrays))

@@ -73,7 +73,10 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         nbytes = count * 4
         if pos + nbytes > len(raw):
             raise ParseError(str(path), f"truncated payload for tensor '{name}'")
-        arr = np.frombuffer(raw[pos:pos + nbytes], dtype="<f4").reshape(shape)
+        try:
+            arr = np.frombuffer(raw[pos:pos + nbytes], dtype="<f4").reshape(shape)
+        except ValueError as exc:  # more dimensions, or larger ones, than numpy holds
+            raise ParseError(str(path), f"unsupported shape for tensor '{name}': {exc}") from exc
         pos += nbytes
         if name in out:
             raise ParseError(str(path), f"duplicate tensor name '{name}'")

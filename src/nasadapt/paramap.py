@@ -32,9 +32,9 @@ from .derive import (
     DiscreteNetwork,
     arch_from_json,
     arch_to_json,
+    instantiate,
 )
 from .errors import ContractError, ParameterError
-from .layers import Stem
 from .numerics import Tensor, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
@@ -205,8 +205,8 @@ _BN_PADS = (("gamma", 0.0), ("beta", 0.0), ("mean", 0.0), ("var", 1.0))
 
 
 def _stages(s: _MBConvDims, t: _MBConvDims, where: str):
-    """(stage, source weight shape, weight steps, (source, target) batch-norm
-    width) of one inverted-residual layer, in tensor order."""
+    """(stage, weight steps, (source, target) batch-norm width) of one
+    inverted-residual layer, in tensor order."""
     if (s.expansion == 1) != (t.expansion == 1):
         raise ContractError(
             f"cannot map between expansion {s.expansion} and {t.expansion}: "
@@ -216,13 +216,13 @@ def _stages(s: _MBConvDims, t: _MBConvDims, where: str):
         return partial(map_channels, source_c=source_c, target_c=target_c, axis=axis)
 
     hidden = (s.hidden, t.hidden)
-    stages = [("depthwise", (s.hidden, 1, s.kernel, s.kernel),
-               [partial(map_kernel, target_k=t.kernel), channels(*hidden, 0)], hidden),
-              ("project", (s.c_out, s.hidden, 1, 1),
-               [channels(s.c_out, t.c_out, 0), channels(*hidden, 1)], (s.c_out, t.c_out))]
+    stages = [("depthwise", [partial(map_kernel, target_k=t.kernel), channels(*hidden, 0)],
+               hidden),
+              ("project", [channels(s.c_out, t.c_out, 0), channels(*hidden, 1)],
+               (s.c_out, t.c_out))]
     if s.expansion != 1:
-        stages.insert(0, ("expand", (s.hidden, s.c_in, 1, 1),
-                          [channels(*hidden, 0), channels(s.c_in, t.c_in, 1)], hidden))
+        stages.insert(0, ("expand", [channels(*hidden, 0), channels(s.c_in, t.c_in, 1)],
+                          hidden))
     return stages
 
 
@@ -245,28 +245,21 @@ def _layer_dims(arch: DiscreteArchitecture, block: int) -> list[_MBConvDims]:
             for j, op in enumerate(arch.blocks[block].ops)]
 
 
-def _source_tensor(src: dict[str, np.ndarray], name: str, shape: tuple) -> np.ndarray:
-    """``src[name]``, which must exist with the shape its architecture implies."""
-    got = src[name].shape if name in src else None
-    if got != shape:
-        raise ContractError(
-            f"source tensor '{name}' has shape {got}, its architecture implies {shape}")
-    return src[name]
-
-
 def _map(source: ParameterBundle, source_arch: DiscreteArchitecture, stem: StemSpec,
          blocks: list[list[list[tuple[str, _MBConvDims]]]], eps: float, seed: int,
          ) -> tuple[dict[str, np.ndarray], MappingReport]:
     """Map a source onto a target given as ``blocks[i][l]``: the (tensor
-    prefix, dims) of every operation of layer l in block i. The stem is
-    copied; each target layer takes its source layer from :func:`map_depth`.
-    Returns the tensors and the report in mapping order."""
+    prefix, dims) of every operation of layer l in block i. The source is
+    read through the network its architecture builds from it, which checks
+    every tensor's name and shape. The stem is copied; each target layer
+    takes its source layer from :func:`map_depth`. Returns the tensors and
+    the report in mapping order."""
     if source_arch.stem != stem:
         raise ContractError(f"incompatible stem: source {source_arch.stem} vs target {stem}")
     if len(source_arch.blocks) != len(blocks):
         raise ContractError(
             f"source has {len(source_arch.blocks)} blocks, target has {len(blocks)}")
-    src = source.tensors
+    src = instantiate(source_arch, arrays=source.tensors).to_arrays()
     out: dict[str, np.ndarray] = {}
     report = MappingReport()
 
@@ -274,15 +267,9 @@ def _map(source: ParameterBundle, source_arch: DiscreteArchitecture, stem: StemS
         out[target] = arr
         report.add(target, source_name, rules, mask)
 
-    # a stem is tiny; building one reads its layout from the class that defines it
-    layout = Stem(stem.conv_channels, stem.mbconv_channels, np.random.default_rng(0))
-    stem_shapes = {name: arr.shape for name, arr in layout.named_state()}
-    stem_shapes.update((name, t.data.shape) for name, t in layout.named_params())
-    for name, shape in stem_shapes.items():
-        _source_tensor(src, name, shape)
     for name, arr in src.items():
-        if name in stem_shapes:
-            put(name, name, arr.copy(), np.zeros(arr.shape, dtype=bool), [])
+        if name.startswith("stem/"):
+            put(name, name, arr, np.zeros(arr.shape, dtype=bool), [])
     for i, layers in enumerate(blocks):
         src_dims = _layer_dims(source_arch, i)
         assignment = map_depth(list(range(len(src_dims))), len(layers))
@@ -290,17 +277,15 @@ def _map(source: ParameterBundle, source_arch: DiscreteArchitecture, stem: StemS
             base = [RULE_DEPTH_COPY] if copied else []
             for prefix, dims in ops:
                 s_layer = f"block{i}/layer{src_l}"
-                for stage, shape, steps, (s_bn, t_bn) in _stages(
+                for stage, steps, (s_bn, t_bn) in _stages(
                         src_dims[src_l], dims, f"{s_layer} -> {prefix}"):
                     s_pre = f"{s_layer}/{stage}"
-                    weight, mask, rules = _apply(
-                        _source_tensor(src, f"{s_pre}/weight", shape), steps)
+                    weight, mask, rules = _apply(src[f"{s_pre}/weight"], steps)
                     put(f"{prefix}/{stage}/weight", f"{s_pre}/weight", weight, mask,
                         base + rules)
                     for name, pad in _BN_PADS:
-                        arr, mask, rule = map_channels(
-                            _source_tensor(src, f"{s_pre}/bn/{name}", (s_bn,)),
-                            s_bn, t_bn, axis=0, pad_value=pad)
+                        arr, mask, rule = map_channels(src[f"{s_pre}/bn/{name}"],
+                                                       s_bn, t_bn, axis=0, pad_value=pad)
                         put(f"{prefix}/{stage}/bn/{name}", f"{s_pre}/bn/{name}", arr,
                             mask, base + ([rule] if rule else []))
     add_mapping_noise(out, report, eps, seed)

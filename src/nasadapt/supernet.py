@@ -20,13 +20,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError
-from .layers import Identity, MBConv, Stem, load_named_arrays
+from .layers import Identity, MBConv, Stem, TensorSource, zeros
 from .numerics import Tensor, matmul, reshape, softmax
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
 from .searchspace import BlockSpec, SearchSpaceConfig, channel_candidates, op_candidates
 
 MASK_MODES = ("non_overlapping", "overlapping")
+_LOGIT_PREFIXES = ("alpha/", "beta/")
 
 
 def build_masks(candidates: list[int], mode: str = "non_overlapping") -> np.ndarray:
@@ -51,13 +52,13 @@ class MixedLayer:
     """One searchable operation slot: all candidates plus their logits' home."""
 
     def __init__(self, spec: BlockSpec, layer: int, c_in: int, c_out: int,
-                 rng: np.random.Generator):
+                 source: TensorSource):
         self.candidates = op_candidates(spec, layer)
         self.stride = spec.stride if layer == 1 else 1
         self.c_in = c_in
         self.c_out = c_out
         self.ops = []
-        for cand in self.candidates:
+        for o, cand in enumerate(self.candidates):
             if cand.kind == "skip":
                 if self.stride != 1 or c_in != c_out:
                     raise DimensionError(
@@ -66,19 +67,7 @@ class MixedLayer:
                 self.ops.append(Identity())
             else:
                 self.ops.append(MBConv(c_in, c_out, cand.kernel, cand.expansion,
-                                       self.stride, rng))
-
-    def named_params(self, prefix: str):
-        out = []
-        for o, op in enumerate(self.ops):
-            out.extend(op.named_params(f"{prefix}/op{o}"))
-        return out
-
-    def named_state(self, prefix: str):
-        out = []
-        for o, op in enumerate(self.ops):
-            out.extend(op.named_state(f"{prefix}/op{o}"))
-        return out
+                                       self.stride, source.scope(f"op{o}")))
 
 
 def mixed_op_forward(x: Tensor, layer: MixedLayer, alpha_logits: Tensor,
@@ -98,28 +87,16 @@ def mixed_op_forward(x: Tensor, layer: MixedLayer, alpha_logits: Tensor,
 class MixedBlock:
     """n_max mixed operations at full width, masked once at the output."""
 
-    def __init__(self, spec: BlockSpec, c_in: int, mask_mode: str,
-                 rng: np.random.Generator):
+    def __init__(self, spec: BlockSpec, c_in: int, mask_mode: str, source: TensorSource):
         self.spec = spec
         self.candidates = channel_candidates(spec)
         self.c_full = self.candidates[-1]
         self.masks = build_masks(self.candidates, mask_mode)
         self.layers = [
-            MixedLayer(spec, layer, c_in if layer == 1 else self.c_full, self.c_full, rng)
+            MixedLayer(spec, layer, c_in if layer == 1 else self.c_full, self.c_full,
+                       source.scope(f"layer{layer - 1}"))
             for layer in range(1, spec.n_max + 1)
         ]
-
-    def named_params(self, prefix: str):
-        out = []
-        for l, layer in enumerate(self.layers):
-            out.extend(layer.named_params(f"{prefix}/layer{l}"))
-        return out
-
-    def named_state(self, prefix: str):
-        out = []
-        for l, layer in enumerate(self.layers):
-            out.extend(layer.named_state(f"{prefix}/layer{l}"))
-        return out
 
 
 def mixed_block_forward(x: Tensor, block: MixedBlock, alpha_logits: list[Tensor],
@@ -144,20 +121,21 @@ def mixed_block_forward(x: Tensor, block: MixedBlock, alpha_logits: list[Tensor]
 class Supernet:
     """Stem plus K mixed blocks with architecture logits alpha and beta."""
 
-    def __init__(self, config: SearchSpaceConfig, seed: int,
+    def __init__(self, config: SearchSpaceConfig, source: TensorSource,
                  mask_mode: str = "non_overlapping"):
         self.config = config
-        rng = np.random.Generator(np.random.PCG64(seed))
-        self.stem = Stem(config.stem.conv_channels, config.stem.mbconv_channels, rng)
+        self.alpha, self.beta = _nest(config, {
+            name: source.param(name, (length,), zeros)
+            for name, length in logit_lengths(config).items()})
+        self.stem = Stem(config.stem.conv_channels, config.stem.mbconv_channels,
+                         source.scope("stem"))
         self.blocks = []
         c_in = config.stem.mbconv_channels
-        for spec in config.blocks:
-            block = MixedBlock(spec, c_in, mask_mode, rng)
+        for i, spec in enumerate(config.blocks):
+            block = MixedBlock(spec, c_in, mask_mode, source.scope(f"block{i}"))
             self.blocks.append(block)
             c_in = block.c_full
-        self.alpha, self.beta = _nest(config, {
-            name: Tensor(np.zeros(length, dtype=DTYPE), requires_grad=True)
-            for name, length in logit_lengths(config).items()})
+        self._tensors = source
 
     @property
     def final_channels(self) -> int:
@@ -185,42 +163,29 @@ class Supernet:
         return out
 
     def named_weight_params(self):
-        out = self.stem.named_params("stem")
-        for i, block in enumerate(self.blocks):
-            out.extend(block.named_params(f"block{i}"))
-        return out
+        return [(name, t) for name, t in self._tensors.params.items()
+                if not name.startswith(_LOGIT_PREFIXES)]
 
     def named_state(self):
-        out = self.stem.named_state("stem")
-        for i, block in enumerate(self.blocks):
-            out.extend(block.named_state(f"block{i}"))
-        return out
+        return list(self._tensors.state.items())
 
     def named_arch_params(self):
         return list(zip(logit_lengths(self.config), self.arch_params()))
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {name: t.data for name, t in self.named_arch_params()}
-        arrays.update({name: t.data for name, t in self.named_weight_params()})
-        arrays.update({name: buf for name, buf in self.named_state()})
-        return arrays
+        """Logits, then parameters, then running statistics, by name."""
+        return self._tensors.arrays()
 
     def save(self, path) -> None:
         save_tensors(path, self.to_arrays())
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy every logit, parameter and running statistic in by name."""
-        load_named_arrays(self.named_arch_params() + self.named_weight_params(),
-                          self.named_state(), arrays)
 
-    def load(self, path) -> None:
-        self.load_arrays(load_tensors(path))
-
-
-def build_supernet(config: SearchSpaceConfig, seed: int,
-                   mask_mode: str = "non_overlapping") -> Supernet:
-    """Deterministically initialized supernet; all logits start at zero."""
-    return Supernet(config, seed, mask_mode)
+def build_supernet(config: SearchSpaceConfig, seed: int | None = None,
+                   mask_mode: str = "non_overlapping",
+                   arrays: dict[str, np.ndarray] | None = None) -> Supernet:
+    """A supernet whose tensors are drawn from ``seed`` (all logits zero) or
+    copied from ``arrays``, a complete supernet checkpoint."""
+    return Supernet(config, TensorSource(seed, arrays), mask_mode)
 
 
 def logit_lengths(config: SearchSpaceConfig) -> dict[str, int]:
@@ -257,7 +222,7 @@ def load_logits(path, config: SearchSpaceConfig):
     """
     arrays = load_tensors(path)
     lengths = logit_lengths(config)
-    found = {name for name in arrays if name.startswith(("alpha/", "beta/"))}
+    found = {name for name in arrays if name.startswith(_LOGIT_PREFIXES)}
     if found != lengths.keys():
         missing = sorted(lengths.keys() - found)
         extra = sorted(found - lengths.keys())

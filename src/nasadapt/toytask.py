@@ -16,7 +16,7 @@ import numpy as np
 
 from .derive import DiscreteArchitecture, arch_to_json, instantiate
 from .errors import ContractError, ParameterError, ParseError
-from .layers import trunc_normal
+from .layers import TensorSource, trunc_normal, zeros
 from .numerics import SGD, Tensor, backward, cross_entropy, matmul, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
@@ -29,6 +29,7 @@ BACKGROUND_AMPLITUDE = 0.15
 
 FINETUNE_MOMENTUM = 0.9
 FINETUNE_WEIGHT_DECAY = 5e-5
+EVAL_BATCH_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -148,13 +149,12 @@ def load_dataset(path) -> SyntheticDataset:
 class ProxyHead:
     """Global-average-pool features into a linear classifier."""
 
-    def __init__(self, in_channels: int, n_classes: int, seed: int = 0):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        self.in_channels = in_channels
-        self.n_classes = n_classes
-        self.weight = Tensor(trunc_normal(rng, (in_channels, n_classes), std=0.02),
-                             requires_grad=True)
-        self.bias = Tensor(np.zeros(n_classes, dtype=DTYPE), requires_grad=True)
+    def __init__(self, in_channels: int, n_classes: int, seed: int | None = None,
+                 arrays: dict[str, np.ndarray] | None = None):
+        source = TensorSource(seed, arrays).scope("head")
+        self.weight = source.param("weight", (in_channels, n_classes), trunc_normal)
+        self.bias = source.param("bias", (n_classes,), zeros)
+        self._tensors = source
 
     def __call__(self, features: Tensor) -> Tensor:
         pooled = features.mean(axis=(2, 3))
@@ -163,8 +163,8 @@ class ProxyHead:
     def params(self) -> list[Tensor]:
         return [self.weight, self.bias]
 
-    def named_params(self, prefix: str = "head"):
-        return [(f"{prefix}/weight", self.weight), (f"{prefix}/bias", self.bias)]
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return self._tensors.arrays()
 
 
 def model_loss(features: Tensor, head: ProxyHead, labels: np.ndarray) -> Tensor:
@@ -190,19 +190,19 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
              ) -> tuple[ParameterBundle, list[float]]:
     """Train the architecture on the toy task; returns (params, per-epoch loss).
 
-    ``params`` may supply backbone tensors (and optionally head tensors)
-    from a mapping or an earlier run; anything missing starts fresh.
+    ``params`` (a mapping or an earlier run), when given, supplies every
+    backbone tensor; without it the network is drawn from ``seed``. The
+    head comes from ``params`` when its ``head/weight`` fits the dataset,
+    else it is drawn from ``seed + 1``.
     """
     cfg = cfg or FinetuneConfig()
-    net = instantiate(arch, seed=seed)
-    head = ProxyHead(net.final_channels, dataset.spec.n_classes, seed=seed + 1)
-    if params is not None:
-        available = dict(params.tensors)
-        net.load_arrays({k: v for k, v in available.items() if not k.startswith("head/")})
-        if "head/weight" in available and \
-                available["head/weight"].shape == head.weight.data.shape:
-            head.weight.data[...] = available["head/weight"]
-            head.bias.data[...] = available["head/bias"]
+    tensors = params.tensors if params is not None else {}
+    net = instantiate(arch, seed=seed) if params is None else instantiate(arch, arrays=tensors)
+    head_shape = (net.final_channels, dataset.spec.n_classes)
+    if "head/weight" in tensors and tensors["head/weight"].shape == head_shape:
+        head = ProxyHead(*head_shape, arrays=tensors)
+    else:
+        head = ProxyHead(*head_shape, seed=seed + 1)
     curve: list[float] = []
     if epochs > 0:
         opt = SGD(net.params() + head.params(), lr=cfg.lr, momentum=FINETUNE_MOMENTUM,
@@ -225,28 +225,22 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
                 opt.step()
                 epoch_losses.append(val)
             curve.append(float(np.mean(epoch_losses)))
-    arrays = net.to_arrays()
-    arrays.update({name: t.data for name, t in head.named_params()})
+    arrays = net.to_arrays() | head.to_arrays()
     bundle = ParameterBundle(tensors={k: v.copy() for k, v in arrays.items()},
                              arch=json.loads(arch_to_json(arch)))
     return bundle, curve
 
 
 def evaluate_accuracy(arch: DiscreteArchitecture, bundle: ParameterBundle,
-                      dataset: SyntheticDataset, batch_size: int = 32,
-                      seed: int = 0) -> float:
+                      dataset: SyntheticDataset) -> float:
     """Eval-mode classification accuracy of a trained bundle on a dataset."""
-    net = instantiate(arch, seed=seed)
-    net.load_arrays({k: v for k, v in bundle.tensors.items()
-                     if not k.startswith("head/")})
-    head = ProxyHead(net.final_channels, dataset.spec.n_classes, seed=seed)
-    head.weight.data[...] = bundle.tensors["head/weight"]
-    head.bias.data[...] = bundle.tensors["head/bias"]
+    net = instantiate(arch, arrays=bundle.tensors)
+    head = ProxyHead(net.final_channels, dataset.spec.n_classes, arrays=bundle.tensors)
     correct = 0
     with no_grad():
-        for start in range(0, len(dataset), batch_size):
-            images = dataset.images[start:start + batch_size]
-            labels = dataset.labels[start:start + batch_size]
+        for start in range(0, len(dataset), EVAL_BATCH_SIZE):
+            images = dataset.images[start:start + EVAL_BATCH_SIZE]
+            labels = dataset.labels[start:start + EVAL_BATCH_SIZE]
             feats = net.forward(Tensor(images), training=False)
             logits = head(feats[-1]).data
             correct += int((logits.argmax(axis=1) == labels).sum())

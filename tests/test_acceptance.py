@@ -24,7 +24,7 @@ from nasadapt.derive import (
     derive_architecture,
     instantiate,
 )
-from nasadapt.layers import MBConv
+from nasadapt.layers import MBConv, TensorSource
 from nasadapt.numerics import (
     Adam,
     Tensor,
@@ -226,7 +226,7 @@ def test_cost_model_consistency():
     for c_in, c_out, hh, ww, k, e, stride in [(8, 8, 4, 4, 3, 3, 1),
                                               (4, 6, 8, 8, 5, 6, 2),
                                               (3, 5, 6, 10, 7, 3, 1)]:
-        op = MBConv(c_in, c_out, k, e, stride, np.random.default_rng(0))
+        op = MBConv(c_in, c_out, k, e, stride, TensorSource(seed=0))
         with count_madds() as counter:
             op(Tensor(np.zeros((1, c_in, hh, ww), dtype=np.float32)), training=False)
         from nasadapt.searchspace import OpCandidate
@@ -342,8 +342,7 @@ def test_function_preservation():
             for i, b in enumerate(source_arch.blocks)))
     mapped, _ = map_to_derived(bundle, kernel_target, eps=0.0,
                                source_arch=source_arch)
-    dst = instantiate(kernel_target, seed=0)
-    dst.load_arrays(mapped.tensors)
+    dst = instantiate(kernel_target, arrays=mapped.tensors)
     rep_kernel = verify_function_preservation(src_net, dst, samples=16, tol=1e-5)
 
     narrow_blocks = tuple(DerivedBlock(channels=8 if i < 2 else 16, ops=b.ops)
@@ -359,8 +358,7 @@ def test_function_preservation():
                                      source_arch=narrow_arch)
     pad_rules_ok = {r for e in rep_map.entries.values() for r in e.rules} <= \
         {"direct", "channel-pad"}
-    wide_net = instantiate(source_arch, seed=0)
-    wide_net.load_arrays(padded.tensors)
+    wide_net = instantiate(source_arch, arrays=padded.tensors)
     rep_pad = verify_function_preservation(narrow_net, wide_net, samples=16, tol=1e-5)
 
     ok = round_trip_ok and rep_kernel["passed"] and rep_pad["passed"] and pad_rules_ok

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import nasadapt
+import nasadapt.layers as layers
 from nasadapt.cli import main
 from nasadapt.costmodel import build_madds_table, expected_cost, expected_cost_per_block
 from nasadapt.derive import (
@@ -204,9 +205,7 @@ class TestArtifacts:
                      "--eps", "1e-5", "--seed", "2", "--out", str(out)]) == 0
         # a complete checkpoint of the space, in the order a supernet writes one
         written = load_tensors(out)
-        net = build_supernet(load_config(space_path), seed=2)
-        net.load(out)
-        arrays = net.to_arrays()
+        arrays = build_supernet(load_config(space_path), arrays=written).to_arrays()
         assert list(written) == list(arrays)
         for name, arr in arrays.items():
             assert written[name].tobytes() == arr.tobytes(), name
@@ -252,8 +251,7 @@ class TestCheckpointLogits:
     def test_derive_and_cost_match_a_loaded_supernet(self, capsys, artifacts, space_path):
         # the former path of both commands: build the supernet, load the checkpoint
         config = load_config(space_path)
-        net = build_supernet(config, seed=0)
-        net.load(artifacts["ckpt"])
+        net = build_supernet(config, arrays=load_tensors(artifacts["ckpt"]))
         assert any(np.any(v.data != 0) for v in net.arch_params())
         assert artifacts["arch"].read_text() == \
             arch_to_json(derive_architecture(net.alpha, net.beta, config)) + "\n"
@@ -263,6 +261,77 @@ class TestCheckpointLogits:
         assert doc["total"] == float(expected_cost(net.alpha, net.beta, table).data)
         assert doc["per_block"] == \
             [float(c.data) for c in expected_cost_per_block(net.alpha, net.beta, table)]
+
+
+@pytest.fixture(scope="module")
+def from_arrays_inputs(artifacts):
+    """A source bundle, a kernel-grown target and the source mapped onto it."""
+    root = artifacts["root"] / "from_arrays"
+    root.mkdir()
+    source = root / "source.nat"
+    assert main(["finetune", "--arch", str(artifacts["arch"]), "--data",
+                 str(artifacts["data"]), "--epochs", "0", "--seed", "6",
+                 "--out", str(source)]) == 0
+    target = json.loads(artifacts["arch"].read_text())
+    for op in target["blocks"][1]["ops"]:
+        op["kernel"] = 5
+    target_path = root / "target.json"
+    target_path.write_text(json.dumps(target))
+    mapped = root / "mapped.nat"
+    assert main(["remap", "--src", str(source), "--dst-arch", str(target_path),
+                 "--eps", "1e-4", "--out", str(mapped)]) == 0
+    return {"source": source, "target": target_path, "mapped": mapped}
+
+
+class TestBuiltFromArrays:
+    def test_draws_no_init(self, capsys, monkeypatch, tmp_path, artifacts, space_path,
+                           from_arrays_inputs):
+        def run(out):
+            out.mkdir()
+            inputs = {k: str(v) for k, v in from_arrays_inputs.items()}
+            assert main(["search", "--space", space_path, "--data", str(artifacts["data"]),
+                         "--init-from", inputs["source"], "--epochs", "1",
+                         "--warmup", "0", "--seed", "5", "--out", str(out / "supernet.nat"),
+                         "--history", str(out / "history.csv")]) == 0
+            assert main(["verify", "--src", inputs["source"], "--dst-arch",
+                         inputs["target"], "--samples", "2",
+                         "--out", str(out / "verify.json")]) == 0
+            assert main(["finetune", "--arch", inputs["target"], "--data",
+                         str(artifacts["data"]), "--params", inputs["mapped"],
+                         "--epochs", "1", "--seed", "2", "--out", str(out / "tuned.nat")]) == 0
+            (out / "finetune.json").write_text(capsys.readouterr().out)
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        expected = run(tmp_path / "drawing")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a network given its tensors drew a fresh init")
+
+        # every network weight's init is drawn by layers.trunc_normal; the proxy
+        # head keeps toytask's own reference, since no bundle here carries a head
+        monkeypatch.setattr(layers, "trunc_normal", refuse)
+        got = run(tmp_path / "from_arrays")
+        assert list(got) == list(expected)
+        for name, data in expected.items():
+            assert got[name] == data, name
+
+    @pytest.mark.parametrize("edit", ["missing", "wrong-shape"])
+    def test_bad_params_bundle_exits_2_without_traceback(self, tmp_path, artifacts,
+                                                         from_arrays_inputs, edit):
+        tensors = load_tensors(from_arrays_inputs["mapped"])
+        name = "block1/layer0/depthwise/weight"
+        if edit == "missing":
+            del tensors[name]
+        else:
+            tensors[name] = tensors[name][:, :, 1:-1, 1:-1].copy()
+        bad = tmp_path / "bad.nat"
+        save_tensors(bad, tensors)
+        proc = run_cli_process(["finetune", "--arch", str(from_arrays_inputs["target"]),
+                                "--data", str(artifacts["data"]), "--params", str(bad),
+                                "--epochs", "1", "--out", str(tmp_path / "tuned.nat")])
+        assert_one_line_error(proc.returncode, proc.stderr)
+        assert f"'{name}'" in proc.stderr
+        assert not (tmp_path / "tuned.nat").exists()
 
 
 class TestEndToEnd:

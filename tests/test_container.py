@@ -65,7 +65,10 @@ def test_empty_container(tmp_path):
     {"name": "x", "dtype": "f32", "shape": ["x"]},
     {"name": "x", "dtype": "f32", "shape": [-1, -1]},
     ["x", "f32", [1]],
-], ids=["float-dim", "string-dim", "negative-dims", "list-header"])
+    {"name": "x", "dtype": "f32", "shape": [0, 2 ** 63]},
+    {"name": "x", "dtype": "f32", "shape": [0] * 65},
+], ids=["float-dim", "string-dim", "negative-dims", "list-header", "huge-empty-dim",
+        "too-many-dims"])
 def test_rejects_malformed_header(tmp_path, header):
     path = tmp_path / "bad.nat"
     write_raw_container(path, header)

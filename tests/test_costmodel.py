@@ -16,7 +16,7 @@ from nasadapt.costmodel import (
 )
 from nasadapt.derive import default_source_architecture, derive_architecture
 from nasadapt.errors import ContractError, ParameterError
-from nasadapt.layers import MBConv
+from nasadapt.layers import MBConv, TensorSource
 from nasadapt.numerics import Tensor, backward, count_madds
 from nasadapt.searchspace import (
     OpCandidate,
@@ -67,7 +67,7 @@ class TestMaddsOfOp:
         rng = np.random.default_rng(0)
         shapes = [(8, 8, 4, 4, 3, 3, 1), (4, 6, 8, 8, 5, 3, 2), (3, 5, 6, 10, 3, 6, 1)]
         for c_in, c_out, h, w, k, e, stride in shapes:
-            op = MBConv(c_in, c_out, k, e, stride, rng)
+            op = MBConv(c_in, c_out, k, e, stride, TensorSource(seed=0))
             x = Tensor(rng.standard_normal((1, c_in, h, w)).astype(np.float32))
             with count_madds() as counter:
                 op(x, training=False)
@@ -77,7 +77,7 @@ class TestMaddsOfOp:
 
     def test_expansion_one_has_no_expand_stage(self):
         rng = np.random.default_rng(1)
-        op = MBConv(6, 4, 3, 1, 1, rng)
+        op = MBConv(6, 4, 3, 1, 1, TensorSource(seed=1))
         x = Tensor(rng.standard_normal((1, 6, 4, 4)).astype(np.float32))
         with count_madds() as counter:
             op(x, training=False)

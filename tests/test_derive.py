@@ -11,7 +11,7 @@ from nasadapt.derive import (
     derive_architecture,
     instantiate,
 )
-from nasadapt.errors import ParseError
+from nasadapt.errors import ContractError, ParameterError, ParseError
 from nasadapt.numerics import Tensor
 from nasadapt.searchspace import channel_candidates, load_bundled_config, op_candidates
 from nasadapt.supernet import build_supernet
@@ -144,6 +144,7 @@ class TestArchJson:
         (("blocks", 0, "ops", 1), "expansion", 0, "blocks[0].ops[1].expansion"),
         (("blocks", 2, "ops", 0), "stride", 3, "blocks[2].ops[0].stride"),
         (("blocks", 2, "ops", 0), "stride", 0, "blocks[2].ops[0].stride"),
+        ((), "input_resolution", [True, True], "$.input_resolution"),
     ])
     def test_out_of_range_field_names_path(self, where, key, value, path):
         import json as _json
@@ -180,6 +181,29 @@ class TestInstantiate:
         a, b = instantiate(arch, seed=9), instantiate(arch, seed=9)
         for (name, ta), (_, tb) in zip(a.named_params(), b.named_params()):
             assert ta.data.tobytes() == tb.data.tobytes(), name
+
+    @pytest.mark.parametrize("name, edit", [
+        ("stem/mbconv/depthwise/weight", "missing"),
+        ("block0/layer1/depthwise/bn/mean", "missing"),
+        ("block1/layer0/expand/weight", "wrong-shape"),
+    ])
+    def test_from_arrays_names_a_bad_tensor(self, name, edit):
+        arch = default_source_architecture(load_bundled_config("desk3"))
+        arrays = instantiate(arch, seed=0).to_arrays()
+        if edit == "missing":
+            del arrays[name]
+        else:
+            arrays[name] = arrays[name][..., None]
+        with pytest.raises(ContractError, match=f"'{name}'"):
+            instantiate(arch, arrays=arrays)
+
+    def test_takes_exactly_one_of_seed_and_arrays(self):
+        arch = default_source_architecture(load_bundled_config("desk3"))
+        arrays = instantiate(arch, seed=0).to_arrays()
+        with pytest.raises(ParameterError):
+            instantiate(arch)
+        with pytest.raises(ParameterError):
+            instantiate(arch, seed=0, arrays=arrays)
 
     def test_depth_matches_ops(self):
         cfg = load_bundled_config("table1")

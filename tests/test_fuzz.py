@@ -1,0 +1,104 @@
+"""Malformed inputs: only package errors may escape the readers.
+
+Containers are fuzzed by truncation and byte flips of a valid file;
+architecture and search-space documents by replacing or deleting one
+field of a valid document. Any exception other than a ``NasAdaptError``
+fails the example.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nasadapt.derive import arch_from_json, arch_to_json, default_source_architecture
+from nasadapt.errors import NasAdaptError
+from nasadapt.numerics.container import load_tensors, save_tensors
+from nasadapt.searchspace import bundled_config_path, load_bundled_config, parse_config
+
+ARCH_DOC = json.loads(arch_to_json(default_source_architecture(load_bundled_config("desk3"))))
+SPACE_DOC = json.loads(bundled_config_path("desk3").read_text(encoding="utf-8"))
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+DELETE = object()
+
+
+@pytest.fixture(scope="module")
+def container(tmp_path_factory):
+    """(bytes of a valid container, a path to write variants to)."""
+    root = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(0)
+    save_tensors(root / "valid.nat", {
+        "stem/conv/weight": rng.standard_normal((2, 3, 1, 1)).astype(np.float32),
+        "beta/0": np.zeros(3, dtype=np.float32),
+        "empty": np.zeros((0, 2), dtype=np.float32),
+    })
+    return (root / "valid.nat").read_bytes(), root / "variant.nat"
+
+
+def _read(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        load_tensors(path)
+    except NasAdaptError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_container_truncation(container, data):
+    raw, path = container
+    _read(path, raw[:data.draw(st.integers(0, len(raw) - 1))])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_container_byte_flips(container, data):
+    raw, path = container
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                               min_size=1, max_size=4))
+    buf = bytearray(raw)
+    for pos, mask in flips:
+        buf[pos] ^= mask
+    _read(path, bytes(buf))
+
+
+def _paths(doc, prefix=()):
+    """Every key path into a JSON document, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("doc, parse", [(ARCH_DOC, arch_from_json),
+                                        (SPACE_DOC, parse_config)],
+                         ids=["architecture", "search-space"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_document_field_replacement(doc, parse, data):
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    value = data.draw(st.just(DELETE) | JSON_VALUES)
+    try:
+        parse(_replaced(doc, path, value))
+    except NasAdaptError:
+        pass

@@ -306,7 +306,7 @@ class TestBackward:
         else:
             net = instantiate(default_source_architecture(cfg), seed=0)
             params = net.params()
-        head = ProxyHead(net.final_channels, 4)
+        head = ProxyHead(net.final_channels, 4, seed=0)
         opt = SGD(params + head.params(), lr=0.01, momentum=0.9)
         images = np.random.default_rng(16).random((4, 3, 32, 32), dtype=np.float32)
 

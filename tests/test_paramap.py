@@ -261,9 +261,8 @@ class TestMapToSupernet:
         # the source uses exactly that; all widths equal the block maximum
         cfg = desk_config()
         bundle, arch = source_bundle(cfg)
-        net = build_supernet(cfg, seed=4)
         mapped, report = map_to_supernet(bundle, cfg, eps=0.0)
-        net.load_arrays(mapped.tensors)
+        net = build_supernet(cfg, arrays=mapped.tensors)
         layer = net.blocks[2].layers[1]
         matching = [o for o, c in enumerate(layer.candidates)
                     if c.kind == "mbconv" and c.kernel == 3 and c.expansion == 6]
@@ -299,11 +298,10 @@ class TestMapToSupernet:
     def test_alpha_beta_untouched(self):
         cfg = desk_config()
         bundle, arch = source_bundle(cfg)
-        net = build_supernet(cfg, seed=7)
-        before = [v.data.copy() for v in net.arch_params()]
+        before = [v.data.copy() for v in build_supernet(cfg, seed=7).arch_params()]
         mapped, _ = map_to_supernet(bundle, cfg, eps=1e-4, seed=1)
-        net.load_arrays(mapped.tensors)
-        for old, new in zip(before, net.arch_params()):
+        net = build_supernet(cfg, arrays=mapped.tensors)
+        for old, new in zip(before, net.arch_params(), strict=True):
             np.testing.assert_array_equal(old, new.data)
 
 
@@ -313,10 +311,8 @@ class TestFunctionPreservation:
         bundle, arch = source_bundle(cfg, seed=8)
         target = rekernel(arch, 0, 5)
         mapped, _ = map_to_derived(bundle, target, eps=0.0)
-        src_net = instantiate(arch, seed=0)
-        src_net.load_arrays(bundle.tensors)
-        dst_net = instantiate(target, seed=0)
-        dst_net.load_arrays(mapped.tensors)
+        src_net = instantiate(arch, arrays=bundle.tensors)
+        dst_net = instantiate(target, arrays=mapped.tensors)
         report = verify_function_preservation(src_net, dst_net, samples=16, tol=1e-5)
         assert report["passed"], report
 
@@ -347,10 +343,8 @@ class TestFunctionPreservation:
         mapped, report_map = map_to_derived(bundle, arch, eps=0.0)
         rules = {r for e in report_map.entries.values() for r in e.rules}
         assert rules <= {"direct", "channel-pad"}
-        src_net = instantiate(narrow, seed=0)
-        src_net.load_arrays(bundle.tensors)
-        dst_net = instantiate(arch, seed=0)
-        dst_net.load_arrays(mapped.tensors)
+        src_net = instantiate(narrow, arrays=bundle.tensors)
+        dst_net = instantiate(arch, arrays=mapped.tensors)
         report = verify_function_preservation(src_net, dst_net, samples=16, tol=1e-5)
         assert report["passed"], report
         # padded output channels must emit exactly zero in eval mode
@@ -362,10 +356,8 @@ class TestFunctionPreservation:
         cfg = desk_config()
         bundle, arch = source_bundle(cfg, seed=10)
         mapped, _ = map_to_derived(bundle, arch, eps=0.0)
-        src_net = instantiate(arch, seed=0)
-        src_net.load_arrays(bundle.tensors)
-        dst_net = instantiate(arch, seed=0)
-        dst_net.load_arrays(mapped.tensors)
+        src_net = instantiate(arch, arrays=bundle.tensors)
+        dst_net = instantiate(arch, arrays=mapped.tensors)
         report = verify_function_preservation(src_net, dst_net, samples=4, tol=0.0)
         assert report["max_deviation"] == 0.0
 

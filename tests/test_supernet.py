@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nasadapt.errors import ContractError, ParameterError
 from nasadapt.numerics import Tensor, backward, count_madds, no_grad
-from nasadapt.numerics.container import save_tensors
+from nasadapt.numerics.container import load_tensors, save_tensors
 from nasadapt.searchspace import load_bundled_config, parse_config
 from nasadapt.supernet import (
     build_masks,
@@ -98,6 +98,31 @@ class TestBuildSupernet:
                                               b.named_weight_params()):
             assert name_a == name_b
             assert ta.data.tobytes() == tb.data.tobytes(), name_a
+
+    @pytest.mark.parametrize("name, edit", [
+        ("alpha/1/0", "missing"),
+        ("stem/conv/bn/var", "missing"),
+        ("block2/layer0/op1/project/weight", "wrong-shape"),
+    ])
+    def test_from_arrays_names_a_bad_tensor(self, name, edit):
+        cfg = load_bundled_config("desk3")
+        arrays = build_supernet(cfg, seed=0).to_arrays()
+        if edit == "missing":
+            del arrays[name]
+        else:
+            arrays[name] = arrays[name][:-1]
+        with pytest.raises(ContractError, match=f"'{name}'"):
+            build_supernet(cfg, arrays=arrays)
+
+    def test_from_arrays_copies_every_tensor(self):
+        cfg = load_bundled_config("desk3")
+        arrays = build_supernet(cfg, seed=4).to_arrays()
+        net = build_supernet(cfg, arrays=arrays)
+        got = net.to_arrays()
+        assert list(got) == list(arrays)
+        for name, arr in arrays.items():
+            assert got[name].tobytes() == arr.tobytes(), name
+            assert not np.shares_memory(got[name], arr), name
 
     def test_different_seed_differs(self):
         cfg = load_bundled_config("desk3")
@@ -343,8 +368,7 @@ class TestSupernetForward:
             v.data[...] = rng.standard_normal(v.data.shape).astype(np.float32)
         path = tmp_path / "supernet.nat"
         net.save(path)
-        other = build_supernet(cfg, seed=99)
-        other.load(path)
+        other = build_supernet(cfg, arrays=load_tensors(path))
         for (name, a), (_, b) in zip(net.named_arch_params() + net.named_weight_params(),
                                      other.named_arch_params() + other.named_weight_params()):
             assert a.data.tobytes() == b.data.tobytes(), name
