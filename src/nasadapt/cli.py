@@ -20,11 +20,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .costmodel import (
-    CostConfig,
     build_madds_table,
     expected_cost,
     expected_cost_per_block,
@@ -52,7 +49,6 @@ from .seeding import seed_for
 from .supernet import build_supernet, load_logits
 from .toytask import (
     DatasetSpec,
-    FinetuneConfig,
     evaluate_accuracy,
     finetune,
     generate,
@@ -85,21 +81,18 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    schedule = SearchSchedule(total_epochs=args.epochs, warmup_epochs=args.warmup,
+                              lam=getattr(args, "lambda"), seed=args.seed)
     config = load_config(args.space)
     dataset = load_dataset(args.data)
     if args.init_from:
-        source_arch = load_arch(args.init_arch) if args.init_arch else None
         mapped, _ = map_to_supernet(ParameterBundle.load(args.init_from), config,
-                                    eps=args.eps, seed=seed_for(args.seed, "noise"),
-                                    source_arch=source_arch)
+                                    eps=args.eps, seed=seed_for(args.seed, "noise"))
         net = build_supernet(config, mask_mode=args.mask_mode, arrays=mapped.tensors)
     else:
         net = build_supernet(config, seed=seed_for(args.seed, "supernet"),
                              mask_mode=args.mask_mode)
-    schedule = SearchSchedule(total_epochs=args.epochs, warmup_epochs=args.warmup,
-                              batch_size=args.batch_size, seed=args.seed)
-    net, history = search(net, dataset, schedule,
-                          CostConfig(lam=getattr(args, "lambda")))
+    net, history = search(net, dataset, schedule)
     net.save(args.out)
     if args.history:
         history_to_csv(history, args.history)
@@ -146,18 +139,15 @@ def _usage_error(message: str) -> int:
 
 def _cmd_remap(args) -> int:
     source = ParameterBundle.load(args.src)
-    source_arch = load_arch(args.src_arch) if args.src_arch else None
     if (args.dst_arch is None) == (args.space is None):
         raise SystemExit(_usage_error("remap requires exactly one of --dst-arch or --space"))
     if args.dst_arch:
         target = load_arch(args.dst_arch)
         bundle, report = map_to_derived(source, target, eps=args.eps,
-                                        seed=seed_for(args.seed, "noise"),
-                                        source_arch=source_arch)
+                                        seed=seed_for(args.seed, "noise"))
     else:
         bundle, report = map_to_supernet(source, load_config(args.space), eps=args.eps,
-                                         seed=seed_for(args.seed, "noise"),
-                                         source_arch=source_arch)
+                                         seed=seed_for(args.seed, "noise"))
     bundle.save(args.out)
     if args.report:
         Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -166,10 +156,9 @@ def _cmd_remap(args) -> int:
 
 def _cmd_verify(args) -> int:
     source = ParameterBundle.load(args.src)
-    source_arch = load_arch(args.src_arch) if args.src_arch else source.architecture()
     target_arch = load_arch(args.dst_arch)
-    mapped, _ = map_to_derived(source, target_arch, eps=0.0, source_arch=source_arch)
-    src_net = instantiate(source_arch, arrays=source.tensors)
+    mapped, _ = map_to_derived(source, target_arch, eps=0.0)
+    src_net = instantiate(source.architecture(), arrays=source.tensors)
     dst_net = instantiate(target_arch, arrays=mapped.tensors)
     report = verify_function_preservation(src_net, dst_net, samples=args.samples,
                                           tol=args.tol, seed=args.seed)
@@ -181,8 +170,7 @@ def _cmd_finetune(args) -> int:
     arch = load_arch(args.arch)
     dataset = load_dataset(args.data)
     params = ParameterBundle.load(args.params) if args.params else None
-    cfg = FinetuneConfig(lr=args.lr, batch_size=args.batch_size)
-    bundle, curve = finetune(arch, params, dataset, epochs=args.epochs, cfg=cfg,
+    bundle, curve = finetune(arch, params, dataset, epochs=args.epochs,
                              seed=seed_for(args.seed, "finetune"))
     bundle.save(args.out)
     if args.history:
@@ -197,16 +185,15 @@ def _cmd_finetune(args) -> int:
 
 def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
                epochs: int = 14, warmup: int = 8, lam: float = 0.1,
-               batch_size: int = 8, pretrain_epochs: int = 8,
-               finetune_epochs: int = 10, eps: float = 1e-5,
+               pretrain_epochs: int = 8, finetune_epochs: int = 10, eps: float = 1e-5,
                mask_mode: str = "non_overlapping") -> dict:
     """Generate data, pretrain a source, map, search, derive, remap, fine-tune.
 
     Returns the summary document; all artifacts land in ``out_dir``.
     """
+    config = load_config(space_path)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    config = load_config(space_path)
 
     data_path = out / "data.nat"
     dataset = generate(DatasetSpec(n_samples=samples, seed=seed_for(seed, "data")))
@@ -222,10 +209,9 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
 
     mapped, _ = map_to_supernet(source_bundle, config, eps=eps, seed=seed_for(seed, "noise"))
     net = build_supernet(config, mask_mode=mask_mode, arrays=mapped.tensors)
-    schedule = SearchSchedule(total_epochs=epochs, warmup_epochs=warmup,
-                              batch_size=batch_size, seed=seed)
-    net, history = search(net, dataset, schedule,
-                          CostConfig(lam=lam, normalizer=float(source_madds)))
+    schedule = SearchSchedule(total_epochs=epochs, warmup_epochs=warmup, lam=lam,
+                              seed=seed)
+    net, history = search(net, dataset, schedule)
     net.save(out / "supernet.nat")
     history_path = out / "history.csv"
     history_to_csv(history, history_path)
@@ -236,8 +222,7 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
     derived_madds = madds_of_discrete(arch, config)
 
     mapped, report = map_to_derived(source_bundle, arch, eps=eps,
-                                    seed=seed_for(seed, "noise"),
-                                    source_arch=source_arch)
+                                    seed=seed_for(seed, "noise"))
     (out / "remap_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     final_bundle, curve = finetune(arch, mapped, dataset, epochs=finetune_epochs,
                                    seed=seed_for(seed, "finetune"))
@@ -265,8 +250,7 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
 def _cmd_e2e(args) -> int:
     summary = end_to_end(args.space, args.seed, args.out_dir, samples=args.samples,
                          epochs=args.epochs, warmup=args.warmup,
-                         lam=getattr(args, "lambda"), batch_size=args.batch_size,
-                         pretrain_epochs=args.pretrain_epochs,
+                         lam=getattr(args, "lambda"), pretrain_epochs=args.pretrain_epochs,
                          finetune_epochs=args.finetune_epochs, eps=args.eps,
                          mask_mode=args.mask_mode)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -301,10 +285,9 @@ def build_parser() -> _Parser:
                    help="weight-only warm-up epochs (default 8)")
     p.add_argument("--lambda", type=float, default=0.1, dest="lambda",
                    help="cost regularization strength (default 0.1)")
-    p.add_argument("--batch-size", type=int, default=8, help="batch size (default 8)")
     p.add_argument("--seed", type=int, default=0, help="global seed")
-    p.add_argument("--init-from", help="source bundle to map onto the supernet first")
-    p.add_argument("--init-arch", help="architecture JSON of --init-from")
+    p.add_argument("--init-from", help="source bundle (.nat, with its .arch.json "
+                                       "sidecar) to map onto the supernet first")
     p.add_argument("--eps", type=float, default=1e-5,
                    help="mapping noise amplitude for --init-from (default 1e-5)")
     p.add_argument("--out", required=True, help="output supernet checkpoint (.nat)")
@@ -326,9 +309,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("remap", help="map a source bundle onto an architecture or supernet")
-    p.add_argument("--src", required=True, help="source parameter bundle (.nat)")
-    p.add_argument("--src-arch", help="source architecture JSON "
-                                      "(defaults to the bundle's sidecar)")
+    p.add_argument("--src", required=True,
+                   help="source parameter bundle (.nat, with its .arch.json sidecar)")
     p.add_argument("--dst-arch", help="target discrete architecture JSON")
     p.add_argument("--space", help="target search space (writes a supernet checkpoint "
                                    "with zero logits)")
@@ -340,10 +322,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_remap)
 
     p = sub.add_parser("verify", help="check function preservation of a mapping")
-    p.add_argument("--src", required=True, help="source parameter bundle (.nat)")
-    p.add_argument("--src-arch", help="source architecture JSON")
+    p.add_argument("--src", required=True,
+                   help="source parameter bundle (.nat, with its .arch.json sidecar)")
     p.add_argument("--dst-arch", required=True, help="target architecture JSON")
-    p.add_argument("--samples", type=int, default=16, help="random probe inputs")
+    p.add_argument("--samples", type=int, default=16,
+                   help="random probe inputs, at least 1 (default 16)")
     p.add_argument("--tol", type=float, default=1e-5, help="max deviation tolerance")
     p.add_argument("--seed", type=int, default=0, help="probe seed")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
@@ -354,8 +337,6 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset container (.nat)")
     p.add_argument("--params", help="initial parameter bundle (.nat)")
     p.add_argument("--epochs", type=int, default=10, help="training epochs (default 10)")
-    p.add_argument("--lr", type=float, default=0.05, help="learning rate (default 0.05)")
-    p.add_argument("--batch-size", type=int, default=16, help="batch size (default 16)")
     p.add_argument("--seed", type=int, default=0, help="global seed")
     p.add_argument("--out", required=True, help="output parameter bundle (.nat)")
     p.add_argument("--history", help="per-epoch loss CSV path")
@@ -370,7 +351,6 @@ def build_parser() -> _Parser:
     p.add_argument("--warmup", type=int, default=8, help="warm-up epochs (default 8)")
     p.add_argument("--lambda", type=float, default=0.1, dest="lambda",
                    help="cost regularization strength (default 0.1)")
-    p.add_argument("--batch-size", type=int, default=8, help="search batch size")
     p.add_argument("--pretrain-epochs", type=int, default=8,
                    help="source pretraining epochs (default 8)")
     p.add_argument("--finetune-epochs", type=int, default=10,

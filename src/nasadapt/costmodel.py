@@ -34,21 +34,6 @@ from .searchspace import (
 )
 
 
-@dataclass
-class CostConfig:
-    """Strength of the cost regularizer; cost enters the loss divided by
-    ``normalizer`` (a source network's total MAdds) so lam is scale free."""
-
-    lam: float
-    normalizer: float | None = None
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ParameterError(f"lambda must be >= 0, got {self.lam}")
-        if self.normalizer is not None and self.normalizer <= 0:
-            raise ParameterError(f"normalizer must be > 0, got {self.normalizer}")
-
-
 def _out_hw(h: int, w: int, stride: int) -> tuple[int, int]:
     # shape-preserving padding makes this kernel-independent
     return (h - 1) // stride + 1, (w - 1) // stride + 1
@@ -128,8 +113,6 @@ def _layer_madds(config: SearchSpaceConfig, index: int, layer: int,
 class BlockCosts:
     """Per-layer cost matrices of one block, each (channels x ops)."""
 
-    channel_cands: list[int]
-    op_cands: list[list[OpCandidate]]
     layer_costs: list[np.ndarray]
 
 
@@ -148,17 +131,14 @@ def build_madds_table(config: SearchSpaceConfig) -> MAddsTable:
     for i, spec in enumerate(config.blocks):
         cands = channel_candidates(spec)
         layer_costs = []
-        op_cands = []
         for layer in range(1, spec.n_max + 1):
             ops = op_candidates(spec, layer)
-            op_cands.append(ops)
             mat = np.zeros((len(cands), len(ops)), dtype=np.float64)
             for ci, c in enumerate(cands):
                 for oi, op in enumerate(ops):
                     mat[ci, oi] = _layer_madds(config, i, layer, op, c, sizes[i])
             layer_costs.append(mat)
-        blocks.append(BlockCosts(channel_cands=cands, op_cands=op_cands,
-                                 layer_costs=layer_costs))
+        blocks.append(BlockCosts(layer_costs=layer_costs))
     return MAddsTable(stem_madds(config), blocks)
 
 
@@ -182,10 +162,10 @@ def expected_cost_per_block(alpha, beta, table: MAddsTable) -> list[Tensor]:
                     f"{mat.shape[1]}")
             contrib = matmul(Tensor(mat.astype(np.float32)), softmax(logits))
             per_channel = contrib if per_channel is None else per_channel + contrib
-        if beta_block.data.shape[0] != len(costs.channel_cands):
+        if beta_block.data.shape[0] != costs.layer_costs[0].shape[0]:
             raise ContractError(
                 f"beta length {beta_block.data.shape[0]} does not match table "
-                f"channels {len(costs.channel_cands)}")
+                f"channels {costs.layer_costs[0].shape[0]}")
         out.append(matmul(softmax(beta_block), per_channel))
     return out
 
@@ -199,10 +179,10 @@ def expected_cost(alpha, beta, table: MAddsTable) -> Tensor:
     return total
 
 
-def total_loss(model_loss: Tensor, cost: Tensor, cfg: CostConfig) -> Tensor:
-    """model loss + lam * cost / normalizer (normalizer defaults to 1)."""
-    norm = cfg.normalizer if cfg.normalizer is not None else 1.0
-    return model_loss + cost * np.float32(cfg.lam / norm)
+def total_loss(model_loss: Tensor, cost: Tensor, lam: float, normalizer: float) -> Tensor:
+    """model loss + lam * cost / normalizer; with a source network's MAdds as
+    the normalizer, lam is scale free."""
+    return model_loss + cost * np.float32(lam / normalizer)
 
 
 def _check_block_consistency(block, spec, index: int) -> None:

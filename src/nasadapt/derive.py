@@ -183,7 +183,11 @@ def save_arch(arch: DiscreteArchitecture, path) -> None:
 
 def load_arch(path) -> DiscreteArchitecture:
     with open(path, "r", encoding="utf-8") as f:
-        return arch_from_json(f.read())
+        text = f.read()
+    try:
+        return arch_from_json(text)
+    except ParseError as exc:
+        raise exc.in_file(path) from None
 
 
 class DiscreteNetwork:

@@ -27,3 +27,8 @@ class ParseError(NasAdaptError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+        self.message = message
+
+    def in_file(self, file) -> "ParseError":
+        """The same error, its path prefixed by the file the document came from."""
+        return ParseError(f"{file}:{self.path}", self.message)

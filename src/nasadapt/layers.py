@@ -21,9 +21,6 @@ from .errors import ContractError, ParameterError
 from .numerics import Tensor, batch_norm, conv2d, relu6
 from .numerics.tensor import DTYPE
 
-BN_MOMENTUM = 0.1
-BN_EPS = 1e-5
-
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
     """Normal(0, std) truncated to two standard deviations by resampling."""
@@ -121,8 +118,7 @@ class BatchNorm2d:
 
     def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                          training=training, momentum=BN_MOMENTUM, eps=BN_EPS,
-                          update_stats=update_stats)
+                          training=training, update_stats=update_stats)
 
 
 class MBConv:

@@ -4,9 +4,7 @@ from .container import load_tensors, save_tensors
 from .optim import SGD, Adam, clip_grad_norm
 from .tensor import (
     DTYPE,
-    MAddsCounter,
     Tensor,
-    as_tensor,
     backward,
     batch_norm,
     conv2d,
@@ -25,9 +23,7 @@ from .tensor import (
 
 __all__ = [
     "DTYPE",
-    "MAddsCounter",
     "Tensor",
-    "as_tensor",
     "backward",
     "batch_norm",
     "conv2d",

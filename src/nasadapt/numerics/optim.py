@@ -9,6 +9,9 @@ import numpy as np
 from ..errors import ContractError, ParameterError
 from .tensor import DTYPE, Tensor
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 def _check_common(lr: float, weight_decay: float):
     if lr <= 0:
@@ -53,16 +56,13 @@ class SGD:
 
 
 class Adam:
-    """Adam with bias correction and decoupled weight decay."""
+    """Adam with bias correction and decoupled weight decay; moment decay
+    rates ``ADAM_BETAS``, denominator offset ``ADAM_EPS``."""
 
-    def __init__(self, params: Iterable[Tensor], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: Iterable[Tensor], lr: float, weight_decay: float = 0.0):
         _check_common(lr, weight_decay)
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
@@ -70,9 +70,10 @@ class Adam:
 
     def step(self):
         self._t += 1
-        b1, b2 = DTYPE(self.beta1), DTYPE(self.beta2)
-        bc1 = 1.0 - self.beta1 ** self._t
-        bc2 = 1.0 - self.beta2 ** self._t
+        beta1, beta2 = ADAM_BETAS
+        b1, b2 = DTYPE(beta1), DTYPE(beta2)
+        bc1 = 1.0 - beta1 ** self._t
+        bc2 = 1.0 - beta2 ** self._t
         for p in self.params:
             if p.grad is None:
                 raise ContractError("optimizer step with missing gradient")
@@ -87,7 +88,7 @@ class Adam:
             vhat = v / DTYPE(bc2)
             if self.weight_decay:
                 p.data -= DTYPE(self.lr * self.weight_decay) * p.data
-            p.data -= DTYPE(self.lr) * mhat / (np.sqrt(vhat) + DTYPE(self.eps))
+            p.data -= DTYPE(self.lr) * mhat / (np.sqrt(vhat) + DTYPE(ADAM_EPS))
 
     def zero_grad(self):
         for p in self.params:

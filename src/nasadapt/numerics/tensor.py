@@ -21,6 +21,9 @@ from ..errors import ContractError, DimensionError, ParameterError
 
 DTYPE = np.float32
 
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
+
 
 class _ThreadState(threading.local):
     def __init__(self):
@@ -85,9 +88,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -97,25 +97,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return mul(self, 1.0 / float(scalar))
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, index):
         return index_select(self, index)
@@ -176,8 +161,8 @@ def trace(root: Tensor) -> list[TapeNode]:
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable requires_grad leaf.
 
-    Repeated calls add into existing ``.grad`` buffers; call
-    ``zero_grad`` (or an optimizer's) between steps.
+    Repeated calls add into existing ``.grad`` buffers; call an
+    optimizer's ``zero_grad`` between steps.
     """
     if loss.data.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -234,16 +219,6 @@ def add(a, b) -> Tensor:
         return _unbroadcast(g, at.data.shape), _unbroadcast(g, bt.data.shape)
 
     return _record("add", (at, bt), out, bw)
-
-
-def sub(a, b) -> Tensor:
-    at, bt = as_tensor(a), as_tensor(b)
-    out = at.data - bt.data
-
-    def bw(g):
-        return _unbroadcast(g, at.data.shape), _unbroadcast(-g, bt.data.shape)
-
-    return _record("sub", (at, bt), out, bw)
 
 
 def mul(a, b) -> Tensor:
@@ -571,18 +546,15 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
 
 
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5,
-               update_stats: Optional[bool] = None) -> Tensor:
+               training: bool, update_stats: Optional[bool] = None) -> Tensor:
     """Per-channel batch normalization over an NCHW tensor.
 
     Train mode normalizes by batch statistics (biased variance) and, when
     ``update_stats`` (defaults to ``training``), folds them into the
-    running buffers with the given momentum. Eval mode normalizes by the
-    running buffers. The running buffers are plain arrays mutated in
-    place; they carry no gradient.
+    running buffers with momentum ``BN_MOMENTUM``. Eval mode normalizes by
+    the running buffers. Both add ``BN_EPS`` to the variance. The running
+    buffers are plain arrays mutated in place; they carry no gradient.
     """
-    if eps <= 0:
-        raise ParameterError(f"eps must be > 0, got {eps}")
     xt, gt, bt = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd = xt.data
     if xd.ndim != 4:
@@ -600,15 +572,15 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
         xhat = xd - mean[None, :, None, None]
         var = np.square(xhat).mean(axis=(0, 2, 3))
         if update_stats:
-            running_mean *= DTYPE(1.0 - momentum)
-            running_mean += DTYPE(momentum) * mean
-            running_var *= DTYPE(1.0 - momentum)
-            running_var += DTYPE(momentum) * var
+            running_mean *= DTYPE(1.0 - BN_MOMENTUM)
+            running_mean += DTYPE(BN_MOMENTUM) * mean
+            running_var *= DTYPE(1.0 - BN_MOMENTUM)
+            running_var += DTYPE(BN_MOMENTUM) * var
     else:
         mean, var = running_mean, running_var
         xhat = xd - mean[None, :, None, None]
 
-    invstd = 1.0 / np.sqrt(var + DTYPE(eps))
+    invstd = 1.0 / np.sqrt(var + DTYPE(BN_EPS))
     xhat *= invstd[None, :, None, None]
     out = gt.data[None, :, None, None] * xhat
     out += bt.data[None, :, None, None]

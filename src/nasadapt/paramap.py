@@ -33,6 +33,7 @@ from .derive import (
     arch_from_json,
     arch_to_json,
     instantiate,
+    load_arch,
 )
 from .errors import ContractError, ParameterError
 from .numerics import Tensor, no_grad
@@ -71,12 +72,13 @@ class ParameterBundle:
         path = Path(path)
         tensors = load_tensors(path)
         sidecar = path.with_suffix(".arch.json")
-        arch = json.loads(sidecar.read_text(encoding="utf-8")) if sidecar.exists() else None
+        arch = json.loads(arch_to_json(load_arch(sidecar))) if sidecar.exists() else None
         return cls(tensors=tensors, arch=arch)
 
     def architecture(self) -> DiscreteArchitecture:
         if self.arch is None:
-            raise ContractError("bundle carries no architecture metadata")
+            raise ContractError("bundle carries no architecture: its .arch.json sidecar "
+                                "is missing")
         return arch_from_json(json.dumps(self.arch))
 
 
@@ -245,7 +247,7 @@ def _layer_dims(arch: DiscreteArchitecture, block: int) -> list[_MBConvDims]:
             for j, op in enumerate(arch.blocks[block].ops)]
 
 
-def _map(source: ParameterBundle, source_arch: DiscreteArchitecture, stem: StemSpec,
+def _map(source: ParameterBundle, stem: StemSpec,
          blocks: list[list[list[tuple[str, _MBConvDims]]]], eps: float, seed: int,
          ) -> tuple[dict[str, np.ndarray], MappingReport]:
     """Map a source onto a target given as ``blocks[i][l]``: the (tensor
@@ -254,6 +256,7 @@ def _map(source: ParameterBundle, source_arch: DiscreteArchitecture, stem: StemS
     every tensor's name and shape. The stem is copied; each target layer
     takes its source layer from :func:`map_depth`. Returns the tensors and
     the report in mapping order."""
+    source_arch = source.architecture()
     if source_arch.stem != stem:
         raise ContractError(f"incompatible stem: source {source_arch.stem} vs target {stem}")
     if len(source_arch.blocks) != len(blocks):
@@ -319,19 +322,16 @@ def add_mapping_noise(bundle_tensors: dict[str, np.ndarray], report: MappingRepo
 
 def map_to_derived(source: ParameterBundle, arch: DiscreteArchitecture,
                    eps: float = 0.0, seed: int = 0,
-                   source_arch: DiscreteArchitecture | None = None,
                    ) -> tuple[ParameterBundle, MappingReport]:
     """Map a source bundle onto a discrete target architecture."""
     blocks = [[[(f"block{i}/layer{l}", dims)] for l, dims in enumerate(_layer_dims(arch, i))]
               for i in range(len(arch.blocks))]
-    tensors, report = _map(source, source_arch or source.architecture(), arch.stem,
-                           blocks, eps, seed)
+    tensors, report = _map(source, arch.stem, blocks, eps, seed)
     return ParameterBundle(tensors=tensors, arch=json.loads(arch_to_json(arch))), report
 
 
 def map_to_supernet(source: ParameterBundle, config: SearchSpaceConfig,
                     eps: float = 0.0, seed: int = 0,
-                    source_arch: DiscreteArchitecture | None = None,
                     ) -> tuple[ParameterBundle, MappingReport]:
     """Map a source bundle onto every operation candidate of a search space.
 
@@ -349,8 +349,7 @@ def map_to_supernet(source: ParameterBundle, config: SearchSpaceConfig,
                           c_out=c_full, kernel=cand.kernel, expansion=cand.expansion))
              for o, cand in enumerate(op_candidates(spec, l + 1)) if cand.kind != "skip"]
             for l in range(spec.n_max)])
-    tensors, report = _map(source, source_arch or source.architecture(), config.stem,
-                           blocks, eps, seed)
+    tensors, report = _map(source, config.stem, blocks, eps, seed)
     arrays = {name: np.zeros(length, dtype=DTYPE)
               for name, length in logit_lengths(config).items()}
     for stats in (False, True):
@@ -368,6 +367,8 @@ def verify_function_preservation(source_net: DiscreteNetwork,
     Only meaningful for mappings limited to kernel embedding and channel
     padding (eps 0); depth copies and crops change the function.
     """
+    if samples < 1:
+        raise ParameterError(f"samples must be >= 1, got {samples}")
     if len(source_net.blocks) != len(mapped_net.blocks):
         raise ContractError("networks have different block counts")
     h, w = source_net.arch.input_resolution

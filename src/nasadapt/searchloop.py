@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .costmodel import (
-    CostConfig,
     MAddsTable,
     build_madds_table,
     expected_cost,
@@ -35,6 +34,7 @@ from .supernet import Supernet
 from .toytask import ProxyHead, SyntheticDataset, model_loss
 
 GRAD_CLIP_NORM = 10.0
+SEARCH_BATCH_SIZE = 8
 
 W_LR = 0.02
 W_MOMENTUM = 0.9
@@ -45,9 +45,15 @@ ARCH_WEIGHT_DECAY = 1e-3
 
 @dataclass
 class SearchSchedule:
+    """Epoch counts, the cost weight ``lam`` and the seed of one search.
+
+    An arch step's loss adds ``lam`` times the expected cost divided by
+    the default source architecture's MAdds, so ``lam`` is scale free.
+    """
+
     total_epochs: int = 14
     warmup_epochs: int = 8
-    batch_size: int = 8
+    lam: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -55,8 +61,8 @@ class SearchSchedule:
             raise ParameterError(
                 f"need 0 <= warmup ({self.warmup_epochs}) <= total "
                 f"({self.total_epochs})")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.lam >= 0:  # also rejects NaN
+            raise ParameterError(f"lambda must be >= 0, got {self.lam}")
 
 
 @dataclass
@@ -110,19 +116,19 @@ def history_to_csv(history: SearchHistory, path) -> None:
 
 
 class _BatchCycle:
-    """Deterministic reshuffled cycling over an index set."""
+    """Deterministic reshuffled cycling over an index set in batches of
+    ``SEARCH_BATCH_SIZE``."""
 
-    def __init__(self, indices: np.ndarray, batch_size: int, rng: np.random.Generator):
+    def __init__(self, indices: np.ndarray, rng: np.random.Generator):
         self.indices = indices
-        self.batch_size = batch_size
         self.rng = rng
         self._order: list[np.ndarray] = []
 
     def next(self) -> np.ndarray:
         if not self._order:
             perm = self.indices[self.rng.permutation(len(self.indices))]
-            self._order = [perm[i:i + self.batch_size]
-                           for i in range(0, len(perm), self.batch_size)]
+            self._order = [perm[i:i + SEARCH_BATCH_SIZE]
+                           for i in range(0, len(perm), SEARCH_BATCH_SIZE)]
         return self._order.pop(0)
 
 
@@ -150,20 +156,21 @@ def _train_only(active: list[Tensor], idle: list[Tensor]) -> None:
 
 def _step(net: Supernet, head: ProxyHead, dataset: SyntheticDataset, idx: np.ndarray,
           opt, params: list[Tensor], where: tuple[int, int, str],
-          table: MAddsTable | None = None, cost_cfg: CostConfig | None = None,
+          table: MAddsTable | None = None, lam: float = 0.0, normalizer: float = 1.0,
           ) -> tuple[float, float, Tensor | None]:
     """One step of either phase: forward, loss, finite check, zero, backward,
     clip, step.
 
     Given a cost ``table`` (arch steps) the loss adds the cost regularizer
-    and normalization statistics stay frozen. Returns the model loss, the
-    loss, and the expected-cost tensor (None without a table).
+    ``lam * cost / normalizer`` and normalization statistics stay frozen.
+    Returns the model loss, the loss, and the expected-cost tensor (None
+    without a table).
     """
     feats = net.forward(Tensor(dataset.images[idx]), training=True,
                         update_stats=None if table is None else False)
     m_loss = model_loss(feats[-1], head, dataset.labels[idx])
     cost = None if table is None else expected_cost(net.alpha, net.beta, table)
-    loss = m_loss if cost is None else total_loss(m_loss, cost, cost_cfg)
+    loss = m_loss if cost is None else total_loss(m_loss, cost, lam, normalizer)
     value = loss.item()
     _check_finite(value, *where)
     opt.zero_grad()
@@ -174,22 +181,18 @@ def _step(net: Supernet, head: ProxyHead, dataset: SyntheticDataset, idx: np.nda
 
 
 def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
-           cost_cfg: CostConfig, head: ProxyHead | None = None,
-           ) -> tuple[Supernet, SearchHistory]:
+           head: ProxyHead | None = None) -> tuple[Supernet, SearchHistory]:
     """Run the warm-up-then-alternating schedule; mutates net (and head)."""
-    if cost_cfg.normalizer is None:
-        cost_cfg = CostConfig(
-            lam=cost_cfg.lam,
-            normalizer=float(madds_of_discrete(
-                default_source_architecture(net.config), net.config)))
+    normalizer = float(madds_of_discrete(default_source_architecture(net.config),
+                                         net.config))
     table = build_madds_table(net.config)
     if head is None:
         head = ProxyHead(net.final_channels, dataset.spec.n_classes,
                          seed=seed_for(schedule.seed, "head"))
     split = split_data(len(dataset), schedule.seed)
     rng = np.random.Generator(np.random.PCG64(seed_for(schedule.seed, "batches")))
-    batches_a = _BatchCycle(split.train_a, schedule.batch_size, rng)
-    batches_b = _BatchCycle(split.train_b, schedule.batch_size, rng)
+    batches_a = _BatchCycle(split.train_a, rng)
+    batches_b = _BatchCycle(split.train_b, rng)
 
     w_params = net.weight_params() + head.params()
     arch_params = net.arch_params()
@@ -197,7 +200,7 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
     w_opt = SGD(w_params, lr=W_LR, momentum=W_MOMENTUM, weight_decay=W_WEIGHT_DECAY)
     arch_opt = Adam(arch_params, lr=ARCH_LR, weight_decay=ARCH_WEIGHT_DECAY)
 
-    steps_per_epoch = max(1, len(split.train_a) // schedule.batch_size)
+    steps_per_epoch = max(1, len(split.train_a) // SEARCH_BATCH_SIZE)
     history = SearchHistory()
     step = 0
     try:
@@ -210,20 +213,20 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
                                     (step, epoch, "w"))
                 with no_grad():
                     c_val = float(expected_cost(net.alpha, net.beta, table).data) \
-                        / cost_cfg.normalizer
+                        / normalizer
                 history.steps.append(StepRecord(
                     step=step, epoch=epoch, phase="w", model_loss=m_val,
-                    expected_cost=c_val, total_loss=m_val + cost_cfg.lam * c_val))
+                    expected_cost=c_val, total_loss=m_val + schedule.lam * c_val))
                 if not arch_phase:
                     continue
                 _train_only(arch_params, w_params)
                 step += 1
                 m_val, t_val, cost = _step(net, head, dataset, batches_b.next(), arch_opt,
                                            arch_params, (step, epoch, "arch"),
-                                           table, cost_cfg)
+                                           table, schedule.lam, normalizer)
                 history.steps.append(StepRecord(
                     step=step, epoch=epoch, phase="arch", model_loss=m_val,
-                    expected_cost=float(cost.data) / cost_cfg.normalizer,
+                    expected_cost=float(cost.data) / normalizer,
                     total_loss=t_val))
             history.snapshots.append(_snapshot(net, epoch))
     finally:

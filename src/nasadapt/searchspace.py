@@ -199,7 +199,11 @@ def serialize_config(config: SearchSpaceConfig) -> str:
 
 def load_config(path) -> SearchSpaceConfig:
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+        text = f.read()
+    try:
+        return parse_config(text)
+    except ParseError as exc:
+        raise exc.in_file(path) from None
 
 
 def bundled_config_path(name: str):

@@ -56,7 +56,6 @@ class MixedLayer:
         self.candidates = op_candidates(spec, layer)
         self.stride = spec.stride if layer == 1 else 1
         self.c_in = c_in
-        self.c_out = c_out
         self.ops = []
         for o, cand in enumerate(self.candidates):
             if cand.kind == "skip":
@@ -88,7 +87,6 @@ class MixedBlock:
     """n_max mixed operations at full width, masked once at the output."""
 
     def __init__(self, spec: BlockSpec, c_in: int, mask_mode: str, source: TensorSource):
-        self.spec = spec
         self.candidates = channel_candidates(spec)
         self.c_full = self.candidates[-1]
         self.masks = build_masks(self.candidates, mask_mode)

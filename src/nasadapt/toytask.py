@@ -27,6 +27,8 @@ SHAPE_NAMES = ("disk", "square", "plus", "cross", "ring", "diamond")
 SCALE_FRACTIONS = (0.20, 0.28, 0.36)
 BACKGROUND_AMPLITUDE = 0.15
 
+FINETUNE_LR = 0.05
+FINETUNE_BATCH_SIZE = 16
 FINETUNE_MOMENTUM = 0.9
 FINETUNE_WEIGHT_DECAY = 5e-5
 EVAL_BATCH_SIZE = 32
@@ -128,7 +130,10 @@ def load_dataset(path) -> SyntheticDataset:
     arrays = load_tensors(path)
     sidecar = path.with_suffix(".json")
     where = f"{sidecar}:$"
-    raw = json.loads(sidecar.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(sidecar.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(where, f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError(where, f"expected a JSON object, got {type(raw).__name__}")
     resolution = _require(raw, "resolution", where, list, "a list")
@@ -172,12 +177,6 @@ def model_loss(features: Tensor, head: ProxyHead, labels: np.ndarray) -> Tensor:
     return cross_entropy(head(features), labels)
 
 
-@dataclass
-class FinetuneConfig:
-    lr: float = 0.05
-    batch_size: int = 16
-
-
 def _check_finite(loss_val: float, step: int, epoch: int) -> None:
     if not np.isfinite(loss_val):
         raise ContractError(
@@ -185,8 +184,7 @@ def _check_finite(loss_val: float, step: int, epoch: int) -> None:
 
 
 def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
-             dataset: SyntheticDataset, epochs: int,
-             cfg: FinetuneConfig | None = None, seed: int = 0,
+             dataset: SyntheticDataset, epochs: int, seed: int = 0,
              ) -> tuple[ParameterBundle, list[float]]:
     """Train the architecture on the toy task; returns (params, per-epoch loss).
 
@@ -195,7 +193,6 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
     head comes from ``params`` when its ``head/weight`` fits the dataset,
     else it is drawn from ``seed + 1``.
     """
-    cfg = cfg or FinetuneConfig()
     tensors = params.tensors if params is not None else {}
     net = instantiate(arch, seed=seed) if params is None else instantiate(arch, arrays=tensors)
     head_shape = (net.final_channels, dataset.spec.n_classes)
@@ -205,7 +202,7 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
         head = ProxyHead(*head_shape, seed=seed + 1)
     curve: list[float] = []
     if epochs > 0:
-        opt = SGD(net.params() + head.params(), lr=cfg.lr, momentum=FINETUNE_MOMENTUM,
+        opt = SGD(net.params() + head.params(), lr=FINETUNE_LR, momentum=FINETUNE_MOMENTUM,
                   weight_decay=FINETUNE_WEIGHT_DECAY)
         rng = np.random.Generator(np.random.PCG64(seed ^ 0x5F3759DF))
         n = len(dataset)
@@ -213,8 +210,8 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
         for epoch in range(1, epochs + 1):
             order = rng.permutation(n)
             epoch_losses = []
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
+            for start in range(0, n, FINETUNE_BATCH_SIZE):
+                idx = order[start:start + FINETUNE_BATCH_SIZE]
                 feats = net.forward(Tensor(dataset.images[idx]), training=True)
                 loss = model_loss(feats[-1], head, dataset.labels[idx])
                 val = loss.item()

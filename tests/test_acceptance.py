@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from nasadapt.costmodel import (
-    CostConfig,
     build_madds_table,
     expected_cost,
     madds_of_discrete,
@@ -20,6 +19,7 @@ from nasadapt.derive import (
     DerivedBlock,
     DerivedOp,
     DiscreteArchitecture,
+    arch_to_json,
     default_source_architecture,
     derive_architecture,
     instantiate,
@@ -191,7 +191,7 @@ def test_cost_model_consistency():
         total = float(table.stem_cost)
         for i, costs in enumerate(table.blocks):
             p_b = np_softmax(np.asarray(beta_arrays[i], dtype=np.float64))
-            per_c = np.zeros(len(costs.channel_cands))
+            per_c = np.zeros(len(channel_candidates(cfg.blocks[i])))
             for l, mat in enumerate(costs.layer_costs):
                 per_c += mat @ np_softmax(np.asarray(alpha_arrays[i][l],
                                                      dtype=np.float64))
@@ -253,8 +253,8 @@ def test_bilevel_phase_separation():
     # warm-up leaves architecture logits bit-identical
     net = build_supernet(cfg, seed=5)
     arch_before = [v.data.copy() for v in net.arch_params()]
-    schedule = SearchSchedule(total_epochs=3, warmup_epochs=3, batch_size=8, seed=5)
-    net, _ = search(net, ds, schedule, CostConfig(lam=0.1))
+    schedule = SearchSchedule(total_epochs=3, warmup_epochs=3, seed=5)
+    net, _ = search(net, ds, schedule)
     warmup_ok = all(old.tobytes() == new.data.tobytes()
                     for old, new in zip(arch_before, net.arch_params()))
 
@@ -282,9 +282,8 @@ def test_bilevel_phase_separation():
     # full 3+3 search is bit-reproducible
     def run():
         net = build_supernet(cfg, seed=6)
-        schedule = SearchSchedule(total_epochs=6, warmup_epochs=3, batch_size=8,
-                                  seed=6)
-        return search(net, ds, schedule, CostConfig(lam=0.1))[1]
+        schedule = SearchSchedule(total_epochs=6, warmup_epochs=3, seed=6)
+        return search(net, ds, schedule)[1]
 
     h1, h2 = run(), run()
     hist_ok = h1.steps == h2.steps and h1.snapshots == h2.snapshots
@@ -302,9 +301,9 @@ def test_cost_pressure_direction():
         madds = {}
         for lam in (0.0, 0.1):
             net = build_supernet(cfg, seed=seed)
-            schedule = SearchSchedule(total_epochs=6, warmup_epochs=3,
-                                      batch_size=8, seed=seed)
-            net, _ = search(net, ds, schedule, CostConfig(lam=lam))
+            schedule = SearchSchedule(total_epochs=6, warmup_epochs=3, lam=lam,
+                                      seed=seed)
+            net, _ = search(net, ds, schedule)
             arch = derive_architecture(net.alpha, net.beta, cfg)
             madds[lam] = madds_of_discrete(arch, cfg)
         pairs.append((madds[0.1], madds[0.0]))
@@ -330,7 +329,7 @@ def test_function_preservation():
     src_net.forward(Tensor(ds.images), training=True)
     bundle = ParameterBundle(
         tensors={k2: v.copy() for k2, v in src_net.to_arrays().items()},
-        arch=None)
+        arch=json.loads(arch_to_json(source_arch)))
 
     kernel_target = DiscreteArchitecture(
         input_resolution=source_arch.input_resolution, stem=source_arch.stem,
@@ -340,8 +339,7 @@ def test_function_preservation():
                                              stride=o.stride) for o in b.ops))
             if i < 2 else b
             for i, b in enumerate(source_arch.blocks)))
-    mapped, _ = map_to_derived(bundle, kernel_target, eps=0.0,
-                               source_arch=source_arch)
+    mapped, _ = map_to_derived(bundle, kernel_target, eps=0.0)
     dst = instantiate(kernel_target, arrays=mapped.tensors)
     rep_kernel = verify_function_preservation(src_net, dst, samples=16, tol=1e-5)
 
@@ -353,9 +351,8 @@ def test_function_preservation():
     narrow_net.forward(Tensor(ds.images), training=True)
     narrow_bundle = ParameterBundle(
         tensors={k2: v.copy() for k2, v in narrow_net.to_arrays().items()},
-        arch=None)
-    padded, rep_map = map_to_derived(narrow_bundle, source_arch, eps=0.0,
-                                     source_arch=narrow_arch)
+        arch=json.loads(arch_to_json(narrow_arch)))
+    padded, rep_map = map_to_derived(narrow_bundle, source_arch, eps=0.0)
     pad_rules_ok = {r for e in rep_map.entries.values() for r in e.rules} <= \
         {"direct", "channel-pad"}
     wide_net = instantiate(source_arch, arrays=padded.tensors)
@@ -385,8 +382,7 @@ def test_pretrained_vs_scratch():
     for seed in range(5):
         ds = generate(DatasetSpec(n_samples=192, seed=seed))
         source_bundle, _ = finetune(source_arch, None, ds, epochs=8, seed=seed)
-        mapped_bundle, _ = map_to_derived(source_bundle, target, eps=1e-5,
-                                          seed=seed, source_arch=source_arch)
+        mapped_bundle, _ = map_to_derived(source_bundle, target, eps=1e-5, seed=seed)
         _, scratch_curve = finetune(target, None, ds, epochs=epochs, seed=seed + 100)
         _, mapped_curve = finetune(target, mapped_bundle, ds, epochs=epochs,
                                    seed=seed + 100)

@@ -90,6 +90,21 @@ class TestUsage:
                      "--seed", "--out", "--history"):
             assert flag in out
 
+    @pytest.mark.parametrize("argv", [
+        "search --space s.json --data d.nat --out o.nat --batch-size 8",
+        "search --space s.json --data d.nat --out o.nat --init-from b.nat --init-arch a.json",
+        "remap --src b.nat --dst-arch a.json --out o.nat --src-arch a.json",
+        "verify --src b.nat --dst-arch a.json --src-arch a.json",
+        "finetune --arch a.json --data d.nat --out o.nat --lr 0.05",
+        "finetune --arch a.json --data d.nat --out o.nat --batch-size 16",
+        "e2e --space s.json --out-dir o --batch-size 8",
+    ])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        # batch sizes, the fine-tune lr and a bundle's architecture are not settable
+        assert main(argv.split()) == 1
+        flag = [a for a in argv.split() if a.startswith("--")][-1]
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_runtime_failure_exits_2(self, capsys, tmp_path, space_path):
         missing = tmp_path / "nothing.nat"
         assert main(["search", "--space", space_path, "--data", str(missing),
@@ -380,3 +395,128 @@ class TestDeterminism:
                          "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+@pytest.fixture(scope="module")
+def broken(artifacts, from_arrays_inputs):
+    """Valid inputs plus one broken variant of each kind a command reads."""
+    root = artifacts["root"] / "broken"
+    root.mkdir()
+    source = from_arrays_inputs["source"]
+    sidecar = source.with_suffix(".arch.json")
+
+    def copy(src, name, cut=False):
+        data = src.read_bytes()
+        (root / name).write_bytes(data[:len(data) // 2] if cut else data)
+        return root / name
+
+    malformed = '{"v": 1, "blocks": ['
+    paths = {
+        "data": artifacts["data"], "ckpt": artifacts["ckpt"], "arch": artifacts["arch"],
+        "source": source, "target": from_arrays_inputs["target"],
+        "trunc_data": copy(artifacts["data"], "trunc_data.nat", cut=True),
+        "trunc_ckpt": copy(artifacts["ckpt"], "trunc_ckpt.nat", cut=True),
+        "trunc_src": copy(source, "trunc_src.nat", cut=True),
+        "no_sidecar": copy(source, "no_sidecar.nat"),
+        "missing_tensor": root / "missing_tensor.nat",
+        "bad_json": root / "bad.json",
+        "bad_data_sidecar": copy(artifacts["data"], "bad_data.nat"),
+        "bad_arch_sidecar": copy(source, "bad_sidecar.nat"),
+    }
+    copy(artifacts["data"].with_suffix(".json"), "trunc_data.json")
+    copy(sidecar, "trunc_src.arch.json")
+    tensors = load_tensors(source)
+    del tensors["block1/layer0/depthwise/weight"]
+    save_tensors(paths["missing_tensor"], tensors)
+    copy(sidecar, "missing_tensor.arch.json")
+    paths["bad_json"].write_text(malformed)
+    (root / "bad_data.json").write_text(malformed)
+    (root / "bad_sidecar.arch.json").write_text(malformed)
+    paths["out"] = root / "out"
+    return paths
+
+
+# (command line with {key} placeholders, the file a malformed-JSON error must name)
+EXIT_2_CASES = {
+    "search-truncated-data": ("search --space {space} --data {trunc_data} --out {out}", None),
+    "search-init-from-without-sidecar": (
+        "search --space {space} --data {data} --init-from {no_sidecar} --out {out}", None),
+    "search-malformed-space": ("search --space {bad_json} --data {data} --out {out}",
+                               "bad.json"),
+    "search-malformed-data-sidecar": (
+        "search --space {space} --data {bad_data_sidecar} --out {out}", "bad_data.json"),
+    "search-malformed-init-from-sidecar": (
+        "search --space {space} --data {data} --init-from {bad_arch_sidecar} --out {out}",
+        "bad_sidecar.arch.json"),
+    "derive-truncated-ckpt": ("derive --ckpt {trunc_ckpt} --space {space} --out {out}",
+                              None),
+    "derive-wrong-space": ("derive --ckpt {ckpt} --space {table1} --out {out}", None),
+    "derive-malformed-space": ("derive --ckpt {ckpt} --space {bad_json} --out {out}",
+                               "bad.json"),
+    "cost-truncated-ckpt": ("cost --space {space} --ckpt {trunc_ckpt}", None),
+    "cost-wrong-space": ("cost --space {table1} --ckpt {ckpt}", None),
+    "cost-malformed-arch": ("cost --space {space} --arch {bad_json}", "bad.json"),
+    "remap-truncated-src": ("remap --src {trunc_src} --dst-arch {target} --out {out}",
+                            None),
+    "remap-src-without-sidecar": ("remap --src {no_sidecar} --space {space} --out {out}",
+                                  None),
+    "remap-src-missing-tensor": (
+        "remap --src {missing_tensor} --dst-arch {target} --out {out}", None),
+    "remap-malformed-dst-arch": ("remap --src {source} --dst-arch {bad_json} --out {out}",
+                                 "bad.json"),
+    "remap-malformed-space": ("remap --src {source} --space {bad_json} --out {out}",
+                              "bad.json"),
+    "remap-malformed-src-sidecar": (
+        "remap --src {bad_arch_sidecar} --dst-arch {target} --out {out}",
+        "bad_sidecar.arch.json"),
+    "verify-truncated-src": ("verify --src {trunc_src} --dst-arch {target}", None),
+    "verify-src-without-sidecar": ("verify --src {no_sidecar} --dst-arch {target}", None),
+    "verify-src-missing-tensor": ("verify --src {missing_tensor} --dst-arch {target}",
+                                  None),
+    "verify-malformed-dst-arch": ("verify --src {source} --dst-arch {bad_json}",
+                                  "bad.json"),
+    "verify-malformed-src-sidecar": ("verify --src {bad_arch_sidecar} --dst-arch {target}",
+                                     "bad_sidecar.arch.json"),
+    "finetune-truncated-data": ("finetune --arch {arch} --data {trunc_data} --out {out}",
+                                None),
+    "finetune-params-missing-tensor": (
+        "finetune --arch {arch} --data {data} --params {missing_tensor} --out {out}", None),
+    "finetune-malformed-arch": ("finetune --arch {bad_json} --data {data} --out {out}",
+                                "bad.json"),
+    "finetune-malformed-data-sidecar": (
+        "finetune --arch {arch} --data {bad_data_sidecar} --out {out}", "bad_data.json"),
+    "e2e-malformed-space": ("e2e --space {bad_json} --out-dir {out}", "bad.json"),
+}
+
+
+class TestExit2Sweep:
+    """Every subcommand turns a broken input into exit 2 and one stderr line."""
+
+    @pytest.mark.parametrize("case", list(EXIT_2_CASES))
+    def test_broken_input(self, capsys, broken, space_path, case):
+        template, names = EXIT_2_CASES[case]
+        paths = {k: str(v) for k, v in broken.items()}
+        argv = template.format(space=space_path, table1=bundled_config_path("table1"),
+                               **paths).split()
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        if names:
+            assert f"{broken['out'].parent / names}:$" in err
+        assert not broken["out"].exists()
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_verify_without_samples(self, capsys, broken, samples):
+        out = broken["out"].parent / "verify.json"
+        code = main(["verify", "--src", str(broken["source"]), "--dst-arch",
+                     str(broken["target"]), "--samples", samples, "--out", str(out)])
+        assert_one_line_error(code, capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["nan", "-0.1"])
+    def test_search_rejects_lambda(self, capsys, broken, space_path, lam):
+        out = broken["out"].parent / "supernet.nat"
+        code = main(["search", "--space", space_path, "--data", str(broken["data"]),
+                     "--epochs", "1", "--warmup", "1", f"--lambda={lam}", "--out", str(out)])
+        assert_one_line_error(code, capsys.readouterr().err)
+        assert not out.exists()

@@ -6,10 +6,11 @@ and stays the oracle here. The fast paths sum in another order, so they
 agree with it to float32 rounding, not bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nasadapt.costmodel import CostConfig
 from nasadapt.errors import ContractError
 from nasadapt.numerics import Tensor, batch_norm, conv2d, count_madds, relu6
 from nasadapt.numerics import tensor as engine
@@ -181,12 +182,13 @@ def test_batch_norm_skips_only_unneeded_gradients(training):
     assert ggamma is None and gbeta is None and gx.tobytes() == full[0].tobytes()
 
 
-def test_batch_norm_one_pass_variance_is_numpys_two_pass_variance():
+def test_batch_norm_one_pass_variance_is_numpys_two_pass_variance(monkeypatch):
+    monkeypatch.setattr(engine, "BN_MOMENTUM", 1.0)  # running_var becomes the batch variance
     rng = np.random.default_rng(11)
     x = (rng.standard_normal((4, 5, 6, 7)) * 3 + 1).astype(np.float32)
     rm, rv = np.zeros(5, np.float32), np.zeros(5, np.float32)
     batch_norm(Tensor(x), Tensor(np.ones(5, np.float32)), Tensor(np.zeros(5, np.float32)),
-               rm, rv, training=True, momentum=1.0)
+               rm, rv, training=True)
     assert rv.tobytes() == x.var(axis=(0, 2, 3)).tobytes()
 
 
@@ -195,7 +197,7 @@ def _tiny_search_setup(seed=3):
     net = build_supernet(cfg, seed=seed)
     ds = generate(DatasetSpec(n_samples=16, seed=seed))
     head = ProxyHead(net.final_channels, ds.spec.n_classes, seed=seed)
-    schedule = SearchSchedule(total_epochs=1, warmup_epochs=0, batch_size=8, seed=seed)
+    schedule = SearchSchedule(total_epochs=1, warmup_epochs=0, seed=seed)
     return net, ds, head, schedule
 
 
@@ -213,7 +215,7 @@ def test_search_scopes_gradients_to_the_active_phase(monkeypatch):
         real_backward(loss)
 
     monkeypatch.setattr(searchloop, "backward", spy)
-    search(net, ds, schedule, CostConfig(lam=0.1), head=head)
+    search(net, ds, schedule, head=head)
     (w_in_w_step, arch_in_w_step), (w_in_arch_step, arch_in_arch_step) = scopes
     assert all(w_in_w_step) and not any(arch_in_w_step)
     assert not any(w_in_arch_step) and all(arch_in_arch_step)
@@ -225,5 +227,5 @@ def test_search_restores_requires_grad_after_a_failed_arch_step():
     params = net.weight_params() + head.params() + net.arch_params()
     with pytest.raises(ContractError, match="phase arch"):
         # an infinite cost weight makes the first arch-step loss non-finite
-        search(net, ds, schedule, CostConfig(lam=float("inf")), head=head)
+        search(net, ds, replace(schedule, lam=float("inf")), head=head)
     assert all(p.requires_grad for p in params)

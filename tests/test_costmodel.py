@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from nasadapt.costmodel import (
-    CostConfig,
     build_madds_table,
     expected_cost,
     madds_of_discrete,
@@ -39,7 +38,7 @@ def np_expected_cost(alpha_arrays, beta_arrays, table):
     total = float(table.stem_cost)
     for i, costs in enumerate(table.blocks):
         p_b = np_softmax64(beta_arrays[i])
-        per_c = np.zeros(len(costs.channel_cands))
+        per_c = np.zeros(costs.layer_costs[0].shape[0])
         for l, mat in enumerate(costs.layer_costs):
             p_a = np_softmax64(alpha_arrays[i][l])
             per_c += mat @ p_a
@@ -101,11 +100,12 @@ class TestMaddsOfOp:
 
 class TestTable:
     def test_entries_nonnegative_and_skip_free(self):
-        table = build_madds_table(load_bundled_config("desk3"))
-        for costs in table.blocks:
+        cfg = load_bundled_config("desk3")
+        table = build_madds_table(cfg)
+        for spec, costs in zip(cfg.blocks, table.blocks):
             for l, mat in enumerate(costs.layer_costs):
                 assert (mat >= 0).all()
-                for oi, op in enumerate(costs.op_cands[l]):
+                for oi, op in enumerate(op_candidates(spec, l + 1)):
                     if op.kind == "skip":
                         assert (mat[:, oi] == 0).all()
                     else:
@@ -138,11 +138,12 @@ class TestTable:
     def test_monotone_in_channels_table1(self):
         cfg = load_bundled_config("table1")
         table = build_madds_table(cfg)
-        costs = table.blocks[0]  # candidates 16..28
-        lo, hi = 0, len(costs.channel_cands) - 1
-        assert costs.channel_cands[lo] == 16 and costs.channel_cands[hi] == 28
+        costs = table.blocks[0]
+        cands = channel_candidates(cfg.blocks[0])
+        lo, hi = 0, len(cands) - 1
+        assert cands[lo] == 16 and cands[hi] == 28
         for l, mat in enumerate(costs.layer_costs):
-            for oi, op in enumerate(costs.op_cands[l]):
+            for oi, op in enumerate(op_candidates(cfg.blocks[0], l + 1)):
                 if op.kind == "mbconv":
                     assert mat[hi, oi] > mat[lo, oi]
 
@@ -230,11 +231,11 @@ class TestExpectedCost:
         rng = np.random.default_rng(6)
         lo = table.stem_cost + sum(
             min(sum(mat[ci, :].min() for mat in costs.layer_costs)
-                for ci in range(len(costs.channel_cands)))
+                for ci in range(costs.layer_costs[0].shape[0]))
             for costs in table.blocks)
         hi = table.stem_cost + sum(
             max(sum(mat[ci, :].max() for mat in costs.layer_costs)
-                for ci in range(len(costs.channel_cands)))
+                for ci in range(costs.layer_costs[0].shape[0]))
             for costs in table.blocks)
         for _ in range(20):
             alphas, betas = self._logit_tensors(cfg, rng=rng, scale=3.0)
@@ -266,12 +267,12 @@ class TestTotalLoss:
     def test_lambda_zero(self):
         model = Tensor(np.float32(1.25))
         cost = Tensor(np.float32(4000.0))
-        got = total_loss(model, cost, CostConfig(lam=0.0))
+        got = total_loss(model, cost, 0.0, 1.0)
         assert got.item() == pytest.approx(1.25)
 
     def test_zero_cost(self):
         model = Tensor(np.float32(0.5))
-        got = total_loss(model, Tensor(np.float32(0.0)), CostConfig(lam=1.0))
+        got = total_loss(model, Tensor(np.float32(0.0)), 1.0, 1.0)
         assert got.item() == pytest.approx(0.5)
 
     def test_gradient_linearity_in_beta(self):
@@ -284,17 +285,13 @@ class TestTotalLoss:
                          requires_grad=True) for s in cfg.blocks]
         backward(total_loss(Tensor(np.float32(2.0)),
                             expected_cost(alphas, beta_a, table),
-                            CostConfig(lam=lam, normalizer=norm)))
+                            lam, norm))
         beta_b = [Tensor(np.zeros(len(channel_candidates(s)), dtype=np.float32),
                          requires_grad=True) for s in cfg.blocks]
         backward(expected_cost(alphas, beta_b, table))
         for ga, gb in zip(beta_a, beta_b):
             np.testing.assert_allclose(ga.grad, gb.grad * np.float32(lam / norm),
                                        rtol=1e-5, atol=1e-9)
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ParameterError):
-            CostConfig(lam=-0.1)
 
 
 class TestDiscrete:

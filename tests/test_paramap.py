@@ -14,7 +14,7 @@ from nasadapt.derive import (
     default_source_architecture,
     instantiate,
 )
-from nasadapt.errors import ContractError, ParameterError
+from nasadapt.errors import ContractError, ParameterError, ParseError
 from nasadapt.numerics import Tensor
 from nasadapt.paramap import (
     ParameterBundle,
@@ -361,6 +361,14 @@ class TestFunctionPreservation:
         report = verify_function_preservation(src_net, dst_net, samples=4, tol=0.0)
         assert report["max_deviation"] == 0.0
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_no_samples_rejected(self, samples):
+        # a check over no inputs compares nothing, so it cannot pass
+        _, arch = source_bundle(desk_config())
+        net = instantiate(arch, seed=0)
+        with pytest.raises(ParameterError, match="samples"):
+            verify_function_preservation(net, net, samples=samples)
+
 
 @pytest.mark.parametrize("target", ["derived", "supernet"])
 @pytest.mark.parametrize("name, edit", [
@@ -394,6 +402,17 @@ class TestBundleIO:
         assert set(loaded.tensors) == set(bundle.tensors)
         for name in bundle.tensors:
             assert loaded.tensors[name].tobytes() == bundle.tensors[name].tobytes()
+
+    def test_malformed_sidecar_names_its_file(self, tmp_path):
+        cfg = desk_config()
+        bundle, _ = source_bundle(cfg)
+        path = tmp_path / "source.nat"
+        bundle.save(path)
+        sidecar = path.with_suffix(".arch.json")
+        sidecar.write_text('{"v": 1, "blocks": [')
+        with pytest.raises(ParseError, match="invalid JSON") as err:
+            ParameterBundle.load(path)
+        assert err.value.path == f"{sidecar}:$"
 
     def test_missing_arch_metadata(self, tmp_path):
         bundle = ParameterBundle(tensors={"x": np.ones(2, dtype=np.float32)}, arch=None)

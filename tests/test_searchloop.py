@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from nasadapt.costmodel import CostConfig
 from nasadapt.errors import ContractError, ParameterError
 from nasadapt.searchloop import (
     ARCH_LR,
+    SEARCH_BATCH_SIZE,
     W_LR,
     SearchSchedule,
     _check_finite,
@@ -23,9 +23,9 @@ def tiny_search(seed=0, total=2, warmup=1, lam=0.1, n_samples=48, mask_mode="non
     cfg = load_bundled_config("desk3")
     net = build_supernet(cfg, seed=seed, mask_mode=mask_mode)
     ds = generate(DatasetSpec(n_samples=n_samples, seed=seed))
-    schedule = SearchSchedule(total_epochs=total, warmup_epochs=warmup,
-                              batch_size=8, seed=seed)
-    return search(net, ds, schedule, CostConfig(lam=lam))
+    schedule = SearchSchedule(total_epochs=total, warmup_epochs=warmup, lam=lam,
+                              seed=seed)
+    return search(net, ds, schedule)
 
 
 class TestSplit:
@@ -56,9 +56,15 @@ class TestScheduleValidation:
         with pytest.raises(ParameterError):
             SearchSchedule(total_epochs=2, warmup_epochs=3)
 
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ParameterError):
+            SearchSchedule(lam=-0.1)
+        with pytest.raises(ParameterError):
+            SearchSchedule(lam=float("nan"))
+
     def test_defaults_mirror_published_schedule(self):
         s = SearchSchedule()
-        assert (s.total_epochs, s.warmup_epochs, s.batch_size) == (14, 8, 8)
+        assert (s.total_epochs, s.warmup_epochs, s.lam, SEARCH_BATCH_SIZE) == (14, 8, 0.1, 8)
         assert W_LR == pytest.approx(0.02)
         assert ARCH_LR == pytest.approx(3e-4)
 
@@ -69,8 +75,8 @@ class TestSearch:
         net = build_supernet(cfg, seed=1)
         before = [v.data.copy() for v in net.arch_params()]
         ds = generate(DatasetSpec(n_samples=32, seed=1))
-        schedule = SearchSchedule(total_epochs=2, warmup_epochs=2, batch_size=8, seed=1)
-        net, history = search(net, ds, schedule, CostConfig(lam=0.1))
+        schedule = SearchSchedule(total_epochs=2, warmup_epochs=2, seed=1)
+        net, history = search(net, ds, schedule)
         for old, new in zip(before, net.arch_params()):
             assert old.tobytes() == new.data.tobytes()
         assert all(r.phase == "w" for r in history.steps)
@@ -79,12 +85,12 @@ class TestSearch:
         cfg = load_bundled_config("desk3")
         net = build_supernet(cfg, seed=2)
         ds = generate(DatasetSpec(n_samples=32, seed=2))
-        schedule = SearchSchedule(total_epochs=2, warmup_epochs=1, batch_size=8, seed=2)
+        schedule = SearchSchedule(total_epochs=2, warmup_epochs=1, seed=2)
         w_names = [n for n, _ in net.named_weight_params()]
         state_names = [n for n, _ in net.named_state()]
 
         # wrap search manually: run warmup epoch, snapshot, then one arch epoch
-        net, history = search(net, ds, schedule, CostConfig(lam=0.1))
+        net, history = search(net, ds, schedule)
         phases = {r.phase for r in history.steps}
         assert phases == {"w", "arch"}
 
@@ -161,7 +167,7 @@ class TestSearch:
         cfg = load_bundled_config("desk3")
         net = build_supernet(cfg, seed=12)
         ds = generate(DatasetSpec(n_samples=96, seed=12))
-        net, history = search(net, ds, SearchSchedule(seed=12), CostConfig(lam=0.1))
+        net, history = search(net, ds, SearchSchedule(seed=12))
         first = [r.model_loss for r in history.steps if r.epoch == 1]
         last = [r.model_loss for r in history.steps
                 if r.epoch == 14 and r.phase == "w"]
@@ -180,9 +186,9 @@ class TestSearch:
             madds = {}
             for lam in (0.0, 10.0):
                 net = build_supernet(cfg, seed=seed)
-                schedule = SearchSchedule(total_epochs=4, warmup_epochs=2,
-                                          batch_size=8, seed=seed)
-                net, _ = search(net, ds, schedule, CostConfig(lam=lam))
+                schedule = SearchSchedule(total_epochs=4, warmup_epochs=2, lam=lam,
+                                          seed=seed)
+                net, _ = search(net, ds, schedule)
                 madds[lam] = madds_of_discrete(derive_architecture(net.alpha, net.beta, cfg), cfg)
             wins += madds[10.0] <= madds[0.0]
         assert wins >= 3, f"only {wins}/5 paired seeds"
