@@ -1,8 +1,8 @@
 """Command-line entry point wiring all stages together.
 
 Exit codes: 0 success, 1 usage error, 2 runtime failure. Every emitted
-JSON document uses sorted keys; nothing in the outputs depends on wall
-time, so fixed seeds give bit-identical files.
+JSON document is written by ``searchspace.write_json``; nothing in the
+outputs depends on wall time, so fixed seeds give bit-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ if _threads:
         os.environ.setdefault(_var, _threads)
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -44,7 +43,7 @@ from .paramap import (
     verify_function_preservation,
 )
 from .searchloop import SearchSchedule, history_to_csv, search
-from .searchspace import load_config
+from .searchspace import load_config, write_json
 from .seeding import seed_for
 from .supernet import build_supernet, load_logits
 from .toytask import (
@@ -62,14 +61,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _write_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if path:
-        Path(path).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
 
 
 def _cmd_gen_data(args) -> int:
@@ -128,7 +119,7 @@ def _cmd_cost(args) -> int:
             "per_block": [float(c.data)
                           for c in expected_cost_per_block(alpha, beta, table)],
         }
-    _write_json(doc, args.out)
+    write_json(doc, args.out)
     return 0
 
 
@@ -138,9 +129,9 @@ def _usage_error(message: str) -> int:
 
 
 def _cmd_remap(args) -> int:
-    source = ParameterBundle.load(args.src)
     if (args.dst_arch is None) == (args.space is None):
         raise SystemExit(_usage_error("remap requires exactly one of --dst-arch or --space"))
+    source = ParameterBundle.load(args.src)
     if args.dst_arch:
         target = load_arch(args.dst_arch)
         bundle, report = map_to_derived(source, target, eps=args.eps,
@@ -150,7 +141,7 @@ def _cmd_remap(args) -> int:
                                          seed=seed_for(args.seed, "noise"))
     bundle.save(args.out)
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+        report.save(args.report)
     return 0
 
 
@@ -162,7 +153,7 @@ def _cmd_verify(args) -> int:
     dst_net = instantiate(target_arch, arrays=mapped.tensors)
     report = verify_function_preservation(src_net, dst_net, samples=args.samples,
                                           tol=args.tol, seed=args.seed)
-    _write_json(report, args.out)
+    write_json(report, args.out)
     return 0 if report["passed"] else 2
 
 
@@ -178,8 +169,8 @@ def _cmd_finetune(args) -> int:
             "epoch,loss\n" + "".join(f"{i + 1},{repr(v)}\n" for i, v in enumerate(curve)),
             encoding="utf-8")
     accuracy = evaluate_accuracy(arch, bundle, dataset)
-    _write_json({"final_loss": curve[-1] if curve else None,
-                 "train_accuracy": accuracy, "epochs": args.epochs}, None)
+    write_json({"final_loss": curve[-1] if curve else None,
+                "train_accuracy": accuracy, "epochs": args.epochs}, None)
     return 0
 
 
@@ -223,7 +214,7 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
 
     mapped, report = map_to_derived(source_bundle, arch, eps=eps,
                                     seed=seed_for(seed, "noise"))
-    (out / "remap_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    report.save(out / "remap_report.json")
     final_bundle, curve = finetune(arch, mapped, dataset, epochs=finetune_epochs,
                                    seed=seed_for(seed, "finetune"))
     final_bundle.save(out / "derived.nat")
@@ -242,8 +233,7 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
         "lambda": lam,
         "meta": {"version": __version__},
     }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_json(summary, out / "summary.json")
     return summary
 
 
@@ -253,7 +243,7 @@ def _cmd_e2e(args) -> int:
                          lam=getattr(args, "lambda"), pretrain_epochs=args.pretrain_epochs,
                          finetune_epochs=args.finetune_epochs, eps=args.eps,
                          mask_mode=args.mask_mode)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    write_json(summary, None)
     return 0
 
 

@@ -10,8 +10,7 @@ empty: first layers carry no skip candidate.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,9 +20,16 @@ from .numerics import Tensor
 from .searchspace import (
     SearchSpaceConfig,
     StemSpec,
+    _bounded,
+    _positive,
     _require,
+    _resolution,
     channel_candidates,
+    json_text,
     op_candidates,
+    parse_json,
+    read_json,
+    write_json,
 )
 
 ARCH_SCHEMA_VERSION = 1
@@ -95,54 +101,25 @@ def default_source_architecture(config: SearchSpaceConfig) -> DiscreteArchitectu
                                 stem=config.stem, blocks=tuple(blocks))
 
 
-def arch_to_json(arch: DiscreteArchitecture) -> str:
-    doc = {
+def arch_to_doc(arch: DiscreteArchitecture) -> dict:
+    return {
         "v": ARCH_SCHEMA_VERSION,
         "input_resolution": list(arch.input_resolution),
-        "stem": {
-            "conv_channels": arch.stem.conv_channels,
-            "mbconv_channels": arch.stem.mbconv_channels,
-        },
-        "blocks": [
-            {
-                "channels": b.channels,
-                "ops": [
-                    {"kind": "mbconv", "kernel": op.kernel,
-                     "expansion": op.expansion, "stride": op.stride}
-                    for op in b.ops
-                ],
-            }
-            for b in arch.blocks
-        ],
+        "stem": asdict(arch.stem),
+        "blocks": [{"channels": b.channels,
+                    "ops": [{"kind": "mbconv", **asdict(op)} for op in b.ops]}
+                   for b in arch.blocks],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _bounded(obj, key, path, ok, what):
-    """An integer field that must satisfy ``ok``; ``what`` names the bound."""
-    value = _require(obj, key, path, int, "an integer")
-    if not ok(value):
-        raise ParseError(f"{path}.{key}", f"must be {what}, got {value}")
-    return value
+def arch_to_json(arch: DiscreteArchitecture) -> str:
+    return json_text(arch_to_doc(arch))
 
 
-def _positive(obj, key, path):
-    return _bounded(obj, key, path, lambda v: v >= 1, ">= 1")
-
-
-def arch_from_json(text: str) -> DiscreteArchitecture:
-    """Parse and validate an architecture document (docs/arch.schema.json)."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("$", f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError("$", "expected a JSON object")
-    if _require(raw, "v", "$", int, "an integer") != ARCH_SCHEMA_VERSION:
-        raise ParseError("$.v", f"unsupported architecture schema version {raw['v']}")
-    res = _require(raw, "input_resolution", "$", list, "a list")
-    if len(res) != 2 or not all(type(v) is int and v > 0 for v in res):
-        raise ParseError("$.input_resolution", f"expected [H, W] positives, got {res}")
+def arch_from_doc(raw: dict) -> DiscreteArchitecture:
+    """Validate a decoded architecture document (docs/arch.schema.json)."""
+    _bounded(raw, "v", "$", lambda v: v == ARCH_SCHEMA_VERSION, f"version {ARCH_SCHEMA_VERSION}")
+    resolution = _resolution(raw, "input_resolution", "$")
     stem_raw = _require(raw, "stem", "$", dict, "an object")
     stem = StemSpec(
         conv_channels=_positive(stem_raw, "conv_channels", "$.stem"),
@@ -153,7 +130,7 @@ def arch_from_json(text: str) -> DiscreteArchitecture:
         raise ParseError("$.blocks", "at least one block is required")
     blocks = []
     for i, braw in enumerate(blocks_raw):
-        path = f"blocks[{i}]"
+        path = f"$.blocks[{i}]"
         channels = _positive(braw, "channels", path)
         ops_raw = _require(braw, "ops", path, list, "a list")
         if not ops_raw:
@@ -171,23 +148,20 @@ def arch_from_json(text: str) -> DiscreteArchitecture:
                 stride=_bounded(oraw, "stride", opath, lambda v: v in (1, 2), "1 or 2"),
             ))
         blocks.append(DerivedBlock(channels=channels, ops=tuple(ops)))
-    return DiscreteArchitecture(input_resolution=(res[0], res[1]), stem=stem,
-                                blocks=tuple(blocks))
+    return DiscreteArchitecture(input_resolution=resolution, stem=stem, blocks=tuple(blocks))
+
+
+def arch_from_json(text: str) -> DiscreteArchitecture:
+    """Parse and validate an architecture document."""
+    return arch_from_doc(parse_json(text))
 
 
 def save_arch(arch: DiscreteArchitecture, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(arch_to_json(arch))
-        f.write("\n")
+    write_json(arch_to_doc(arch), path)
 
 
 def load_arch(path) -> DiscreteArchitecture:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    try:
-        return arch_from_json(text)
-    except ParseError as exc:
-        raise exc.in_file(path) from None
+    return read_json(path, arch_from_doc)
 
 
 class DiscreteNetwork:

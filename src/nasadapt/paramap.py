@@ -20,7 +20,6 @@ noise afterwards so gradients can reach them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -30,8 +29,8 @@ import numpy as np
 from .derive import (
     DiscreteArchitecture,
     DiscreteNetwork,
-    arch_from_json,
-    arch_to_json,
+    arch_from_doc,
+    arch_to_doc,
     instantiate,
     load_arch,
 )
@@ -39,7 +38,13 @@ from .errors import ContractError, ParameterError
 from .numerics import Tensor, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
-from .searchspace import SearchSpaceConfig, StemSpec, channel_candidates, op_candidates
+from .searchspace import (
+    SearchSpaceConfig,
+    StemSpec,
+    channel_candidates,
+    op_candidates,
+    write_json,
+)
 from .supernet import logit_lengths
 
 RULE_DIRECT = "direct"
@@ -63,23 +68,20 @@ class ParameterBundle:
         path = Path(path)
         save_tensors(path, self.tensors)
         if self.arch is not None:
-            path.with_suffix(".arch.json").write_text(
-                json.dumps(self.arch, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
+            write_json(self.arch, path.with_suffix(".arch.json"))
 
     @classmethod
     def load(cls, path) -> "ParameterBundle":
-        path = Path(path)
         tensors = load_tensors(path)
-        sidecar = path.with_suffix(".arch.json")
-        arch = json.loads(arch_to_json(load_arch(sidecar))) if sidecar.exists() else None
+        sidecar = Path(path).with_suffix(".arch.json")
+        arch = arch_to_doc(load_arch(sidecar)) if sidecar.exists() else None
         return cls(tensors=tensors, arch=arch)
 
     def architecture(self) -> DiscreteArchitecture:
         if self.arch is None:
             raise ContractError("bundle carries no architecture: its .arch.json sidecar "
                                 "is missing")
-        return arch_from_json(json.dumps(self.arch))
+        return arch_from_doc(self.arch)
 
 
 @dataclass
@@ -108,15 +110,14 @@ class MappingReport:
             zero_count=int(zero_mask.sum()))
         self.zero_masks[target] = zero_mask
 
-    def to_json(self) -> str:
-        doc = {
+    def save(self, path) -> None:
+        write_json({
             "entries": [
                 {"target": e.target, "source": e.source, "rules": list(e.rules),
                  "zero_count": e.zero_count, "noised": e.noised}
                 for e in self.entries.values()
             ]
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        }, path)
 
 
 def map_kernel(weight: np.ndarray, target_k: int) -> tuple[np.ndarray, np.ndarray, str | None]:
@@ -303,8 +304,8 @@ def add_mapping_noise(bundle_tensors: dict[str, np.ndarray], report: MappingRepo
     is the only reason the noise exists. eps = 0 leaves everything
     bit-identical.
     """
-    if eps < 0:
-        raise ParameterError(f"eps must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise ParameterError(f"eps must be finite and >= 0, got {eps}")
     if eps == 0:
         return
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -327,7 +328,7 @@ def map_to_derived(source: ParameterBundle, arch: DiscreteArchitecture,
     blocks = [[[(f"block{i}/layer{l}", dims)] for l, dims in enumerate(_layer_dims(arch, i))]
               for i in range(len(arch.blocks))]
     tensors, report = _map(source, arch.stem, blocks, eps, seed)
-    return ParameterBundle(tensors=tensors, arch=json.loads(arch_to_json(arch))), report
+    return ParameterBundle(tensors=tensors, arch=arch_to_doc(arch)), report
 
 
 def map_to_supernet(source: ParameterBundle, config: SearchSpaceConfig,
@@ -369,6 +370,8 @@ def verify_function_preservation(source_net: DiscreteNetwork,
     """
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
+    if not tol >= 0:
+        raise ParameterError(f"tol must be >= 0, got {tol}")
     if len(source_net.blocks) != len(mapped_net.blocks):
         raise ContractError("networks have different block counts")
     h, w = source_net.arch.input_resolution

@@ -7,13 +7,17 @@ enumeration is deterministic and sorted so that architecture-logit
 indices stay stable across runs and checkpoints: channel candidates
 ascending, operation candidates in (kernel, expansion) lexical order
 with the skip connection last.
+
+The module also holds the JSON codec of every document the package reads
+or writes: one format, one file reader, field errors at ``$``-rooted paths.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
+from pathlib import Path
 
 from .errors import ParameterError, ParseError
 
@@ -90,6 +94,38 @@ def op_candidates(spec: BlockSpec, layer: int) -> list[OpCandidate]:
     return cands
 
 
+def json_text(doc) -> str:
+    """The one document format: sorted keys, 2-space indent."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` and a newline to ``path``, or print it when ``path`` is None."""
+    if path is None:
+        print(json_text(doc))
+    else:
+        Path(path).write_text(json_text(doc) + "\n", encoding="utf-8")
+
+
+def parse_json(text: str | bytes) -> dict:
+    """Decode a document whose top level must be a JSON object."""
+    try:
+        raw = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError("$", f"invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ParseError("$", f"expected a JSON object, got {type(raw).__name__}")
+    return raw
+
+
+def read_json(path, from_doc):
+    """``from_doc`` of the document in file ``path``; errors name the file."""
+    try:
+        return from_doc(parse_json(Path(path).read_bytes()))
+    except ParseError as exc:
+        raise exc.in_file(path) from None
+
+
 def _require(obj, key, path, types, type_name):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{path}.{key}", "missing required field")
@@ -99,6 +135,25 @@ def _require(obj, key, path, types, type_name):
     return value
 
 
+def _bounded(obj, key, path, ok, what):
+    """An integer field that must satisfy ``ok``; ``what`` names the bound."""
+    value = _require(obj, key, path, int, "an integer")
+    if not ok(value):
+        raise ParseError(f"{path}.{key}", f"must be {what}, got {value}")
+    return value
+
+
+def _positive(obj, key, path):
+    return _bounded(obj, key, path, lambda v: v >= 1, ">= 1")
+
+
+def _resolution(obj, key, path) -> tuple[int, int]:
+    value = _require(obj, key, path, list, "a list")
+    if len(value) != 2 or not all(type(v) is int and v >= 1 for v in value):
+        raise ParseError(f"{path}.{key}", f"expected [H, W] positives, got {value}")
+    return value[0], value[1]
+
+
 def _int_list(obj, key, path):
     value = _require(obj, key, path, list, "a list of integers")
     if not value or not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
@@ -106,26 +161,23 @@ def _int_list(obj, key, path):
     return value
 
 
+def _ascending(obj, key, path, ok, what):
+    """A strictly increasing list of integers, each satisfying ``ok``."""
+    values = _int_list(obj, key, path)
+    if values != sorted(set(values)):
+        raise ParseError(f"{path}.{key}", f"must be strictly increasing, got {values}")
+    for v in values:
+        if not ok(v):
+            raise ParseError(f"{path}.{key}", f"entries must be {what}, got {v}")
+    return tuple(values)
+
+
 def _parse_block(raw, index: int) -> BlockSpec:
-    path = f"blocks[{index}]"
-    n_max = _require(raw, "n_max", path, int, "an integer")
-    if n_max < 1:
-        raise ParseError(f"{path}.n_max", f"must be >= 1, got {n_max}")
-    stride = _require(raw, "stride", path, int, "an integer")
-    if stride not in (1, 2):
-        raise ParseError(f"{path}.stride", f"must be 1 or 2, got {stride}")
-    kernels = _int_list(raw, "kernels", path)
-    if sorted(set(kernels)) != sorted(kernels):
-        raise ParseError(f"{path}.kernels", f"must be strictly increasing, got {kernels}")
-    for k in kernels:
-        if k < 1 or k % 2 == 0:
-            raise ParseError(f"{path}.kernels", f"kernel sizes must be odd positives, got {k}")
-    expansions = _int_list(raw, "expansions", path)
-    if sorted(set(expansions)) != sorted(expansions):
-        raise ParseError(f"{path}.expansions", f"must be strictly increasing, got {expansions}")
-    for e in expansions:
-        if e < 1:
-            raise ParseError(f"{path}.expansions", f"expansion factors must be >= 1, got {e}")
+    path = f"$.blocks[{index}]"
+    n_max = _positive(raw, "n_max", path)
+    stride = _bounded(raw, "stride", path, lambda v: v in (1, 2), "1 or 2")
+    kernels = _ascending(raw, "kernels", path, lambda v: v >= 1 and v % 2 == 1, "odd and >= 1")
+    expansions = _ascending(raw, "expansions", path, lambda v: v >= 1, ">= 1")
     channels = _int_list(raw, "channels", path)
     if len(channels) != 3:
         raise ParseError(f"{path}.channels", f"expected [min, max, step], got {channels}")
@@ -138,51 +190,35 @@ def _parse_block(raw, index: int) -> BlockSpec:
         raise ParseError(f"{path}.channels",
                          f"step {step} does not divide range {hi - lo}")
     return BlockSpec(index=index, n_max=n_max, stride=stride,
-                     kernels=tuple(kernels), expansions=tuple(expansions),
+                     kernels=kernels, expansions=expansions,
                      channel_range=(lo, hi, step))
 
 
-def parse_config(text: str) -> SearchSpaceConfig:
-    """Parse and validate a search-space JSON document."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("$", f"invalid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ParseError("$", f"expected a JSON object, got {type(raw).__name__}")
-    version = _require(raw, "v", "$", int, "an integer")
-    if version != SCHEMA_VERSION:
-        raise ParseError("$.v", f"unsupported schema version {version}")
-    res = _int_list(raw, "input_resolution", "$")
-    if len(res) != 2 or min(res) < 1:
-        raise ParseError("$.input_resolution", f"expected [H, W] positives, got {res}")
-    stem_raw = raw.get("stem", {})
-    if not isinstance(stem_raw, dict):
-        raise ParseError("$.stem", f"expected an object, got {stem_raw!r}")
-    stem = StemSpec(
-        conv_channels=stem_raw.get("conv_channels", DEFAULT_STEM_CONV_CHANNELS),
-        mbconv_channels=stem_raw.get("mbconv_channels", DEFAULT_STEM_MBCONV_CHANNELS),
-    )
-    for name, value in (("conv_channels", stem.conv_channels),
-                        ("mbconv_channels", stem.mbconv_channels)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ParseError(f"$.stem.{name}", f"expected a positive integer, got {value!r}")
+def _config_from_doc(raw: dict) -> SearchSpaceConfig:
+    _bounded(raw, "v", "$", lambda v: v == SCHEMA_VERSION, f"version {SCHEMA_VERSION}")
+    resolution = _resolution(raw, "input_resolution", "$")
+    # a space may leave out the stem or either width; StemSpec has the defaults
+    stem_raw = _require(raw, "stem", "$", dict, "an object") if "stem" in raw else {}
+    stem = StemSpec(**{name: _positive(stem_raw, name, "$.stem")
+                       for name in ("conv_channels", "mbconv_channels") if name in stem_raw})
     blocks_raw = _require(raw, "blocks", "$", list, "a list")
     if not blocks_raw:
         raise ParseError("$.blocks", "at least one searchable block is required")
     blocks = tuple(_parse_block(b, i) for i, b in enumerate(blocks_raw))
-    return SearchSpaceConfig(input_resolution=(res[0], res[1]), stem=stem, blocks=blocks)
+    return SearchSpaceConfig(input_resolution=resolution, stem=stem, blocks=blocks)
+
+
+def parse_config(text: str) -> SearchSpaceConfig:
+    """Parse and validate a search-space JSON document."""
+    return _config_from_doc(parse_json(text))
 
 
 def serialize_config(config: SearchSpaceConfig) -> str:
     """Emit a JSON document that parses back to an equal config."""
-    doc = {
+    return json_text({
         "v": SCHEMA_VERSION,
         "input_resolution": list(config.input_resolution),
-        "stem": {
-            "conv_channels": config.stem.conv_channels,
-            "mbconv_channels": config.stem.mbconv_channels,
-        },
+        "stem": asdict(config.stem),
         "blocks": [
             {
                 "n_max": b.n_max,
@@ -193,17 +229,11 @@ def serialize_config(config: SearchSpaceConfig) -> str:
             }
             for b in config.blocks
         ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    })
 
 
 def load_config(path) -> SearchSpaceConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    try:
-        return parse_config(text)
-    except ParseError as exc:
-        raise exc.in_file(path) from None
+    return read_json(path, _config_from_doc)
 
 
 def bundled_config_path(name: str):

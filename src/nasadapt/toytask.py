@@ -8,20 +8,19 @@ the PRNG (PCG64) and draw order are documented in docs/determinism.md.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .derive import DiscreteArchitecture, arch_to_json, instantiate
-from .errors import ContractError, ParameterError, ParseError
+from .derive import DiscreteArchitecture, arch_to_doc, instantiate
+from .errors import ContractError, ParameterError
 from .layers import TensorSource, trunc_normal, zeros
 from .numerics import SGD, Tensor, backward, cross_entropy, matmul, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
 from .paramap import ParameterBundle
-from .searchspace import _require
+from .searchspace import _require, _resolution, read_json, write_json
 
 SHAPE_NAMES = ("disk", "square", "plus", "cross", "ring", "diamond")
 SCALE_FRACTIONS = (0.20, 0.28, 0.36)
@@ -114,41 +113,37 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
         "images": dataset.images,
         "labels": dataset.labels.astype(DTYPE),
     })
-    sidecar = {
+    write_json({
         "n_samples": dataset.spec.n_samples,
         "resolution": list(dataset.spec.resolution),
         "n_classes": dataset.spec.n_classes,
         "seed": dataset.spec.seed,
-    }
-    path.with_suffix(".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    }, path.with_suffix(".json"))
+
+
+def _spec_from_doc(raw: dict) -> DatasetSpec:
+    return DatasetSpec(n_samples=_require(raw, "n_samples", "$", int, "an integer"),
+                       resolution=_resolution(raw, "resolution", "$"),
+                       n_classes=_require(raw, "n_classes", "$", int, "an integer"),
+                       seed=_require(raw, "seed", "$", int, "an integer"))
 
 
 def load_dataset(path) -> SyntheticDataset:
     """Read a dataset container; its JSON sidecar must describe the arrays."""
     path = Path(path)
     arrays = load_tensors(path)
-    sidecar = path.with_suffix(".json")
-    where = f"{sidecar}:$"
-    try:
-        raw = json.loads(sidecar.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(where, f"invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ParseError(where, f"expected a JSON object, got {type(raw).__name__}")
-    resolution = _require(raw, "resolution", where, list, "a list")
-    if len(resolution) != 2 or not all(type(v) is int and v > 0 for v in resolution):
-        raise ParseError(f"{where}.resolution", f"expected [H, W] positives, got {resolution}")
-    spec = DatasetSpec(n_samples=_require(raw, "n_samples", where, int, "an integer"),
-                       resolution=tuple(resolution),
-                       n_classes=_require(raw, "n_classes", where, int, "an integer"),
-                       seed=_require(raw, "seed", where, int, "an integer"))
+    spec = read_json(path.with_suffix(".json"), _spec_from_doc)
     for name, shape in (("images", (spec.n_samples, 3, *spec.resolution)),
                         ("labels", (spec.n_samples,))):
         got = arrays[name].shape if name in arrays else None
         if got != shape:
             raise ContractError(f"{path}: '{name}' has shape {got}, its sidecar implies {shape}")
-    return SyntheticDataset(spec, arrays["images"], arrays["labels"].astype(np.int64))
+    labels = arrays["labels"]
+    bad = labels[(labels != np.round(labels)) | (labels < 0) | (labels >= spec.n_classes)]
+    if bad.size:
+        raise ContractError(f"{path}: 'labels' must be integers in [0, {spec.n_classes}), "
+                            f"got {bad[0]}")
+    return SyntheticDataset(spec, arrays["images"], labels.astype(np.int64))
 
 
 class ProxyHead:
@@ -224,7 +219,7 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
             curve.append(float(np.mean(epoch_losses)))
     arrays = net.to_arrays() | head.to_arrays()
     bundle = ParameterBundle(tensors={k: v.copy() for k, v in arrays.items()},
-                             arch=json.loads(arch_to_json(arch)))
+                             arch=arch_to_doc(arch))
     return bundle, curve
 
 

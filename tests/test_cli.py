@@ -398,7 +398,7 @@ class TestDeterminism:
 
 
 @pytest.fixture(scope="module")
-def broken(artifacts, from_arrays_inputs):
+def broken(artifacts, from_arrays_inputs, space_path):
     """Valid inputs plus one broken variant of each kind a command reads."""
     root = artifacts["root"] / "broken"
     root.mkdir()
@@ -420,6 +420,7 @@ def broken(artifacts, from_arrays_inputs):
         "no_sidecar": copy(source, "no_sidecar.nat"),
         "missing_tensor": root / "missing_tensor.nat",
         "bad_json": root / "bad.json",
+        "bad_utf8": root / "bad_utf8.json",
         "bad_data_sidecar": copy(artifacts["data"], "bad_data.nat"),
         "bad_arch_sidecar": copy(source, "bad_sidecar.nat"),
     }
@@ -430,8 +431,33 @@ def broken(artifacts, from_arrays_inputs):
     save_tensors(paths["missing_tensor"], tensors)
     copy(sidecar, "missing_tensor.arch.json")
     paths["bad_json"].write_text(malformed)
+    paths["bad_utf8"].write_bytes(b'{"v": 1, "name": "\xff"}')
     (root / "bad_data.json").write_text(malformed)
     (root / "bad_sidecar.arch.json").write_text(malformed)
+
+    def edited(src, name, edit):
+        doc = json.loads(src.read_text())
+        edit(doc)
+        (root / name).write_text(json.dumps(doc))
+        return root / name
+
+    # one field out of range in each kind of document
+    paths["bad_space"] = edited(Path(space_path), "bad_space.json",
+                                lambda d: d["blocks"][0].update(stride=3))
+    paths["bad_arch"] = edited(artifacts["arch"], "bad_arch.json",
+                               lambda d: d["blocks"][0]["ops"][0].update(expansion=0))
+    paths["bad_res_data"] = copy(artifacts["data"], "bad_res.nat")
+    edited(artifacts["data"].with_suffix(".json"), "bad_res.json",
+           lambda d: d.update(resolution=[0, 32]))
+    paths["bad_kernel_src"] = copy(source, "bad_kernel.nat")
+    edited(sidecar, "bad_kernel.arch.json",
+           lambda d: d["blocks"][0]["ops"][0].update(kernel=4))
+    # labels that are no class index: 2.5 and 1.9 would train as classes 2 and 1
+    tensors = load_tensors(artifacts["data"])
+    tensors["labels"][:2] = [2.5, 1.9]
+    paths["bad_labels"] = root / "bad_labels.nat"
+    save_tensors(paths["bad_labels"], tensors)
+    copy(artifacts["data"].with_suffix(".json"), "bad_labels.json")
     paths["out"] = root / "out"
     return paths
 
@@ -453,6 +479,8 @@ EXIT_2_CASES = {
     "derive-wrong-space": ("derive --ckpt {ckpt} --space {table1} --out {out}", None),
     "derive-malformed-space": ("derive --ckpt {ckpt} --space {bad_json} --out {out}",
                                "bad.json"),
+    "derive-non-utf8-space": ("derive --ckpt {ckpt} --space {bad_utf8} --out {out}",
+                              "bad_utf8.json"),
     "cost-truncated-ckpt": ("cost --space {space} --ckpt {trunc_ckpt}", None),
     "cost-wrong-space": ("cost --space {table1} --ckpt {ckpt}", None),
     "cost-malformed-arch": ("cost --space {space} --arch {bad_json}", "bad.json"),
@@ -486,6 +514,28 @@ EXIT_2_CASES = {
     "finetune-malformed-data-sidecar": (
         "finetune --arch {arch} --data {bad_data_sidecar} --out {out}", "bad_data.json"),
     "e2e-malformed-space": ("e2e --space {bad_json} --out-dir {out}", "bad.json"),
+    "finetune-fractional-labels": ("finetune --arch {arch} --data {bad_labels} --out {out}",
+                                   None),
+}
+
+# (command line, the file and the $-rooted field path its error must name)
+FIELD_CASES = {
+    "cost-space-stride": ("cost --space {bad_space} --arch {arch}",
+                          "bad_space.json", "$.blocks[0].stride"),
+    "search-space-stride": ("search --space {bad_space} --data {data} --out {out}",
+                            "bad_space.json", "$.blocks[0].stride"),
+    "cost-arch-expansion": ("cost --space {space} --arch {bad_arch}",
+                            "bad_arch.json", "$.blocks[0].ops[0].expansion"),
+    "finetune-arch-expansion": ("finetune --arch {bad_arch} --data {data} --out {out}",
+                                "bad_arch.json", "$.blocks[0].ops[0].expansion"),
+    "finetune-data-resolution": ("finetune --arch {arch} --data {bad_res_data} --out {out}",
+                                 "bad_res.json", "$.resolution"),
+    "search-data-resolution": ("search --space {space} --data {bad_res_data} --out {out}",
+                               "bad_res.json", "$.resolution"),
+    "remap-src-kernel": ("remap --src {bad_kernel_src} --dst-arch {target} --out {out}",
+                         "bad_kernel.arch.json", "$.blocks[0].ops[0].kernel"),
+    "verify-src-kernel": ("verify --src {bad_kernel_src} --dst-arch {target}",
+                          "bad_kernel.arch.json", "$.blocks[0].ops[0].kernel"),
 }
 
 
@@ -505,12 +555,58 @@ class TestExit2Sweep:
             assert f"{broken['out'].parent / names}:$" in err
         assert not broken["out"].exists()
 
+    @pytest.mark.parametrize("case", list(FIELD_CASES))
+    def test_malformed_field(self, capsys, broken, space_path, case):
+        template, name, field = FIELD_CASES[case]
+        paths = {k: str(v) for k, v in broken.items()}
+        code = main(template.format(space=space_path, **paths).split())
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert f"nasadapt: error: {broken['out'].parent / name}:{field}: " in err
+        assert not broken["out"].exists()
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_verify_without_samples(self, capsys, broken, samples):
         out = broken["out"].parent / "verify.json"
         code = main(["verify", "--src", str(broken["source"]), "--dst-arch",
                      str(broken["target"]), "--samples", samples, "--out", str(out)])
         assert_one_line_error(code, capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_verify_rejects_tol(self, capsys, broken, tol):
+        out = broken["out"].parent / "verify.json"
+        code = main(["verify", "--src", str(broken["source"]), "--dst-arch",
+                     str(broken["target"]), f"--tol={tol}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert "tol must be >= 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    def test_remap_rejects_eps(self, capsys, broken, space_path, eps):
+        out = broken["out"].parent / "remapped.nat"
+        code = main(["remap", "--src", str(broken["source"]), "--space", space_path,
+                     f"--eps={eps}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert "eps must be finite and >= 0" in err
+        assert not out.exists()
+
+    def test_search_init_from_rejects_nan_eps(self, capsys, broken, space_path):
+        out = broken["out"].parent / "supernet.nat"
+        code = main(["search", "--space", space_path, "--data", str(broken["data"]),
+                     "--init-from", str(broken["source"]), "--eps", "nan",
+                     "--out", str(out)])
+        assert_one_line_error(code, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_remap_usage_checked_before_source(self, capsys, broken):
+        # neither --dst-arch nor --space: a usage error, whatever the source holds
+        out = broken["out"].parent / "remapped.nat"
+        code = main(["remap", "--src", str(broken["trunc_src"]), "--out", str(out)])
+        assert code == 1
+        assert "exactly one of --dst-arch or --space" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("lam", ["nan", "-0.1"])

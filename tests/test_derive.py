@@ -157,7 +157,8 @@ class TestArchJson:
         obj[key] = value
         with pytest.raises(ParseError) as err:
             arch_from_json(_json.dumps(doc))
-        assert err.value.path == path
+        # the error path is the case's path, rooted at $
+        assert err.value.path == "$." + path.removeprefix("$.")
         assert f"got {value}" in str(err.value)
 
 

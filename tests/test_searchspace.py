@@ -75,6 +75,14 @@ class TestParse:
         with pytest.raises(ParseError, match="odd"):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("key, values", [("kernels", [5, 3]), ("expansions", [6, 3]),
+                                             ("kernels", [3, 3])])
+    def test_candidates_strictly_increasing(self, key, values):
+        doc = minimal_doc()
+        doc["blocks"][0][key] = values
+        with pytest.raises(ParseError, match=rf"\$\.blocks\[0\]\.{key}: must be strictly"):
+            parse_config(json.dumps(doc))
+
     def test_version_checked(self):
         with pytest.raises(ParseError, match=r"\$\.v"):
             parse_config(json.dumps(minimal_doc(v=2)))
