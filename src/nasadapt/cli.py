@@ -38,6 +38,7 @@ from .derive import (
 from .errors import NasAdaptError
 from .paramap import (
     ParameterBundle,
+    check_eps,
     map_to_derived,
     map_to_supernet,
     verify_function_preservation,
@@ -45,9 +46,10 @@ from .paramap import (
 from .searchloop import SearchSchedule, history_to_csv, search
 from .searchspace import load_config, write_json
 from .seeding import seed_for
-from .supernet import build_supernet, load_logits
+from .supernet import build_supernet, check_mask_mode, load_logits
 from .toytask import (
     DatasetSpec,
+    check_epochs,
     evaluate_accuracy,
     finetune,
     generate,
@@ -180,14 +182,20 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
                mask_mode: str = "non_overlapping") -> dict:
     """Generate data, pretrain a source, map, search, derive, remap, fine-tune.
 
-    Returns the summary document; all artifacts land in ``out_dir``.
+    Every argument is checked before anything is written. Returns the
+    summary document; all artifacts land in ``out_dir``.
     """
     config = load_config(space_path)
+    schedule = SearchSchedule(total_epochs=epochs, warmup_epochs=warmup, lam=lam,
+                              seed=seed)
+    check_eps(eps)
+    check_epochs(pretrain_epochs, "pretrain epochs")
+    check_epochs(finetune_epochs, "finetune epochs")
+    check_mask_mode(mask_mode)
+    dataset = generate(DatasetSpec(n_samples=samples, seed=seed_for(seed, "data")))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
     data_path = out / "data.nat"
-    dataset = generate(DatasetSpec(n_samples=samples, seed=seed_for(seed, "data")))
     save_dataset(dataset, data_path)
 
     source_arch = default_source_architecture(config)
@@ -200,8 +208,6 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
 
     mapped, _ = map_to_supernet(source_bundle, config, eps=eps, seed=seed_for(seed, "noise"))
     net = build_supernet(config, mask_mode=mask_mode, arrays=mapped.tensors)
-    schedule = SearchSchedule(total_epochs=epochs, warmup_epochs=warmup, lam=lam,
-                              seed=seed)
     net, history = search(net, dataset, schedule)
     net.save(out / "supernet.nat")
     history_path = out / "history.csv"

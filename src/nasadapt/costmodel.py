@@ -13,8 +13,9 @@ cost exactly. Consequence: a discrete cost can exceed the deployed
 network's true count when the previous block chose a non-maximal width;
 the two agree exactly when every block picks its maximum candidate.
 
-Normalization, activations, and elementwise adds are excluded from all
-counts; a skip connection costs zero.
+Every count sums :func:`conv_madds` over the stage list the networks are
+built from, each stage at its output size. Normalization, activations and
+elementwise adds are excluded; a skip (an empty stage list) costs zero.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .derive import DiscreteArchitecture
 from .errors import ContractError, ParameterError
+from .layers import ConvStage, mbconv_stages, stem_stages
 from .numerics import Tensor, matmul, softmax
 from .searchspace import (
     OpCandidate,
@@ -32,6 +34,7 @@ from .searchspace import (
     channel_candidates,
     op_candidates,
 )
+from .supernet import layer_candidates
 
 
 def _out_hw(h: int, w: int, stride: int) -> tuple[int, int]:
@@ -44,14 +47,20 @@ def conv_madds(c_in: int, c_out: int, k: int, h_out: int, w_out: int,
     return k * k * (c_in // groups) * c_out * h_out * w_out
 
 
+def stages_madds(stages: tuple[ConvStage, ...], h: int, w: int) -> int:
+    """Multiply-adds of a stage list on an h x w input: each stage's conv
+    counted at its output size."""
+    total = 0
+    for s in stages:
+        h, w = _out_hw(h, w, s.stride)
+        total += conv_madds(s.c_in, s.c_out, s.kernel, h, w, s.groups)
+    return total
+
+
 def madds_of_op(op: OpCandidate, c_in: int, c_out: int, h: int, w: int,
                 stride: int) -> int:
-    """Exact multiply-add count of one operation at the given shape.
-
-    An inverted residual costs expand (1x1 at input resolution, omitted
-    for expansion factor 1) + depthwise (k^2 per hidden channel at output
-    resolution) + project (1x1 at output resolution). Skip costs 0.
-    """
+    """Exact multiply-add count of one operation at the given shape: its
+    stage list's (:func:`nasadapt.layers.mbconv_stages`). Skip costs 0."""
     if min(c_in, c_out, h, w) < 1:
         raise ParameterError(
             f"dimensions must be positive, got c_in={c_in} c_out={c_out} h={h} w={w}")
@@ -61,26 +70,12 @@ def madds_of_op(op: OpCandidate, c_in: int, c_out: int, h: int, w: int,
         return 0
     if op.kind != "mbconv":
         raise ParameterError(f"unknown op kind '{op.kind}'")
-    e, k = op.expansion, op.kernel
-    hidden = e * c_in
-    h_out, w_out = _out_hw(h, w, stride)
-    total = 0
-    if e != 1:
-        total += conv_madds(c_in, hidden, 1, h, w)
-    total += conv_madds(hidden, hidden, k, h_out, w_out, groups=hidden)
-    total += conv_madds(hidden, c_out, 1, h_out, w_out)
-    return total
+    return stages_madds(mbconv_stages(c_in, c_out, op.kernel, op.expansion, stride), h, w)
 
 
 def stem_madds(config: SearchSpaceConfig) -> int:
     """Cost of the fixed entry layers at the config's input resolution."""
-    h, w = config.input_resolution
-    h1, w1 = _out_hw(h, w, 2)
-    total = conv_madds(3, config.stem.conv_channels, 3, h1, w1)
-    total += madds_of_op(OpCandidate("mbconv", kernel=3, expansion=1),
-                         config.stem.conv_channels, config.stem.mbconv_channels,
-                         h1, w1, stride=1)
-    return total
+    return stages_madds(stem_stages(config.stem), *config.input_resolution)
 
 
 def block_input_sizes(config: SearchSpaceConfig) -> list[tuple[int, int]]:
@@ -93,52 +88,34 @@ def block_input_sizes(config: SearchSpaceConfig) -> list[tuple[int, int]]:
     return sizes
 
 
-def _layer_madds(config: SearchSpaceConfig, index: int, layer: int,
-                 op: OpCandidate, channels: int, size_in: tuple[int, int]) -> int:
-    """Table-convention cost of layer ``layer`` (1-based) of block ``index``.
-
-    The first layer reads the previous block's maximum width at the block's
-    input size ``size_in`` and applies the block stride; later layers map
-    ``channels`` to ``channels`` at the output size.
-    """
-    spec = config.blocks[index]
-    h_in, w_in = size_in
-    if layer == 1:
-        return madds_of_op(op, config.block_input_channels(index), channels,
-                           h_in, w_in, spec.stride)
-    return madds_of_op(op, channels, channels, *_out_hw(h_in, w_in, spec.stride), 1)
-
-
-@dataclass
-class BlockCosts:
-    """Per-layer cost matrices of one block, each (channels x ops)."""
-
-    layer_costs: list[np.ndarray]
+def _layer_madds(config: SearchSpaceConfig, index: int, layer: int, channels: int,
+                 size_in: tuple[int, int]) -> list[int]:
+    """Table-convention cost of every operation candidate of layer ``layer``
+    (0-based) of block ``index`` at width ``channels``: the supernet's
+    candidate stage lists at that width. The first layer runs at the block's
+    input size ``size_in``, later layers at its output size."""
+    if layer > 0:
+        size_in = _out_hw(*size_in, config.blocks[index].stride)
+    return [stages_madds(stages, *size_in)
+            for _, stages in layer_candidates(config, index, layer, channels)]
 
 
 @dataclass
 class MAddsTable:
-    """Precomputed cost of every (block, layer, channel, op) combination."""
+    """Precomputed cost of every (block, layer, channel, op) combination:
+    ``blocks[i][l]`` is layer l of block i's (channels x ops) matrix."""
 
     stem_cost: int
-    blocks: list[BlockCosts]
+    blocks: list[list[np.ndarray]]
 
 
 def build_madds_table(config: SearchSpaceConfig) -> MAddsTable:
     """Tabulate _layer_madds over the whole space, touching each combination once."""
     sizes = block_input_sizes(config)
-    blocks = []
-    for i, spec in enumerate(config.blocks):
-        cands = channel_candidates(spec)
-        layer_costs = []
-        for layer in range(1, spec.n_max + 1):
-            ops = op_candidates(spec, layer)
-            mat = np.zeros((len(cands), len(ops)), dtype=np.float64)
-            for ci, c in enumerate(cands):
-                for oi, op in enumerate(ops):
-                    mat[ci, oi] = _layer_madds(config, i, layer, op, c, sizes[i])
-            layer_costs.append(mat)
-        blocks.append(BlockCosts(layer_costs=layer_costs))
+    blocks = [[np.array([_layer_madds(config, i, l, c, sizes[i])
+                         for c in channel_candidates(spec)], dtype=np.float64)
+               for l in range(spec.n_max)]
+              for i, spec in enumerate(config.blocks)]
     return MAddsTable(stem_madds(config), blocks)
 
 
@@ -155,17 +132,17 @@ def expected_cost_per_block(alpha, beta, table: MAddsTable) -> list[Tensor]:
     out = []
     for alpha_block, beta_block, costs in zip(alpha, beta, table.blocks):
         per_channel = None
-        for logits, mat in zip(alpha_block, costs.layer_costs):
+        for logits, mat in zip(alpha_block, costs):
             if logits.data.shape[0] != mat.shape[1]:
                 raise ContractError(
                     f"alpha length {logits.data.shape[0]} does not match table ops "
                     f"{mat.shape[1]}")
             contrib = matmul(Tensor(mat.astype(np.float32)), softmax(logits))
             per_channel = contrib if per_channel is None else per_channel + contrib
-        if beta_block.data.shape[0] != costs.layer_costs[0].shape[0]:
+        if beta_block.data.shape[0] != costs[0].shape[0]:
             raise ContractError(
                 f"beta length {beta_block.data.shape[0]} does not match table "
-                f"channels {costs.layer_costs[0].shape[0]}")
+                f"channels {costs[0].shape[0]}")
         out.append(matmul(softmax(beta_block), per_channel))
     return out
 
@@ -225,9 +202,9 @@ def madds_of_discrete_per_block(arch: DiscreteArchitecture,
     for i, (block, spec) in enumerate(zip(arch.blocks, config.blocks)):
         _check_block_consistency(block, spec, i)
         out.append(sum(
-            _layer_madds(config, i, j + 1,
-                         OpCandidate("mbconv", kernel=op.kernel, expansion=op.expansion),
-                         block.channels, sizes[i])
+            _layer_madds(config, i, j, block.channels, sizes[i])[
+                op_candidates(spec, j + 1).index(
+                    OpCandidate("mbconv", kernel=op.kernel, expansion=op.expansion))]
             for j, op in enumerate(block.ops)))
     return out
 

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .layers import MBConv, Stem, TensorSource
+from .layers import ConvChain, ConvStage, TensorSource, mbconv_stages, stem_stages
 from .numerics import Tensor
 from .searchspace import (
     SearchSpaceConfig,
@@ -164,22 +164,30 @@ def load_arch(path) -> DiscreteArchitecture:
     return read_json(path, arch_from_doc)
 
 
+def arch_layers(arch: DiscreteArchitecture) -> list[list[tuple[str, tuple[ConvStage, ...]]]]:
+    """(tensor prefix, stage list) of every layer of every block; a block's
+    first layer reads the previous block's width (the stem's for block 0)."""
+    blocks = []
+    c_in = arch.stem.mbconv_channels
+    for i, block in enumerate(arch.blocks):
+        blocks.append([
+            (f"block{i}/layer{j}",
+             mbconv_stages(c_in if j == 0 else block.channels, block.channels, op.kernel,
+                           op.expansion, op.stride))
+            for j, op in enumerate(block.ops)])
+        c_in = block.channels
+    return blocks
+
+
 class DiscreteNetwork:
     """A concrete backbone instantiated from a derived architecture."""
 
     def __init__(self, arch: DiscreteArchitecture, source: TensorSource):
         self.arch = arch
-        self.stem = Stem(arch.stem.conv_channels, arch.stem.mbconv_channels,
-                         source.scope("stem"))
-        self.blocks: list[list[MBConv]] = []
-        c_in = arch.stem.mbconv_channels
-        for i, block in enumerate(arch.blocks):
-            self.blocks.append([
-                MBConv(c_in if j == 0 else block.channels, block.channels, op.kernel,
-                       op.expansion, op.stride, source.scope(f"block{i}/layer{j}"))
-                for j, op in enumerate(block.ops)])
-            c_in = block.channels
-        self.final_channels = c_in
+        self.stem = ConvChain(stem_stages(arch.stem), source.scope("stem"))
+        self.blocks = [[ConvChain(stages, source.scope(prefix)) for prefix, stages in layers]
+                       for layers in arch_layers(arch)]
+        self.final_channels = arch.blocks[-1].channels
         self._tensors = source
 
     def forward(self, x, training: bool = True,

@@ -1,11 +1,13 @@
 """Network building blocks shared by the supernet and derived networks.
 
-An inverted-residual operation (MBConv) is a pointwise expansion, a
-depthwise convolution, and a pointwise projection, each followed by batch
-normalization; the first two stages end in a relu6, the projection stays
-linear. With expansion factor 1 the expansion stage is omitted. No
-convolution carries a bias (normalization absorbs it).
-
+Every network is a chain of conv stages: a bias-free square-kernel
+convolution with shape-preserving padding, then batch normalization. This
+module states, once, the stage list of an inverted-residual operation
+(MBConv: a 1x1 ``expand`` to ``expansion * c_in`` channels, omitted at
+expansion 1, a kxk ``depthwise`` carrying the stride, a 1x1 ``project``)
+and of the stem (a strided 3x3 ``conv``, then a k3/e1 MBConv).
+:class:`ConvChain` runs a stage list with relu6 after every stage but the
+last; the parameter mapper and the cost model read the same lists.
 Every module takes its tensors from a :class:`TensorSource` and names
 each one where it creates it.
 """
@@ -14,12 +16,14 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractError, ParameterError
 from .numerics import Tensor, batch_norm, conv2d, relu6
 from .numerics.tensor import DTYPE
+from .searchspace import StemSpec
 
 
 def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
@@ -93,22 +97,6 @@ class TensorSource:
         return {name: t.data for name, t in self.params.items()} | self.state
 
 
-class Conv2d:
-    """Square-kernel convolution with shape-preserving padding, no bias."""
-
-    def __init__(self, c_in: int, c_out: int, kernel: int, source: TensorSource,
-                 stride: int = 1, groups: int = 1):
-        self.stride = stride
-        self.groups = groups
-        self.padding = (kernel - 1) // 2
-        self.weight = source.param("weight", (c_out, c_in // groups, kernel, kernel),
-                                   trunc_normal)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight, stride=self.stride, padding=self.padding,
-                      groups=self.groups)
-
-
 class BatchNorm2d:
     def __init__(self, channels: int, source: TensorSource):
         self.gamma = source.param("gamma", (channels,), ones)
@@ -121,48 +109,56 @@ class BatchNorm2d:
                           training=training, update_stats=update_stats)
 
 
-class MBConv:
-    """Inverted residual operation: expand (optional), depthwise, project."""
+@dataclass(frozen=True)
+class ConvStage:
+    """One conv + batch norm; its tensors live under ``name/``."""
 
-    def __init__(self, c_in: int, c_out: int, kernel: int, expansion: int,
-                 stride: int, source: TensorSource):
-        hidden = expansion * c_in
-        if expansion != 1:
-            self.expand = Conv2d(c_in, hidden, 1, source.scope("expand"))
-            self.expand_bn = BatchNorm2d(hidden, source.scope("expand/bn"))
-        else:
-            self.expand = None
-            self.expand_bn = None
-        self.depthwise = Conv2d(hidden, hidden, kernel, source.scope("depthwise"),
-                                stride=stride, groups=hidden)
-        self.depthwise_bn = BatchNorm2d(hidden, source.scope("depthwise/bn"))
-        self.project = Conv2d(hidden, c_out, 1, source.scope("project"))
-        self.project_bn = BatchNorm2d(c_out, source.scope("project/bn"))
+    name: str
+    c_in: int
+    c_out: int
+    kernel: int
+    stride: int = 1
+    groups: int = 1
+
+
+def mbconv_stages(c_in: int, c_out: int, kernel: int, expansion: int,
+                  stride: int) -> tuple[ConvStage, ...]:
+    """Stage list of one inverted-residual operation."""
+    hidden = expansion * c_in
+    expand = (ConvStage("expand", c_in, hidden, 1),) if expansion != 1 else ()
+    return expand + (ConvStage("depthwise", hidden, hidden, kernel, stride, groups=hidden),
+                     ConvStage("project", hidden, c_out, 1))
+
+
+def stem_stages(stem: StemSpec) -> tuple[ConvStage, ...]:
+    """Stage list of the fixed entry: a strided 3x3 conv, then a k3/e1 MBConv."""
+    mbconv = mbconv_stages(stem.conv_channels, stem.mbconv_channels, kernel=3,
+                           expansion=1, stride=1)
+    return (ConvStage("conv", 3, stem.conv_channels, 3, stride=2),
+            *(replace(s, name=f"mbconv/{s.name}") for s in mbconv))
+
+
+class ConvChain:
+    """Runs a stage list: conv then batch norm per stage, relu6 between stages;
+    an empty list is the identity (a skip). ``weight`` and ``bn`` map each
+    stage's name to its conv weight and its batch norm."""
+
+    def __init__(self, stages: tuple[ConvStage, ...], source: TensorSource):
+        self.stages = stages
+        self.weight: dict[str, Tensor] = {}
+        self.bn: dict[str, BatchNorm2d] = {}
+        for s in stages:
+            scoped = source.scope(s.name)
+            self.weight[s.name] = scoped.param(
+                "weight", (s.c_out, s.c_in // s.groups, s.kernel, s.kernel), trunc_normal)
+            self.bn[s.name] = BatchNorm2d(s.c_out, scoped.scope("bn"))
 
     def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
         h = x
-        if self.expand is not None:
-            h = relu6(self.expand_bn(self.expand(h), training, update_stats))
-        h = relu6(self.depthwise_bn(self.depthwise(h), training, update_stats))
-        return self.project_bn(self.project(h), training, update_stats)
-
-
-class Identity:
-    """Skip connection: width- and stride-preserving pass-through."""
-
-    def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
-        return x
-
-
-class Stem:
-    """Fixed entry: strided 3x3 conv + BN + relu6, then a k3/e1 MBConv."""
-
-    def __init__(self, conv_channels: int, mbconv_channels: int, source: TensorSource):
-        self.conv = Conv2d(3, conv_channels, 3, source.scope("conv"), stride=2)
-        self.bn = BatchNorm2d(conv_channels, source.scope("conv/bn"))
-        self.mbconv = MBConv(conv_channels, mbconv_channels, kernel=3, expansion=1,
-                             stride=1, source=source.scope("mbconv"))
-
-    def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
-        h = relu6(self.bn(self.conv(x), training, update_stats))
-        return self.mbconv(h, training, update_stats)
+        for n, s in enumerate(self.stages):
+            if n:
+                h = relu6(h)
+            h = conv2d(h, self.weight[s.name], stride=s.stride, padding=(s.kernel - 1) // 2,
+                       groups=s.groups)
+            h = self.bn[s.name](h, training, update_stats)
+        return h

@@ -10,6 +10,10 @@ Rules, applied per tensor:
 - kernel: a larger target kernel embeds the source centrally inside a
   zero ring; a smaller one keeps the overlapping central region.
 
+Both sides are read as the stage lists the networks build from, and every
+stage maps alike: its weight by kernel, then axis 0 (``c_out``), then axis 1
+(``c_in // groups``), its batch norm at ``c_out``. Stage lists must match.
+
 Newly created batch-norm channels get gamma 0, shift 0, running mean 0,
 running variance 1, so padded channels emit exactly 0 in eval mode and
 mappings that only widen or only grow kernels preserve the source
@@ -30,22 +34,18 @@ from .derive import (
     DiscreteArchitecture,
     DiscreteNetwork,
     arch_from_doc,
+    arch_layers,
     arch_to_doc,
     instantiate,
     load_arch,
 )
 from .errors import ContractError, ParameterError
+from .layers import ConvStage
 from .numerics import Tensor, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
-from .searchspace import (
-    SearchSpaceConfig,
-    StemSpec,
-    channel_candidates,
-    op_candidates,
-    write_json,
-)
-from .supernet import logit_lengths
+from .searchspace import SearchSpaceConfig, StemSpec, write_json
+from .supernet import logit_lengths, space_layers
 
 RULE_DIRECT = "direct"
 RULE_DEPTH_COPY = "depth-copy"
@@ -192,71 +192,41 @@ def map_depth(source_layers: list, target_depth: int) -> list[tuple[object, bool
     return [(source_layers[min(l, n - 1)], l >= n) for l in range(target_depth)]
 
 
-@dataclass(frozen=True)
-class _MBConvDims:
-    c_in: int
-    c_out: int
-    kernel: int
-    expansion: int
-
-    @property
-    def hidden(self) -> int:
-        return self.expansion * self.c_in
-
-
 _BN_PADS = (("gamma", 0.0), ("beta", 0.0), ("mean", 0.0), ("var", 1.0))
 
 
-def _stages(s: _MBConvDims, t: _MBConvDims, where: str):
-    """(stage, weight steps, (source, target) batch-norm width) of one
-    inverted-residual layer, in tensor order."""
-    if (s.expansion == 1) != (t.expansion == 1):
-        raise ContractError(
-            f"cannot map between expansion {s.expansion} and {t.expansion}: "
-            f"one side has no expansion stage ({where})")
-
-    def channels(source_c, target_c, axis):
-        return partial(map_channels, source_c=source_c, target_c=target_c, axis=axis)
-
-    hidden = (s.hidden, t.hidden)
-    stages = [("depthwise", [partial(map_kernel, target_k=t.kernel), channels(*hidden, 0)],
-               hidden),
-              ("project", [channels(s.c_out, t.c_out, 0), channels(*hidden, 1)],
-               (s.c_out, t.c_out))]
-    if s.expansion != 1:
-        stages.insert(0, ("expand", [channels(*hidden, 0), channels(s.c_in, t.c_in, 1)],
-                          hidden))
-    return stages
-
-
-def _apply(weight: np.ndarray, steps) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Run mapping steps in order; the mask marks entries any step zero-filled."""
+def _map_weight(weight: np.ndarray, s: ConvStage, t: ConvStage,
+                ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Map a stage's conv weight from source stage ``s`` to target stage ``t``:
+    kernel, then output channels (axis 0), then input channels per group
+    (axis 1). A step between equal extents does not run; the result is a
+    fresh array either way, and its mask marks entries any step zero-filled."""
+    steps = []
+    if s.kernel != t.kernel:
+        steps.append(partial(map_kernel, target_k=t.kernel))
+    for axis, source_c, target_c in ((0, s.c_out, t.c_out),
+                                     (1, s.c_in // s.groups, t.c_in // t.groups)):
+        if source_c != target_c:
+            steps.append(partial(map_channels, source_c=source_c, target_c=target_c,
+                                 axis=axis))
     mask = np.zeros(weight.shape, dtype=bool)
     rules = []
     for step in steps:
         weight, filled, rule = step(weight)
         mask = step(mask)[0] | filled
-        rules += [rule] if rule else []
-    return weight, mask, rules
+        rules.append(rule)
+    return (weight if steps else weight.copy()), mask, rules
 
 
-def _layer_dims(arch: DiscreteArchitecture, block: int) -> list[_MBConvDims]:
-    c_in = arch.stem.mbconv_channels if block == 0 else arch.blocks[block - 1].channels
-    c_out = arch.blocks[block].channels
-    return [_MBConvDims(c_in=c_in if j == 0 else c_out, c_out=c_out,
-                        kernel=op.kernel, expansion=op.expansion)
-            for j, op in enumerate(arch.blocks[block].ops)]
-
-
-def _map(source: ParameterBundle, stem: StemSpec,
-         blocks: list[list[list[tuple[str, _MBConvDims]]]], eps: float, seed: int,
+def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed: int,
          ) -> tuple[dict[str, np.ndarray], MappingReport]:
     """Map a source onto a target given as ``blocks[i][l]``: the (tensor
-    prefix, dims) of every operation of layer l in block i. The source is
-    read through the network its architecture builds from it, which checks
-    every tensor's name and shape. The stem is copied; each target layer
-    takes its source layer from :func:`map_depth`. Returns the tensors and
-    the report in mapping order."""
+    prefix, stage list) of every operation of layer l in block i. The source
+    is read through the network its architecture builds from it, which
+    checks every tensor's name and shape. The stem is copied; each target
+    layer takes its source layer from :func:`map_depth`, whose stage list
+    must match the target's stage by stage. Returns the tensors and the
+    report in mapping order."""
     source_arch = source.architecture()
     if source_arch.stem != stem:
         raise ContractError(f"incompatible stem: source {source_arch.stem} vs target {stem}")
@@ -274,26 +244,32 @@ def _map(source: ParameterBundle, stem: StemSpec,
     for name, arr in src.items():
         if name.startswith("stem/"):
             put(name, name, arr, np.zeros(arr.shape, dtype=bool), [])
-    for i, layers in enumerate(blocks):
-        src_dims = _layer_dims(source_arch, i)
-        assignment = map_depth(list(range(len(src_dims))), len(layers))
-        for (src_l, copied), ops in zip(assignment, layers):
+    for src_layers, layers in zip(arch_layers(source_arch), blocks):
+        for ((s_prefix, s_stages), copied), ops in zip(map_depth(src_layers, len(layers)),
+                                                       layers):
             base = [RULE_DEPTH_COPY] if copied else []
-            for prefix, dims in ops:
-                s_layer = f"block{i}/layer{src_l}"
-                for stage, steps, (s_bn, t_bn) in _stages(
-                        src_dims[src_l], dims, f"{s_layer} -> {prefix}"):
-                    s_pre = f"{s_layer}/{stage}"
-                    weight, mask, rules = _apply(src[f"{s_pre}/weight"], steps)
-                    put(f"{prefix}/{stage}/weight", f"{s_pre}/weight", weight, mask,
-                        base + rules)
+            for prefix, stages in ops:
+                s_names, t_names = ([st.name for st in x] for x in (s_stages, stages))
+                if s_names != t_names:
+                    raise ContractError(f"cannot map {s_prefix} (stages {s_names}) onto "
+                                        f"{prefix} (stages {t_names})")
+                for s, t in zip(s_stages, stages):
+                    s_pre, t_pre = f"{s_prefix}/{s.name}", f"{prefix}/{t.name}"
+                    weight, mask, rules = _map_weight(src[f"{s_pre}/weight"], s, t)
+                    put(f"{t_pre}/weight", f"{s_pre}/weight", weight, mask, base + rules)
                     for name, pad in _BN_PADS:
-                        arr, mask, rule = map_channels(src[f"{s_pre}/bn/{name}"],
-                                                       s_bn, t_bn, axis=0, pad_value=pad)
-                        put(f"{prefix}/{stage}/bn/{name}", f"{s_pre}/bn/{name}", arr,
-                            mask, base + ([rule] if rule else []))
+                        arr, mask, rule = map_channels(src[f"{s_pre}/bn/{name}"], s.c_out,
+                                                       t.c_out, axis=0, pad_value=pad)
+                        put(f"{t_pre}/bn/{name}", f"{s_pre}/bn/{name}", arr, mask,
+                            base + ([rule] if rule else []))
     add_mapping_noise(out, report, eps, seed)
     return out, report
+
+
+def check_eps(eps: float) -> None:
+    """A mapping noise amplitude is finite and >= 0."""
+    if not 0 <= eps < np.inf:
+        raise ParameterError(f"eps must be finite and >= 0, got {eps}")
 
 
 def add_mapping_noise(bundle_tensors: dict[str, np.ndarray], report: MappingReport,
@@ -304,8 +280,7 @@ def add_mapping_noise(bundle_tensors: dict[str, np.ndarray], report: MappingRepo
     is the only reason the noise exists. eps = 0 leaves everything
     bit-identical.
     """
-    if not 0 <= eps < np.inf:
-        raise ParameterError(f"eps must be finite and >= 0, got {eps}")
+    check_eps(eps)
     if eps == 0:
         return
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -325,8 +300,7 @@ def map_to_derived(source: ParameterBundle, arch: DiscreteArchitecture,
                    eps: float = 0.0, seed: int = 0,
                    ) -> tuple[ParameterBundle, MappingReport]:
     """Map a source bundle onto a discrete target architecture."""
-    blocks = [[[(f"block{i}/layer{l}", dims)] for l, dims in enumerate(_layer_dims(arch, i))]
-              for i in range(len(arch.blocks))]
+    blocks = [[[layer] for layer in layers] for layers in arch_layers(arch)]
     tensors, report = _map(source, arch.stem, blocks, eps, seed)
     return ParameterBundle(tensors=tensors, arch=arch_to_doc(arch)), report
 
@@ -341,15 +315,9 @@ def map_to_supernet(source: ParameterBundle, config: SearchSpaceConfig,
     checkpoint holds zero architecture logits, then the parameters, then
     the running statistics, in the order ``Supernet.to_arrays`` writes them.
     """
-    blocks = []
-    for i, spec in enumerate(config.blocks):
-        c_full = channel_candidates(spec)[-1]
-        blocks.append([
-            [(f"block{i}/layer{l}/op{o}",
-              _MBConvDims(c_in=config.block_input_channels(i) if l == 0 else c_full,
-                          c_out=c_full, kernel=cand.kernel, expansion=cand.expansion))
-             for o, cand in enumerate(op_candidates(spec, l + 1)) if cand.kind != "skip"]
-            for l in range(spec.n_max)])
+    blocks = [[[(prefix, stages) for prefix, stages in layout if stages]
+               for layout in layers]
+              for layers in space_layers(config)]
     tensors, report = _map(source, config.stem, blocks, eps, seed)
     arrays = {name: np.zeros(length, dtype=DTYPE)
               for name, length in logit_lengths(config).items()}

@@ -95,8 +95,9 @@ def op_candidates(spec: BlockSpec, layer: int) -> list[OpCandidate]:
 
 
 def json_text(doc) -> str:
-    """The one document format: sorted keys, 2-space indent."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The one document format: sorted keys, 2-space indent, no NaN or
+    infinity (which JSON cannot hold; ``ValueError``)."""
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def write_json(doc, path) -> None:

@@ -17,10 +17,12 @@ Mask semantics (mode of :func:`build_masks`):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError
-from .layers import Identity, MBConv, Stem, TensorSource, zeros
+from .layers import ConvChain, ConvStage, TensorSource, mbconv_stages, stem_stages, zeros
 from .numerics import Tensor, matmul, reshape, softmax
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
@@ -30,10 +32,14 @@ MASK_MODES = ("non_overlapping", "overlapping")
 _LOGIT_PREFIXES = ("alpha/", "beta/")
 
 
-def build_masks(candidates: list[int], mode: str = "non_overlapping") -> np.ndarray:
-    """Binary mask matrix, one row of length max(candidates) per candidate."""
+def check_mask_mode(mode: str) -> None:
     if mode not in MASK_MODES:
         raise ParameterError(f"mask mode must be one of {MASK_MODES}, got {mode!r}")
+
+
+def build_masks(candidates: list[int], mode: str = "non_overlapping") -> np.ndarray:
+    """Binary mask matrix, one row of length max(candidates) per candidate."""
+    check_mask_mode(mode)
     if list(candidates) != sorted(candidates) or len(set(candidates)) != len(candidates):
         raise ParameterError(f"channel candidates must be strictly ascending, got {candidates}")
     full = candidates[-1]
@@ -48,25 +54,49 @@ def build_masks(candidates: list[int], mode: str = "non_overlapping") -> np.ndar
     return masks
 
 
+Candidate = tuple[str, tuple[ConvStage, ...]]
+
+
+def layer_candidates(config: SearchSpaceConfig, block: int, layer: int,
+                     channels: int) -> list[Candidate]:
+    """(tensor prefix, stage list) of every operation candidate of layer
+    ``layer`` (0-based) of block ``block`` at width ``channels``, in logit
+    order; a skip's list is empty. The first layer reads the previous block's
+    full width (the stem's for block 0) and applies the block stride."""
+    spec = config.blocks[block]
+    c_in = config.block_input_channels(block) if layer == 0 else channels
+    stride = spec.stride if layer == 0 else 1
+    return [(f"block{block}/layer{layer}/op{o}",
+             () if cand.kind == "skip"
+             else mbconv_stages(c_in, channels, cand.kernel, cand.expansion, stride))
+            for o, cand in enumerate(op_candidates(spec, layer + 1))]
+
+
+def space_layers(config: SearchSpaceConfig) -> list[list[list[Candidate]]]:
+    """:func:`layer_candidates` of every layer of every block at the block's
+    full width: the layout the supernet builds."""
+    return [[layer_candidates(config, i, l, channel_candidates(spec)[-1])
+             for l in range(spec.n_max)]
+            for i, spec in enumerate(config.blocks)]
+
+
 class MixedLayer:
     """One searchable operation slot: all candidates plus their logits' home."""
 
-    def __init__(self, spec: BlockSpec, layer: int, c_in: int, c_out: int,
+    def __init__(self, spec: BlockSpec, layer: int, layout: list[Candidate],
                  source: TensorSource):
         self.candidates = op_candidates(spec, layer)
-        self.stride = spec.stride if layer == 1 else 1
-        self.c_in = c_in
-        self.ops = []
-        for o, cand in enumerate(self.candidates):
-            if cand.kind == "skip":
-                if self.stride != 1 or c_in != c_out:
-                    raise DimensionError(
-                        f"skip candidate needs stride 1 and equal widths, got "
-                        f"stride={self.stride}, {c_in}->{c_out}")
-                self.ops.append(Identity())
-            else:
-                self.ops.append(MBConv(c_in, c_out, cand.kernel, cand.expansion,
-                                       self.stride, source.scope(f"op{o}")))
+        # every layer has a convolution candidate; its stages give the
+        # layer's widths and stride, which a skip must preserve
+        conv = next(stages for _, stages in layout if stages)
+        self.c_in = conv[0].c_in
+        stride = math.prod(s.stride for s in conv)
+        has_skip = not all(stages for _, stages in layout)
+        if has_skip and (stride != 1 or self.c_in != conv[-1].c_out):
+            raise DimensionError(
+                f"skip candidate needs stride 1 and equal widths, got "
+                f"stride={stride}, {self.c_in}->{conv[-1].c_out}")
+        self.ops = [ConvChain(stages, source.scope(prefix)) for prefix, stages in layout]
 
 
 def mixed_op_forward(x: Tensor, layer: MixedLayer, alpha_logits: Tensor,
@@ -86,15 +116,13 @@ def mixed_op_forward(x: Tensor, layer: MixedLayer, alpha_logits: Tensor,
 class MixedBlock:
     """n_max mixed operations at full width, masked once at the output."""
 
-    def __init__(self, spec: BlockSpec, c_in: int, mask_mode: str, source: TensorSource):
+    def __init__(self, spec: BlockSpec, layers: list[list[Candidate]], mask_mode: str,
+                 source: TensorSource):
         self.candidates = channel_candidates(spec)
         self.c_full = self.candidates[-1]
         self.masks = build_masks(self.candidates, mask_mode)
-        self.layers = [
-            MixedLayer(spec, layer, c_in if layer == 1 else self.c_full, self.c_full,
-                       source.scope(f"layer{layer - 1}"))
-            for layer in range(1, spec.n_max + 1)
-        ]
+        self.layers = [MixedLayer(spec, l + 1, layout, source)
+                       for l, layout in enumerate(layers)]
 
 
 def mixed_block_forward(x: Tensor, block: MixedBlock, alpha_logits: list[Tensor],
@@ -125,14 +153,9 @@ class Supernet:
         self.alpha, self.beta = _nest(config, {
             name: source.param(name, (length,), zeros)
             for name, length in logit_lengths(config).items()})
-        self.stem = Stem(config.stem.conv_channels, config.stem.mbconv_channels,
-                         source.scope("stem"))
-        self.blocks = []
-        c_in = config.stem.mbconv_channels
-        for i, spec in enumerate(config.blocks):
-            block = MixedBlock(spec, c_in, mask_mode, source.scope(f"block{i}"))
-            self.blocks.append(block)
-            c_in = block.c_full
+        self.stem = ConvChain(stem_stages(config.stem), source.scope("stem"))
+        self.blocks = [MixedBlock(spec, layers, mask_mode, source)
+                       for spec, layers in zip(config.blocks, space_layers(config))]
         self._tensors = source
 
     @property
@@ -216,7 +239,7 @@ def load_logits(path, config: SearchSpaceConfig):
     Returns (alpha, beta) as constant tensors nested like
     ``Supernet.alpha``/``Supernet.beta``. The checkpoint's ``alpha/*`` and
     ``beta/*`` vectors must be exactly the space's, with the space's
-    lengths; weights are not read.
+    lengths and finite values; weights are not read.
     """
     arrays = load_tensors(path)
     lengths = logit_lengths(config)
@@ -232,4 +255,6 @@ def load_logits(path, config: SearchSpaceConfig):
             raise ContractError(
                 f"{path}: '{name}' has shape {arrays[name].shape}, the search space "
                 f"expects ({length},)")
+        if not np.isfinite(arrays[name]).all():
+            raise ContractError(f"{path}: '{name}' holds a non-finite logit")
     return _nest(config, {name: Tensor(arrays[name]) for name in lengths})

@@ -178,6 +178,12 @@ def _check_finite(loss_val: float, step: int, epoch: int) -> None:
             f"non-finite loss {loss_val} at fine-tune step {step} (epoch {epoch})")
 
 
+def check_epochs(epochs: int, what: str = "epochs") -> None:
+    """An epoch count is >= 0; 0 trains nothing."""
+    if epochs < 0:
+        raise ParameterError(f"{what} must be >= 0, got {epochs}")
+
+
 def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
              dataset: SyntheticDataset, epochs: int, seed: int = 0,
              ) -> tuple[ParameterBundle, list[float]]:
@@ -188,6 +194,7 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
     head comes from ``params`` when its ``head/weight`` fits the dataset,
     else it is drawn from ``seed + 1``.
     """
+    check_epochs(epochs)
     tensors = params.tensors if params is not None else {}
     net = instantiate(arch, seed=seed) if params is None else instantiate(arch, arrays=tensors)
     head_shape = (net.final_channels, dataset.spec.n_classes)

@@ -24,7 +24,7 @@ from nasadapt.derive import (
     derive_architecture,
     instantiate,
 )
-from nasadapt.layers import MBConv, TensorSource
+from nasadapt.layers import ConvChain, TensorSource, mbconv_stages
 from nasadapt.numerics import (
     Adam,
     Tensor,
@@ -192,7 +192,7 @@ def test_cost_model_consistency():
         for i, costs in enumerate(table.blocks):
             p_b = np_softmax(np.asarray(beta_arrays[i], dtype=np.float64))
             per_c = np.zeros(len(channel_candidates(cfg.blocks[i])))
-            for l, mat in enumerate(costs.layer_costs):
+            for l, mat in enumerate(costs):
                 per_c += mat @ np_softmax(np.asarray(alpha_arrays[i][l],
                                                      dtype=np.float64))
             total += float(p_b @ per_c)
@@ -226,7 +226,7 @@ def test_cost_model_consistency():
     for c_in, c_out, hh, ww, k, e, stride in [(8, 8, 4, 4, 3, 3, 1),
                                               (4, 6, 8, 8, 5, 6, 2),
                                               (3, 5, 6, 10, 7, 3, 1)]:
-        op = MBConv(c_in, c_out, k, e, stride, TensorSource(seed=0))
+        op = ConvChain(mbconv_stages(c_in, c_out, k, e, stride), TensorSource(seed=0))
         with count_madds() as counter:
             op(Tensor(np.zeros((1, c_in, hh, ww), dtype=np.float32)), training=False)
         from nasadapt.searchspace import OpCandidate

@@ -11,7 +11,7 @@ import pytest
 
 import nasadapt
 import nasadapt.layers as layers
-from nasadapt.cli import main
+from nasadapt.cli import end_to_end, main
 from nasadapt.costmodel import build_madds_table, expected_cost, expected_cost_per_block
 from nasadapt.derive import (
     arch_to_json,
@@ -19,6 +19,7 @@ from nasadapt.derive import (
     derive_architecture,
     instantiate,
 )
+from nasadapt.errors import ParameterError
 from nasadapt.numerics.container import load_tensors, save_tensors
 from nasadapt.searchspace import bundled_config_path, load_bundled_config, load_config
 from nasadapt.supernet import Supernet, build_supernet
@@ -457,6 +458,12 @@ def broken(artifacts, from_arrays_inputs, space_path):
     tensors["labels"][:2] = [2.5, 1.9]
     paths["bad_labels"] = root / "bad_labels.nat"
     save_tensors(paths["bad_labels"], tensors)
+    # a logit JSON cannot hold: cost --ckpt would write "total": NaN
+    for name, value in (("nan_ckpt", np.nan), ("inf_ckpt", np.inf)):
+        tensors = load_tensors(artifacts["ckpt"])
+        tensors["alpha/0/0"][0] = value
+        paths[name] = root / f"{name}.nat"
+        save_tensors(paths[name], tensors)
     copy(artifacts["data"].with_suffix(".json"), "bad_labels.json")
     paths["out"] = root / "out"
     return paths
@@ -484,6 +491,8 @@ EXIT_2_CASES = {
     "cost-truncated-ckpt": ("cost --space {space} --ckpt {trunc_ckpt}", None),
     "cost-wrong-space": ("cost --space {table1} --ckpt {ckpt}", None),
     "cost-malformed-arch": ("cost --space {space} --arch {bad_json}", "bad.json"),
+    "cost-nan-logit": ("cost --space {space} --ckpt {nan_ckpt} --out {out}", None),
+    "cost-inf-logit": ("cost --space {space} --ckpt {inf_ckpt} --out {out}", None),
     "remap-truncated-src": ("remap --src {trunc_src} --dst-arch {target} --out {out}",
                             None),
     "remap-src-without-sidecar": ("remap --src {no_sidecar} --space {space} --out {out}",
@@ -516,6 +525,16 @@ EXIT_2_CASES = {
     "e2e-malformed-space": ("e2e --space {bad_json} --out-dir {out}", "bad.json"),
     "finetune-fractional-labels": ("finetune --arch {arch} --data {bad_labels} --out {out}",
                                    None),
+    "finetune-negative-epochs": ("finetune --arch {arch} --data {data} --epochs -2 --out {out}",
+                                 None),
+    # flags are checked before the data and the source are written
+    "e2e-nan-eps": ("e2e --space {space} --out-dir {out} --eps nan", None),
+    "e2e-nan-lambda": ("e2e --space {space} --out-dir {out} --lambda nan", None),
+    "e2e-warmup-past-epochs": ("e2e --space {space} --out-dir {out} --warmup 20", None),
+    "e2e-negative-pretrain-epochs": (
+        "e2e --space {space} --out-dir {out} --pretrain-epochs -1", None),
+    "e2e-negative-finetune-epochs": (
+        "e2e --space {space} --out-dir {out} --finetune-epochs -2", None),
 }
 
 # (command line, the file and the $-rooted field path its error must name)
@@ -600,6 +619,12 @@ class TestExit2Sweep:
                      "--out", str(out)])
         assert_one_line_error(code, capsys.readouterr().err)
         assert not out.exists()
+
+    def test_e2e_checks_mask_mode_before_writing(self, broken, space_path):
+        # the CLI offers only valid modes; the function checks its own argument
+        with pytest.raises(ParameterError, match="mask mode"):
+            end_to_end(space_path, 0, broken["out"], mask_mode="diagonal")
+        assert not broken["out"].exists()
 
     def test_remap_usage_checked_before_source(self, capsys, broken):
         # neither --dst-arch nor --space: a usage error, whatever the source holds

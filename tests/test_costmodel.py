@@ -15,7 +15,7 @@ from nasadapt.costmodel import (
 )
 from nasadapt.derive import default_source_architecture, derive_architecture
 from nasadapt.errors import ContractError, ParameterError
-from nasadapt.layers import MBConv, TensorSource
+from nasadapt.layers import ConvChain, TensorSource, mbconv_stages, stem_stages
 from nasadapt.numerics import Tensor, backward, count_madds
 from nasadapt.searchspace import (
     OpCandidate,
@@ -38,8 +38,8 @@ def np_expected_cost(alpha_arrays, beta_arrays, table):
     total = float(table.stem_cost)
     for i, costs in enumerate(table.blocks):
         p_b = np_softmax64(beta_arrays[i])
-        per_c = np.zeros(costs.layer_costs[0].shape[0])
-        for l, mat in enumerate(costs.layer_costs):
+        per_c = np.zeros(costs[0].shape[0])
+        for l, mat in enumerate(costs):
             p_a = np_softmax64(alpha_arrays[i][l])
             per_c += mat @ p_a
         total += float(p_b @ per_c)
@@ -66,17 +66,24 @@ class TestMaddsOfOp:
         rng = np.random.default_rng(0)
         shapes = [(8, 8, 4, 4, 3, 3, 1), (4, 6, 8, 8, 5, 3, 2), (3, 5, 6, 10, 3, 6, 1)]
         for c_in, c_out, h, w, k, e, stride in shapes:
-            op = MBConv(c_in, c_out, k, e, stride, TensorSource(seed=0))
+            op = ConvChain(mbconv_stages(c_in, c_out, k, e, stride), TensorSource(seed=0))
             x = Tensor(rng.standard_normal((1, c_in, h, w)).astype(np.float32))
             with count_madds() as counter:
                 op(x, training=False)
             want = madds_of_op(OpCandidate("mbconv", kernel=k, expansion=e),
                                c_in, c_out, h, w, stride)
             assert counter.madds == want, (c_in, c_out, h, w, k, e, stride)
+        for name in ("desk3", "table1"):
+            cfg = load_bundled_config(name)
+            stem = ConvChain(stem_stages(cfg.stem), TensorSource(seed=0))
+            x = Tensor(np.zeros((1, 3, *cfg.input_resolution), dtype=np.float32))
+            with count_madds() as counter:
+                stem(x, training=False)
+            assert counter.madds == stem_madds(cfg), name
 
     def test_expansion_one_has_no_expand_stage(self):
         rng = np.random.default_rng(1)
-        op = MBConv(6, 4, 3, 1, 1, TensorSource(seed=1))
+        op = ConvChain(mbconv_stages(6, 4, 3, 1, 1), TensorSource(seed=1))
         x = Tensor(rng.standard_normal((1, 6, 4, 4)).astype(np.float32))
         with count_madds() as counter:
             op(x, training=False)
@@ -103,7 +110,7 @@ class TestTable:
         cfg = load_bundled_config("desk3")
         table = build_madds_table(cfg)
         for spec, costs in zip(cfg.blocks, table.blocks):
-            for l, mat in enumerate(costs.layer_costs):
+            for l, mat in enumerate(costs):
                 assert (mat >= 0).all()
                 for oi, op in enumerate(op_candidates(spec, l + 1)):
                     if op.kind == "skip":
@@ -133,7 +140,7 @@ class TestTable:
             else:
                 h_out, w_out = _out_hw(h_in, w_in, spec.stride)
                 want = madds_of_op(ops[oi], cands[ci], cands[ci], h_out, w_out, 1)
-            assert table.blocks[i].layer_costs[l][ci, oi] == want
+            assert table.blocks[i][l][ci, oi] == want
 
     def test_monotone_in_channels_table1(self):
         cfg = load_bundled_config("table1")
@@ -142,7 +149,7 @@ class TestTable:
         cands = channel_candidates(cfg.blocks[0])
         lo, hi = 0, len(cands) - 1
         assert cands[lo] == 16 and cands[hi] == 28
-        for l, mat in enumerate(costs.layer_costs):
+        for l, mat in enumerate(costs):
             for oi, op in enumerate(op_candidates(cfg.blocks[0], l + 1)):
                 if op.kind == "mbconv":
                     assert mat[hi, oi] > mat[lo, oi]
@@ -170,7 +177,7 @@ class TestExpectedCost:
         table = build_madds_table(cfg)
         alphas, betas = self._logit_tensors(cfg)
         got = float(expected_cost(alphas, betas, table).data)
-        mat = table.blocks[0].layer_costs[0]
+        mat = table.blocks[0][0]
         assert mat.shape == (2, 2)
         want = table.stem_cost + mat.mean()
         assert got == pytest.approx(want, rel=1e-6)
@@ -230,12 +237,12 @@ class TestExpectedCost:
         table = build_madds_table(cfg)
         rng = np.random.default_rng(6)
         lo = table.stem_cost + sum(
-            min(sum(mat[ci, :].min() for mat in costs.layer_costs)
-                for ci in range(costs.layer_costs[0].shape[0]))
+            min(sum(mat[ci, :].min() for mat in costs)
+                for ci in range(costs[0].shape[0]))
             for costs in table.blocks)
         hi = table.stem_cost + sum(
-            max(sum(mat[ci, :].max() for mat in costs.layer_costs)
-                for ci in range(costs.layer_costs[0].shape[0]))
+            max(sum(mat[ci, :].max() for mat in costs)
+                for ci in range(costs[0].shape[0]))
             for costs in table.blocks)
         for _ in range(20):
             alphas, betas = self._logit_tensors(cfg, rng=rng, scale=3.0)
@@ -327,7 +334,7 @@ class TestDiscrete:
         arch = derive_architecture(alphas, betas, cfg)
         assert all(len(b.ops) == 1 for b in arch.blocks)
         sizes_want = stem_madds(cfg) + sum(
-            table.blocks[i].layer_costs[0][0, 0] for i in range(len(cfg.blocks)))
+            table.blocks[i][0][0, 0] for i in range(len(cfg.blocks)))
         assert madds_of_discrete(arch, cfg) == pytest.approx(sizes_want)
 
     def test_inconsistent_arch_rejected(self):

@@ -95,12 +95,12 @@ class TestDerive:
 
         # extremes of the attainable range via one-hot enumeration bounds
         lo = table.stem_cost + sum(
-            min(sum(mat[ci, :].min() for mat in costs.layer_costs)
-                for ci in range(costs.layer_costs[0].shape[0]))
+            min(sum(mat[ci, :].min() for mat in costs)
+                for ci in range(costs[0].shape[0]))
             for costs in table.blocks)
         hi = table.stem_cost + sum(
-            max(sum(mat[ci, :].max() for mat in costs.layer_costs)
-                for ci in range(costs.layer_costs[0].shape[0]))
+            max(sum(mat[ci, :].max() for mat in costs)
+                for ci in range(costs[0].shape[0]))
             for costs in table.blocks)
         assert lo <= cost <= hi
 

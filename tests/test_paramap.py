@@ -11,6 +11,7 @@ from nasadapt.derive import (
     DerivedBlock,
     DerivedOp,
     DiscreteArchitecture,
+    arch_to_doc,
     default_source_architecture,
     instantiate,
 )
@@ -246,6 +247,24 @@ class TestMapToDerived:
         assert set(report.entries) == expected_names
         assert set(mapped.tensors) == expected_names
 
+    def test_expansion_one_onto_six_rejected(self):
+        # the source's first layer has no expand stage, the target's has one
+        arch = default_source_architecture(desk_config())
+
+        def first_expansion(e):
+            first = arch.blocks[0]
+            op = DerivedOp(kernel=first.ops[0].kernel, expansion=e, stride=first.ops[0].stride)
+            block = DerivedBlock(channels=first.channels, ops=(op, *first.ops[1:]))
+            return DiscreteArchitecture(input_resolution=arch.input_resolution,
+                                        stem=arch.stem, blocks=(block, *arch.blocks[1:]))
+
+        source = first_expansion(1)
+        bundle = ParameterBundle(tensors=instantiate(source, seed=0).to_arrays(),
+                                 arch=arch_to_doc(source))
+        with pytest.raises(ContractError,
+                           match="cannot map block0/layer0 .* onto block0/layer0 "):
+            map_to_derived(bundle, first_expansion(6))
+
     def test_block_count_mismatch(self):
         cfg = desk_config()
         bundle, arch = source_bundle(cfg)
@@ -270,7 +289,7 @@ class TestMapToSupernet:
         entry = report.entries[f"block2/layer1/op{o}/depthwise/weight"]
         assert entry.rules == ("direct",)
         np.testing.assert_array_equal(
-            layer.ops[o].depthwise.weight.data,
+            layer.ops[o].weight["depthwise"].data,
             bundle.tensors["block2/layer1/depthwise/weight"])
 
     def test_kernel_embed_recorded_for_k5(self):

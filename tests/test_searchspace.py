@@ -11,6 +11,7 @@ from nasadapt.searchspace import (
     BlockSpec,
     OpCandidate,
     channel_candidates,
+    json_text,
     load_bundled_config,
     op_candidates,
     parse_config,
@@ -90,6 +91,12 @@ class TestParse:
     def test_invalid_json(self):
         with pytest.raises(ParseError, match="invalid JSON"):
             parse_config("{nope")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_writer_refuses_non_finite_numbers(self, value):
+        # JSON has no NaN or infinity: such a document would not parse back
+        with pytest.raises(ValueError):
+            json_text({"total": value})
 
     def test_round_trip(self):
         cfg = load_bundled_config("table1")

@@ -128,7 +128,7 @@ class TestBuildSupernet:
         cfg = load_bundled_config("desk3")
         a = build_supernet(cfg, seed=1)
         b = build_supernet(cfg, seed=2)
-        assert a.stem.conv.weight.data.tobytes() != b.stem.conv.weight.data.tobytes()
+        assert a.stem.weight["conv"].data.tobytes() != b.stem.weight["conv"].data.tobytes()
 
 
 class TestLoadLogits:
@@ -144,6 +144,15 @@ class TestLoadLogits:
         got = [v for vecs in alpha for v in vecs] + beta
         for loaded, saved in zip(got, net.arch_params(), strict=True):
             assert loaded.data.tobytes() == saved.data.tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_logit(self, tmp_path, value):
+        cfg = load_bundled_config("desk3")
+        arrays = {name: t.data for name, t in build_supernet(cfg, seed=0).named_arch_params()}
+        arrays["alpha/1/1"][0] = value
+        save_tensors(tmp_path / "bad.nat", arrays)
+        with pytest.raises(ContractError, match="bad.nat: 'alpha/1/1' holds a non-finite"):
+            load_logits(tmp_path / "bad.nat", cfg)
 
     def test_rejects_a_wrong_length(self, tmp_path):
         cfg = load_bundled_config("desk3")

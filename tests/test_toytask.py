@@ -138,6 +138,12 @@ class TestFinetune:
         for name, arr in fresh.items():
             assert bundle.tensors[name].tobytes() == arr.tobytes(), name
 
+    def test_negative_epochs_rejected(self):
+        arch = default_source_architecture(load_bundled_config("desk3"))
+        ds = generate(DatasetSpec(n_samples=16, seed=7))
+        with pytest.raises(ParameterError, match="epochs must be >= 0"):
+            finetune(arch, None, ds, epochs=-2, seed=9)
+
     def test_fixed_seed_reproducible_curve(self):
         cfg = load_bundled_config("desk3")
         arch = default_source_architecture(cfg)
