@@ -39,6 +39,7 @@ from .errors import NasAdaptError
 from .paramap import (
     ParameterBundle,
     check_eps,
+    check_probes,
     map_to_derived,
     map_to_supernet,
     verify_function_preservation,
@@ -76,6 +77,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_search(args) -> int:
     schedule = SearchSchedule(total_epochs=args.epochs, warmup_epochs=args.warmup,
                               lam=getattr(args, "lambda"), seed=args.seed)
+    check_eps(args.eps)
     config = load_config(args.space)
     dataset = load_dataset(args.data)
     if args.init_from:
@@ -148,6 +150,7 @@ def _cmd_remap(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_probes(args.samples, args.tol)
     source = ParameterBundle.load(args.src)
     target_arch = load_arch(args.dst_arch)
     mapped, _ = map_to_derived(source, target_arch, eps=0.0)
@@ -199,7 +202,6 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
     save_dataset(dataset, data_path)
 
     source_arch = default_source_architecture(config)
-    save_arch(source_arch, out / "source_arch.json")
     source_bundle, source_curve = finetune(
         source_arch, None, dataset, epochs=pretrain_epochs,
         seed=seed_for(seed, "source"))
@@ -323,7 +325,8 @@ def build_parser() -> _Parser:
     p.add_argument("--dst-arch", required=True, help="target architecture JSON")
     p.add_argument("--samples", type=int, default=16,
                    help="random probe inputs, at least 1 (default 16)")
-    p.add_argument("--tol", type=float, default=1e-5, help="max deviation tolerance")
+    p.add_argument("--tol", type=float, default=1e-5,
+                   help="max deviation tolerance, a finite number >= 0 (default 1e-5)")
     p.add_argument("--seed", type=int, default=0, help="probe seed")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_verify)

@@ -127,11 +127,10 @@ class TapeNode:
     """One recorded primitive application. It holds its inputs but not its
     output, so a graph is freed by reference counting, without the cyclic GC."""
 
-    __slots__ = ("op", "inputs", "backward_fn")
+    __slots__ = ("inputs", "backward_fn")
 
-    def __init__(self, op: str, inputs: Sequence[Tensor],
+    def __init__(self, inputs: Sequence[Tensor],
                  backward_fn: Callable[[np.ndarray], Iterable[Optional[np.ndarray]]]):
-        self.op = op
         self.inputs = tuple(inputs)
         self.backward_fn = backward_fn
 
@@ -189,12 +188,11 @@ def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
-def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-            backward_fn) -> Tensor:
+def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
     out = Tensor(out_data)
     if _STATE.grad_enabled and any(_needs_grad(t) for t in inputs):
         out.requires_grad = True
-        out.node = TapeNode(op, inputs, backward_fn)
+        out.node = TapeNode(inputs, backward_fn)
     return out
 
 
@@ -218,7 +216,7 @@ def add(a, b) -> Tensor:
     def bw(g):
         return _unbroadcast(g, at.data.shape), _unbroadcast(g, bt.data.shape)
 
-    return _record("add", (at, bt), out, bw)
+    return _record((at, bt), out, bw)
 
 
 def mul(a, b) -> Tensor:
@@ -229,7 +227,7 @@ def mul(a, b) -> Tensor:
         return (_unbroadcast(g * bt.data, at.data.shape),
                 _unbroadcast(g * at.data, bt.data.shape))
 
-    return _record("mul", (at, bt), out, bw)
+    return _record((at, bt), out, bw)
 
 
 def matmul(a, b) -> Tensor:
@@ -252,7 +250,7 @@ def matmul(a, b) -> Tensor:
         # (m,n) @ (n,) -> (m,)
         return np.outer(g, bd), ad.T @ g
 
-    return _record("matmul", (at, bt), out, bw)
+    return _record((at, bt), out, bw)
 
 
 def reshape(t, shape) -> Tensor:
@@ -262,7 +260,7 @@ def reshape(t, shape) -> Tensor:
     def bw(g):
         return (g.reshape(tt.data.shape),)
 
-    return _record("reshape", (tt,), out, bw)
+    return _record((tt,), out, bw)
 
 
 def index_select(t, index: int) -> Tensor:
@@ -278,7 +276,7 @@ def index_select(t, index: int) -> Tensor:
         gin[idx] = g
         return (gin,)
 
-    return _record("index_select", (tt,), out, bw)
+    return _record((tt,), out, bw)
 
 
 def _reduction_axes(axis, ndim):
@@ -303,7 +301,7 @@ def tensor_sum(t, axis=None, keepdims: bool = False) -> Tensor:
     def bw(g):
         return (_spread(g, tt.data.shape, axes, keepdims).astype(DTYPE, copy=False),)
 
-    return _record("sum", (tt,), out, bw)
+    return _record((tt,), out, bw)
 
 
 def tensor_mean(t, axis=None, keepdims: bool = False) -> Tensor:
@@ -316,7 +314,7 @@ def tensor_mean(t, axis=None, keepdims: bool = False) -> Tensor:
         spread = _spread(g, tt.data.shape, axes, keepdims)
         return ((spread / count).astype(DTYPE, copy=False),)
 
-    return _record("mean", (tt,), out, bw)
+    return _record((tt,), out, bw)
 
 
 def relu6(t) -> Tensor:
@@ -328,7 +326,7 @@ def relu6(t) -> Tensor:
     def bw(g):
         return (g * ((xd > 0.0) & (xd < 6.0)),)
 
-    return _record("relu6", (tt,), out, bw)
+    return _record((tt,), out, bw)
 
 
 def softmax(t, axis: int = -1) -> Tensor:
@@ -345,7 +343,7 @@ def softmax(t, axis: int = -1) -> Tensor:
         inner = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - inner),)
 
-    return _record("softmax", (tt,), y, bw)
+    return _record((tt,), y, bw)
 
 
 def _out_size(size: int, k: int, stride: int, padding: int) -> int:
@@ -542,7 +540,7 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
         out, bw = _conv_pointwise(xd, wd, need_gx, need_gw)
     else:
         out, bw = _conv_im2col(xd, wd, stride, padding, groups, need_gx, need_gw)
-    return _record("conv2d", (xt, wt), out, bw)
+    return _record((xt, wt), out, bw)
 
 
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
@@ -603,7 +601,7 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
                 dx = g * scale[None, :, None, None]
         return dx, dgamma if need_gg else None, dbeta if need_gb else None
 
-    return _record("batch_norm", (xt, gt, bt), out, bw)
+    return _record((xt, gt, bt), out, bw)
 
 
 def cross_entropy(logits, labels) -> Tensor:
@@ -629,4 +627,4 @@ def cross_entropy(logits, labels) -> Tensor:
         p[np.arange(n), lab] -= 1.0
         return (g * p / n,)
 
-    return _record("cross_entropy", (lt,), out, bw)
+    return _record((lt,), out, bw)

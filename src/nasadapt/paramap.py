@@ -1,31 +1,32 @@
 """Map source-network parameters across depth, width, and kernel changes.
 
-Rules, applied per tensor:
+Depth: target layers up to the source depth map positionally; deeper
+target layers receive copies of the source block's last layer; a
+shallower target drops the source tail.
 
-- depth: target layers up to the source depth map positionally; deeper
-  target layers receive copies of the source block's last layer; a
-  shallower target drops the source tail.
-- channels (any channel axis, including the hidden expanded width):
-  widening zero-fills the new trailing slices, narrowing drops them.
-- kernel: a larger target kernel embeds the source centrally inside a
-  zero ring; a smaller one keeps the overlapping central region.
+Each tensor then maps by one rule: copy the overlap of source and target
+into a target filled with the pad value, centred on the kernel axes and
+leading on the channel axes (any of them, including the hidden expanded
+width). So a larger kernel embeds the source in a zero ring and a smaller
+one keeps its centre; a wider channel axis gains trailing pad slices and
+a narrower one drops its tail. The zero mask is everything outside the
+copied box when the pad is 0, and nothing otherwise.
 
-Both sides are read as the stage lists the networks build from, and every
-stage maps alike: its weight by kernel, then axis 0 (``c_out``), then axis 1
-(``c_in // groups``), its batch norm at ``c_out``. Stage lists must match.
+Both sides are read as the stage lists the networks build from: each
+stage's weight maps to ``(c_out, c_in // groups, kernel, kernel)``, its
+batch norm at ``c_out``. Stage lists must match.
 
 Newly created batch-norm channels get gamma 0, shift 0, running mean 0,
 running variance 1, so padded channels emit exactly 0 in eval mode and
 mappings that only widen or only grow kernels preserve the source
 function. Depth copies and truncations are not function preserving.
-Zero-assigned entries of trainable tensors may receive small uniform
-noise afterwards so gradients can reach them.
+Zero-masked entries of trainable tensors may receive small uniform noise
+as each tensor is mapped, so gradients can reach them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +91,7 @@ class MappingEntry:
     source: str
     rules: tuple[str, ...]
     zero_count: int
-    noised: bool = False
+    noised: bool
 
 
 @dataclass
@@ -101,13 +102,13 @@ class MappingReport:
     zero_masks: dict[str, np.ndarray] = field(default_factory=dict)
 
     def add(self, target: str, source: str, rules: list[str],
-            zero_mask: np.ndarray) -> None:
+            zero_mask: np.ndarray, noised: bool) -> None:
         if target in self.entries:
             raise ContractError(f"target tensor '{target}' mapped twice")
         self.entries[target] = MappingEntry(
             target=target, source=source,
             rules=tuple(rules) if rules else (RULE_DIRECT,),
-            zero_count=int(zero_mask.sum()))
+            zero_count=int(zero_mask.sum()), noised=noised)
         self.zero_masks[target] = zero_mask
 
     def save(self, path) -> None:
@@ -118,6 +119,34 @@ class MappingReport:
                 for e in self.entries.values()
             ]
         }, path)
+
+
+def _resize(arr: np.ndarray, shape: tuple[int, ...], centred: tuple[int, ...] = (),
+            pad: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Copy the overlap of ``arr`` and a ``shape`` array filled with ``pad``.
+
+    The overlap is centred on the ``centred`` axes and leading on the others.
+    Returns a fresh array and its zero mask: every entry outside the copied
+    box when the pad is 0, and nothing otherwise.
+    """
+    if arr.shape == shape:
+        return arr.copy(), np.zeros(shape, dtype=bool)
+    src, dst = [], []
+    for axis, (n, m) in enumerate(zip(arr.shape, shape)):
+        off = abs(n - m) // 2 if axis in centred else 0
+        common = min(n, m)
+        src.append(slice(off, off + common) if n > m else slice(0, common))
+        dst.append(slice(off, off + common) if m > n else slice(0, common))
+    out = np.full(shape, pad, dtype=arr.dtype)
+    out[tuple(dst)] = arr[tuple(src)]
+    mask = np.full(shape, pad == 0)
+    mask[tuple(dst)] = False
+    return out, mask
+
+
+def _rule(source_n: int, target_n: int, grow: str, shrink: str) -> str | None:
+    """The rule that takes an extent from ``source_n`` to ``target_n``, if any."""
+    return None if source_n == target_n else grow if target_n > source_n else shrink
 
 
 def map_kernel(weight: np.ndarray, target_k: int) -> tuple[np.ndarray, np.ndarray, str | None]:
@@ -131,23 +160,14 @@ def map_kernel(weight: np.ndarray, target_k: int) -> tuple[np.ndarray, np.ndarra
         raise ParameterError(f"expected a trailing square kernel, got shape {weight.shape}")
     if k % 2 == 0 or target_k % 2 == 0 or target_k < 1:
         raise ParameterError(f"kernel sizes must be odd positives, got {k} -> {target_k}")
-    if target_k == k:
-        return weight.copy(), np.zeros(weight.shape, dtype=bool), None
-    if target_k > k:
-        off = (target_k - k) // 2
-        out = np.zeros(weight.shape[:-2] + (target_k, target_k), dtype=weight.dtype)
-        out[..., off:off + k, off:off + k] = weight
-        mask = np.ones(out.shape, dtype=bool)
-        mask[..., off:off + k, off:off + k] = False
-        return out, mask, RULE_KERNEL_EMBED
-    off = (k - target_k) // 2
-    out = weight[..., off:off + target_k, off:off + target_k].copy()
-    return out, np.zeros(out.shape, dtype=bool), RULE_KERNEL_CROP
+    out, mask = _resize(weight, weight.shape[:-2] + (target_k, target_k),
+                        centred=(weight.ndim - 2, weight.ndim - 1))
+    return out, mask, _rule(k, target_k, RULE_KERNEL_EMBED, RULE_KERNEL_CROP)
 
 
 def map_channels(weight: np.ndarray, source_c: int, target_c: int, axis: int = 0,
                  pad_value: float = 0.0) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Zero-fill new trailing channel slices or drop exceeding ones.
+    """Fill new trailing channel slices with ``pad_value`` or drop exceeding ones.
 
     The axis must be stated explicitly; producing layers map their output
     axis, consuming layers their input axis. Returns (mapped, zero_mask,
@@ -158,23 +178,10 @@ def map_channels(weight: np.ndarray, source_c: int, target_c: int, axis: int = 0
             f"axis {axis} has extent {weight.shape[axis]}, expected {source_c}")
     if target_c < 1:
         raise ParameterError(f"target channels must be >= 1, got {target_c}")
-    if target_c == source_c:
-        return weight.copy(), np.zeros(weight.shape, dtype=bool), None
-    index = [slice(None)] * weight.ndim
-    if target_c > source_c:
-        shape = list(weight.shape)
-        shape[axis] = target_c
-        out = np.full(shape, pad_value, dtype=weight.dtype)
-        index[axis] = slice(0, source_c)
-        out[tuple(index)] = weight
-        mask = np.zeros(shape, dtype=bool)
-        if pad_value == 0.0:
-            index[axis] = slice(source_c, target_c)
-            mask[tuple(index)] = True
-        return out, mask, RULE_CHANNEL_PAD
-    index[axis] = slice(0, target_c)
-    out = weight[tuple(index)].copy()
-    return out, np.zeros(out.shape, dtype=bool), RULE_CHANNEL_TRUNCATE
+    shape = list(weight.shape)
+    shape[axis] = target_c
+    out, mask = _resize(weight, tuple(shape), pad=pad_value)
+    return out, mask, _rule(source_c, target_c, RULE_CHANNEL_PAD, RULE_CHANNEL_TRUNCATE)
 
 
 def map_depth(source_layers: list, target_depth: int) -> list[tuple[object, bool]]:
@@ -195,27 +202,16 @@ def map_depth(source_layers: list, target_depth: int) -> list[tuple[object, bool
 _BN_PADS = (("gamma", 0.0), ("beta", 0.0), ("mean", 0.0), ("var", 1.0))
 
 
-def _map_weight(weight: np.ndarray, s: ConvStage, t: ConvStage,
-                ) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Map a stage's conv weight from source stage ``s`` to target stage ``t``:
-    kernel, then output channels (axis 0), then input channels per group
-    (axis 1). A step between equal extents does not run; the result is a
-    fresh array either way, and its mask marks entries any step zero-filled."""
-    steps = []
-    if s.kernel != t.kernel:
-        steps.append(partial(map_kernel, target_k=t.kernel))
-    for axis, source_c, target_c in ((0, s.c_out, t.c_out),
-                                     (1, s.c_in // s.groups, t.c_in // t.groups)):
-        if source_c != target_c:
-            steps.append(partial(map_channels, source_c=source_c, target_c=target_c,
-                                 axis=axis))
-    mask = np.zeros(weight.shape, dtype=bool)
-    rules = []
-    for step in steps:
-        weight, filled, rule = step(weight)
-        mask = step(mask)[0] | filled
-        rules.append(rule)
-    return (weight if steps else weight.copy()), mask, rules
+def _map_weight(weight: np.ndarray, t: ConvStage) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Map a stage's conv weight onto target stage ``t`` in one resize. Its
+    rules are read off the extents: kernel, then output channels (axis 0),
+    then input channels per group (axis 1)."""
+    shape = (t.c_out, t.c_in // t.groups, t.kernel, t.kernel)
+    out, mask = _resize(weight, shape, centred=(2, 3))
+    rules = [_rule(weight.shape[2], t.kernel, RULE_KERNEL_EMBED, RULE_KERNEL_CROP),
+             *(_rule(weight.shape[a], shape[a], RULE_CHANNEL_PAD, RULE_CHANNEL_TRUNCATE)
+               for a in (0, 1))]
+    return out, mask, [r for r in rules if r]
 
 
 def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed: int,
@@ -226,7 +222,13 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
     checks every tensor's name and shape. The stem is copied; each target
     layer takes its source layer from :func:`map_depth`, whose stage list
     must match the target's stage by stage. Returns the tensors and the
-    report in mapping order."""
+    report in mapping order.
+
+    As each tensor is put, U(-eps, eps) noise from one ``PCG64(seed)`` stream
+    is added to its zero-masked entries. Running statistics are skipped:
+    they are never backpropagated, which is the only reason the noise
+    exists. eps = 0 leaves everything bit-identical."""
+    check_eps(eps)
     source_arch = source.architecture()
     if source_arch.stem != stem:
         raise ContractError(f"incompatible stem: source {source_arch.stem} vs target {stem}")
@@ -236,10 +238,14 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
     src = instantiate(source_arch, arrays=source.tensors).to_arrays()
     out: dict[str, np.ndarray] = {}
     report = MappingReport()
+    rng = np.random.Generator(np.random.PCG64(seed))
 
     def put(target, source_name, arr, mask, rules):
+        noised = eps > 0 and not target.endswith(_STAT_SUFFIXES) and bool(mask.any())
+        if noised:
+            arr[mask] += rng.uniform(-eps, eps, size=int(mask.sum())).astype(DTYPE)
         out[target] = arr
-        report.add(target, source_name, rules, mask)
+        report.add(target, source_name, rules, mask, noised)
 
     for name, arr in src.items():
         if name.startswith("stem/"):
@@ -255,14 +261,13 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
                                         f"{prefix} (stages {t_names})")
                 for s, t in zip(s_stages, stages):
                     s_pre, t_pre = f"{s_prefix}/{s.name}", f"{prefix}/{t.name}"
-                    weight, mask, rules = _map_weight(src[f"{s_pre}/weight"], s, t)
+                    weight, mask, rules = _map_weight(src[f"{s_pre}/weight"], t)
                     put(f"{t_pre}/weight", f"{s_pre}/weight", weight, mask, base + rules)
                     for name, pad in _BN_PADS:
                         arr, mask, rule = map_channels(src[f"{s_pre}/bn/{name}"], s.c_out,
                                                        t.c_out, axis=0, pad_value=pad)
                         put(f"{t_pre}/bn/{name}", f"{s_pre}/bn/{name}", arr, mask,
                             base + ([rule] if rule else []))
-    add_mapping_noise(out, report, eps, seed)
     return out, report
 
 
@@ -270,30 +275,6 @@ def check_eps(eps: float) -> None:
     """A mapping noise amplitude is finite and >= 0."""
     if not 0 <= eps < np.inf:
         raise ParameterError(f"eps must be finite and >= 0, got {eps}")
-
-
-def add_mapping_noise(bundle_tensors: dict[str, np.ndarray], report: MappingReport,
-                      eps: float, seed: int) -> None:
-    """Add U(-eps, eps) noise to zero-assigned entries of trainable tensors.
-
-    Running statistics are skipped: they are never backpropagated, which
-    is the only reason the noise exists. eps = 0 leaves everything
-    bit-identical.
-    """
-    check_eps(eps)
-    if eps == 0:
-        return
-    rng = np.random.Generator(np.random.PCG64(seed))
-    for target, entry in report.entries.items():
-        if target.endswith(_STAT_SUFFIXES):
-            continue
-        mask = report.zero_masks[target]
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        noise = rng.uniform(-eps, eps, size=count).astype(DTYPE)
-        bundle_tensors[target][mask] += noise
-        entry.noised = True
 
 
 def map_to_derived(source: ParameterBundle, arch: DiscreteArchitecture,
@@ -327,6 +308,15 @@ def map_to_supernet(source: ParameterBundle, config: SearchSpaceConfig,
     return ParameterBundle(tensors=arrays), report
 
 
+def check_probes(samples: int, tol: float) -> None:
+    """A function-preservation check probes at least one input and its
+    tolerance is finite and >= 0."""
+    if samples < 1:
+        raise ParameterError(f"samples must be >= 1, got {samples}")
+    if not 0 <= tol < np.inf:
+        raise ParameterError(f"tol must be >= 0 and finite, got {tol}")
+
+
 def verify_function_preservation(source_net: DiscreteNetwork,
                                  mapped_net: DiscreteNetwork,
                                  samples: int = 16, tol: float = 1e-5,
@@ -336,10 +326,7 @@ def verify_function_preservation(source_net: DiscreteNetwork,
     Only meaningful for mappings limited to kernel embedding and channel
     padding (eps 0); depth copies and crops change the function.
     """
-    if samples < 1:
-        raise ParameterError(f"samples must be >= 1, got {samples}")
-    if not tol >= 0:
-        raise ParameterError(f"tol must be >= 0, got {tol}")
+    check_probes(samples, tol)
     if len(source_net.blocks) != len(mapped_net.blocks):
         raise ContractError("networks have different block counts")
     h, w = source_net.arch.input_resolution

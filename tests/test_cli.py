@@ -1,5 +1,7 @@
 """CLI wiring: subcommands, exit codes, artifact round trips."""
 
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 
 import nasadapt
 import nasadapt.layers as layers
-from nasadapt.cli import end_to_end, main
+from nasadapt.cli import build_parser, end_to_end, main
 from nasadapt.costmodel import build_madds_table, expected_cost, expected_cost_per_block
 from nasadapt.derive import (
     arch_to_json,
@@ -21,6 +23,7 @@ from nasadapt.derive import (
 )
 from nasadapt.errors import ParameterError
 from nasadapt.numerics.container import load_tensors, save_tensors
+from nasadapt.searchloop import SearchSchedule
 from nasadapt.searchspace import bundled_config_path, load_bundled_config, load_config
 from nasadapt.supernet import Supernet, build_supernet
 
@@ -105,6 +108,22 @@ class TestUsage:
         assert main(argv.split()) == 1
         flag = [a for a in argv.split() if a.startswith("--")][-1]
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_e2e_defaults_are_end_to_end_defaults(self):
+        # `nasadapt e2e` and a bare end_to_end() call run the same pipeline
+        args = vars(build_parser().parse_args(["e2e", "--space", "S", "--out-dir", "D"]))
+        defaults = {("lambda" if name == "lam" else name): p.default
+                    for name, p in inspect.signature(end_to_end).parameters.items()
+                    if p.default is not inspect.Parameter.empty}
+        assert {name: args[name] for name in defaults} == defaults
+
+    def test_search_defaults_are_schedule_defaults(self):
+        args = vars(build_parser().parse_args(
+            ["search", "--space", "S", "--data", "D", "--out", "O"]))
+        flag = {"total_epochs": "epochs", "warmup_epochs": "warmup", "lam": "lambda"}
+        defaults = {flag.get(f.name, f.name): f.default
+                    for f in dataclasses.fields(SearchSchedule)}
+        assert {name: args[name] for name in defaults} == defaults
 
     def test_runtime_failure_exits_2(self, capsys, tmp_path, space_path):
         missing = tmp_path / "nothing.nat"
@@ -472,6 +491,7 @@ def broken(artifacts, from_arrays_inputs, space_path):
 # (command line with {key} placeholders, the file a malformed-JSON error must name)
 EXIT_2_CASES = {
     "search-truncated-data": ("search --space {space} --data {trunc_data} --out {out}", None),
+    "search-nan-eps": ("search --space {space} --data {data} --eps nan --out {out}", None),
     "search-init-from-without-sidecar": (
         "search --space {space} --data {data} --init-from {no_sidecar} --out {out}", None),
     "search-malformed-space": ("search --space {bad_json} --data {data} --out {out}",
@@ -592,7 +612,7 @@ class TestExit2Sweep:
         assert_one_line_error(code, capsys.readouterr().err)
         assert not out.exists()
 
-    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_verify_rejects_tol(self, capsys, broken, tol):
         out = broken["out"].parent / "verify.json"
         code = main(["verify", "--src", str(broken["source"]), "--dst-arch",

@@ -1,5 +1,6 @@
 """Parameter mapping rules, reports, noise, and function preservation."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -58,6 +59,17 @@ def rekernel(arch, block_idx, kernel):
     blocks[block_idx] = DerivedBlock(channels=blocks[block_idx].channels, ops=ops)
     return DiscreteArchitecture(input_resolution=arch.input_resolution,
                                 stem=arch.stem, blocks=tuple(blocks))
+
+
+def layered(cfg, blocks):
+    """An architecture on ``cfg``'s stem with one (channels, kernel,
+    expansion, depth) tuple per block, strided as the space says."""
+    return DiscreteArchitecture(
+        input_resolution=cfg.input_resolution, stem=cfg.stem,
+        blocks=tuple(DerivedBlock(channels=c, ops=tuple(
+            DerivedOp(kernel=k, expansion=e, stride=spec.stride if layer == 0 else 1)
+            for layer in range(depth)))
+            for spec, (c, k, e, depth) in zip(cfg.blocks, blocks, strict=True)))
 
 
 class TestMapKernel:
@@ -272,6 +284,33 @@ class TestMapToDerived:
                                       stem=arch.stem, blocks=arch.blocks[:2])
         with pytest.raises(ContractError):
             map_to_derived(bundle, broken)
+
+
+class TestMappedBytes:
+    def test_every_rule_at_once_pinned(self, tmp_path):
+        # block 0 pads and embeds, block 1 truncates and crops, block 2 copies
+        # its last layer and halves the expansion; the digests pin the bytes
+        # of the mapped tensors, their noise and the report
+        cfg = desk_config()
+        source = layered(cfg, [(12, 3, 3, 2), (16, 5, 3, 2), (24, 3, 6, 1)])
+        target = layered(cfg, [(16, 5, 3, 2), (8, 3, 3, 2), (24, 3, 3, 2)])
+        bundle = ParameterBundle(tensors=instantiate(source, seed=4).to_arrays(),
+                                 arch=arch_to_doc(source))
+        mapped, report = map_to_derived(bundle, target, eps=1e-3, seed=11)
+        assert {r for e in report.entries.values() for r in e.rules} == {
+            "direct", "depth-copy", "channel-pad", "channel-truncate", "kernel-embed",
+            "kernel-crop"}
+        assert any(e.noised for e in report.entries.values())
+        mapped.save(tmp_path / "mapped.nat")
+        report.save(tmp_path / "report.json")
+
+        def digest(name):
+            return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+
+        assert digest("mapped.nat") == \
+            "d48e6fc80bfd0895390cbff6abacf941b00210fa92d63b864785685298e0cc6b"
+        assert digest("report.json") == \
+            "3060b1e889aca2fb5b60d2ac30e3ed2f028f527f21a05a7a0d13e1e71bf0b9b0"
 
 
 class TestMapToSupernet:
