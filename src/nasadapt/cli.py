@@ -135,6 +135,7 @@ def _usage_error(message: str) -> int:
 def _cmd_remap(args) -> int:
     if (args.dst_arch is None) == (args.space is None):
         raise SystemExit(_usage_error("remap requires exactly one of --dst-arch or --space"))
+    check_eps(args.eps)
     source = ParameterBundle.load(args.src)
     if args.dst_arch:
         target = load_arch(args.dst_arch)

@@ -188,9 +188,14 @@ def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or t.node is not None
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """True when a primitive applied to ``inputs`` now is put on the tape."""
+    return _STATE.grad_enabled and any(_needs_grad(t) for t in inputs)
+
+
 def _record(inputs: Sequence[Tensor], out_data: np.ndarray, backward_fn) -> Tensor:
     out = Tensor(out_data)
-    if _STATE.grad_enabled and any(_needs_grad(t) for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
         out.node = TapeNode(inputs, backward_fn)
     return out
@@ -407,63 +412,99 @@ def _conv_im2col(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int, grou
     return out, bw
 
 
-# Byte budget for one row block's input rows in the depthwise tap loop:
-# all k^2 taps sweep the block, so it should stay in a core's L2.
+# Byte budget for the input one depthwise block reads: all k^2 taps sweep
+# the block, so it should stay in a core's L2.
 _DW_BLOCK_BYTES = 1 << 19
+# Output rows at least this long run channels-first. On the table1 planes
+# channels-first was faster at every row of 136 or more, channels-last
+# at every row of 68 or fewer with a 7x7 kernel.
+_DW_MIN_PLANE_ROW = 96
 
 
-def _dw_row_step(n: int, wp: int, c: int, stride: int) -> int:
-    """Output rows per block, from the size of one padded input row."""
-    return max(1, _DW_BLOCK_BYTES // (stride * n * wp * c * np.dtype(DTYPE).itemsize))
+def _dw_channels_last(ow: int) -> bool:
+    """The depthwise layout for an output row length.
+
+    Channels-last, a tap's inner loop runs over the channels of one
+    output pixel; channels-first, over one output row of one plane, and
+    no transposes into and out of NHWC are needed. Short rows go
+    channels-last; long rows go channels-first.
+    """
+    return ow < _DW_MIN_PLANE_ROW
+
+
+def _dw_array(make, n: int, h: int, w: int, c: int, channels_last: bool) -> np.ndarray:
+    """``make`` (``np.zeros``, ``np.empty``) of an array indexed (n, h, w, c),
+    laid out NHWC or NCHW in memory."""
+    if channels_last:
+        return make((n, h, w, c), dtype=DTYPE)
+    return make((n, c, h, w), dtype=DTYPE).transpose(0, 2, 3, 1)
+
+
+def _dw_blocks(n: int, c: int, oh: int, wp: int, stride: int,
+               channels_last: bool) -> list[tuple[slice, slice]]:
+    """(channels, output rows) of each block whose input fits the budget.
+
+    Channels-last blocks span every channel, so they are contiguous
+    bands of rows; channels-first blocks are as many whole planes as
+    fit, or bands of rows of one plane when a plane alone does not.
+    """
+    row = stride * n * wp * np.dtype(DTYPE).itemsize  # one plane's input per output row
+    planes = c if channels_last else max(1, min(c, _DW_BLOCK_BYTES // (row * oh)))
+    rows = max(1, min(oh, _DW_BLOCK_BYTES // (row * planes)))
+    return [(slice(c0, min(c, c0 + planes)), slice(r0, min(oh, r0 + rows)))
+            for c0 in range(0, c, planes) for r0 in range(0, oh, rows)]
 
 
 def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int,
                     need_gx: bool, need_gw: bool):
-    """Depthwise conv as k^2 shifted multiply-accumulates over blocks of rows.
+    """Depthwise conv as k^2 shifted multiply-accumulates, block by block.
 
-    Works channels-last, so a tap's inner loop runs over a whole output
-    row of all channels rather than over one short row of one plane.
+    Every buffer is indexed (n, h, w, c); :func:`_dw_channels_last`
+    picks from the shape whether it is laid out NHWC or NCHW, so one
+    tap loop serves both layouts.
     """
     n, c, h, w = xd.shape
     k = wd.shape[-1]
     oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
-    xp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
+    channels_last = _dw_channels_last(ow)
+    xp = _dw_array(np.zeros, n, h + 2 * padding, w + 2 * padding, c, channels_last)
     xp[:, padding:padding + h, padding:padding + w] = xd.transpose(0, 2, 3, 1)
     wt = np.ascontiguousarray(wd.reshape(c, k * k).T)
-    step = _dw_row_step(n, xp.shape[2], c, stride)
-    blocks = []  # (output rows, the input rows they read, the taps over those)
-    for r0 in range(0, oh, step):
-        r1 = min(oh, r0 + step)
-        blocks.append((slice(r0, r1), slice(stride * r0, stride * (r1 - 1) + k),
+    blocks = []  # (channels, output rows, the input rows they read, the taps over those)
+    for chans, orows in _dw_blocks(n, c, oh, xp.shape[2], stride, channels_last):
+        r0, r1 = orows.start, orows.stop
+        blocks.append((chans, orows, slice(stride * r0, stride * (r1 - 1) + k),
                        _taps(k, stride, r1 - r0, ow)))
-    out = np.empty((n, oh, ow, c), dtype=DTYPE)
-    for orows, irows, taps in blocks:
-        acc, xb = out[:, orows], xp[:, irows]
+    out = _dw_array(np.empty, n, oh, ow, c, channels_last)
+    for chans, orows, irows, taps in blocks:
+        acc, xb, wb = out[:, orows, :, chans], xp[:, irows, :, chans], wt[:, chans]
         tmp = np.empty_like(acc)
         for t, rows, cs in taps:
             if t == 0:
-                np.multiply(xb[:, rows, cs], wt[t], out=acc)
+                np.multiply(xb[:, rows, cs], wb[t], out=acc)
             else:
-                np.multiply(xb[:, rows, cs], wt[t], out=tmp)
+                np.multiply(xb[:, rows, cs], wb[t], out=tmp)
                 acc += tmp
     if not need_gw:
         xp = None  # only the weight gradient reads the padded input
 
     def bw(gout):
-        g = np.ascontiguousarray(gout.transpose(0, 2, 3, 1))
+        g = gout.transpose(0, 2, 3, 1)
+        if channels_last:
+            g = np.ascontiguousarray(g)
         gw = np.zeros((k * k, c), dtype=DTYPE) if need_gw else None
-        gxp = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE) \
+        gxp = _dw_array(np.zeros, n, h + 2 * padding, w + 2 * padding, c, channels_last) \
             if need_gx else None
-        for orows, irows, taps in blocks:
-            gb = g[:, orows]
+        for chans, orows, irows, taps in blocks:
+            gb, wb = g[:, orows, :, chans], wt[:, chans]
             tmp = np.empty_like(gb)
             for t, rows, cs in taps:
                 if need_gw:
-                    np.multiply(gb, xp[:, irows][:, rows, cs], out=tmp)
-                    gw[t] += tmp.reshape(-1, c).sum(axis=0)
+                    np.multiply(gb, xp[:, irows, :, chans][:, rows, cs], out=tmp)
+                    gw[t, chans] += tmp.sum(axis=(0, 1, 2))
                 if need_gx:
-                    np.multiply(gb, wt[t], out=tmp)
-                    gxp[:, irows][:, rows, cs] += tmp
+                    np.multiply(gb, wb[t], out=tmp)
+                    gxp[:, irows, :, chans][:, rows, cs] += tmp
         gx = None
         if need_gx:
             gx = np.ascontiguousarray(
@@ -543,15 +584,46 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     return _record((xt, wt), out, bw)
 
 
+# Float32 magnitudes below this are subnormal. Arithmetic on a subnormal
+# operand runs in microcode, up to a hundred times slower than on a normal
+# number, and numpy offers no flush-to-zero mode.
+_TINY = np.finfo(DTYPE).tiny
+# Byte budget for one block of whole channels in the eval affine: the
+# flush then reads the block back from cache.
+_AFFINE_BLOCK_BYTES = 1 << 18
+
+
+def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray, flush: bool) -> np.ndarray:
+    """``xd * scale + shift`` per channel of an NCHW array, into a fresh array.
+
+    With ``flush``, every result with ``|y| < finfo(float32).tiny`` becomes
+    +0.0 and every other result keeps its bits.
+    """
+    n, c, h, w = xd.shape
+    out = np.empty(xd.shape, dtype=DTYPE)
+    step = max(1, _AFFINE_BLOCK_BYTES // (n * h * w * np.dtype(DTYPE).itemsize))
+    for c0 in range(0, c, step):
+        chans = slice(c0, c0 + step)
+        y = out[:, chans]
+        np.multiply(xd[:, chans], scale[chans, None, None], out=y)
+        y += shift[chans, None, None]
+        if flush:
+            np.copyto(y, 0, where=np.abs(y) < _TINY)
+    return out
+
+
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, update_stats: Optional[bool] = None) -> Tensor:
     """Per-channel batch normalization over an NCHW tensor.
 
     Train mode normalizes by batch statistics (biased variance) and, when
     ``update_stats`` (defaults to ``training``), folds them into the
-    running buffers with momentum ``BN_MOMENTUM``. Eval mode normalizes by
-    the running buffers. Both add ``BN_EPS`` to the variance. The running
-    buffers are plain arrays mutated in place; they carry no gradient.
+    running buffers with momentum ``BN_MOMENTUM``. Eval mode is one
+    per-channel affine ``x * s + t`` with ``s = gamma / sqrt(running_var +
+    BN_EPS)`` and ``t = beta - running_mean * s``; when it is not
+    recorded, its output is flushed: every subnormal becomes 0. The
+    running buffers are plain arrays mutated in place; they carry no
+    gradient.
     """
     xt, gt, bt = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd = xt.data
@@ -564,6 +636,7 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
             raise DimensionError(f"{name} must have shape ({c},), got {arr.shape}")
     if update_stats is None:
         update_stats = training
+    need_gx, need_gg, need_gb = _needs_grad(xt), _needs_grad(gt), _needs_grad(bt)
 
     if training:
         mean = xd.mean(axis=(0, 2, 3))
@@ -574,15 +647,21 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
             running_mean += DTYPE(BN_MOMENTUM) * mean
             running_var *= DTYPE(1.0 - BN_MOMENTUM)
             running_var += DTYPE(BN_MOMENTUM) * var
+        invstd = 1.0 / np.sqrt(var + DTYPE(BN_EPS))
+        xhat *= invstd[None, :, None, None]
+        out = gt.data[None, :, None, None] * xhat
+        out += bt.data[None, :, None, None]
     else:
-        mean, var = running_mean, running_var
-        xhat = xd - mean[None, :, None, None]
-
-    invstd = 1.0 / np.sqrt(var + DTYPE(BN_EPS))
-    xhat *= invstd[None, :, None, None]
-    out = gt.data[None, :, None, None] * xhat
-    out += bt.data[None, :, None, None]
-    need_gx, need_gg, need_gb = _needs_grad(xt), _needs_grad(gt), _needs_grad(bt)
+        invstd = 1.0 / np.sqrt(running_var + DTYPE(BN_EPS))
+        scale = gt.data * invstd
+        recorded = _recording((xt, gt, bt))
+        out = _affine(xd, scale, bt.data - running_mean * scale, flush=not recorded)
+        if not recorded:
+            return Tensor(out)
+        xhat = None
+        if need_gg:
+            xhat = xd - running_mean[None, :, None, None]
+            xhat *= invstd[None, :, None, None]
     batch_grads = need_gx and training  # dx in train mode reads dgamma and dbeta
 
     def bw(g):

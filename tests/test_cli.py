@@ -515,6 +515,9 @@ EXIT_2_CASES = {
     "cost-inf-logit": ("cost --space {space} --ckpt {inf_ckpt} --out {out}", None),
     "remap-truncated-src": ("remap --src {trunc_src} --dst-arch {target} --out {out}",
                             None),
+    # the flag is checked before the source is read
+    "remap-truncated-src-nan-eps": (
+        "remap --src {trunc_src} --space {space} --eps nan --out {out}", None),
     "remap-src-without-sidecar": ("remap --src {no_sidecar} --space {space} --out {out}",
                                   None),
     "remap-src-missing-tensor": (
@@ -592,6 +595,8 @@ class TestExit2Sweep:
         assert_one_line_error(code, err)
         if names:
             assert f"{broken['out'].parent / names}:$" in err
+        if case.endswith("-nan-eps"):
+            assert "eps must be finite and >= 0" in err
         assert not broken["out"].exists()
 
     @pytest.mark.parametrize("case", list(FIELD_CASES))

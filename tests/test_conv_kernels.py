@@ -68,11 +68,63 @@ def test_depthwise_matches_im2col(monkeypatch, k, stride, hw, batch, blocked):
     row_bytes = stride * batch * wp * c * 4
     # row-blocks: 2 output rows per block, so an odd row count ends in a short block
     monkeypatch.setattr(engine, "_DW_BLOCK_BYTES", 2 * row_bytes if blocked else 1 << 30)
-    assert (engine._dw_row_step(batch, wp, c, stride) == 2) == blocked
+    oh = (h + 2 * padding - k) // stride + 1
+    (chans, rows), *_ = engine._dw_blocks(batch, c, oh, wp, stride, channels_last=True)
+    assert chans == slice(0, c) and (rows.stop - rows.start == 2) == blocked
     rng = np.random.default_rng(k * 100 + stride * 10 + batch)
     x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
     wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
     _assert_parity(x, wd, stride, padding, c, rng)
+
+
+@pytest.mark.parametrize("blocks", ["planes", "plane-rows"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_channels_first_depthwise_matches_im2col(monkeypatch, k, stride, blocks):
+    # test_depthwise_matches_im2col covers channels-last, which its shapes select
+    batch, c, (h, w), padding = 2, 7, SPATIAL[1], (k - 1) // 2
+    oh = (h + 2 * padding - k) // stride + 1
+    row_bytes = stride * batch * (w + 2 * padding) * 4  # one plane's input per output row
+    # planes: three whole planes per block, so the last block has one;
+    # plane-rows: two output rows of one plane per block
+    budget = 3 * oh * row_bytes if blocks == "planes" else 2 * row_bytes
+    monkeypatch.setattr(engine, "_DW_BLOCK_BYTES", budget)
+    monkeypatch.setattr(engine, "_dw_channels_last", lambda ow: False)
+    (chans, rows), *_ = engine._dw_blocks(batch, c, oh, w + 2 * padding, stride, False)
+    assert (chans.stop - chans.start, rows.stop - rows.start) == \
+        ((3, oh) if blocks == "planes" else (1, 2))
+    rng = np.random.default_rng(k * 10 + stride)
+    x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
+    wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
+    _assert_parity(x, wd, stride, padding, c, rng)
+
+
+def test_a_long_row_runs_channels_first(monkeypatch):
+    # rows of _DW_MIN_PLANE_ROW outputs select channels-first by themselves
+    ow = engine._DW_MIN_PLANE_ROW
+    assert not engine._dw_channels_last(ow) and engine._dw_channels_last(ow - 1)
+    chosen = []
+    choose = engine._dw_channels_last
+    monkeypatch.setattr(engine, "_dw_channels_last",
+                        lambda ow: chosen.append(choose(ow)) or chosen[-1])
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((1, 3, 5, ow)).astype(np.float32)
+    wd = rng.standard_normal((3, 1, 5, 5)).astype(np.float32)
+    _assert_parity(x, wd, 1, 2, 3, rng)
+    assert chosen == [False]
+
+
+def test_every_desk3_depthwise_conv_runs_channels_last(monkeypatch):
+    # desk3 trains on 32x32 inputs: its planes are at most 16 wide
+    chosen = []
+    choose = engine._dw_channels_last
+    monkeypatch.setattr(engine, "_dw_channels_last",
+                        lambda ow: chosen.append((ow, choose(ow))) or choose(ow))
+    cfg = load_bundled_config("desk3")
+    x = Tensor(np.zeros((2, 3, *cfg.input_resolution), dtype=np.float32))
+    build_supernet(cfg, seed=0).forward(x, training=True)
+    assert chosen and all(last for _, last in chosen)
+    assert max(ow for ow, _ in chosen) == cfg.input_resolution[1] // 2
 
 
 @pytest.mark.parametrize("batch", BATCH)

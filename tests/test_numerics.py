@@ -24,6 +24,7 @@ from nasadapt.numerics import (
     softmax,
     trace,
 )
+from nasadapt.numerics import tensor as engine
 from nasadapt.searchspace import load_bundled_config
 from nasadapt.supernet import build_supernet
 from nasadapt.toytask import ProxyHead, model_loss
@@ -195,6 +196,76 @@ class TestBatchNorm:
             return (y * coeff).sum()
 
         check_gradients(loss, [x, gamma, beta], what=f"batch_norm training={training}")
+
+    def _eval_case(self, stats):
+        """N(0, 1) input, gamma/beta and running statistics: unit ones, or
+        the ones one train pass over other data leaves."""
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((2, 5, 6, 7)).astype(np.float32)
+        gamma = (rng.standard_normal(5) + 1.0).astype(np.float32)
+        beta = rng.standard_normal(5).astype(np.float32)
+        mean, var = self._stats(5)
+        if stats == "train-pass":
+            other = (rng.standard_normal((4, 5, 6, 7)) * 2 + 0.5).astype(np.float32)
+            batch_norm(Tensor(other), Tensor(gamma), Tensor(beta), mean, var, training=True)
+            assert (mean != 0).all() and (var != 1).all()
+        return x, gamma, beta, mean, var
+
+    @pytest.mark.parametrize("stats", ["unit", "train-pass"])
+    def test_unrecorded_eval_matches_recorded_eval(self, stats):
+        x, gamma, beta, mean, var = self._eval_case(stats)
+        recorded = batch_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta),
+                              mean, var, training=False)
+        with no_grad():
+            unrecorded = batch_norm(Tensor(x, requires_grad=True), Tensor(gamma),
+                                    Tensor(beta), mean, var, training=False)
+        assert recorded.node is not None and unrecorded.node is None
+        # both are one float32 affine; the flush moves only a subnormal, by < tiny
+        tiny = np.finfo(np.float32).tiny
+        assert float(np.abs(unrecorded.data - recorded.data).max()) < tiny
+        # against the four-pass normalization in float64: a few roundings of
+        # each term, bounded by 8 unit roundoffs of |x s| + |mean s| + |beta|
+        s = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + engine.BN_EPS)
+        c = (slice(None), None, None)
+        want = (x - mean[c]) * s[c] + beta[c]
+        bound = 8 * 2.0 ** -24 * (np.abs(x * s[c]) + np.abs(mean * s)[c] + np.abs(beta)[c])
+        for got in (recorded.data, unrecorded.data):
+            assert (np.abs(got - want) <= bound).all()
+
+    def test_unrecorded_eval_flushes_exactly_the_subnormals(self):
+        tiny = np.finfo(np.float32).tiny
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((1, 3, 4, 6)).astype(np.float32)
+        x[0, 0, 0] = [tiny / 4, -tiny / 3, tiny, -2 * tiny, 3e-45, -1e-44]
+        x[0, 1, 0] = [1e-39, -1e-39, 0.0, -0.0, 1e30, -1e30]
+        # channel 2 has s = 0 and t = tiny: every output is exactly tiny, a normal
+        gamma = np.array([1.0, 0.5, 0.0], np.float32)
+        beta = np.array([0.0, 0.0, tiny], np.float32)
+        mean, var = np.zeros(3, np.float32), np.ones(3, np.float32)
+        with no_grad():
+            y = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), mean, var,
+                           training=False).data
+        s = gamma * (1.0 / np.sqrt(var + np.float32(engine.BN_EPS)))
+        plain = x * s[:, None, None]
+        plain += (beta - mean * s)[:, None, None]
+        small = np.abs(plain) < tiny
+        assert (small & (plain != 0)).sum() >= 6  # subnormal affine results
+        assert (y[small] == 0.0).all() and not np.signbit(y[small]).any()
+        assert y[~small].tobytes() == plain[~small].tobytes()
+        assert (y[0, 2] == tiny).all()
+
+    def test_unrecorded_eval_leaves_its_input_alone(self):
+        x, gamma, beta, mean, var = self._eval_case("train-pass")
+        x[0, 0, 0, :3] = [1e-39, -1e-40, 0.0]
+        before = x.tobytes()
+        with no_grad():
+            y = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), mean, var,
+                           training=False)
+        assert x.tobytes() == before and not np.shares_memory(x, y.data)
+        # not recorded because no input needs a gradient, grad mode on
+        y2 = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), mean, var, training=False)
+        assert y2.node is None and y2.data.tobytes() == y.data.tobytes()
+        assert x.tobytes() == before
 
     def test_channel_mismatch(self):
         x = Tensor(np.zeros((1, 3, 2, 2), dtype=np.float32))

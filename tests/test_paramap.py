@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from nasadapt.derive import (
 )
 from nasadapt.errors import ContractError, ParameterError, ParseError
 from nasadapt.numerics import Tensor
+from nasadapt.numerics import tensor as engine
 from nasadapt.paramap import (
     ParameterBundle,
     map_channels,
@@ -418,6 +420,37 @@ class TestFunctionPreservation:
         dst_net = instantiate(arch, arrays=mapped.tensors)
         report = verify_function_preservation(src_net, dst_net, samples=4, tol=0.0)
         assert report["max_deviation"] == 0.0
+
+    def test_seed_built_table1_source_grown_to_k7_keeps_zero_deviation(self, monkeypatch):
+        # The seed-built table1 default source, as the benchmark builds it, at
+        # a reduced resolution: its eval activations underflow block by block,
+        # so the subnormal flush of eval batch norm zeroes values on both sides.
+        # 64x224 puts the first depthwise planes on channels-first, the later
+        # ones on channels-last.
+        source = replace(default_source_architecture(load_bundled_config("table1")),
+                         input_resolution=(64, 224))
+        grown = replace(source, blocks=tuple(
+            replace(b, ops=tuple(replace(op, kernel=7) for op in b.ops))
+            for b in source.blocks))
+        net = instantiate(source, seed=1)
+        bundle = ParameterBundle(tensors=net.to_arrays(), arch=arch_to_doc(source))
+        mapped, _ = map_to_derived(bundle, grown, eps=0.0)
+        flushed, layouts = [], set()
+        affine, choose = engine._affine, engine._dw_channels_last
+
+        def counting_affine(xd, scale, shift, flush):
+            out = affine(xd, scale, shift, flush)
+            if flush:
+                flushed.append(int((out != affine(xd, scale, shift, False)).sum()))
+            return out
+
+        monkeypatch.setattr(engine, "_affine", counting_affine)
+        monkeypatch.setattr(engine, "_dw_channels_last",
+                            lambda ow: layouts.add(choose(ow)) or choose(ow))
+        report = verify_function_preservation(
+            net, instantiate(grown, arrays=mapped.tensors), samples=1, seed=1)
+        assert report["max_deviation"] == 0.0 and report["passed"]
+        assert sum(flushed) > 0 and layouts == {True, False}
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_rejected(self, samples):
