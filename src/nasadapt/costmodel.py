@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .derive import DiscreteArchitecture
-from .errors import ContractError, ParameterError
-from .layers import ConvStage, mbconv_stages, stem_stages
+from .errors import ContractError
+from .layers import ConvStage, stem_stages
 from .numerics import Tensor, matmul, softmax
 from .searchspace import (
     OpCandidate,
@@ -55,22 +55,6 @@ def stages_madds(stages: tuple[ConvStage, ...], h: int, w: int) -> int:
         h, w = _out_hw(h, w, s.stride)
         total += conv_madds(s.c_in, s.c_out, s.kernel, h, w, s.groups)
     return total
-
-
-def madds_of_op(op: OpCandidate, c_in: int, c_out: int, h: int, w: int,
-                stride: int) -> int:
-    """Exact multiply-add count of one operation at the given shape: its
-    stage list's (:func:`nasadapt.layers.mbconv_stages`). Skip costs 0."""
-    if min(c_in, c_out, h, w) < 1:
-        raise ParameterError(
-            f"dimensions must be positive, got c_in={c_in} c_out={c_out} h={h} w={w}")
-    if stride < 1:
-        raise ParameterError(f"stride must be >= 1, got {stride}")
-    if op.kind == "skip":
-        return 0
-    if op.kind != "mbconv":
-        raise ParameterError(f"unknown op kind '{op.kind}'")
-    return stages_madds(mbconv_stages(c_in, c_out, op.kernel, op.expansion, stride), h, w)
 
 
 def stem_madds(config: SearchSpaceConfig) -> int:

@@ -27,7 +27,6 @@ from .searchspace import (
     channel_candidates,
     json_text,
     op_candidates,
-    parse_json,
     read_json,
     write_json,
 )
@@ -151,11 +150,6 @@ def arch_from_doc(raw: dict) -> DiscreteArchitecture:
     return DiscreteArchitecture(input_resolution=resolution, stem=stem, blocks=tuple(blocks))
 
 
-def arch_from_json(text: str) -> DiscreteArchitecture:
-    """Parse and validate an architecture document."""
-    return arch_from_doc(parse_json(text))
-
-
 def save_arch(arch: DiscreteArchitecture, path) -> None:
     write_json(arch_to_doc(arch), path)
 
@@ -200,9 +194,6 @@ class DiscreteNetwork:
                 h = op(h, training, update_stats)
             feats.append(h)
         return feats
-
-    def named_params(self):
-        return list(self._tensors.params.items())
 
     def params(self) -> list[Tensor]:
         return list(self._tensors.params.values())

@@ -9,13 +9,15 @@ two-level problem. Phases are strictly separated by construction: each
 phase turns ``requires_grad`` off on the idle parameter group, so a w step
 computes no alpha/beta gradient and an arch step no w gradient. An arch
 step also leaves the normalization running statistics alone; they only
-update during w steps.
+update during w steps. Both phases run ``toytask.train_step``, the step
+fine-tuning runs, with gradients clipped at norm ``GRAD_CLIP_NORM``.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,11 +29,13 @@ from .costmodel import (
     total_loss,
 )
 from .derive import default_source_architecture
-from .errors import ContractError, ParameterError
-from .numerics import SGD, Adam, Tensor, backward, clip_grad_norm, no_grad
+from .errors import ParameterError
+from .numerics import SGD, Adam, Tensor, no_grad
+# not called here: perfbench/instrument.py patches these names (until ROADMAP item 5)
+from .numerics import backward, clip_grad_norm  # noqa: F401
 from .seeding import seed_for
 from .supernet import Supernet
-from .toytask import ProxyHead, SyntheticDataset, model_loss
+from .toytask import ProxyHead, SyntheticDataset, train_step
 
 GRAD_CLIP_NORM = 10.0
 SEARCH_BATCH_SIZE = 8
@@ -132,12 +136,6 @@ class _BatchCycle:
         return self._order.pop(0)
 
 
-def _check_finite(value: float, step: int, epoch: int, phase: str) -> None:
-    if not np.isfinite(value):
-        raise ContractError(
-            f"non-finite loss {value} at step {step} (epoch {epoch}, phase {phase})")
-
-
 def _snapshot(net: Supernet, epoch: int) -> EpochSnapshot:
     return EpochSnapshot(
         epoch=epoch,
@@ -154,30 +152,11 @@ def _train_only(active: list[Tensor], idle: list[Tensor]) -> None:
         p.requires_grad = True
 
 
-def _step(net: Supernet, head: ProxyHead, dataset: SyntheticDataset, idx: np.ndarray,
-          opt, params: list[Tensor], where: tuple[int, int, str],
-          table: MAddsTable | None = None, lam: float = 0.0, normalizer: float = 1.0,
-          ) -> tuple[float, float, Tensor | None]:
-    """One step of either phase: forward, loss, finite check, zero, backward,
-    clip, step.
-
-    Given a cost ``table`` (arch steps) the loss adds the cost regularizer
-    ``lam * cost / normalizer`` and normalization statistics stay frozen.
-    Returns the model loss, the loss, and the expected-cost tensor (None
-    without a table).
-    """
-    feats = net.forward(Tensor(dataset.images[idx]), training=True,
-                        update_stats=None if table is None else False)
-    m_loss = model_loss(feats[-1], head, dataset.labels[idx])
-    cost = None if table is None else expected_cost(net.alpha, net.beta, table)
-    loss = m_loss if cost is None else total_loss(m_loss, cost, lam, normalizer)
-    value = loss.item()
-    _check_finite(value, *where)
-    opt.zero_grad()
-    backward(loss)
-    clip_grad_norm(params, GRAD_CLIP_NORM)
-    opt.step()
-    return m_loss.item(), value, cost
+def _add_cost(net: Supernet, table: MAddsTable, lam: float, normalizer: float,
+              m_loss: Tensor) -> tuple[Tensor, Tensor]:
+    """An arch step's loss, ``m_loss + lam * cost / normalizer``, and its cost."""
+    cost = expected_cost(net.alpha, net.beta, table)
+    return total_loss(m_loss, cost, lam, normalizer), cost
 
 
 def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
@@ -186,6 +165,7 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
     normalizer = float(madds_of_discrete(default_source_architecture(net.config),
                                          net.config))
     table = build_madds_table(net.config)
+    add_cost = partial(_add_cost, net, table, schedule.lam, normalizer)
     if head is None:
         head = ProxyHead(net.final_channels, dataset.spec.n_classes,
                          seed=seed_for(schedule.seed, "head"))
@@ -209,8 +189,9 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
             for _ in range(steps_per_epoch):
                 _train_only(w_params, arch_params)
                 step += 1
-                m_val, _, _ = _step(net, head, dataset, batches_a.next(), w_opt, w_params,
-                                    (step, epoch, "w"))
+                m_val, _, _ = train_step(net, head, dataset, batches_a.next(), w_opt,
+                                         f"step {step} (epoch {epoch}, phase w)",
+                                         GRAD_CLIP_NORM)
                 with no_grad():
                     c_val = float(expected_cost(net.alpha, net.beta, table).data) \
                         / normalizer
@@ -221,9 +202,10 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
                     continue
                 _train_only(arch_params, w_params)
                 step += 1
-                m_val, t_val, cost = _step(net, head, dataset, batches_b.next(), arch_opt,
-                                           arch_params, (step, epoch, "arch"),
-                                           table, schedule.lam, normalizer)
+                m_val, t_val, cost = train_step(net, head, dataset, batches_b.next(),
+                                                arch_opt,
+                                                f"step {step} (epoch {epoch}, phase arch)",
+                                                GRAD_CLIP_NORM, add_cost)
                 history.steps.append(StepRecord(
                     step=step, epoch=epoch, phase="arch", model_loss=m_val,
                     expected_cost=float(cost.data) / normalizer,
@@ -232,6 +214,5 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
     finally:
         for p, flag in zip(w_params + arch_params, requires_grad_before):
             p.requires_grad = flag
-        w_opt.zero_grad()
-        arch_opt.zero_grad()
+            p.grad = None
     return net, history

@@ -15,7 +15,7 @@ or writes: one format, one file reader, field errors at ``$``-rooted paths.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -212,25 +212,6 @@ def _config_from_doc(raw: dict) -> SearchSpaceConfig:
 def parse_config(text: str) -> SearchSpaceConfig:
     """Parse and validate a search-space JSON document."""
     return _config_from_doc(parse_json(text))
-
-
-def serialize_config(config: SearchSpaceConfig) -> str:
-    """Emit a JSON document that parses back to an equal config."""
-    return json_text({
-        "v": SCHEMA_VERSION,
-        "input_resolution": list(config.input_resolution),
-        "stem": asdict(config.stem),
-        "blocks": [
-            {
-                "n_max": b.n_max,
-                "stride": b.stride,
-                "kernels": list(b.kernels),
-                "expansions": list(b.expansions),
-                "channels": list(b.channel_range),
-            }
-            for b in config.blocks
-        ],
-    })
 
 
 def load_config(path) -> SearchSpaceConfig:

@@ -187,12 +187,6 @@ class Supernet:
         return [(name, t) for name, t in self._tensors.params.items()
                 if not name.startswith(_LOGIT_PREFIXES)]
 
-    def named_state(self):
-        return list(self._tensors.state.items())
-
-    def named_arch_params(self):
-        return list(zip(logit_lengths(self.config), self.arch_params()))
-
     def to_arrays(self) -> dict[str, np.ndarray]:
         """Logits, then parameters, then running statistics, by name."""
         return self._tensors.arrays()

@@ -8,6 +8,7 @@ the PRNG (PCG64) and draw order are documented in docs/determinism.md.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 from .derive import DiscreteArchitecture, arch_to_doc, instantiate
 from .errors import ContractError, ParameterError
 from .layers import TensorSource, trunc_normal, zeros
-from .numerics import SGD, Tensor, backward, cross_entropy, matmul, no_grad
+from .numerics import SGD, Tensor, backward, clip_grad_norm, cross_entropy, matmul, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
 from .paramap import ParameterBundle
@@ -138,6 +139,8 @@ def load_dataset(path) -> SyntheticDataset:
         got = arrays[name].shape if name in arrays else None
         if got != shape:
             raise ContractError(f"{path}: '{name}' has shape {got}, its sidecar implies {shape}")
+    if not np.isfinite(arrays["images"]).all():
+        raise ContractError(f"{path}: 'images' holds a non-finite value")
     labels = arrays["labels"]
     bad = labels[(labels != np.round(labels)) | (labels < 0) | (labels >= spec.n_classes)]
     if bad.size:
@@ -172,10 +175,31 @@ def model_loss(features: Tensor, head: ProxyHead, labels: np.ndarray) -> Tensor:
     return cross_entropy(head(features), labels)
 
 
-def _check_finite(loss_val: float, step: int, epoch: int) -> None:
-    if not np.isfinite(loss_val):
-        raise ContractError(
-            f"non-finite loss {loss_val} at fine-tune step {step} (epoch {epoch})")
+def train_step(net, head: ProxyHead, dataset: SyntheticDataset, idx: np.ndarray, opt,
+               where: str, clip_norm: float | None = None,
+               add_cost: Callable[[Tensor], tuple[Tensor, Tensor]] | None = None,
+               ) -> tuple[float, float, Tensor | None]:
+    """One optimizer step on the samples ``idx``: forward, model loss, finite
+    check, zero, backward, optional clip of ``opt``'s gradients, step.
+
+    ``add_cost`` (a search's arch step) maps the model loss to the loss and
+    the expected-cost tensor; such a step leaves running statistics frozen.
+    A non-finite loss raises a ContractError naming ``where``. Returns the
+    model loss, the loss and the cost tensor (None without ``add_cost``).
+    """
+    feats = net.forward(Tensor(dataset.images[idx]), training=True,
+                        update_stats=None if add_cost is None else False)
+    m_loss = model_loss(feats[-1], head, dataset.labels[idx])
+    loss, cost = (m_loss, None) if add_cost is None else add_cost(m_loss)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise ContractError(f"non-finite loss {value} at {where}")
+    opt.zero_grad()
+    backward(loss)
+    if clip_norm is not None:
+        clip_grad_norm(opt.params, clip_norm)
+    opt.step()
+    return m_loss.item(), value, cost
 
 
 def check_epochs(epochs: int, what: str = "epochs") -> None:
@@ -213,16 +237,11 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
             order = rng.permutation(n)
             epoch_losses = []
             for start in range(0, n, FINETUNE_BATCH_SIZE):
-                idx = order[start:start + FINETUNE_BATCH_SIZE]
-                feats = net.forward(Tensor(dataset.images[idx]), training=True)
-                loss = model_loss(feats[-1], head, dataset.labels[idx])
-                val = loss.item()
                 step += 1
-                _check_finite(val, step, epoch)
-                opt.zero_grad()
-                backward(loss)
-                opt.step()
-                epoch_losses.append(val)
+                _, loss, _ = train_step(net, head, dataset,
+                                        order[start:start + FINETUNE_BATCH_SIZE], opt,
+                                        f"fine-tune step {step} (epoch {epoch})")
+                epoch_losses.append(loss)
             curve.append(float(np.mean(epoch_losses)))
     arrays = net.to_arrays() | head.to_arrays()
     bundle = ParameterBundle(tensors={k: v.copy() for k, v in arrays.items()},

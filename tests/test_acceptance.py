@@ -13,13 +13,13 @@ from nasadapt.costmodel import (
     build_madds_table,
     expected_cost,
     madds_of_discrete,
-    madds_of_op,
+    stages_madds,
 )
 from nasadapt.derive import (
     DerivedBlock,
     DerivedOp,
     DiscreteArchitecture,
-    arch_to_json,
+    arch_to_doc,
     default_source_architecture,
     derive_architecture,
     instantiate,
@@ -51,8 +51,8 @@ from nasadapt.searchspace import (
     op_candidates,
     parse_config,
 )
-from nasadapt.supernet import build_masks, build_supernet, mixed_block_forward, \
-    mixed_op_forward
+from nasadapt.supernet import build_masks, build_supernet, logit_lengths, \
+    mixed_block_forward, mixed_op_forward
 from nasadapt.toytask import DatasetSpec, ProxyHead, finetune, generate, \
     model_loss
 
@@ -229,10 +229,8 @@ def test_cost_model_consistency():
         op = ConvChain(mbconv_stages(c_in, c_out, k, e, stride), TensorSource(seed=0))
         with count_madds() as counter:
             op(Tensor(np.zeros((1, c_in, hh, ww), dtype=np.float32)), training=False)
-        from nasadapt.searchspace import OpCandidate
-
-        instr_ok &= counter.madds == madds_of_op(
-            OpCandidate("mbconv", kernel=k, expansion=e), c_in, c_out, hh, ww, stride)
+        instr_ok &= counter.madds == stages_madds(mbconv_stages(c_in, c_out, k, e, stride),
+                                                  hh, ww)
     report("cost-model-consistency", one_hot_ok and grad_ok and instr_ok,
            f"one-hot rel {worst_rel:.2e}, grads={grad_ok}, instrumented={instr_ok}")
 
@@ -262,7 +260,7 @@ def test_bilevel_phase_separation():
     table = build_madds_table(cfg)
     head = ProxyHead(net.final_channels, 4, seed=0)
     w_before = {n: t.data.copy() for n, t in net.named_weight_params()}
-    s_before = {n: b.copy() for n, b in net.named_state()}
+    s_before = {n: b.copy() for n, b in net.to_arrays().items() if n not in logit_lengths(cfg)}
     opt = Adam(net.arch_params(), lr=3e-4, weight_decay=ARCH_WEIGHT_DECAY)
     for step in range(6):
         feats = net.forward(Tensor(ds.images[step * 8:(step + 1) * 8]),
@@ -277,7 +275,7 @@ def test_bilevel_phase_separation():
         opt.zero_grad()
     w_ok = all(w_before[n].tobytes() == t.data.tobytes()
                for n, t in net.named_weight_params())
-    s_ok = all(s_before[n].tobytes() == b.tobytes() for n, b in net.named_state())
+    s_ok = all(b.tobytes() == net.to_arrays()[n].tobytes() for n, b in s_before.items())
 
     # full 3+3 search is bit-reproducible
     def run():
@@ -329,7 +327,7 @@ def test_function_preservation():
     src_net.forward(Tensor(ds.images), training=True)
     bundle = ParameterBundle(
         tensors={k2: v.copy() for k2, v in src_net.to_arrays().items()},
-        arch=json.loads(arch_to_json(source_arch)))
+        arch=arch_to_doc(source_arch))
 
     kernel_target = DiscreteArchitecture(
         input_resolution=source_arch.input_resolution, stem=source_arch.stem,
@@ -351,7 +349,7 @@ def test_function_preservation():
     narrow_net.forward(Tensor(ds.images), training=True)
     narrow_bundle = ParameterBundle(
         tensors={k2: v.copy() for k2, v in narrow_net.to_arrays().items()},
-        arch=json.loads(arch_to_json(narrow_arch)))
+        arch=arch_to_doc(narrow_arch))
     padded, rep_map = map_to_derived(narrow_bundle, source_arch, eps=0.0)
     pad_rules_ok = {r for e in rep_map.entries.values() for r in e.rules} <= \
         {"direct", "channel-pad"}

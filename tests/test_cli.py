@@ -16,6 +16,7 @@ import nasadapt.layers as layers
 from nasadapt.cli import build_parser, end_to_end, main
 from nasadapt.costmodel import build_madds_table, expected_cost, expected_cost_per_block
 from nasadapt.derive import (
+    arch_to_doc,
     arch_to_json,
     default_source_architecture,
     derive_architecture,
@@ -139,8 +140,7 @@ class TestUsage:
 
     def test_finetune_out_of_range_arch_exits_2_without_traceback(self, tmp_path,
                                                                    space_path):
-        doc = json.loads(arch_to_json(default_source_architecture(
-            load_bundled_config("desk3"))))
+        doc = arch_to_doc(default_source_architecture(load_bundled_config("desk3")))
         doc["blocks"][0]["ops"][0]["expansion"] = 0
         arch = tmp_path / "arch.json"
         arch.write_text(json.dumps(doc))
@@ -484,6 +484,12 @@ def broken(artifacts, from_arrays_inputs, space_path):
         paths[name] = root / f"{name}.nat"
         save_tensors(paths[name], tensors)
     copy(artifacts["data"].with_suffix(".json"), "bad_labels.json")
+    # one NaN pixel: without a check it trains to a NaN loss, or not at all at --epochs 0
+    tensors = load_tensors(artifacts["data"])
+    tensors["images"][3, 1, 5, 7] = np.nan
+    paths["nan_pixel"] = root / "nan_pixel.nat"
+    save_tensors(paths["nan_pixel"], tensors)
+    copy(artifacts["data"].with_suffix(".json"), "nan_pixel.json")
     paths["out"] = root / "out"
     return paths
 
@@ -550,6 +556,9 @@ EXIT_2_CASES = {
                                    None),
     "finetune-negative-epochs": ("finetune --arch {arch} --data {data} --epochs -2 --out {out}",
                                  None),
+    "search-nan-pixel": ("search --space {space} --data {nan_pixel} --out {out}", None),
+    "finetune-nan-pixel": ("finetune --arch {arch} --data {nan_pixel} --epochs 0 --out {out}",
+                           None),
     # flags are checked before the data and the source are written
     "e2e-nan-eps": ("e2e --space {space} --out-dir {out} --eps nan", None),
     "e2e-nan-lambda": ("e2e --space {space} --out-dir {out} --lambda nan", None),
@@ -597,6 +606,8 @@ class TestExit2Sweep:
             assert f"{broken['out'].parent / names}:$" in err
         if case.endswith("-nan-eps"):
             assert "eps must be finite and >= 0" in err
+        if case.endswith("-nan-pixel"):
+            assert f"{broken['nan_pixel']}: 'images' holds a non-finite value" in err
         assert not broken["out"].exists()
 
     @pytest.mark.parametrize("case", list(FIELD_CASES))

@@ -254,19 +254,19 @@ def _tiny_search_setup(seed=3):
 
 
 def test_search_scopes_gradients_to_the_active_phase(monkeypatch):
-    import nasadapt.searchloop as searchloop
+    import nasadapt.toytask as toytask
 
     net, ds, head, schedule = _tiny_search_setup()
     w_params, arch_params = net.weight_params() + head.params(), net.arch_params()
     scopes = []
-    real_backward = searchloop.backward
+    real_backward = toytask.backward
 
     def spy(loss):
         scopes.append(([p.requires_grad for p in w_params],
                        [p.requires_grad for p in arch_params]))
         real_backward(loss)
 
-    monkeypatch.setattr(searchloop, "backward", spy)
+    monkeypatch.setattr(toytask, "backward", spy)
     search(net, ds, schedule, head=head)
     (w_in_w_step, arch_in_w_step), (w_in_arch_step, arch_in_arch_step) = scopes
     assert all(w_in_w_step) and not any(arch_in_w_step)

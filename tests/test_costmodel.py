@@ -9,16 +9,15 @@ from nasadapt.costmodel import (
     build_madds_table,
     expected_cost,
     madds_of_discrete,
-    madds_of_op,
+    stages_madds,
     stem_madds,
     total_loss,
 )
 from nasadapt.derive import default_source_architecture, derive_architecture
-from nasadapt.errors import ContractError, ParameterError
+from nasadapt.errors import ContractError
 from nasadapt.layers import ConvChain, TensorSource, mbconv_stages, stem_stages
 from nasadapt.numerics import Tensor, backward, count_madds
 from nasadapt.searchspace import (
-    OpCandidate,
     channel_candidates,
     load_bundled_config,
     op_candidates,
@@ -59,8 +58,9 @@ def mini_config():
 
 class TestMaddsOfOp:
     def test_skip_is_free(self):
-        assert madds_of_op(OpCandidate("skip"), 8, 8, 4, 4, 1) == 0
-        assert madds_of_op(OpCandidate("skip"), 64, 64, 32, 32, 1) == 0
+        # a skip's stage list is empty
+        assert stages_madds((), 4, 4) == 0
+        assert stages_madds((), 32, 32) == 0
 
     def test_matches_instrumented_forward(self):
         rng = np.random.default_rng(0)
@@ -70,8 +70,7 @@ class TestMaddsOfOp:
             x = Tensor(rng.standard_normal((1, c_in, h, w)).astype(np.float32))
             with count_madds() as counter:
                 op(x, training=False)
-            want = madds_of_op(OpCandidate("mbconv", kernel=k, expansion=e),
-                               c_in, c_out, h, w, stride)
+            want = stages_madds(mbconv_stages(c_in, c_out, k, e, stride), h, w)
             assert counter.madds == want, (c_in, c_out, h, w, k, e, stride)
         for name in ("desk3", "table1"):
             cfg = load_bundled_config(name)
@@ -87,22 +86,12 @@ class TestMaddsOfOp:
         x = Tensor(rng.standard_normal((1, 6, 4, 4)).astype(np.float32))
         with count_madds() as counter:
             op(x, training=False)
-        assert counter.madds == madds_of_op(
-            OpCandidate("mbconv", kernel=3, expansion=1), 6, 4, 4, 4, 1)
+        assert counter.madds == stages_madds(mbconv_stages(6, 4, 3, 1, 1), 4, 4)
 
     def test_area_scaling(self):
-        op = OpCandidate("mbconv", kernel=3, expansion=3)
-        base = madds_of_op(op, 8, 8, 4, 4, 1)
-        assert madds_of_op(op, 8, 8, 8, 8, 1) == 4 * base
-        strided = madds_of_op(op, 8, 8, 4, 4, 2)
-        assert madds_of_op(op, 8, 8, 8, 8, 2) == 4 * strided
-
-    def test_rejects_bad_dims(self):
-        op = OpCandidate("mbconv", kernel=3, expansion=3)
-        with pytest.raises(ParameterError):
-            madds_of_op(op, 0, 8, 4, 4, 1)
-        with pytest.raises(ParameterError):
-            madds_of_op(op, 8, 8, 4, 4, 0)
+        op, strided = mbconv_stages(8, 8, 3, 3, 1), mbconv_stages(8, 8, 3, 3, 2)
+        assert stages_madds(op, 8, 8) == 4 * stages_madds(op, 4, 4)
+        assert stages_madds(strided, 8, 8) == 4 * stages_madds(strided, 4, 4)
 
 
 class TestTable:
@@ -133,14 +122,14 @@ class TestTable:
             oi = int(rng.integers(len(ops)))
             cands = channel_candidates(spec)
             ci = int(rng.integers(len(cands)))
-            h_in, w_in = sizes[i]
             if l == 0:
-                want = madds_of_op(ops[oi], cfg.block_input_channels(i), cands[ci],
-                                   h_in, w_in, spec.stride)
+                c_in, stride, (h, w) = cfg.block_input_channels(i), spec.stride, sizes[i]
             else:
-                h_out, w_out = _out_hw(h_in, w_in, spec.stride)
-                want = madds_of_op(ops[oi], cands[ci], cands[ci], h_out, w_out, 1)
-            assert table.blocks[i][l][ci, oi] == want
+                c_in, stride, (h, w) = cands[ci], 1, _out_hw(*sizes[i], spec.stride)
+            op = ops[oi]
+            stages = () if op.kind == "skip" else mbconv_stages(
+                c_in, cands[ci], op.kernel, op.expansion, stride)
+            assert table.blocks[i][l][ci, oi] == stages_madds(stages, h, w)
 
     def test_monotone_in_channels_table1(self):
         cfg = load_bundled_config("table1")

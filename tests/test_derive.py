@@ -5,7 +5,8 @@ import pytest
 
 from nasadapt.costmodel import build_madds_table, madds_of_discrete
 from nasadapt.derive import (
-    arch_from_json,
+    arch_from_doc,
+    arch_to_doc,
     arch_to_json,
     default_source_architecture,
     derive_architecture,
@@ -13,7 +14,12 @@ from nasadapt.derive import (
 )
 from nasadapt.errors import ContractError, ParameterError, ParseError
 from nasadapt.numerics import Tensor
-from nasadapt.searchspace import channel_candidates, load_bundled_config, op_candidates
+from nasadapt.searchspace import (
+    channel_candidates,
+    load_bundled_config,
+    op_candidates,
+    parse_json,
+)
 from nasadapt.supernet import build_supernet
 
 
@@ -117,23 +123,21 @@ class TestArchJson:
             for b in betas:
                 b += rng.standard_normal(b.shape).astype(np.float32)
             arch = derive_architecture(alphas, betas, cfg)
-            assert arch_from_json(arch_to_json(arch)) == arch
+            assert arch_from_doc(parse_json(arch_to_json(arch))) == arch
 
     def test_unknown_kind_named(self):
         cfg = load_bundled_config("desk3")
         text = arch_to_json(default_source_architecture(cfg))
         broken = text.replace('"kind": "mbconv"', '"kind": "warp"', 1)
         with pytest.raises(ParseError, match="unknown operation kind 'warp'"):
-            arch_from_json(broken)
+            arch_from_doc(parse_json(broken))
 
     def test_missing_channels_names_path(self):
         cfg = load_bundled_config("desk3")
-        import json as _json
-
-        doc = _json.loads(arch_to_json(default_source_architecture(cfg)))
+        doc = arch_to_doc(default_source_architecture(cfg))
         del doc["blocks"][1]["channels"]
         with pytest.raises(ParseError, match=r"blocks\[1\]\.channels"):
-            arch_from_json(_json.dumps(doc))
+            arch_from_doc(doc)
 
     @pytest.mark.parametrize("where, key, value, path", [
         (("stem",), "conv_channels", 0, "$.stem.conv_channels"),
@@ -147,16 +151,13 @@ class TestArchJson:
         ((), "input_resolution", [True, True], "$.input_resolution"),
     ])
     def test_out_of_range_field_names_path(self, where, key, value, path):
-        import json as _json
-
-        doc = _json.loads(arch_to_json(default_source_architecture(
-            load_bundled_config("desk3"))))
+        doc = arch_to_doc(default_source_architecture(load_bundled_config("desk3")))
         obj = doc
         for step in where:
             obj = obj[step]
         obj[key] = value
         with pytest.raises(ParseError) as err:
-            arch_from_json(_json.dumps(doc))
+            arch_from_doc(doc)
         # the error path is the case's path, rooted at $
         assert err.value.path == "$." + path.removeprefix("$.")
         assert f"got {value}" in str(err.value)
@@ -180,8 +181,9 @@ class TestInstantiate:
         cfg = load_bundled_config("desk3")
         arch = default_source_architecture(cfg)
         a, b = instantiate(arch, seed=9), instantiate(arch, seed=9)
-        for (name, ta), (_, tb) in zip(a.named_params(), b.named_params()):
-            assert ta.data.tobytes() == tb.data.tobytes(), name
+        arrays = b.to_arrays()
+        for name, ta in a.to_arrays().items():
+            assert ta.tobytes() == arrays[name].tobytes(), name
 
     @pytest.mark.parametrize("name, edit", [
         ("stem/mbconv/depthwise/weight", "missing"),

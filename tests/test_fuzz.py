@@ -13,12 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nasadapt.derive import arch_from_json, arch_to_json, default_source_architecture
+from nasadapt.derive import arch_from_doc, arch_to_doc, default_source_architecture
 from nasadapt.errors import NasAdaptError
 from nasadapt.numerics.container import load_tensors, save_tensors
-from nasadapt.searchspace import bundled_config_path, load_bundled_config, parse_config
+from nasadapt.searchspace import (
+    bundled_config_path,
+    load_bundled_config,
+    parse_config,
+    parse_json,
+)
 
-ARCH_DOC = json.loads(arch_to_json(default_source_architecture(load_bundled_config("desk3"))))
+ARCH_DOC = arch_to_doc(default_source_architecture(load_bundled_config("desk3")))
 SPACE_DOC = json.loads(bundled_config_path("desk3").read_text(encoding="utf-8"))
 
 JSON_VALUES = st.recursive(
@@ -90,9 +95,10 @@ def _replaced(doc, path, value):
     return json.dumps(doc)
 
 
-@pytest.mark.parametrize("doc, parse", [(ARCH_DOC, arch_from_json),
-                                        (SPACE_DOC, parse_config)],
-                         ids=["architecture", "search-space"])
+@pytest.mark.parametrize("doc, parse", [
+    (ARCH_DOC, lambda text: arch_from_doc(parse_json(text))),
+    (SPACE_DOC, parse_config),
+], ids=["architecture", "search-space"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_document_field_replacement(doc, parse, data):

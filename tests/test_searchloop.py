@@ -1,22 +1,30 @@
 """Search loop: data split, schedules, phase separation, reproducibility."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from nasadapt.costmodel import build_madds_table, madds_of_discrete
+from nasadapt.derive import default_source_architecture
 from nasadapt.errors import ContractError, ParameterError
+from nasadapt.numerics import Adam
 from nasadapt.searchloop import (
     ARCH_LR,
+    ARCH_WEIGHT_DECAY,
+    GRAD_CLIP_NORM,
     SEARCH_BATCH_SIZE,
     W_LR,
     SearchSchedule,
-    _check_finite,
+    _add_cost,
+    _train_only,
     history_to_csv,
     search,
     split_data,
 )
 from nasadapt.searchspace import load_bundled_config
-from nasadapt.supernet import build_supernet
-from nasadapt.toytask import DatasetSpec, generate
+from nasadapt.supernet import build_supernet, logit_lengths
+from nasadapt.toytask import DatasetSpec, ProxyHead, finetune, generate, train_step
 
 
 def tiny_search(seed=0, total=2, warmup=1, lam=0.1, n_samples=48, mask_mode="non_overlapping"):
@@ -86,45 +94,32 @@ class TestSearch:
         net = build_supernet(cfg, seed=2)
         ds = generate(DatasetSpec(n_samples=32, seed=2))
         schedule = SearchSchedule(total_epochs=2, warmup_epochs=1, seed=2)
-        w_names = [n for n, _ in net.named_weight_params()]
-        state_names = [n for n, _ in net.named_state()]
-
-        # wrap search manually: run warmup epoch, snapshot, then one arch epoch
         net, history = search(net, ds, schedule)
         phases = {r.phase for r in history.steps}
         assert phases == {"w", "arch"}
 
     def test_arch_steps_leave_w_bit_identical(self):
-        # zero w epochs of drift: warmup 0, and freeze w by observing a single epoch
+        # the arch step as search runs it: w scoped out, cost added, clipped
         cfg = load_bundled_config("desk3")
         net = build_supernet(cfg, seed=3)
         ds = generate(DatasetSpec(n_samples=16, seed=3))
-        from nasadapt.costmodel import build_madds_table, expected_cost
-        from nasadapt.numerics import Adam, Tensor, backward, clip_grad_norm
-        from nasadapt.searchloop import ARCH_WEIGHT_DECAY
-        from nasadapt.toytask import ProxyHead, model_loss
-
         head = ProxyHead(net.final_channels, 4, seed=0)
-        table = build_madds_table(cfg)
-        w_before = {n: t.data.copy() for n, t in net.named_weight_params()}
-        s_before = {n: b.copy() for n, b in net.named_state()}
-        opt = Adam(net.arch_params(), lr=3e-4, weight_decay=ARCH_WEIGHT_DECAY)
-        for _ in range(3):
-            feats = net.forward(Tensor(ds.images[:8]), training=True, update_stats=False)
-            loss = model_loss(feats[-1], head, ds.labels[:8]) + \
-                expected_cost(net.alpha, net.beta, table) * np.float32(1e-9)
-            backward(loss)
-            clip_grad_norm(net.arch_params(), 10.0)
-            for p in net.weight_params() + head.params():
-                p.grad = None
-            opt.step()
-            opt.zero_grad()
-        for n, t in net.named_weight_params():
-            assert w_before[n].tobytes() == t.data.tobytes(), n
-        for n, b in net.named_state():
-            assert s_before[n].tobytes() == b.tobytes(), n
-        changed = any(v.data.any() for v in net.arch_params())
-        assert changed, "arch params should have moved"
+        w_params, arch_params = net.weight_params() + head.params(), net.arch_params()
+        logits = logit_lengths(cfg)
+        # operation weights, the head and running statistics
+        before = {n: a.copy() for n, a in (net.to_arrays() | head.to_arrays()).items()
+                  if n not in logits}
+        opt = Adam(arch_params, lr=ARCH_LR, weight_decay=ARCH_WEIGHT_DECAY)
+        normalizer = madds_of_discrete(default_source_architecture(cfg), cfg)
+        add_cost = partial(_add_cost, net, build_madds_table(cfg), 0.1, normalizer)
+        _train_only(arch_params, w_params)
+        for step in range(1, 4):
+            train_step(net, head, ds, np.arange(8), opt, f"step {step}", GRAD_CLIP_NORM,
+                       add_cost)
+        after = net.to_arrays() | head.to_arrays()
+        for n, a in before.items():
+            assert a.tobytes() == after[n].tobytes(), n
+        assert all(after[n].any() for n in logits), "arch params should have moved"
 
     def test_fixed_seed_bit_identical_history(self):
         _, h1 = tiny_search(seed=7)
@@ -153,9 +148,18 @@ class TestSearch:
         assert lines[0] == "step,epoch,phase,model_loss,expected_cost,total_loss"
         assert len(lines) == len(history.steps) + 1
 
-    def test_nan_guard_names_step(self):
-        with pytest.raises(ContractError, match=r"step 17 \(epoch 3, phase arch\)"):
-            _check_finite(float("nan"), 17, 3, "arch")
+    @pytest.mark.parametrize("run, where", [
+        (lambda cfg, ds: search(build_supernet(cfg, seed=0), ds, SearchSchedule()),
+         r"step 1 \(epoch 1, phase w\)"),
+        (lambda cfg, ds: finetune(default_source_architecture(cfg), None, ds, epochs=1),
+         r"fine-tune step 1 \(epoch 1\)"),
+    ], ids=["search", "finetune"])
+    def test_nan_guard_names_step(self, run, where):
+        # a NaN pixel in every image makes the first batch's loss NaN
+        ds = generate(DatasetSpec(n_samples=16, seed=0))
+        ds.images[:, 0, 0, 0] = np.nan
+        with pytest.raises(ContractError, match=f"non-finite loss nan at {where}$"):
+            run(load_bundled_config("desk3"), ds)
 
     def test_snapshots_per_epoch(self):
         _, history = tiny_search(seed=11, total=2, warmup=1)

@@ -13,6 +13,7 @@ from nasadapt.supernet import (
     build_masks,
     build_supernet,
     load_logits,
+    logit_lengths,
     mixed_block_forward,
     mixed_op_forward,
 )
@@ -148,7 +149,8 @@ class TestLoadLogits:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_rejects_a_non_finite_logit(self, tmp_path, value):
         cfg = load_bundled_config("desk3")
-        arrays = {name: t.data for name, t in build_supernet(cfg, seed=0).named_arch_params()}
+        arrays = build_supernet(cfg, seed=0).to_arrays()
+        arrays = {name: arrays[name] for name in logit_lengths(cfg)}
         arrays["alpha/1/1"][0] = value
         save_tensors(tmp_path / "bad.nat", arrays)
         with pytest.raises(ContractError, match="bad.nat: 'alpha/1/1' holds a non-finite"):
@@ -156,7 +158,8 @@ class TestLoadLogits:
 
     def test_rejects_a_wrong_length(self, tmp_path):
         cfg = load_bundled_config("desk3")
-        arrays = {name: t.data for name, t in build_supernet(cfg, seed=0).named_arch_params()}
+        arrays = build_supernet(cfg, seed=0).to_arrays()
+        arrays = {name: arrays[name] for name in logit_lengths(cfg)}
         arrays["beta/1"] = np.zeros(arrays["beta/1"].shape[0] + 1, dtype=np.float32)
         save_tensors(tmp_path / "bad.nat", arrays)
         with pytest.raises(ContractError, match="'beta/1' has shape"):
@@ -378,6 +381,6 @@ class TestSupernetForward:
         path = tmp_path / "supernet.nat"
         net.save(path)
         other = build_supernet(cfg, arrays=load_tensors(path))
-        for (name, a), (_, b) in zip(net.named_arch_params() + net.named_weight_params(),
-                                     other.named_arch_params() + other.named_weight_params()):
-            assert a.data.tobytes() == b.data.tobytes(), name
+        arrays = other.to_arrays()
+        for name, a in net.to_arrays().items():
+            assert a.tobytes() == arrays[name].tobytes(), name
