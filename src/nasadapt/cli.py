@@ -44,10 +44,10 @@ from .paramap import (
     map_to_supernet,
     verify_function_preservation,
 )
-from .searchloop import SearchSchedule, history_to_csv, search
+from .searchloop import SearchSchedule, history_to_csv, search, write_csv
 from .searchspace import load_config, write_json
 from .seeding import seed_for
-from .supernet import build_supernet, check_mask_mode, load_logits
+from .supernet import MASK_MODES, build_supernet, check_mask_mode, load_logits
 from .toytask import (
     DatasetSpec,
     check_epochs,
@@ -103,9 +103,7 @@ def _cmd_derive(args) -> int:
 
 def _cmd_cost(args) -> int:
     config = load_config(args.space)
-    if (args.arch is None) == (args.ckpt is None):
-        raise SystemExit(_usage_error("cost requires exactly one of --arch or --ckpt"))
-    if args.arch:
+    if args.arch is not None:
         arch = load_arch(args.arch)
         doc = {
             "kind": "discrete",
@@ -127,17 +125,10 @@ def _cmd_cost(args) -> int:
     return 0
 
 
-def _usage_error(message: str) -> int:
-    print(f"nasadapt: error: {message}", file=sys.stderr)
-    return 1
-
-
 def _cmd_remap(args) -> int:
-    if (args.dst_arch is None) == (args.space is None):
-        raise SystemExit(_usage_error("remap requires exactly one of --dst-arch or --space"))
     check_eps(args.eps)
     source = ParameterBundle.load(args.src)
-    if args.dst_arch:
+    if args.dst_arch is not None:
         target = load_arch(args.dst_arch)
         bundle, report = map_to_derived(source, target, eps=args.eps,
                                         seed=seed_for(args.seed, "noise"))
@@ -171,9 +162,8 @@ def _cmd_finetune(args) -> int:
                              seed=seed_for(args.seed, "finetune"))
     bundle.save(args.out)
     if args.history:
-        Path(args.history).write_text(
-            "epoch,loss\n" + "".join(f"{i + 1},{repr(v)}\n" for i, v in enumerate(curve)),
-            encoding="utf-8")
+        write_csv(args.history, ["epoch", "loss"],
+                  ([epoch, repr(v)] for epoch, v in enumerate(curve, 1)))
     accuracy = evaluate_accuracy(arch, bundle, dataset)
     write_json({"final_loss": curve[-1] if curve else None,
                 "train_accuracy": accuracy, "epochs": args.epochs}, None)
@@ -256,19 +246,28 @@ def _cmd_e2e(args) -> int:
     return 0
 
 
-def _add_mask_mode(p):
-    p.add_argument("--mask-mode", choices=["non_overlapping", "overlapping"],
-                   default="non_overlapping",
-                   help="channel mask variant (default non_overlapping)")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="nasadapt",
                      description="Differentiable backbone adaptation at desk scale")
     parser.add_argument("--version", action="version", version=f"nasadapt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags `search` and `e2e` share; their defaults are end_to_end's
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--space", required=True, help="search-space JSON")
+    shared.add_argument("--seed", type=int, default=0, help="global seed")
+    shared.add_argument("--epochs", type=int, default=14,
+                        help="search epochs (default 14)")
+    shared.add_argument("--warmup", type=int, default=8,
+                        help="weight-only warm-up epochs (default 8)")
+    shared.add_argument("--lambda", type=float, default=0.1,
+                        help="cost regularization strength (default 0.1)")
+    shared.add_argument("--eps", type=float, default=1e-5,
+                        help="mapping noise amplitude; search maps only with "
+                             "--init-from (default 1e-5)")
+    shared.add_argument("--mask-mode", choices=MASK_MODES, default="non_overlapping",
+                        help="channel mask variant (default non_overlapping)")
 
-    p = sub.add_parser("gen-data", parents=[], help="generate the synthetic dataset")
+    p = sub.add_parser("gen-data", help="generate the synthetic dataset")
     p.add_argument("--samples", type=int, default=256, help="number of samples")
     p.add_argument("--resolution", type=int, default=32, help="square image size")
     p.add_argument("--classes", type=int, default=4, help="number of shape classes")
@@ -276,22 +275,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output container path (.nat)")
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("search", help="train the supernet with the bi-level schedule")
-    p.add_argument("--space", required=True, help="search-space JSON")
+    p = sub.add_parser("search", parents=[shared],
+                       help="train the supernet with the bi-level schedule")
     p.add_argument("--data", required=True, help="dataset container (.nat)")
-    p.add_argument("--epochs", type=int, default=14, help="total epochs (default 14)")
-    p.add_argument("--warmup", type=int, default=8,
-                   help="weight-only warm-up epochs (default 8)")
-    p.add_argument("--lambda", type=float, default=0.1, dest="lambda",
-                   help="cost regularization strength (default 0.1)")
-    p.add_argument("--seed", type=int, default=0, help="global seed")
     p.add_argument("--init-from", help="source bundle (.nat, with its .arch.json "
                                        "sidecar) to map onto the supernet first")
-    p.add_argument("--eps", type=float, default=1e-5,
-                   help="mapping noise amplitude for --init-from (default 1e-5)")
     p.add_argument("--out", required=True, help="output supernet checkpoint (.nat)")
     p.add_argument("--history", help="per-step history CSV path")
-    _add_mask_mode(p)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("derive", help="collapse a supernet checkpoint by argmax")
@@ -302,17 +292,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cost", help="multiply-add cost of an architecture or supernet")
     p.add_argument("--space", required=True, help="search-space JSON")
-    p.add_argument("--arch", help="discrete architecture JSON")
-    p.add_argument("--ckpt", help="supernet checkpoint for expected cost")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--arch", help="discrete architecture JSON")
+    one.add_argument("--ckpt", help="supernet checkpoint for expected cost")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_cost)
 
     p = sub.add_parser("remap", help="map a source bundle onto an architecture or supernet")
     p.add_argument("--src", required=True,
                    help="source parameter bundle (.nat, with its .arch.json sidecar)")
-    p.add_argument("--dst-arch", help="target discrete architecture JSON")
-    p.add_argument("--space", help="target search space (writes a supernet checkpoint "
-                                   "with zero logits)")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--dst-arch", help="target discrete architecture JSON")
+    one.add_argument("--space", help="target search space (writes a supernet checkpoint "
+                                     "with zero logits)")
     p.add_argument("--eps", type=float, default=1e-5,
                    help="noise amplitude on zero-assigned entries (default 1e-5)")
     p.add_argument("--seed", type=int, default=0, help="noise seed")
@@ -342,21 +334,14 @@ def build_parser() -> _Parser:
     p.add_argument("--history", help="per-epoch loss CSV path")
     p.set_defaults(func=_cmd_finetune)
 
-    p = sub.add_parser("e2e", help="full pipeline: data, pretrain, search, derive, remap, finetune")
-    p.add_argument("--space", required=True, help="search-space JSON")
-    p.add_argument("--seed", type=int, default=0, help="global seed")
+    p = sub.add_parser("e2e", parents=[shared],
+                       help="full pipeline: data, pretrain, search, derive, remap, finetune")
     p.add_argument("--out-dir", required=True, help="artifact directory")
     p.add_argument("--samples", type=int, default=256, help="dataset size (default 256)")
-    p.add_argument("--epochs", type=int, default=14, help="search epochs (default 14)")
-    p.add_argument("--warmup", type=int, default=8, help="warm-up epochs (default 8)")
-    p.add_argument("--lambda", type=float, default=0.1, dest="lambda",
-                   help="cost regularization strength (default 0.1)")
     p.add_argument("--pretrain-epochs", type=int, default=8,
                    help="source pretraining epochs (default 8)")
     p.add_argument("--finetune-epochs", type=int, default=10,
                    help="final fine-tuning epochs (default 10)")
-    p.add_argument("--eps", type=float, default=1e-5, help="mapping noise amplitude")
-    _add_mask_mode(p)
     p.set_defaults(func=_cmd_e2e)
 
     return parser
@@ -370,8 +355,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
     except NasAdaptError as exc:
         print(f"nasadapt: error: {exc}", file=sys.stderr)
         return 2

@@ -35,7 +35,7 @@ from .numerics import SGD, Adam, Tensor, no_grad
 from .numerics import backward, clip_grad_norm  # noqa: F401
 from .seeding import seed_for
 from .supernet import Supernet
-from .toytask import ProxyHead, SyntheticDataset, train_step
+from .toytask import ProxyHead, SyntheticDataset, batch_stream, train_step
 
 GRAD_CLIP_NORM = 10.0
 SEARCH_BATCH_SIZE = 8
@@ -69,20 +69,15 @@ class SearchSchedule:
             raise ParameterError(f"lambda must be >= 0, got {self.lam}")
 
 
-@dataclass
-class DataSplit:
-    train_a: np.ndarray
-    train_b: np.ndarray
-
-
-def split_data(dataset_size: int, seed: int) -> DataSplit:
-    """Deterministic shuffled halves, disjoint, sizes within one of each other."""
+def split_data(dataset_size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic shuffled halves A and B, disjoint, sizes within one of
+    each other."""
     if dataset_size < 2:
         raise ParameterError(f"need at least 2 samples to split, got {dataset_size}")
     rng = np.random.Generator(np.random.PCG64(seed_for(seed, "split")))
     order = rng.permutation(dataset_size)
     half = dataset_size // 2
-    return DataSplit(train_a=np.sort(order[:half]), train_b=np.sort(order[half:]))
+    return np.sort(order[:half]), np.sort(order[half:])
 
 
 @dataclass
@@ -108,32 +103,18 @@ class SearchHistory:
     snapshots: list[EpochSnapshot] = field(default_factory=list)
 
 
-def history_to_csv(history: SearchHistory, path) -> None:
+def write_csv(path, header: list[str], rows) -> None:
+    """The one CSV dialect of the CLI's tables: ``csv.writer``'s, CRLF line ends."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(["step", "epoch", "phase", "model_loss", "expected_cost",
-                         "total_loss"])
-        for r in history.steps:
-            writer.writerow([r.step, r.epoch, r.phase,
-                             repr(r.model_loss), repr(r.expected_cost),
-                             repr(r.total_loss)])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-class _BatchCycle:
-    """Deterministic reshuffled cycling over an index set in batches of
-    ``SEARCH_BATCH_SIZE``."""
-
-    def __init__(self, indices: np.ndarray, rng: np.random.Generator):
-        self.indices = indices
-        self.rng = rng
-        self._order: list[np.ndarray] = []
-
-    def next(self) -> np.ndarray:
-        if not self._order:
-            perm = self.indices[self.rng.permutation(len(self.indices))]
-            self._order = [perm[i:i + SEARCH_BATCH_SIZE]
-                           for i in range(0, len(perm), SEARCH_BATCH_SIZE)]
-        return self._order.pop(0)
+def history_to_csv(history: SearchHistory, path) -> None:
+    write_csv(path, ["step", "epoch", "phase", "model_loss", "expected_cost", "total_loss"],
+              ([r.step, r.epoch, r.phase, repr(r.model_loss), repr(r.expected_cost),
+                repr(r.total_loss)] for r in history.steps))
 
 
 def _snapshot(net: Supernet, epoch: int) -> EpochSnapshot:
@@ -169,10 +150,10 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
     if head is None:
         head = ProxyHead(net.final_channels, dataset.spec.n_classes,
                          seed=seed_for(schedule.seed, "head"))
-    split = split_data(len(dataset), schedule.seed)
+    train_a, train_b = split_data(len(dataset), schedule.seed)
     rng = np.random.Generator(np.random.PCG64(seed_for(schedule.seed, "batches")))
-    batches_a = _BatchCycle(split.train_a, rng)
-    batches_b = _BatchCycle(split.train_b, rng)
+    batches_a = batch_stream(train_a, SEARCH_BATCH_SIZE, rng)
+    batches_b = batch_stream(train_b, SEARCH_BATCH_SIZE, rng)
 
     w_params = net.weight_params() + head.params()
     arch_params = net.arch_params()
@@ -180,7 +161,7 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
     w_opt = SGD(w_params, lr=W_LR, momentum=W_MOMENTUM, weight_decay=W_WEIGHT_DECAY)
     arch_opt = Adam(arch_params, lr=ARCH_LR, weight_decay=ARCH_WEIGHT_DECAY)
 
-    steps_per_epoch = max(1, len(split.train_a) // SEARCH_BATCH_SIZE)
+    steps_per_epoch = max(1, len(train_a) // SEARCH_BATCH_SIZE)
     history = SearchHistory()
     step = 0
     try:
@@ -189,7 +170,7 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
             for _ in range(steps_per_epoch):
                 _train_only(w_params, arch_params)
                 step += 1
-                m_val, _, _ = train_step(net, head, dataset, batches_a.next(), w_opt,
+                m_val, _, _ = train_step(net, head, dataset, next(batches_a), w_opt,
                                          f"step {step} (epoch {epoch}, phase w)",
                                          GRAD_CLIP_NORM)
                 with no_grad():
@@ -202,7 +183,7 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
                     continue
                 _train_only(arch_params, w_params)
                 step += 1
-                m_val, t_val, cost = train_step(net, head, dataset, batches_b.next(),
+                m_val, t_val, cost = train_step(net, head, dataset, next(batches_b),
                                                 arch_opt,
                                                 f"step {step} (epoch {epoch}, phase arch)",
                                                 GRAD_CLIP_NORM, add_cost)

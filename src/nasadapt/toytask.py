@@ -8,7 +8,8 @@ the PRNG (PCG64) and draw order are documented in docs/determinism.md.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,6 +176,17 @@ def model_loss(features: Tensor, head: ProxyHead, labels: np.ndarray) -> Tensor:
     return cross_entropy(head(features), labels)
 
 
+def batch_stream(indices: np.ndarray, batch_size: int,
+                 rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """Endless batches of ``indices``, in passes: each pass is a fresh
+    ``rng.permutation``, drawn when a batch is asked for and the previous
+    pass is used up. A pass's last batch holds the remainder."""
+    while True:
+        order = indices[rng.permutation(len(indices))]
+        for start in range(0, len(order), batch_size):
+            yield order[start:start + batch_size]
+
+
 def train_step(net, head: ProxyHead, dataset: SyntheticDataset, idx: np.ndarray, opt,
                where: str, clip_norm: float | None = None,
                add_cost: Callable[[Tensor], tuple[Tensor, Tensor]] | None = None,
@@ -230,16 +242,15 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
     if epochs > 0:
         opt = SGD(net.params() + head.params(), lr=FINETUNE_LR, momentum=FINETUNE_MOMENTUM,
                   weight_decay=FINETUNE_WEIGHT_DECAY)
-        rng = np.random.Generator(np.random.PCG64(seed ^ 0x5F3759DF))
-        n = len(dataset)
+        batches = batch_stream(np.arange(len(dataset)), FINETUNE_BATCH_SIZE,
+                               np.random.Generator(np.random.PCG64(seed ^ 0x5F3759DF)))
+        steps_per_epoch = math.ceil(len(dataset) / FINETUNE_BATCH_SIZE)  # one pass
         step = 0
         for epoch in range(1, epochs + 1):
-            order = rng.permutation(n)
             epoch_losses = []
-            for start in range(0, n, FINETUNE_BATCH_SIZE):
+            for _ in range(steps_per_epoch):
                 step += 1
-                _, loss, _ = train_step(net, head, dataset,
-                                        order[start:start + FINETUNE_BATCH_SIZE], opt,
+                _, loss, _ = train_step(net, head, dataset, next(batches), opt,
                                         f"fine-tune step {step} (epoch {epoch})")
                 epoch_losses.append(loss)
             curve.append(float(np.mean(epoch_losses)))

@@ -78,7 +78,7 @@ class TestUsage:
         assert "--space" in err
 
     def test_unknown_flag_exits_1(self, capsys, space_path):
-        assert main(["cost", "--space", space_path, "--warp", "9"]) == 1
+        assert main(["cost", "--space", space_path, "--arch", "arch.json", "--warp", "9"]) == 1
         assert "--warp" in capsys.readouterr().err
 
     def test_help_exits_0(self, capsys):
@@ -109,6 +109,21 @@ class TestUsage:
         assert main(argv.split()) == 1
         flag = [a for a in argv.split() if a.startswith("--")][-1]
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        ("cost --space s.json", "one of the arguments --arch --ckpt is required"),
+        ("cost --space s.json --arch a.json --ckpt c.nat",
+         "argument --ckpt: not allowed with argument --arch"),
+        ("remap --src b.nat --dst-arch a.json --space s.json --out o.nat",
+         "argument --space: not allowed with argument --dst-arch"),
+    ], ids=["cost-neither", "cost-both", "remap-both"])
+    def test_input_choice_checked_before_any_file_is_read(self, capsys, monkeypatch,
+                                                          tmp_path, argv, message):
+        # no named file exists: reading any of them would exit 2
+        monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_e2e_defaults_are_end_to_end_defaults(self):
         # `nasadapt e2e` and a bare end_to_end() call run the same pipeline
@@ -173,6 +188,16 @@ class TestArtifacts:
         lines = artifacts["history"].read_text().strip().splitlines()
         assert lines[0] == "step,epoch,phase,model_loss,expected_cost,total_loss"
         assert len(lines) > 1
+
+    def test_history_files_share_one_dialect(self, artifacts, tmp_path):
+        curve = tmp_path / "curve.csv"
+        assert main(["finetune", "--arch", str(artifacts["arch"]),
+                     "--data", str(artifacts["data"]), "--epochs", "1",
+                     "--out", str(tmp_path / "final.nat"), "--history", str(curve)]) == 0
+        assert curve.read_bytes().startswith(b"epoch,loss\r\n")
+        for path in (artifacts["history"], curve):
+            data = path.read_bytes()
+            assert data.endswith(b"\r\n") and data.count(b"\n") == data.count(b"\r\n")
 
     def test_cost_discrete_stdout(self, capsys, artifacts, space_path):
         assert main(["cost", "--space", space_path,
@@ -594,9 +619,10 @@ class TestExit2Sweep:
     """Every subcommand turns a broken input into exit 2 and one stderr line."""
 
     @pytest.mark.parametrize("case", list(EXIT_2_CASES))
-    def test_broken_input(self, capsys, broken, space_path, case):
+    def test_broken_input(self, capsys, broken, space_path, tmp_path, case):
         template, names = EXIT_2_CASES[case]
-        paths = {k: str(v) for k, v in broken.items()}
+        out = tmp_path / "out"
+        paths = {k: str(v) for k, v in broken.items()} | {"out": str(out)}
         argv = template.format(space=space_path, table1=bundled_config_path("table1"),
                                **paths).split()
         code = main(argv)
@@ -608,17 +634,18 @@ class TestExit2Sweep:
             assert "eps must be finite and >= 0" in err
         if case.endswith("-nan-pixel"):
             assert f"{broken['nan_pixel']}: 'images' holds a non-finite value" in err
-        assert not broken["out"].exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", list(FIELD_CASES))
-    def test_malformed_field(self, capsys, broken, space_path, case):
+    def test_malformed_field(self, capsys, broken, space_path, tmp_path, case):
         template, name, field = FIELD_CASES[case]
-        paths = {k: str(v) for k, v in broken.items()}
+        out = tmp_path / "out"
+        paths = {k: str(v) for k, v in broken.items()} | {"out": str(out)}
         code = main(template.format(space=space_path, **paths).split())
         err = capsys.readouterr().err
         assert_one_line_error(code, err)
         assert f"nasadapt: error: {broken['out'].parent / name}:{field}: " in err
-        assert not broken["out"].exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_verify_without_samples(self, capsys, broken, samples):
@@ -667,7 +694,7 @@ class TestExit2Sweep:
         out = broken["out"].parent / "remapped.nat"
         code = main(["remap", "--src", str(broken["trunc_src"]), "--out", str(out)])
         assert code == 1
-        assert "exactly one of --dst-arch or --space" in capsys.readouterr().err
+        assert "one of the arguments --dst-arch --space is required" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("lam", ["nan", "-0.1"])

@@ -38,21 +38,21 @@ def tiny_search(seed=0, total=2, warmup=1, lam=0.1, n_samples=48, mask_mode="non
 
 class TestSplit:
     def test_even_split(self):
-        split = split_data(10, seed=0)
-        assert len(split.train_a) == len(split.train_b) == 5
-        assert not set(split.train_a) & set(split.train_b)
-        assert set(split.train_a) | set(split.train_b) == set(range(10))
+        train_a, train_b = split_data(10, seed=0)
+        assert len(train_a) == len(train_b) == 5
+        assert not set(train_a) & set(train_b)
+        assert set(train_a) | set(train_b) == set(range(10))
 
     def test_odd_split(self):
-        split = split_data(11, seed=0)
-        assert sorted([len(split.train_a), len(split.train_b)]) == [5, 6]
-        assert not set(split.train_a) & set(split.train_b)
+        train_a, train_b = split_data(11, seed=0)
+        assert sorted([len(train_a), len(train_b)]) == [5, 6]
+        assert not set(train_a) & set(train_b)
 
     def test_deterministic_and_seed_sensitive(self):
-        a1, a2 = split_data(32, seed=4), split_data(32, seed=4)
-        np.testing.assert_array_equal(a1.train_a, a2.train_a)
-        b = split_data(32, seed=5)
-        assert not np.array_equal(a1.train_a, b.train_a)
+        (a1, _), (a2, _) = split_data(32, seed=4), split_data(32, seed=4)
+        np.testing.assert_array_equal(a1, a2)
+        b, _ = split_data(32, seed=5)
+        assert not np.array_equal(a1, b)
 
     def test_too_small(self):
         with pytest.raises(ParameterError):

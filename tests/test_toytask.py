@@ -14,6 +14,7 @@ from nasadapt.toytask import (
     SCALE_FRACTIONS,
     SHAPE_NAMES,
     _shape_mask,
+    batch_stream,
     evaluate_accuracy,
     finetune,
     generate,
@@ -125,6 +126,33 @@ class TestModelLoss:
         feats = net.forward(Tensor(ds.images), training=False)
         loss = model_loss(feats[-1], head, ds.labels)
         assert abs(loss.item() - np.log(4.0)) < 0.1
+
+
+class TestBatchStream:
+    def test_each_pass_is_the_next_permutation(self):
+        # fine-tuning's rule: one generator, one permutation per pass
+        n, size = 10, 4
+        stream = batch_stream(np.arange(n), size, np.random.Generator(np.random.PCG64(3)))
+        reference = np.random.Generator(np.random.PCG64(3))
+        for _ in range(3):
+            order = reference.permutation(n)
+            for start in range(0, n, size):
+                np.testing.assert_array_equal(next(stream), order[start:start + size])
+
+    def test_shared_generator_draws_in_the_order_passes_run_out(self):
+        # search's rule: two halves on one generator, asked for batches in turn; a
+        # pass's permutation is drawn only when a batch is asked for after the
+        # previous pass is used up
+        rng = np.random.Generator(np.random.PCG64(5))
+        half_a, half_b = np.arange(0, 4), np.arange(10, 16)
+        batches_a, batches_b = batch_stream(half_a, 4, rng), batch_stream(half_b, 4, rng)
+        got = [next(batches) for _ in range(3) for batches in (batches_a, batches_b)]
+        reference = np.random.Generator(np.random.PCG64(5))
+        a1, b1 = half_a[reference.permutation(4)], half_b[reference.permutation(6)]
+        a2, a3 = half_a[reference.permutation(4)], half_a[reference.permutation(4)]
+        b2 = half_b[reference.permutation(6)]
+        for batch, want in zip(got, [a1, b1[:4], a2, b1[4:], a3, b2[:4]], strict=True):
+            np.testing.assert_array_equal(batch, want)
 
 
 class TestFinetune:
