@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -415,21 +416,34 @@ def _conv_im2col(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int, grou
 # Byte budget for the input one depthwise block reads: all k^2 taps sweep
 # the block, so it should stay in a core's L2.
 _DW_BLOCK_BYTES = 1 << 19
-# Output rows at least this long run channels-first. On the table1 planes
-# channels-first was faster at every row of 136 or more, channels-last
-# at every row of 68 or fewer with a 7x7 kernel.
-_DW_MIN_PLANE_ROW = 96
+# A depthwise conv whose Toeplitz matrices (c * oh*ow * h*w entries) hold
+# at most this many entries per sample and kernel tap runs as one batched
+# matmul. On a 2-core Xeon with one OpenBLAS thread, over a grid of n 1-32,
+# c 8-72, planes 2x2-24x24, k 3-7 and stride 1-2, this line picked the
+# faster kernel for 424 of 432 shapes, and no miss cost more than 1.6x.
+_TOEPLITZ_ENTRIES = 8192
+# Tap-loop output rows of at least this many kernel widths run
+# channels-first. On the table1 planes channels-first won at every row of
+# 136 or more. At rows of 68 with a 3x3 kernel it saved 14 ms on
+# 1x768x50x68 and lost 2-3 ms on the two smaller planes; with 5x5 and 7x7
+# kernels channels-last won at every row of 68 or fewer.
+_DW_ROW_PER_K = 16
 
 
-def _dw_channels_last(ow: int) -> bool:
-    """The depthwise layout for an output row length.
+def _dw_kernel(n: int, c: int, h: int, w: int, k: int, stride: int, padding: int) -> str:
+    """The depthwise kernel for a shape: "toeplitz", "channels-last" or "channels-first".
 
-    Channels-last, a tap's inner loop runs over the channels of one
-    output pixel; channels-first, over one output row of one plane, and
-    no transposes into and out of NHWC are needed. Short rows go
-    channels-last; long rows go channels-first.
+    The Toeplitz matmul does h*w/k^2 times the tap loop's multiply-adds,
+    but in BLAS rather than in 2-3 array passes per tap, so it wins on
+    small planes and loses as the operator grows. In the tap loop, a
+    channels-last tap's inner loop runs over the channels of one output
+    pixel; a channels-first one over one output row of one plane, with
+    no transposes into and out of NHWC. Short rows go channels-last.
     """
-    return ow < _DW_MIN_PLANE_ROW
+    oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
+    if c * oh * ow * h * w <= _TOEPLITZ_ENTRIES * n * k * k:
+        return "toeplitz"
+    return "channels-last" if ow < _DW_ROW_PER_K * k else "channels-first"
 
 
 def _dw_array(make, n: int, h: int, w: int, c: int, channels_last: bool) -> np.ndarray:
@@ -456,17 +470,17 @@ def _dw_blocks(n: int, c: int, oh: int, wp: int, stride: int,
 
 
 def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int,
-                    need_gx: bool, need_gw: bool):
+                    channels_last: bool, need_gx: bool, need_gw: bool):
     """Depthwise conv as k^2 shifted multiply-accumulates, block by block.
 
-    Every buffer is indexed (n, h, w, c); :func:`_dw_channels_last`
-    picks from the shape whether it is laid out NHWC or NCHW, so one
-    tap loop serves both layouts.
+    Every buffer is indexed (n, h, w, c) and laid out NHWC when
+    ``channels_last``, NCHW otherwise, so one tap loop serves both
+    layouts. Its work is linear in the plane, so it takes the planes too
+    large for :func:`_conv_toeplitz`.
     """
     n, c, h, w = xd.shape
     k = wd.shape[-1]
     oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
-    channels_last = _dw_channels_last(ow)
     xp = _dw_array(np.zeros, n, h + 2 * padding, w + 2 * padding, c, channels_last)
     xp[:, padding:padding + h, padding:padding + w] = xd.transpose(0, 2, 3, 1)
     wt = np.ascontiguousarray(wd.reshape(c, k * k).T)
@@ -514,6 +528,70 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int,
     return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), bw
 
 
+@lru_cache(maxsize=64)
+def _toeplitz_index(h: int, w: int, k: int, stride: int, padding: int) -> np.ndarray:
+    """Where each tap sits in a channel's (oh*ow, h*w + 1) Toeplitz matrix.
+
+    Entry ``[l, t]`` is the flat index of tap t's weight in output row l.
+    A tap that falls in the padding points at the row's last column,
+    which stands for the padding and is never read as input.
+    """
+    oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
+    iy = (np.arange(oh) * stride - padding)[:, None, None, None] + np.arange(k)[:, None]
+    ix = (np.arange(ow) * stride - padding)[None, :, None, None] + np.arange(k)
+    inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
+    rows = np.arange(oh * ow).reshape(oh, ow, 1, 1) * (h * w + 1)
+    index = (rows + np.where(inside, iy * w + ix, h * w)).reshape(oh * ow, k * k)
+    index.flags.writeable = False
+    return index
+
+
+def _conv_toeplitz(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int,
+                   need_gx: bool, need_gw: bool):
+    """Depthwise conv as one batched matmul with each channel's Toeplitz matrix.
+
+    On an h x w plane, channel c is the linear map ``T_c`` of shape
+    (oh*ow, h*w) that holds its k^2 taps, with zeros where a tap falls in
+    the padding. The forward is ``T x``, the input gradient ``T^T g``,
+    and the weight gradient sums each tap's entries of ``g x^T``. ``T``
+    is rebuilt in the backward rather than kept alive.
+    """
+    n, c, h, w = xd.shape
+    k = wd.shape[-1]
+    oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
+    hw, l = h * w, oh * ow
+    index = _toeplitz_index(h, w, k, stride, padding)
+
+    def toeplitz():
+        # one extra column takes the taps that fall in the padding
+        tp = np.zeros((c, l, hw + 1), dtype=DTYPE)
+        tp.reshape(c, l * (hw + 1))[:, index] = wd.reshape(c, 1, k * k)
+        return tp[:, :, :hw]
+
+    # (c, n, plane) views of the NCHW arrays
+    x3 = xd.reshape(n, c, hw).transpose(1, 0, 2)
+    out = np.empty((n, c, oh, ow), dtype=DTYPE)
+    out.reshape(n, c, l).transpose(1, 2, 0)[...] = np.matmul(toeplitz(), x3.transpose(0, 2, 1))
+    if not need_gw:
+        x3 = None  # only the weight gradient reads the input
+
+    def bw(gout):
+        g3 = gout.reshape(n, c, l).transpose(1, 0, 2)
+        gx = gw = None
+        if need_gx:
+            gx = np.empty((n, c, h, w), dtype=DTYPE)
+            np.matmul(g3, toeplitz(), out=gx.reshape(n, c, hw).transpose(1, 0, 2))
+        if need_gw:
+            gtp = np.empty((c, l, hw + 1), dtype=DTYPE)
+            gtp[:, :, hw] = 0  # the taps that fall in the padding gather zeros
+            np.matmul(g3.transpose(0, 2, 1), x3, out=gtp[:, :, :hw])
+            gw = np.take(gtp.reshape(c, l * (hw + 1)), index, axis=1).sum(axis=1) \
+                .reshape(wd.shape)
+        return gx, gw
+
+    return out, bw
+
+
 def _conv_pointwise(xd: np.ndarray, wd: np.ndarray, need_gx: bool, need_gw: bool):
     """Stride-1 1x1 conv: one matmul of (C_out, C_in) with (N, C_in, H*W)."""
     n, c_in, h, w = xd.shape
@@ -538,10 +616,13 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     ``groups=1`` is a dense convolution, ``groups=C_in`` a depthwise one.
     Output spatial size is ``floor((H + 2*padding - k)/stride) + 1``.
 
-    Depthwise convs run as shifted multiply-accumulates and stride-1 1x1
-    convs as one matmul; every other shape goes through im2col. The
-    backward computes the input and weight gradients only for the
-    operands that need one when the op is recorded.
+    Depthwise convs on small planes run as one batched matmul with each
+    channel's Toeplitz matrix, on larger planes as shifted
+    multiply-accumulates laid out channels-last or channels-first;
+    :func:`_dw_kernel` picks one of the three from the shape alone.
+    Stride-1 1x1 convs run as one matmul; every other shape goes through
+    im2col. The backward computes the input and weight gradients only
+    for the operands that need one when the op is recorded.
     """
     xt, wt = as_tensor(x), as_tensor(weight)
     if stride < 1:
@@ -576,7 +657,12 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
 
     need_gx, need_gw = _needs_grad(xt), _needs_grad(wt)
     if groups == c_in == c_out:
-        out, bw = _conv_depthwise(xd, wd, stride, padding, need_gx, need_gw)
+        kernel = _dw_kernel(n, c_in, h, w, k, stride, padding)
+        if kernel == "toeplitz":
+            out, bw = _conv_toeplitz(xd, wd, stride, padding, need_gx, need_gw)
+        else:
+            out, bw = _conv_depthwise(xd, wd, stride, padding, kernel == "channels-last",
+                                      need_gx, need_gw)
     elif k == 1 and stride == 1 and padding == 0 and groups == 1:
         out, bw = _conv_pointwise(xd, wd, need_gx, need_gw)
     else:

@@ -418,7 +418,7 @@ class TestFunctionPreservation:
         # a reduced resolution: its eval activations underflow block by block,
         # so the subnormal flush of eval batch norm zeroes values on both sides.
         # 64x224 puts the first depthwise planes on channels-first, the later
-        # ones on channels-last.
+        # ones on channels-last and the last 7x7 ones on the Toeplitz matmul.
         source = replace(default_source_architecture(load_bundled_config("table1")),
                          input_resolution=(64, 224))
         grown = replace(source, blocks=tuple(
@@ -428,7 +428,7 @@ class TestFunctionPreservation:
         bundle = ParameterBundle(tensors=net.to_arrays(), arch=arch_to_doc(source))
         mapped, _ = map_to_derived(bundle, grown, eps=0.0)
         flushed, layouts = [], set()
-        affine, choose = engine._affine, engine._dw_channels_last
+        affine, choose = engine._affine, engine._dw_kernel
 
         def counting_affine(xd, scale, shift, flush):
             out = affine(xd, scale, shift, flush)
@@ -437,12 +437,12 @@ class TestFunctionPreservation:
             return out
 
         monkeypatch.setattr(engine, "_affine", counting_affine)
-        monkeypatch.setattr(engine, "_dw_channels_last",
-                            lambda ow: layouts.add(choose(ow)) or choose(ow))
+        monkeypatch.setattr(engine, "_dw_kernel",
+                            lambda *shape: layouts.add(choose(*shape)) or choose(*shape))
         report = verify_function_preservation(
             net, instantiate(grown, arrays=mapped.tensors), samples=1, seed=1)
         assert report["max_deviation"] == 0.0 and report["passed"]
-        assert sum(flushed) > 0 and layouts == {True, False}
+        assert sum(flushed) > 0 and layouts == {"channels-first", "channels-last", "toeplitz"}
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_rejected(self, samples):
