@@ -417,11 +417,20 @@ def _conv_im2col(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int, grou
 # the block, so it should stay in a core's L2.
 _DW_BLOCK_BYTES = 1 << 19
 # A depthwise conv whose Toeplitz matrices (c * oh*ow * h*w entries) hold
-# at most this many entries per sample and kernel tap runs as one batched
-# matmul. On a 2-core Xeon with one OpenBLAS thread, over a grid of n 1-32,
+# at most this many entries per sample and kernel tap runs as batched
+# matmuls. On a 2-core Xeon with one OpenBLAS thread, over a grid of n 1-32,
 # c 8-72, planes 2x2-24x24, k 3-7 and stride 1-2, this line picked the
-# faster kernel for 424 of 432 shapes, and no miss cost more than 1.6x.
+# faster of the whole-plane matmul and the tap loop for 424 of 432 shapes,
+# and no miss cost more than 1.6x.
 _TOEPLITZ_ENTRIES = 8192
+# Of those, planes of at least _BAND_MIN_ROWS rows run in blocks of
+# _BAND_ROWS output rows. Forward plus backward against the whole plane,
+# on the same machine: 16x16 planes 2.9-3.9x faster at stride 1 and
+# 1.4-1.5x at stride 2; desk3's 8x8 planes no faster in sum; smaller ones
+# 1.8-2.6x slower. One-row blocks were within 15% of two-row ones either
+# way; three or four rows were slower on every 16x16 plane.
+_BAND_MIN_ROWS = 16
+_BAND_ROWS = 2
 # Tap-loop output rows of at least this many kernel widths run
 # channels-first. On the table1 planes channels-first won at every row of
 # 136 or more. At rows of 68 with a 3x3 kernel it saved 14 ms on
@@ -431,18 +440,22 @@ _DW_ROW_PER_K = 16
 
 
 def _dw_kernel(n: int, c: int, h: int, w: int, k: int, stride: int, padding: int) -> str:
-    """The depthwise kernel for a shape: "toeplitz", "channels-last" or "channels-first".
+    """The depthwise kernel for a shape: "band", "toeplitz", "channels-last"
+    or "channels-first".
 
-    The Toeplitz matmul does h*w/k^2 times the tap loop's multiply-adds,
-    but in BLAS rather than in 2-3 array passes per tap, so it wins on
-    small planes and loses as the operator grows. In the tap loop, a
-    channels-last tap's inner loop runs over the channels of one output
-    pixel; a channels-first one over one output row of one plane, with
-    no transposes into and out of NHWC. Short rows go channels-last.
+    The Toeplitz matmul of whole planes does h*w/k^2 times the tap loop's
+    multiply-adds, but in BLAS rather than in 2-3 array passes per tap,
+    so it wins on small planes and loses as the operator grows. On the
+    larger of those planes, blocks of _BAND_ROWS output rows ("band")
+    cut that to (stride*(_BAND_ROWS-1) + k)*w/k^2 times, for the price of
+    copying the planes into row blocks. In the tap loop, a channels-last tap's inner loop
+    runs over the channels of one output pixel; a channels-first one over
+    one output row of one plane, with no transposes into and out of NHWC.
+    Short rows go channels-last.
     """
     oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
     if c * oh * ow * h * w <= _TOEPLITZ_ENTRIES * n * k * k:
-        return "toeplitz"
+        return "band" if h >= _BAND_MIN_ROWS else "toeplitz"
     return "channels-last" if ow < _DW_ROW_PER_K * k else "channels-first"
 
 
@@ -529,63 +542,122 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int,
 
 
 @lru_cache(maxsize=64)
-def _toeplitz_index(h: int, w: int, k: int, stride: int, padding: int) -> np.ndarray:
-    """Where each tap sits in a channel's (oh*ow, h*w + 1) Toeplitz matrix.
+def _toeplitz_index(h: int, w: int, k: int, stride: int, padding: int, rows: int):
+    """Where each tap sits in one block's Toeplitz matrix, and the block geometry.
 
-    Entry ``[l, t]`` is the flat index of tap t's weight in output row l.
-    A tap that falls in the padding points at the row's last column,
-    which stands for the padding and is never read as input.
+    A block of ``rows`` output rows (all ``oh`` of them when ``rows >=
+    oh``) reads a slab of input rows. One block reads the unpadded planes,
+    ``h`` rows; several read slabs of ``stride*(rows-1) + k`` rows of
+    planes padded above by ``padding`` rows, and block b starts
+    ``stride*rows`` rows below block b-1. Returns ``(index, blocks, top,
+    pieces, span)``: entry ``[l, t]`` of ``index`` is the flat index of
+    tap t's weight in row l of the block's (rows*ow, slab*w + 1) matrix;
+    ``top`` is the row padding above the planes; ``pieces`` cut a slab's
+    slab*w entries into the ``stride*rows*w`` that each block advances by;
+    ``span`` is the number of such steps the padded planes hold. A tap
+    that falls in the padding points at the row's last column, which
+    stands for the padding and is never read as input.
     """
     oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
-    iy = (np.arange(oh) * stride - padding)[:, None, None, None] + np.arange(k)[:, None]
+    rows = min(rows, oh)
+    blocks = -(-oh // rows)
+    top, slab = (0, h) if blocks == 1 else (padding, stride * (rows - 1) + k)
+    iy = (np.arange(rows) * stride + top - padding)[:, None, None, None] + np.arange(k)[:, None]
     ix = (np.arange(ow) * stride - padding)[None, :, None, None] + np.arange(k)
-    inside = (iy >= 0) & (iy < h) & (ix >= 0) & (ix < w)
-    rows = np.arange(oh * ow).reshape(oh, ow, 1, 1) * (h * w + 1)
-    index = (rows + np.where(inside, iy * w + ix, h * w)).reshape(oh * ow, k * k)
+    inside = (iy >= 0) & (iy < slab) & (ix >= 0) & (ix < w)
+    width, step = slab * w, stride * rows * w
+    starts = np.arange(rows * ow).reshape(rows, ow, 1, 1) * (width + 1)
+    index = (starts + np.where(inside, iy * w + ix, width)).reshape(rows * ow, k * k)
     index.flags.writeable = False
-    return index
+    pieces = tuple(slice(p0, min(width, p0 + step)) for p0 in range(0, width, step))
+    span = max(blocks - 1 + len(pieces), -(-(top + h) // (stride * rows)))
+    return index, blocks, top, pieces, span
 
 
-def _conv_toeplitz(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int,
+def _conv_toeplitz(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int, rows: int,
                    need_gx: bool, need_gw: bool):
-    """Depthwise conv as one batched matmul with each channel's Toeplitz matrix.
+    """Depthwise conv as batched matmuls with Toeplitz matrices of row blocks.
 
-    On an h x w plane, channel c is the linear map ``T_c`` of shape
-    (oh*ow, h*w) that holds its k^2 taps, with zeros where a tap falls in
-    the padding. The forward is ``T x``, the input gradient ``T^T g``,
-    and the weight gradient sums each tap's entries of ``g x^T``. ``T``
-    is rebuilt in the backward rather than kept alive.
+    Each block of ``rows`` output rows of channel c is one linear map
+    ``T_c`` of shape (rows*ow, slab*w) of the input rows the block reads,
+    holding the channel's k^2 taps with zeros where a tap falls in the
+    padding; every block of a channel has the same ``T_c``. The forward
+    is ``T x``, the input gradient ``T^T g``, and the weight gradient sums
+    each tap's entries of ``g x^T``.
+
+    With ``rows >= oh`` there is one block, whose slab is the whole plane:
+    the matmuls read and write the NCHW arrays in place. With several
+    blocks, the row-padded planes are laid out (c, row block, n, stride *
+    rows * w), so piece j of every block's slab is one contiguous view,
+    row blocks j, j+1, ...: each product is a sum over the pieces, and the
+    input gradient adds each piece's product back at its row blocks.
+    ``T`` and the padded planes are rebuilt in the backward rather than
+    kept alive.
     """
     n, c, h, w = xd.shape
     k = wd.shape[-1]
     oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
-    hw, l = h * w, oh * ow
-    index = _toeplitz_index(h, w, k, stride, padding)
+    index, blocks, top, pieces, span = _toeplitz_index(h, w, k, stride, padding, rows)
+    m, width = index.shape[0], pieces[-1].stop
+    rows = m // ow
+    step = stride * rows * w  # the input entries one block advances by
 
     def toeplitz():
         # one extra column takes the taps that fall in the padding
-        tp = np.zeros((c, l, hw + 1), dtype=DTYPE)
-        tp.reshape(c, l * (hw + 1))[:, index] = wd.reshape(c, 1, k * k)
-        return tp[:, :, :hw]
+        tp = np.zeros((c, m, width + 1), dtype=DTYPE)
+        tp.reshape(c, m * (width + 1))[:, index] = wd.reshape(c, 1, k * k)
+        return tp[:, :, :width]
 
-    # (c, n, plane) views of the NCHW arrays
-    x3 = xd.reshape(n, c, hw).transpose(1, 0, 2)
-    out = np.empty((n, c, oh, ow), dtype=DTYPE)
-    out.reshape(n, c, l).transpose(1, 2, 0)[...] = np.matmul(toeplitz(), x3.transpose(0, 2, 1))
-    if not need_gw:
-        x3 = None  # only the weight gradient reads the input
+    def slab_pieces():
+        """Piece j of every block's slab, a (c, blocks*n, piece) view, for each j."""
+        xp = np.zeros((n, c, span * stride * rows, w), dtype=DTYPE)
+        xp[:, :, top:top + h] = xd
+        xr = np.ascontiguousarray(xp.reshape(n, c, span, step).transpose(1, 2, 0, 3))
+        return [xr[:, j:j + blocks, :, :piece.stop - piece.start].reshape(c, blocks * n, -1)
+                for j, piece in enumerate(pieces)]
+
+    x3 = xd.reshape(n, c, h * w).transpose(1, 0, 2)  # a (c, n, plane) view, for one block
+    out = np.empty((n, c, blocks * rows, ow), dtype=DTYPE)
+    if blocks == 1:
+        out.reshape(n, c, m).transpose(1, 2, 0)[...] = np.matmul(toeplitz(),
+                                                                x3.transpose(0, 2, 1))
+    else:
+        tp, xs = toeplitz(), slab_pieces()
+        res = np.matmul(xs[0], tp[:, :, pieces[0]].transpose(0, 2, 1))
+        for piece, xj in zip(pieces[1:], xs[1:]):
+            res += np.matmul(xj, tp[:, :, piece].transpose(0, 2, 1))
+        out.reshape(n, c, blocks, m).transpose(1, 2, 0, 3)[...] = res.reshape(c, blocks, n, m)
+        out = np.ascontiguousarray(out[:, :, :oh])  # copies only when the last block is cut short
 
     def bw(gout):
-        g3 = gout.reshape(n, c, l).transpose(1, 0, 2)
         gx = gw = None
-        if need_gx:
+        if blocks == 1:
+            g3 = gout.reshape(n, c, m).transpose(1, 0, 2)
+        else:
+            gpad = np.zeros((n, c, blocks * rows, ow), dtype=DTYPE)
+            gpad[:, :, :oh] = gout
+            g3 = np.ascontiguousarray(gpad.reshape(n, c, blocks, m).transpose(1, 2, 0, 3)) \
+                .reshape(c, blocks * n, m)
+        if need_gx and blocks == 1:
             gx = np.empty((n, c, h, w), dtype=DTYPE)
-            np.matmul(g3, toeplitz(), out=gx.reshape(n, c, hw).transpose(1, 0, 2))
+            np.matmul(g3, toeplitz(), out=gx.reshape(n, c, width).transpose(1, 0, 2))
+        elif need_gx:
+            tp = toeplitz()
+            gxr = np.zeros((c, span, n, step), dtype=DTYPE)
+            for j, piece in enumerate(pieces):
+                gxr[:, j:j + blocks, :, :piece.stop - piece.start] += \
+                    np.matmul(g3, tp[:, :, piece]).reshape(c, blocks, n, -1)
+            gx = np.ascontiguousarray(gxr.transpose(2, 0, 1, 3)
+                                      .reshape(n, c, -1, w)[:, :, top:top + h])
         if need_gw:
-            gtp = np.empty((c, l, hw + 1), dtype=DTYPE)
-            gtp[:, :, hw] = 0  # the taps that fall in the padding gather zeros
-            np.matmul(g3.transpose(0, 2, 1), x3, out=gtp[:, :, :hw])
-            gw = np.take(gtp.reshape(c, l * (hw + 1)), index, axis=1).sum(axis=1) \
+            gtp = np.empty((c, m, width + 1), dtype=DTYPE)
+            gtp[:, :, width] = 0  # the taps that fall in the padding gather zeros
+            if blocks == 1:
+                np.matmul(g3.transpose(0, 2, 1), x3, out=gtp[:, :, :width])
+            else:
+                for piece, xj in zip(pieces, slab_pieces()):
+                    np.matmul(g3.transpose(0, 2, 1), xj, out=gtp[:, :, piece])
+            gw = np.take(gtp.reshape(c, m * (width + 1)), index, axis=1).sum(axis=1) \
                 .reshape(wd.shape)
         return gx, gw
 
@@ -616,10 +688,12 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     ``groups=1`` is a dense convolution, ``groups=C_in`` a depthwise one.
     Output spatial size is ``floor((H + 2*padding - k)/stride) + 1``.
 
-    Depthwise convs on small planes run as one batched matmul with each
-    channel's Toeplitz matrix, on larger planes as shifted
-    multiply-accumulates laid out channels-last or channels-first;
-    :func:`_dw_kernel` picks one of the three from the shape alone.
+    Depthwise convs on small planes run as batched matmuls with each
+    channel's Toeplitz matrix, of the whole plane or, on planes of at
+    least 16 rows, of blocks of two output rows; on larger planes they
+    run as shifted multiply-accumulates laid out channels-last or
+    channels-first. :func:`_dw_kernel` picks one of the four from the
+    shape alone.
     Stride-1 1x1 convs run as one matmul; every other shape goes through
     im2col. The backward computes the input and weight gradients only
     for the operands that need one when the op is recorded.
@@ -658,8 +732,9 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     need_gx, need_gw = _needs_grad(xt), _needs_grad(wt)
     if groups == c_in == c_out:
         kernel = _dw_kernel(n, c_in, h, w, k, stride, padding)
-        if kernel == "toeplitz":
-            out, bw = _conv_toeplitz(xd, wd, stride, padding, need_gx, need_gw)
+        if kernel in ("band", "toeplitz"):
+            out, bw = _conv_toeplitz(xd, wd, stride, padding,
+                                     _BAND_ROWS if kernel == "band" else oh, need_gx, need_gw)
         else:
             out, bw = _conv_depthwise(xd, wd, stride, padding, kernel == "channels-last",
                                       need_gx, need_gw)
@@ -698,17 +773,74 @@ def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray, flush: bool) -
     return out
 
 
+def _channel_sums(rows: np.ndarray, c: int) -> np.ndarray:
+    """Per-channel sums of an (n, c*h*w) array: over the batch, then over each plane."""
+    return np.add.reduce(np.add.reduce(rows, axis=0).reshape(c, -1), axis=1)
+
+
+def _train_batch_norm(xt: Tensor, gt: Tensor, bt: Tensor, running_mean: np.ndarray,
+                      running_var: np.ndarray, update_stats: bool) -> Tensor:
+    """Train-mode batch norm on the (n, c*h*w) rows of an NCHW input.
+
+    Each per-channel vector is applied as one row of c*h*w entries, the
+    vector repeated over each plane. ``xc = x - mean`` is kept for the
+    backward: ``dgamma = sum(g*xc) * invstd``, and ``dx = s*g - s*dbeta/cnt
+    - xc * s*invstd*dgamma/cnt`` with ``s = gamma*invstd`` over the ``cnt``
+    entries of a channel.
+    """
+    xd = xt.data
+    n, c, h, w = xd.shape
+    hw, cnt = h * w, DTYPE(n * h * w)
+    need_gx, need_gg, need_gb = _needs_grad(xt), _needs_grad(gt), _needs_grad(bt)
+    mean = _channel_sums(xd.reshape(n, c * hw), c) / cnt
+    xc = xd.reshape(n, c * hw) - mean.repeat(hw)
+    out = np.square(xc)
+    var = _channel_sums(out, c) / cnt
+    if update_stats:
+        running_mean *= DTYPE(1.0 - BN_MOMENTUM)
+        running_mean += DTYPE(BN_MOMENTUM) * mean
+        running_var *= DTYPE(1.0 - BN_MOMENTUM)
+        running_var += DTYPE(BN_MOMENTUM) * var
+    invstd = 1.0 / np.sqrt(var + DTYPE(BN_EPS))
+    scale = gt.data * invstd
+    np.multiply(xc, scale.repeat(hw), out=out)
+    out += bt.data.repeat(hw)
+    if not (need_gx or need_gg):
+        xc = None  # only dgamma and dx read it
+
+    def bw(g):
+        g2 = g.reshape(n, c * hw)
+        dgamma = dbeta = dx = None
+        if need_gb or need_gx:
+            dbeta = _channel_sums(g2, c)
+        if need_gg or need_gx:
+            gxc = g2 * xc
+            dgamma = _channel_sums(gxc, c) * invstd
+        if need_gx:
+            a = scale / cnt
+            dx = g2 * scale.repeat(hw)
+            dx -= (a * dbeta).repeat(hw)
+            np.multiply(xc, (a * invstd * dgamma).repeat(hw), out=gxc)
+            dx -= gxc
+            dx = dx.reshape(n, c, h, w)
+        return dx, dgamma if need_gg else None, dbeta if need_gb else None
+
+    return _record((xt, gt, bt), out.reshape(n, c, h, w), bw)
+
+
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, update_stats: Optional[bool] = None) -> Tensor:
     """Per-channel batch normalization over an NCHW tensor.
 
-    Train mode normalizes by batch statistics (biased variance) and, when
-    ``update_stats`` (defaults to ``training``), folds them into the
-    running buffers with momentum ``BN_MOMENTUM``. Eval mode is one
-    per-channel affine ``x * s + t`` with ``s = gamma / sqrt(running_var +
-    BN_EPS)`` and ``t = beta - running_mean * s``; when it is not
-    recorded, its output is flushed: every subnormal becomes 0. The
-    running buffers are plain arrays mutated in place; they carry no
+    Train mode normalizes by batch statistics (biased, two-pass variance)
+    and, when ``update_stats`` (defaults to ``training``), folds them into
+    the running buffers with momentum ``BN_MOMENTUM``; it works on the
+    (n, c*h*w) rows of the input and takes every per-channel sum over the
+    batch first, then over the plane (:func:`_train_batch_norm`). Eval
+    mode is one per-channel affine ``x * s + t`` with ``s = gamma /
+    sqrt(running_var + BN_EPS)`` and ``t = beta - running_mean * s``; when
+    it is not recorded, its output is flushed: every subnormal becomes 0.
+    The running buffers are plain arrays mutated in place; they carry no
     gradient.
     """
     xt, gt, bt = as_tensor(x), as_tensor(gamma), as_tensor(beta)
@@ -720,51 +852,27 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
                       ("running_mean", running_mean), ("running_var", running_var)):
         if arr.shape != (c,):
             raise DimensionError(f"{name} must have shape ({c},), got {arr.shape}")
-    if update_stats is None:
-        update_stats = training
-    need_gx, need_gg, need_gb = _needs_grad(xt), _needs_grad(gt), _needs_grad(bt)
-
     if training:
-        mean = xd.mean(axis=(0, 2, 3))
-        xhat = xd - mean[None, :, None, None]
-        var = np.square(xhat).mean(axis=(0, 2, 3))
-        if update_stats:
-            running_mean *= DTYPE(1.0 - BN_MOMENTUM)
-            running_mean += DTYPE(BN_MOMENTUM) * mean
-            running_var *= DTYPE(1.0 - BN_MOMENTUM)
-            running_var += DTYPE(BN_MOMENTUM) * var
-        invstd = 1.0 / np.sqrt(var + DTYPE(BN_EPS))
+        return _train_batch_norm(xt, gt, bt, running_mean, running_var,
+                                 True if update_stats is None else update_stats)
+
+    invstd = 1.0 / np.sqrt(running_var + DTYPE(BN_EPS))
+    scale = gt.data * invstd
+    recorded = _recording((xt, gt, bt))
+    out = _affine(xd, scale, bt.data - running_mean * scale, flush=not recorded)
+    if not recorded:
+        return Tensor(out)
+    need_gx, need_gg, need_gb = _needs_grad(xt), _needs_grad(gt), _needs_grad(bt)
+    xhat = None
+    if need_gg:
+        xhat = xd - running_mean[None, :, None, None]
         xhat *= invstd[None, :, None, None]
-        out = gt.data[None, :, None, None] * xhat
-        out += bt.data[None, :, None, None]
-    else:
-        invstd = 1.0 / np.sqrt(running_var + DTYPE(BN_EPS))
-        scale = gt.data * invstd
-        recorded = _recording((xt, gt, bt))
-        out = _affine(xd, scale, bt.data - running_mean * scale, flush=not recorded)
-        if not recorded:
-            return Tensor(out)
-        xhat = None
-        if need_gg:
-            xhat = xd - running_mean[None, :, None, None]
-            xhat *= invstd[None, :, None, None]
-    batch_grads = need_gx and training  # dx in train mode reads dgamma and dbeta
 
     def bw(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if need_gg or batch_grads else None
-        dbeta = g.sum(axis=(0, 2, 3)) if need_gb or batch_grads else None
-        dx = None
-        if need_gx:
-            scale = gt.data * invstd
-            if training:
-                cnt = g.size // c
-                dx = cnt * g
-                dx -= dbeta[None, :, None, None]
-                dx -= xhat * dgamma[None, :, None, None]
-                dx *= (scale / cnt)[None, :, None, None]
-            else:
-                dx = g * scale[None, :, None, None]
-        return dx, dgamma if need_gg else None, dbeta if need_gb else None
+        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if need_gg else None
+        dbeta = g.sum(axis=(0, 2, 3)) if need_gb else None
+        dx = g * scale[None, :, None, None] if need_gx else None
+        return dx, dgamma, dbeta
 
     return _record((xt, gt, bt), out, bw)
 

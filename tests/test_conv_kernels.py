@@ -1,9 +1,11 @@
-"""Conv fast paths against the im2col reference, and phase-scoped gradients.
+"""Conv fast paths against the im2col reference, train batch norm against
+float64, and phase-scoped gradients.
 
-``conv2d`` sends depthwise convs on small planes to one batched matmul
-with each channel's Toeplitz matrix and larger ones to a tap loop of
-shifted multiply-accumulates, laid out channels-last or channels-first;
-``_dw_kernel`` picks one of the three from the shape. Stride-1 1x1 convs
+``conv2d`` sends depthwise convs on small planes to batched matmuls with
+Toeplitz matrices, of whole planes ("toeplitz") or of blocks of two
+output rows ("band"), and larger ones to a tap loop of shifted
+multiply-accumulates, laid out channels-last or channels-first;
+``_dw_kernel`` picks one of the four from the shape. Stride-1 1x1 convs
 run as one matmul. ``_conv_im2col`` handles every shape and stays the
 oracle here. The fast paths sum in another order, so they agree with it
 to float32 rounding, not bit for bit. Parity tests force the depthwise
@@ -15,6 +17,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -140,9 +143,30 @@ def test_toeplitz_depthwise_matches_im2col(monkeypatch, k, stride, hw):
     assert len(asked) == 1
 
 
+@pytest.mark.parametrize("padding", ["same", 0])
+@pytest.mark.parametrize("rows", [2, 1, 3], ids=["rows2", "rows1", "rows3"])
+@pytest.mark.parametrize("hw", [(16, 16), (13, 13), (14, 11)], ids=["16x16", "odd", "even"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [3, 5, 7])
+def test_band_depthwise_matches_im2col(monkeypatch, k, stride, hw, rows, padding):
+    # the rule runs blocks of _BAND_ROWS = 2 output rows; 1 and 3 check the
+    # slab geometry, and odd output heights end in a block cut short
+    monkeypatch.setattr(engine, "_BAND_ROWS", rows)
+    asked = _force_kernel(monkeypatch, "band")
+    rng = np.random.default_rng(k * 1000 + stride * 100 + rows * 10 + hw[1])
+    c, pad = 4, (k - 1) // 2 if padding == "same" else padding
+    x = rng.standard_normal((3, c, *hw)).astype(np.float32)
+    wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
+    oh = engine._out_size(hw[0], k, stride, pad)
+    _, blocks, _, _, _ = engine._toeplitz_index(*hw, k, stride, pad, rows)
+    assert blocks == -(-oh // rows) > 1
+    _assert_parity(x, wd, stride, pad, c, rng)
+    assert len(asked) == 1
+
+
 @pytest.mark.parametrize("x_grad, w_grad", [(True, False), (False, True)],
                          ids=["only-gx", "only-gw"])
-@pytest.mark.parametrize("kernel", ["toeplitz", "channels-last", "channels-first"])
+@pytest.mark.parametrize("kernel", ["band", "toeplitz", "channels-last", "channels-first"])
 def test_phase_scoped_depthwise_matches_im2col(monkeypatch, kernel, x_grad, w_grad):
     _force_kernel(monkeypatch, kernel)
     rng = np.random.default_rng(13)
@@ -198,7 +222,8 @@ def _dw_shapes(arch, n):
 
 def test_depthwise_kernel_choice_on_desk3_and_table1_shapes(monkeypatch):
     # desk3 trains and evaluates on 32x32 inputs, so its planes are at most
-    # 16x16: every depthwise conv of a supernet forward runs as a matmul
+    # 16x16: every depthwise conv of a supernet forward runs as a matmul,
+    # in blocks of two output rows on the 16x16 planes
     cfg = load_bundled_config("desk3")
     net = build_supernet(cfg, seed=0)
     choose = engine._dw_kernel
@@ -209,7 +234,13 @@ def test_depthwise_kernel_choice_on_desk3_and_table1_shapes(monkeypatch):
         net.forward(Tensor(np.zeros((n, 3, *cfg.input_resolution), dtype=np.float32)),
                     training=True)
     assert len(desk3) == 3 * 13 and max(shape[2] for shape, _ in desk3) == 16
-    assert {kernel for _, kernel in desk3} == {"toeplitz"}
+    by_plane = {}
+    for (n, c, h, w, k, stride, padding), kernel in desk3:
+        by_plane.setdefault((h, stride), set()).add(kernel)
+    assert by_plane == {
+        (16, 1): {"band"}, (16, 2): {"band"}, (8, 1): {"toeplitz"}, (8, 2): {"toeplitz"},
+        (4, 1): {"toeplitz"}, (4, 2): {"toeplitz"}, (2, 1): {"toeplitz"},
+    }
     # table1 verify runs one 800x1088 image through the k3 default source and
     # its all-k7 growth (the stem stays k3): the tap loop, laid out by output
     # row length and kernel
@@ -281,6 +312,20 @@ def test_toeplitz_depthwise_finite_differences(monkeypatch, hw, k, stride):
                     [x, w], h=FD_STEP, what=f"toeplitz depthwise k{k} stride {stride}")
 
 
+@pytest.mark.parametrize("hw, k, stride", [((9, 8), 3, 1), ((10, 9), 5, 2), ((9, 9), 7, 1)],
+                         ids=["k3-odd", "k5-stride2", "k7"])
+def test_band_depthwise_finite_differences(monkeypatch, hw, k, stride):
+    _force_kernel(monkeypatch, "band")
+    rng = np.random.default_rng(15)
+    padding = (k - 1) // 2
+    x = rand_tensor(rng, (2, 3, *hw), scale=0.5)
+    w = rand_tensor(rng, (3, 1, k, k), scale=0.5)
+    oh, ow = (engine._out_size(size, k, stride, padding) for size in hw)
+    r = Tensor(rng.standard_normal((2, 3, oh, ow)).astype(np.float32))
+    check_gradients(lambda: (conv2d(x, w, stride=stride, padding=padding, groups=3) * r).sum(),
+                    [x, w], h=FD_STEP, what=f"band depthwise k{k} stride {stride}")
+
+
 def test_pointwise_finite_differences():
     rng = np.random.default_rng(7)
     x = rand_tensor(rng, (2, 4, 3, 5), scale=0.5)
@@ -290,40 +335,58 @@ def test_pointwise_finite_differences():
                     what="pointwise")
 
 
-# Runs in a child process: depthwise forward and backward over every
-# depthwise shape of a desk3 supernet forward at each training and eval
-# batch size, and prints one sha256 of the outputs and both gradients.
+# Runs in a child process: depthwise conv and train batch norm, forward and
+# backward, over every depthwise and batch-norm shape of a desk3 supernet
+# forward at each training and eval batch size. Prints each primitive's
+# shape count and one sha256 of its outputs, gradients and running buffers.
 _DESK3_DIGEST = """
 import hashlib
 
 import numpy as np
-from nasadapt.numerics import Tensor, conv2d, tensor as engine
+from nasadapt import layers
+from nasadapt.numerics import Tensor, batch_norm, conv2d, tensor as engine
 from nasadapt.searchloop import SEARCH_BATCH_SIZE
 from nasadapt.searchspace import load_bundled_config
 from nasadapt.supernet import build_supernet
 from nasadapt.toytask import EVAL_BATCH_SIZE, FINETUNE_BATCH_SIZE
 
 cfg = load_bundled_config("desk3")
-shapes, choose = set(), engine._dw_kernel
-engine._dw_kernel = lambda *shape: shapes.add(shape) or choose(*shape)
+dw_shapes, bn_shapes = set(), set()
+choose, norm = engine._dw_kernel, layers.batch_norm
+engine._dw_kernel = lambda *shape: dw_shapes.add(shape) or choose(*shape)
+layers.batch_norm = lambda x, *args, **kw: bn_shapes.add(x.shape) or norm(x, *args, **kw)
 net = build_supernet(cfg, seed=0)
 for n in (SEARCH_BATCH_SIZE, FINETUNE_BATCH_SIZE, EVAL_BATCH_SIZE):
     net.forward(Tensor(np.zeros((n, 3, *cfg.input_resolution), np.float32)), training=True)
-engine._dw_kernel = choose
+engine._dw_kernel, layers.batch_norm = choose, norm
 rng = np.random.default_rng(0)
 digest = hashlib.sha256()
-for n, c, h, w, k, stride, padding in sorted(shapes):
+for n, c, h, w, k, stride, padding in sorted(dw_shapes):
     x = Tensor(rng.standard_normal((n, c, h, w)).astype(np.float32), requires_grad=True)
     wd = Tensor(rng.standard_normal((c, 1, k, k)).astype(np.float32), requires_grad=True)
     out = conv2d(x, wd, stride=stride, padding=padding, groups=c)
     gx, gw = out.node.backward_fn(rng.standard_normal(out.shape).astype(np.float32))
     for a in (out.data, gx, gw):
         digest.update(a.tobytes())
-print(len(shapes), digest.hexdigest())
+print(len(dw_shapes), digest.hexdigest())
+digest = hashlib.sha256()
+for shape in sorted(bn_shapes):
+    c = shape[1]
+    x = Tensor((rng.standard_normal(shape) * 2 + 0.5).astype(np.float32), requires_grad=True)
+    gamma = Tensor((rng.standard_normal(c) + 1).astype(np.float32), requires_grad=True)
+    beta = Tensor(rng.standard_normal(c).astype(np.float32), requires_grad=True)
+    mean, var = np.zeros(c, np.float32), np.ones(c, np.float32)
+    out = batch_norm(x, gamma, beta, mean, var, training=True)
+    grads = out.node.backward_fn(rng.standard_normal(shape).astype(np.float32))
+    for a in (out.data, *grads, mean, var):
+        digest.update(a.tobytes())
+print(len(bn_shapes), digest.hexdigest())
 """
 
 
-def _desk3_depthwise_digest(threads):
+@lru_cache(maxsize=None)
+def _desk3_digests(threads):
+    """{"depthwise"|"batch_norm": (shape count, sha256)} from a child process."""
     src = str(Path(nasadapt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -333,14 +396,21 @@ def _desk3_depthwise_digest(threads):
     proc = subprocess.run([sys.executable, "-c", _DESK3_DIGEST], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    dw, bn = (line.split() for line in proc.stdout.splitlines())
+    return {"depthwise": (int(dw[0]), dw[1]), "batch_norm": (int(bn[0]), bn[1])}
 
 
 def test_depthwise_bytes_do_not_depend_on_the_thread_count():
     # the batched matmuls of the Toeplitz kernel go through BLAS, which may
     # split them across threads; each output must still sum in one order
-    one, two = _desk3_depthwise_digest(1), _desk3_depthwise_digest(2)
-    assert int(one[0]) > 20 and one == two
+    one, two = _desk3_digests(1)["depthwise"], _desk3_digests(2)["depthwise"]
+    assert one[0] > 20 and one == two
+
+
+def test_train_batch_norm_bytes_do_not_depend_on_the_thread_count():
+    # train batch norm sums with numpy's own reductions, never BLAS
+    one, two = _desk3_digests(1)["batch_norm"], _desk3_digests(2)["batch_norm"]
+    assert one[0] > 20 and one == two
 
 
 def test_madds_count_of_a_supernet_forward_is_unchanged():
@@ -400,20 +470,79 @@ def test_batch_norm_skips_only_unneeded_gradients(training):
         return out.node.backward_fn(gout)
 
     full = grads(True, True, True)
-    gx, ggamma, gbeta = grads(False, True, False)
-    assert gx is None and gbeta is None and ggamma.tobytes() == full[1].tobytes()
-    gx, ggamma, gbeta = grads(True, False, False)
-    assert ggamma is None and gbeta is None and gx.tobytes() == full[0].tobytes()
+    # the search's arch step wants only dx; its weight step only gamma and beta
+    # on a layer whose input needs no gradient
+    for needed in [(False, True, False), (True, False, False), (False, True, True),
+                   (False, False, True)]:
+        got = grads(*needed)
+        for need, g, want in zip(needed, got, full):
+            assert (g is None) == (not need)
+            assert g is None or g.tobytes() == want.tobytes()
 
 
-def test_batch_norm_one_pass_variance_is_numpys_two_pass_variance(monkeypatch):
+def test_batch_norm_running_var_is_the_two_pass_variance(monkeypatch):
+    # a mean 300 standard deviations from zero: E[x^2] - mean^2 in float32
+    # would lose the variance to cancellation (2.7e-2 off), two passes keep
+    # it to float32 rounding
     monkeypatch.setattr(engine, "BN_MOMENTUM", 1.0)  # running_var becomes the batch variance
     rng = np.random.default_rng(11)
-    x = (rng.standard_normal((4, 5, 6, 7)) * 3 + 1).astype(np.float32)
+    x = (rng.standard_normal((4, 5, 6, 7)) * 3 + 1000).astype(np.float32)
     rm, rv = np.zeros(5, np.float32), np.zeros(5, np.float32)
     batch_norm(Tensor(x), Tensor(np.ones(5, np.float32)), Tensor(np.zeros(5, np.float32)),
                rm, rv, training=True)
-    assert rv.tobytes() == x.var(axis=(0, 2, 3)).tobytes()
+    want = x.astype(np.float64).var(axis=(0, 2, 3))
+    assert float(np.abs(rv - want).max() / want.max()) <= 2e-6
+
+
+def _desk3_batch_norm_shapes(monkeypatch):
+    """Input shapes of every batch norm of a desk3 supernet forward at each
+    training and eval batch size."""
+    import nasadapt.layers as layers
+
+    cfg = load_bundled_config("desk3")
+    net, shapes, norm = build_supernet(cfg, seed=0), set(), layers.batch_norm
+    monkeypatch.setattr(layers, "batch_norm",
+                        lambda x, *args, **kw: shapes.add(x.shape) or norm(x, *args, **kw))
+    for n in (SEARCH_BATCH_SIZE, FINETUNE_BATCH_SIZE, EVAL_BATCH_SIZE):
+        net.forward(Tensor(np.zeros((n, 3, *cfg.input_resolution), np.float32)), training=True)
+    monkeypatch.setattr(layers, "batch_norm", norm)
+    return sorted(shapes)
+
+
+def _train_batch_norm_float64(x, gamma, beta, g):
+    """Output, dx, dgamma, dbeta, batch mean and variance, all in float64."""
+    x, gamma, beta, g = (a.astype(np.float64) for a in (x, gamma, beta, g))
+    axes, c = (0, 2, 3), (slice(None), None, None)
+    mean = x.mean(axis=axes)
+    var = np.square(x - mean[c]).mean(axis=axes)
+    invstd = 1.0 / np.sqrt(var + engine.BN_EPS)
+    xhat = (x - mean[c]) * invstd[c]
+    dbeta, dgamma, cnt = g.sum(axis=axes), (g * xhat).sum(axis=axes), g.size // x.shape[1]
+    dx = (gamma * invstd / cnt)[c] * (cnt * g - dbeta[c] - xhat * dgamma[c])
+    return gamma[c] * xhat + beta[c], dx, dgamma, dbeta, mean, var
+
+
+def test_train_batch_norm_matches_float64_on_desk3_shapes(monkeypatch):
+    # the largest deviation seen, relative to the largest entry of each
+    # result: 3.3e-7 (dgamma); the bound is 16 float32 unit roundoffs
+    shapes = _desk3_batch_norm_shapes(monkeypatch)
+    assert len(shapes) > 20
+    monkeypatch.setattr(engine, "BN_MOMENTUM", 1.0)  # the buffers become the batch statistics
+    rng = np.random.default_rng(16)
+    for shape in shapes:
+        c = shape[1]
+        x = (rng.standard_normal(shape) * 2 + 0.5).astype(np.float32)
+        gamma = (rng.standard_normal(c) + 1).astype(np.float32)
+        beta = rng.standard_normal(c).astype(np.float32)
+        g = rng.standard_normal(shape).astype(np.float32)
+        mean, var = np.zeros(c, np.float32), np.zeros(c, np.float32)
+        out = batch_norm(Tensor(x, requires_grad=True), Tensor(gamma, requires_grad=True),
+                         Tensor(beta, requires_grad=True), mean, var, training=True)
+        got = (out.data, *out.node.backward_fn(g), mean, var)
+        for name, a, want in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), got,
+                                 _train_batch_norm_float64(x, gamma, beta, g)):
+            dev = float(np.abs(a - want).max() / np.abs(want).max())
+            assert dev <= 16 * 2.0 ** -24, f"{shape} {name}: {dev:.2e}"
 
 
 def _tiny_search_setup(seed=3):

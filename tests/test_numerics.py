@@ -197,6 +197,25 @@ class TestBatchNorm:
 
         check_gradients(loss, [x, gamma, beta], what=f"batch_norm training={training}")
 
+    @pytest.mark.parametrize("shape", [(1, 3, 1, 1), (2, 3, 2, 2)], ids=["one-entry", "2x2"])
+    def test_train_gradients_on_the_smallest_planes(self, shape):
+        # one entry per channel normalizes to 0 whatever x is, so dx and
+        # dgamma are 0; on 2x2 planes each channel holds 8 entries
+        rng = np.random.default_rng(9)
+        x = rand_tensor(rng, shape)
+        gamma = Tensor(np.array([1.5, 0.5, -1.0], dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.array([0.0, 0.3, -0.2], dtype=np.float32), requires_grad=True)
+        mean, var = self._stats(3)
+        coeff = Tensor(rng.standard_normal(shape).astype(np.float32))
+
+        def loss():
+            y = batch_norm(x, gamma, beta, mean, var, training=True, update_stats=False)
+            return (y * coeff).sum()
+
+        check_gradients(loss, [x, gamma, beta], what=f"batch_norm train {shape}")
+        if shape[0] * shape[2] * shape[3] == 1:
+            assert not x.grad.any() and not gamma.grad.any()
+
     def _eval_case(self, stats):
         """N(0, 1) input, gamma/beta and running statistics: unit ones, or
         the ones one train pass over other data leaves."""
