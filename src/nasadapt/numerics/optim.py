@@ -11,6 +11,7 @@ from .tensor import DTYPE, Tensor
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+SGD_MOMENTUM = 0.9
 
 
 def _check_common(lr: float, weight_decay: float):
@@ -21,14 +22,17 @@ def _check_common(lr: float, weight_decay: float):
 
 
 class SGD:
-    """SGD with momentum; weight decay enters as an additive L2 gradient term."""
+    """SGD with momentum ``SGD_MOMENTUM``; weight decay enters as an additive
+    L2 gradient term. The ``momentum`` keyword takes only that value; it stays
+    for callers that still pass it."""
 
-    def __init__(self, params: Iterable[Tensor], lr: float,
-                 momentum: float = 0.0, weight_decay: float = 0.0):
+    def __init__(self, params: Iterable[Tensor], lr: float, *, weight_decay: float = 0.0,
+                 momentum: float = SGD_MOMENTUM):
         _check_common(lr, weight_decay)
+        if momentum != SGD_MOMENTUM:
+            raise ParameterError(f"momentum is fixed at {SGD_MOMENTUM}, got {momentum}")
         self.params = list(params)
         self.lr = lr
-        self.momentum = momentum
         self.weight_decay = weight_decay
         self._buf: dict[int, np.ndarray] = {}
 
@@ -39,16 +43,13 @@ class SGD:
             g = p.grad
             if self.weight_decay:
                 g = g + DTYPE(self.weight_decay) * p.data
-            if self.momentum:
-                buf = self._buf.get(id(p))
-                if buf is None:
-                    buf = g.astype(DTYPE, copy=True)
-                    self._buf[id(p)] = buf
-                else:
-                    buf *= DTYPE(self.momentum)
-                    buf += g
-                g = buf
-            p.data -= DTYPE(self.lr) * g
+            buf = self._buf.get(id(p))
+            if buf is None:
+                buf = self._buf[id(p)] = g.astype(DTYPE, copy=True)
+            else:
+                buf *= DTYPE(SGD_MOMENTUM)
+                buf += g
+            p.data -= DTYPE(self.lr) * buf
 
     def zero_grad(self):
         for p in self.params:

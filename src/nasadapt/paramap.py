@@ -4,24 +4,24 @@ Depth: target layers up to the source depth map positionally; deeper
 target layers receive copies of the source block's last layer; a
 shallower target drops the source tail.
 
-Each tensor then maps by one rule: copy the overlap of source and target
-into a target filled with the pad value, centred on the kernel axes and
-leading on the channel axes (any of them, including the hidden expanded
-width). So a larger kernel embeds the source in a zero ring and a smaller
-one keeps its centre; a wider channel axis gains trailing pad slices and
-a narrower one drops its tail. The zero mask is everything outside the
-copied box when the pad is 0, and nothing otherwise.
+Every tensor then maps by one rule in one resize: copy the overlap of
+source and target into a target filled with the pad value, centred on the
+kernel axes and leading on the channel axes (any of them, including the
+hidden expanded width). So a larger kernel embeds the source in a zero
+ring and a smaller one keeps its centre; a wider channel axis gains
+trailing pad slices and a narrower one drops its tail. The zero mask is
+everything outside the copied box when the pad is 0, and nothing
+otherwise.
 
 Both sides are read as the stage lists the networks build from: each
-stage's weight maps to ``(c_out, c_in // groups, kernel, kernel)``, its
-batch norm at ``c_out``. Stage lists must match.
-
-Newly created batch-norm channels get gamma 0, shift 0, running mean 0,
-running variance 1, so padded channels emit exactly 0 in eval mode and
-mappings that only widen or only grow kernels preserve the source
-function. Depth copies and truncations are not function preserving.
-Zero-masked entries of trainable tensors may receive small uniform noise
-as each tensor is mapped, so gradients can reach them.
+stage's weight maps to ``(c_out, c_in // groups, kernel, kernel)`` with
+pad 0, and its four batch-norm tensors take the same resize at ``c_out``
+with their own pad values: gamma 0, shift 0, running mean 0, running
+variance 1. So padded channels emit exactly 0 in eval mode, and mappings
+that only widen or only grow kernels preserve the source function. Depth
+copies and truncations are not function preserving. Stage lists must
+match. Zero-masked entries of trainable tensors may receive small uniform
+noise as each tensor is mapped, so gradients can reach them.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .derive import (
     load_arch,
 )
 from .errors import ContractError, ParameterError
-from .layers import ConvStage
 from .numerics import Tensor, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
@@ -96,20 +95,18 @@ class MappingEntry:
 
 @dataclass
 class MappingReport:
-    """One entry per target tensor; zero masks track entries assigned 0."""
+    """One entry per target tensor, in mapping order."""
 
     entries: dict[str, MappingEntry] = field(default_factory=dict)
-    zero_masks: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def add(self, target: str, source: str, rules: list[str],
-            zero_mask: np.ndarray, noised: bool) -> None:
+    def add(self, target: str, source: str, rules: list[str], zero_count: int,
+            noised: bool) -> None:
         if target in self.entries:
             raise ContractError(f"target tensor '{target}' mapped twice")
         self.entries[target] = MappingEntry(
             target=target, source=source,
             rules=tuple(rules) if rules else (RULE_DIRECT,),
-            zero_count=int(zero_mask.sum()), noised=noised)
-        self.zero_masks[target] = zero_mask
+            zero_count=zero_count, noised=noised)
 
     def save(self, path) -> None:
         write_json({
@@ -144,74 +141,23 @@ def _resize(arr: np.ndarray, shape: tuple[int, ...], centred: tuple[int, ...] = 
     return out, mask
 
 
-def _rule(source_n: int, target_n: int, grow: str, shrink: str) -> str | None:
-    """The rule that takes an extent from ``source_n`` to ``target_n``, if any."""
-    return None if source_n == target_n else grow if target_n > source_n else shrink
+def _map_tensor(arr: np.ndarray, shape: tuple[int, ...], pad: float,
+                ) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Map one tensor onto ``shape`` in one resize: a conv weight
+    ``(c_out, c_in // groups, k, k)`` or a batch-norm vector ``(c_out,)``.
+    Returns the tensor, its zero mask and its rules, read off the extents:
+    the kernel first, then the channel axes in order."""
+    kernel = len(shape) == 4
+    out, mask = _resize(arr, shape, centred=(2, 3) if kernel else (), pad=pad)
+    extents = [(arr.shape[2], shape[2], RULE_KERNEL_EMBED, RULE_KERNEL_CROP)] if kernel else []
+    extents += [(n, m, RULE_CHANNEL_PAD, RULE_CHANNEL_TRUNCATE)
+                for n, m in zip(arr.shape[:2], shape[:2])]
+    return out, mask, [grow if m > n else shrink for n, m, grow, shrink in extents if n != m]
 
 
-def map_kernel(weight: np.ndarray, target_k: int) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Center-embed into a larger kernel or center-crop to a smaller one.
-
-    Returns (mapped, zero_mask, rule). Embedding then cropping back is the
-    identity.
-    """
-    k = weight.shape[-1]
-    if weight.ndim < 2 or weight.shape[-2] != k:
-        raise ParameterError(f"expected a trailing square kernel, got shape {weight.shape}")
-    if k % 2 == 0 or target_k % 2 == 0 or target_k < 1:
-        raise ParameterError(f"kernel sizes must be odd positives, got {k} -> {target_k}")
-    out, mask = _resize(weight, weight.shape[:-2] + (target_k, target_k),
-                        centred=(weight.ndim - 2, weight.ndim - 1))
-    return out, mask, _rule(k, target_k, RULE_KERNEL_EMBED, RULE_KERNEL_CROP)
-
-
-def map_channels(weight: np.ndarray, source_c: int, target_c: int, axis: int = 0,
-                 pad_value: float = 0.0) -> tuple[np.ndarray, np.ndarray, str | None]:
-    """Fill new trailing channel slices with ``pad_value`` or drop exceeding ones.
-
-    The axis must be stated explicitly; producing layers map their output
-    axis, consuming layers their input axis. Returns (mapped, zero_mask,
-    rule); the mask marks entries assigned the pad value 0.
-    """
-    if weight.shape[axis] != source_c:
-        raise ParameterError(
-            f"axis {axis} has extent {weight.shape[axis]}, expected {source_c}")
-    if target_c < 1:
-        raise ParameterError(f"target channels must be >= 1, got {target_c}")
-    shape = list(weight.shape)
-    shape[axis] = target_c
-    out, mask = _resize(weight, tuple(shape), pad=pad_value)
-    return out, mask, _rule(source_c, target_c, RULE_CHANNEL_PAD, RULE_CHANNEL_TRUNCATE)
-
-
-def map_depth(source_layers: list, target_depth: int) -> list[tuple[object, bool]]:
-    """Assign a source layer to each of ``target_depth`` layers.
-
-    Returns (layer, is_copy) pairs: positional for the common prefix, the
-    last source layer repeated beyond it, the source tail dropped when the
-    target is shallower.
-    """
-    if not source_layers:
-        raise ParameterError("source block must have at least one layer")
-    if target_depth < 1:
-        raise ParameterError(f"target depth must be >= 1, got {target_depth}")
-    n = len(source_layers)
-    return [(source_layers[min(l, n - 1)], l >= n) for l in range(target_depth)]
-
-
-_BN_PADS = (("gamma", 0.0), ("beta", 0.0), ("mean", 0.0), ("var", 1.0))
-
-
-def _map_weight(weight: np.ndarray, t: ConvStage) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Map a stage's conv weight onto target stage ``t`` in one resize. Its
-    rules are read off the extents: kernel, then output channels (axis 0),
-    then input channels per group (axis 1)."""
-    shape = (t.c_out, t.c_in // t.groups, t.kernel, t.kernel)
-    out, mask = _resize(weight, shape, centred=(2, 3))
-    rules = [_rule(weight.shape[2], t.kernel, RULE_KERNEL_EMBED, RULE_KERNEL_CROP),
-             *(_rule(weight.shape[a], shape[a], RULE_CHANNEL_PAD, RULE_CHANNEL_TRUNCATE)
-               for a in (0, 1))]
-    return out, mask, [r for r in rules if r]
+# Each tensor of a stage, in mapping order, and the value its new entries take.
+_STAGE_PADS = (("weight", 0.0), ("bn/gamma", 0.0), ("bn/beta", 0.0), ("bn/mean", 0.0),
+               ("bn/var", 1.0))
 
 
 def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed: int,
@@ -219,10 +165,10 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
     """Map a source onto a target given as ``blocks[i][l]``: the (tensor
     prefix, stage list) of every operation of layer l in block i. The source
     is read through the network its architecture builds from it, which
-    checks every tensor's name and shape. The stem is copied; each target
-    layer takes its source layer from :func:`map_depth`, whose stage list
-    must match the target's stage by stage. Returns the tensors and the
-    report in mapping order.
+    checks every tensor's name and shape. The stem is copied; target layer l
+    of a block takes source layer l, or the source block's last layer beyond
+    its depth, whose stage list must match the target's stage by stage.
+    Returns the tensors and the report in mapping order.
 
     As each tensor is put, U(-eps, eps) noise from one ``PCG64(seed)`` stream
     is added to its zero-masked entries. Running statistics are skipped:
@@ -240,34 +186,33 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
     report = MappingReport()
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    def put(target, source_name, arr, mask, rules):
-        noised = eps > 0 and not target.endswith(_STAT_SUFFIXES) and bool(mask.any())
+    def put(target, source_name, shape, pad=0.0, base=()):
+        arr, mask, rules = _map_tensor(src[source_name], shape, pad)
+        zero_count = int(mask.sum())
+        noised = eps > 0 and zero_count > 0 and not target.endswith(_STAT_SUFFIXES)
         if noised:
-            arr[mask] += rng.uniform(-eps, eps, size=int(mask.sum())).astype(DTYPE)
+            arr[mask] += rng.uniform(-eps, eps, size=zero_count).astype(DTYPE)
         out[target] = arr
-        report.add(target, source_name, rules, mask, noised)
+        report.add(target, source_name, [*base, *rules], zero_count, noised)
 
     for name, arr in src.items():
         if name.startswith("stem/"):
-            put(name, name, arr, np.zeros(arr.shape, dtype=bool), [])
+            put(name, name, arr.shape)
     for src_layers, layers in zip(arch_layers(source_arch), blocks):
-        for ((s_prefix, s_stages), copied), ops in zip(map_depth(src_layers, len(layers)),
-                                                       layers):
-            base = [RULE_DEPTH_COPY] if copied else []
+        last = len(src_layers) - 1
+        for l, ops in enumerate(layers):
+            s_prefix, s_stages = src_layers[min(l, last)]
+            base = (RULE_DEPTH_COPY,) if l > last else ()
             for prefix, stages in ops:
                 s_names, t_names = ([st.name for st in x] for x in (s_stages, stages))
                 if s_names != t_names:
                     raise ContractError(f"cannot map {s_prefix} (stages {s_names}) onto "
                                         f"{prefix} (stages {t_names})")
                 for s, t in zip(s_stages, stages):
-                    s_pre, t_pre = f"{s_prefix}/{s.name}", f"{prefix}/{t.name}"
-                    weight, mask, rules = _map_weight(src[f"{s_pre}/weight"], t)
-                    put(f"{t_pre}/weight", f"{s_pre}/weight", weight, mask, base + rules)
-                    for name, pad in _BN_PADS:
-                        arr, mask, rule = map_channels(src[f"{s_pre}/bn/{name}"], s.c_out,
-                                                       t.c_out, axis=0, pad_value=pad)
-                        put(f"{t_pre}/bn/{name}", f"{s_pre}/bn/{name}", arr, mask,
-                            base + ([rule] if rule else []))
+                    weight = (t.c_out, t.c_in // t.groups, t.kernel, t.kernel)
+                    for name, pad in _STAGE_PADS:
+                        put(f"{prefix}/{t.name}/{name}", f"{s_prefix}/{s.name}/{name}",
+                            weight if name == "weight" else (t.c_out,), pad, base)
     return out, report
 
 
@@ -340,6 +285,10 @@ def verify_function_preservation(source_net: DiscreteNetwork,
             src_feats = source_net.forward(Tensor(x), training=False)
             tgt_feats = mapped_net.forward(Tensor(x), training=False)
             for b, (fs, ft) in enumerate(zip(src_feats, tgt_feats)):
+                if fs.shape[2:] != ft.shape[2:]:
+                    raise ContractError(
+                        f"block{b} outputs {fs.shape[2]}x{fs.shape[3]} in the source but "
+                        f"{ft.shape[2]}x{ft.shape[3]} in the target: their strides differ")
                 dev = float(np.abs(fs.data[:, :shared[b]] -
                                    ft.data[:, :shared[b]]).max())
                 per_block[b] = max(per_block[b], dev)

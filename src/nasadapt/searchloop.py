@@ -41,7 +41,6 @@ GRAD_CLIP_NORM = 10.0
 SEARCH_BATCH_SIZE = 8
 
 W_LR = 0.02
-W_MOMENTUM = 0.9
 W_WEIGHT_DECAY = 1e-4
 ARCH_LR = 3e-4
 ARCH_WEIGHT_DECAY = 1e-3
@@ -158,7 +157,7 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
     w_params = net.weight_params() + head.params()
     arch_params = net.arch_params()
     requires_grad_before = [p.requires_grad for p in w_params + arch_params]
-    w_opt = SGD(w_params, lr=W_LR, momentum=W_MOMENTUM, weight_decay=W_WEIGHT_DECAY)
+    w_opt = SGD(w_params, lr=W_LR, weight_decay=W_WEIGHT_DECAY)
     arch_opt = Adam(arch_params, lr=ARCH_LR, weight_decay=ARCH_WEIGHT_DECAY)
 
     steps_per_epoch = max(1, len(train_a) // SEARCH_BATCH_SIZE)

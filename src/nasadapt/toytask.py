@@ -30,7 +30,6 @@ BACKGROUND_AMPLITUDE = 0.15
 
 FINETUNE_LR = 0.05
 FINETUNE_BATCH_SIZE = 16
-FINETUNE_MOMENTUM = 0.9
 FINETUNE_WEIGHT_DECAY = 5e-5
 EVAL_BATCH_SIZE = 32
 
@@ -240,8 +239,7 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
         head = ProxyHead(*head_shape, seed=seed + 1)
     curve: list[float] = []
     if epochs > 0:
-        opt = SGD(net.params() + head.params(), lr=FINETUNE_LR, momentum=FINETUNE_MOMENTUM,
-                  weight_decay=FINETUNE_WEIGHT_DECAY)
+        opt = SGD(net.params() + head.params(), lr=FINETUNE_LR, weight_decay=FINETUNE_WEIGHT_DECAY)
         batches = batch_stream(np.arange(len(dataset)), FINETUNE_BATCH_SIZE,
                                np.random.Generator(np.random.PCG64(seed ^ 0x5F3759DF)))
         steps_per_epoch = math.ceil(len(dataset) / FINETUNE_BATCH_SIZE)  # one pass

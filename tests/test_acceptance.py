@@ -38,7 +38,7 @@ from nasadapt.numerics import (
     relu6,
     softmax,
 )
-from nasadapt.paramap import ParameterBundle, map_kernel, map_to_derived, \
+from nasadapt.paramap import ParameterBundle, map_to_derived, \
     verify_function_preservation
 from nasadapt.searchloop import (
     ARCH_WEIGHT_DECAY,
@@ -311,14 +311,6 @@ def test_cost_pressure_direction():
 
 def test_function_preservation():
     """Kernel embed and channel pad reproduce the source; round trip exact."""
-    rng = np.random.default_rng(7)
-    round_trip_ok = True
-    for k, grow in [(1, 2), (3, 2), (3, 4), (5, 2)]:
-        w = rng.standard_normal((3, 1, k, k)).astype(np.float32)
-        big, _, _ = map_kernel(w, k + grow)
-        back, _, _ = map_kernel(big, k)
-        round_trip_ok &= back.tobytes() == w.tobytes()
-
     cfg = load_bundled_config("desk3")
     source_arch = default_source_architecture(cfg)
     src_net = instantiate(source_arch, seed=8)
@@ -329,14 +321,25 @@ def test_function_preservation():
         tensors={k2: v.copy() for k2, v in src_net.to_arrays().items()},
         arch=arch_to_doc(source_arch))
 
-    kernel_target = DiscreteArchitecture(
-        input_resolution=source_arch.input_resolution, stem=source_arch.stem,
-        blocks=tuple(
-            DerivedBlock(channels=b.channels,
-                         ops=tuple(DerivedOp(kernel=5, expansion=o.expansion,
-                                             stride=o.stride) for o in b.ops))
-            if i < 2 else b
-            for i, b in enumerate(source_arch.blocks)))
+    def kernel_grown(kernel):
+        return DiscreteArchitecture(
+            input_resolution=source_arch.input_resolution, stem=source_arch.stem,
+            blocks=tuple(
+                DerivedBlock(channels=b.channels,
+                             ops=tuple(DerivedOp(kernel=kernel, expansion=o.expansion,
+                                                 stride=o.stride) for o in b.ops))
+                if i < 2 else b
+                for i, b in enumerate(source_arch.blocks)))
+
+    # 3 -> 5 and 3 -> 7 embed, then crop back to 3
+    round_trip_ok = True
+    for kernel in (5, 7):
+        grown, _ = map_to_derived(bundle, kernel_grown(kernel), eps=0.0)
+        back, _ = map_to_derived(grown, source_arch, eps=0.0)
+        round_trip_ok &= all(back.tensors[n].tobytes() == a.tobytes()
+                              for n, a in bundle.tensors.items())
+
+    kernel_target = kernel_grown(5)
     mapped, _ = map_to_derived(bundle, kernel_target, eps=0.0)
     dst = instantiate(kernel_target, arrays=mapped.tensors)
     rep_kernel = verify_function_preservation(src_net, dst, samples=16, tol=1e-5)

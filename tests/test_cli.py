@@ -495,6 +495,10 @@ def broken(artifacts, from_arrays_inputs, space_path):
     paths["bad_res_data"] = copy(artifacts["data"], "bad_res.nat")
     edited(artifacts["data"].with_suffix(".json"), "bad_res.json",
            lambda d: d.update(resolution=[0, 32]))
+    # a target whose block 0 changes resolution where the source's does not
+    paths["stride_target"] = edited(
+        sidecar, "stride_target.json",
+        lambda d: d["blocks"][0]["ops"][-1].update(stride=3 - d["blocks"][0]["ops"][-1]["stride"]))
     paths["bad_kernel_src"] = copy(source, "bad_kernel.nat")
     edited(sidecar, "bad_kernel.arch.json",
            lambda d: d["blocks"][0]["ops"][0].update(kernel=4))
@@ -569,6 +573,7 @@ EXIT_2_CASES = {
                                   "bad.json"),
     "verify-malformed-src-sidecar": ("verify --src {bad_arch_sidecar} --dst-arch {target}",
                                      "bad_sidecar.arch.json"),
+    "verify-stride-mismatch": ("verify --src {source} --dst-arch {stride_target}", None),
     "finetune-truncated-data": ("finetune --arch {arch} --data {trunc_data} --out {out}",
                                 None),
     "finetune-params-missing-tensor": (
@@ -633,6 +638,8 @@ class TestExit2Sweep:
             assert f"{broken['out'].parent / names}:$" in err
         if case.endswith("-nan-eps"):
             assert "eps must be finite and >= 0" in err
+        if case == "verify-stride-mismatch":
+            assert "block0 outputs" in err and "their strides differ" in err
         if case.endswith("-nan-pixel"):
             assert f"{broken['nan_pixel']}: 'images' holds a non-finite value" in err
         assert not out.exists()

@@ -398,7 +398,7 @@ class TestBackward:
             net = instantiate(default_source_architecture(cfg), seed=0)
             params = net.params()
         head = ProxyHead(net.final_channels, 4, seed=0)
-        opt = SGD(params + head.params(), lr=0.01, momentum=0.9)
+        opt = SGD(params + head.params(), lr=0.01)
         images = np.random.default_rng(16).random((4, 3, 32, 32), dtype=np.float32)
 
         def step():
@@ -448,6 +448,11 @@ class TestOptimizers:
         SGD([p], lr=0.1).step()
         np.testing.assert_allclose(p.data, [0.95, 2.1], rtol=1e-6)
 
+    def test_sgd_momentum_fixed(self):
+        p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        with pytest.raises(ParameterError, match="momentum"):
+            SGD([p], lr=0.1, momentum=0.0)
+
     def test_sgd_missing_grad(self):
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         with pytest.raises(ContractError):
@@ -466,7 +471,7 @@ class TestOptimizers:
         rng = np.random.default_rng(17)
         target = rng.standard_normal(8).astype(np.float32)
         w = Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
-        opt = SGD([w], lr=0.1, momentum=0.0)
+        opt = SGD([w], lr=0.1)
         for _ in range(200):
             opt.zero_grad()
             diff = w + Tensor(-target)

@@ -22,9 +22,6 @@ from nasadapt.numerics import Tensor
 from nasadapt.numerics import tensor as engine
 from nasadapt.paramap import (
     ParameterBundle,
-    map_channels,
-    map_depth,
-    map_kernel,
     map_to_derived,
     map_to_supernet,
     verify_function_preservation,
@@ -72,91 +69,179 @@ def layered(cfg, blocks):
             for spec, (c, k, e, depth) in zip(cfg.blocks, blocks, strict=True)))
 
 
+SOURCE = [(16, 3, 3, 2), (16, 3, 3, 2), (24, 3, 6, 2)]  # desk3's default source
+
+
+def edited(i, block):
+    """``SOURCE`` with block ``i`` replaced by ``block``."""
+    return [block if j == i else b for j, b in enumerate(SOURCE)]
+
+
+def mapped_pair(source_blocks, target_blocks, eps=0.0):
+    """A desk3 source of ``layered`` blocks and its mapping onto the target:
+    (source tensors, mapped tensors, report)."""
+    cfg = desk_config()
+    source = layered(cfg, source_blocks)
+    bundle = ParameterBundle(tensors=instantiate(source, seed=0).to_arrays(),
+                             arch=arch_to_doc(source))
+    mapped, report = map_to_derived(bundle, layered(cfg, target_blocks), eps=eps)
+    return bundle.tensors, mapped.tensors, report
+
+
 class TestMapKernel:
+    """Kernel embed and crop, through ``map_to_derived``."""
+
     def test_embed_3_to_5(self):
-        w = np.arange(1, 10, dtype=np.float32).reshape(1, 1, 3, 3)
-        out, mask, rule = map_kernel(w, 5)
-        assert rule == "kernel-embed"
-        assert out.shape == (1, 1, 5, 5)
-        np.testing.assert_array_equal(out[0, 0, 1:4, 1:4], w[0, 0])
-        assert out.sum() == w.sum()
-        assert mask.sum() == 16
+        src, out, report = mapped_pair(SOURCE, edited(0, (16, 5, 3, 2)))
+        name = "block0/layer1/depthwise/weight"
+        w, big = src[name], out[name]
+        assert big.shape == w.shape[:2] + (5, 5)
+        np.testing.assert_array_equal(big[:, :, 1:4, 1:4], w)
+        assert np.count_nonzero(big) == np.count_nonzero(w)
+        assert report.entries[name].rules == ("kernel-embed",)
+        assert report.entries[name].zero_count == w.shape[0] * 16
 
     def test_identity(self):
-        w = np.random.default_rng(0).standard_normal((2, 1, 3, 3)).astype(np.float32)
-        out, mask, rule = map_kernel(w, 3)
-        np.testing.assert_array_equal(out, w)
-        assert rule is None and not mask.any()
+        # only block 0's depthwise kernels change; nothing else takes a rule
+        src, out, report = mapped_pair(SOURCE, edited(0, (16, 5, 3, 2)))
+        for name, entry in report.entries.items():
+            if name.startswith("block0/") and name.endswith("/depthwise/weight"):
+                continue
+            assert entry.rules == ("direct",), name
+            assert out[name].tobytes() == src[name].tobytes(), name
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ParameterError):
-            map_kernel(np.zeros((1, 1, 3, 3), dtype=np.float32), 4)
+        # the mapper reads its source through arch_from_doc, which admits odd kernels only
+        cfg = desk_config()
+        bundle, arch = source_bundle(cfg)
+        bundle.arch["blocks"][0]["ops"][0]["kernel"] = 4
+        with pytest.raises(ParseError, match=r"\$\.blocks\[0\]\.ops\[0\]\.kernel"):
+            map_to_derived(bundle, arch)
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.sampled_from([1, 3, 5]), grow=st.sampled_from([2, 4]),
            seed=st.integers(0, 1000))
     def test_round_trip_exact(self, k, grow, seed):
-        w = np.random.default_rng(seed).standard_normal((2, 1, k, k)).astype(np.float32)
-        big, _, _ = map_kernel(w, k + grow)
-        back, _, rule = map_kernel(big, k)
-        assert rule == "kernel-crop"
-        np.testing.assert_array_equal(back, w)
+        cfg = desk_config()
+        small = [(16, k, 3, 2), (16, k, 3, 2), (24, 3, 6, 2)]
+        big = [(16, k + grow, 3, 2), (16, k + grow, 3, 2), (24, 3, 6, 2)]
+        src = instantiate(layered(cfg, small), seed=seed).to_arrays()
+        there, _ = map_to_derived(
+            ParameterBundle(tensors=src, arch=arch_to_doc(layered(cfg, small))),
+            layered(cfg, big))
+        back, report = map_to_derived(there, layered(cfg, small))
+        assert report.entries["block1/layer0/depthwise/weight"].rules == ("kernel-crop",)
+        assert all(back.tensors[n].tobytes() == src[n].tobytes() for n in src)
 
 
 class TestMapChannels:
+    """Channel pad and truncate, through ``map_to_derived``."""
+
     def test_widen_1x1_conv(self):
-        w = np.random.default_rng(1).standard_normal((4, 4, 1, 1)).astype(np.float32)
-        out, mask, rule = map_channels(w, 4, 6, axis=0)
-        out, mask2, rule2 = map_channels(out, 4, 6, axis=1)
-        assert (rule, rule2) == ("channel-pad", "channel-pad")
-        np.testing.assert_array_equal(out[:4, :4], w)
-        assert (out[4:, :] == 0).all() and (out[:, 4:] == 0).all()
+        # block 0 widens 8 -> 16: its last project gains 8 output and, at
+        # expansion 3, 24 input channels; block 1's first expand gains 8 input
+        # and 24 hidden channels
+        src, out, report = mapped_pair(edited(0, (8, 3, 3, 2)), SOURCE)
+        project, expand = "block0/layer1/project/weight", "block1/layer0/expand/weight"
+        assert out[project].shape == (16, 48, 1, 1) and src[project].shape == (8, 24, 1, 1)
+        assert out[expand].shape == (48, 16, 1, 1) and src[expand].shape == (24, 8, 1, 1)
+        for name in (project, expand):
+            np.testing.assert_array_equal(out[name][:src[name].shape[0], :src[name].shape[1]],
+                                          src[name])
+            entry = report.entries[name]
+            assert entry.rules == ("channel-pad", "channel-pad")
+            assert entry.zero_count == out[name].size - src[name].size
+            assert np.count_nonzero(out[name]) == np.count_nonzero(src[name])
 
     def test_equal_width_bit_identical(self):
-        w = np.random.default_rng(2).standard_normal((3, 2, 1, 1)).astype(np.float32)
-        out, mask, rule = map_channels(w, 3, 3, axis=0)
-        assert out.tobytes() == w.tobytes()
-        assert rule is None
+        # only block 1 widens: block 0, whose widths are unchanged, maps directly
+        src, out, report = mapped_pair(edited(1, (8, 3, 3, 2)), SOURCE)
+        block0 = [n for n in report.entries if n.startswith("block0/")]
+        assert block0
+        for name in block0:
+            assert out[name].tobytes() == src[name].tobytes(), name
+            assert report.entries[name].rules == ("direct",)
 
     def test_truncate(self):
-        w = np.arange(12, dtype=np.float32).reshape(4, 3)
-        out, mask, rule = map_channels(w, 4, 2, axis=0)
-        assert rule == "channel-truncate"
-        np.testing.assert_array_equal(out, w[:2])
+        src, out, report = mapped_pair(SOURCE, edited(1, (8, 3, 3, 2)))
+        weight, gamma = "block1/layer1/project/weight", "block1/layer1/project/bn/gamma"
+        np.testing.assert_array_equal(out[weight], src[weight][:8, :24])
+        np.testing.assert_array_equal(out[gamma], src[gamma][:8])
+        assert report.entries[weight].rules == ("channel-truncate", "channel-truncate")
+        assert report.entries[gamma].rules == ("channel-truncate",)
+        expand = "block2/layer0/expand/weight"
+        np.testing.assert_array_equal(out[expand], src[expand][:48, :8])
+        assert report.entries[expand].zero_count == 0
 
     def test_axis_extent_checked(self):
-        with pytest.raises(ParameterError):
-            map_channels(np.zeros((4, 3), dtype=np.float32), 5, 6, axis=0)
+        # a source tensor whose channel extent disagrees with its architecture
+        cfg = desk_config()
+        bundle, arch = source_bundle(cfg)
+        name = "block0/layer0/project/weight"
+        bundle.tensors[name] = np.zeros((17,) + bundle.tensors[name].shape[1:],
+                                        dtype=np.float32)
+        with pytest.raises(ContractError, match=name):
+            map_to_derived(bundle, widened(arch, 0, 16))
 
     def test_pad_value_one_not_marked_zero(self):
-        var = np.ones(3, dtype=np.float32)
-        out, mask, _ = map_channels(var, 3, 5, axis=0, pad_value=1.0)
-        np.testing.assert_array_equal(out, np.ones(5, dtype=np.float32))
-        assert not mask.any()
+        # widening block 0 8 -> 16 gives its new channels gamma 0, beta 0, mean 0
+        # and var 1; var's pad of 1 is no zero mask
+        src, out, report = mapped_pair(edited(0, (8, 3, 3, 2)), SOURCE)
+        _, _, noisy = mapped_pair(edited(0, (8, 3, 3, 2)), SOURCE, eps=1e-3)
+        noised = {}
+        for bn, pad, zero_count in (("gamma", 0.0, 8), ("beta", 0.0, 8), ("mean", 0.0, 8),
+                                    ("var", 1.0, 0)):
+            name = f"block0/layer1/project/bn/{bn}"
+            np.testing.assert_array_equal(
+                out[name], np.concatenate([src[name], np.full(8, pad, dtype=np.float32)]))
+            assert report.entries[name].rules == ("channel-pad",)
+            assert report.entries[name].zero_count == zero_count
+            noised[bn] = noisy.entries[name].noised
+        assert noised == {"gamma": True, "beta": True, "mean": False, "var": False}
 
 
 class TestMapDepth:
+    """Depth copy and truncation, through ``map_to_derived``."""
+
     def test_extend_copies_last(self):
-        got = map_depth(["a", "b"], 4)
-        assert got == [("a", False), ("b", False), ("b", True), ("b", True)]
+        _, out, report = mapped_pair(edited(1, (16, 3, 3, 1)), edited(1, (16, 3, 3, 4)))
+        for layer in (1, 2, 3):
+            entry = report.entries[f"block1/layer{layer}/depthwise/weight"]
+            assert entry.source == "block1/layer0/depthwise/weight"
+            assert entry.rules[0] == "depth-copy"
+        assert not any("depth-copy" in report.entries[n].rules
+                       for n in report.entries if n.startswith("block1/layer0/"))
 
     def test_identity(self):
-        got = map_depth(["a", "b", "c", "d"], 4)
-        assert got == [("a", False), ("b", False), ("c", False), ("d", False)]
+        _, _, report = mapped_pair(SOURCE, SOURCE)
+        assert all(e.source == e.target and e.rules == ("direct",)
+                   for e in report.entries.values())
 
     def test_truncate_tail(self):
-        got = map_depth(["a", "b", "c", "d"], 2)
-        assert got == [("a", False), ("b", False)]
+        src, out, report = mapped_pair(SOURCE, edited(1, (16, 3, 3, 1)))
+        assert not any(n.startswith("block1/layer1/") for n in out)
+        assert not any(e.source.startswith("block1/layer1/")
+                       for e in report.entries.values())
+        name = "block1/layer0/depthwise/weight"
+        assert out[name].tobytes() == src[name].tobytes()
 
     def test_empty_source_rejected(self):
-        with pytest.raises(ParameterError):
-            map_depth([], 2)
+        # the mapper reads its source through arch_from_doc, which admits no empty block
+        cfg = desk_config()
+        bundle, arch = source_bundle(cfg)
+        bundle.arch["blocks"][1]["ops"] = []
+        with pytest.raises(ParseError, match="at least one operation"):
+            map_to_derived(bundle, arch)
 
 
 class TestNoise:
     def _mapped(self, eps, seed=3):
         cfg = desk_config()
         bundle, arch = source_bundle(cfg)
+        # no source entry is 0, so the clean zeros are exactly the pads of 0
+        for name, arr in bundle.tensors.items():
+            if name.endswith("/bn/beta"):
+                arr += 0.5
         target = rekernel(widened(arch, 0, 16), 1, 5)  # some pads + embeds
         return map_to_derived(bundle, target, eps=eps, seed=seed)
 
@@ -167,22 +252,20 @@ class TestNoise:
             assert a.tensors[name].tobytes() == b.tensors[name].tobytes()
 
     def test_noise_bounded_and_only_on_zero_assigned(self):
-        clean, report = self._mapped(0.0)
-        noisy, report_n = self._mapped(1e-4)
+        clean, _ = self._mapped(0.0)
+        noisy, report = self._mapped(1e-4)
         touched = 0
-        for name in clean.tensors:
-            mask = report.zero_masks[name]
-            delta = noisy.tensors[name] - clean.tensors[name]
+        for name, entry in report.entries.items():
+            before, after = clean.tensors[name], noisy.tensors[name]
+            changed = after != before
             if name.endswith(("/bn/mean", "/bn/var")):
-                assert (delta == 0).all()
+                assert not changed.any() and not entry.noised
                 continue
-            assert (np.abs(delta) <= 1e-4 + 1e-9).all()
-            assert (delta[~mask] == 0).all()
-            if mask.any():
-                assert (noisy.tensors[name][mask] != 0).any()
-                touched += 1
+            assert (np.abs(after - before) <= 1e-4 + 1e-9).all()
+            assert int(changed.sum()) == entry.zero_count
+            np.testing.assert_array_equal(changed, before == 0)
+            touched += entry.noised
         assert touched > 0
-
     def test_noise_reproducible(self):
         a, _ = self._mapped(1e-4, seed=7)
         b, _ = self._mapped(1e-4, seed=7)
