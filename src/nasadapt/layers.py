@@ -26,8 +26,9 @@ from .numerics.tensor import DTYPE
 from .searchspace import StemSpec
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) truncated to two standard deviations by resampling."""
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, 0.02) truncated to two standard deviations by resampling."""
+    std = 0.02
     out = rng.standard_normal(shape) * std
     for _ in range(8):
         mask = np.abs(out) > 2 * std

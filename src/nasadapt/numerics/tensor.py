@@ -106,11 +106,11 @@ class Tensor:
     def __getitem__(self, index):
         return index_select(self, index)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return tensor_sum(self, axis=axis)
 
-    def mean(self, axis=None, keepdims: bool = False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        return tensor_mean(self, axis=axis)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -293,31 +293,29 @@ def _reduction_axes(axis, ndim):
     return tuple(a % ndim for a in axis)
 
 
-def _spread(g, in_shape, axes, keepdims):
-    if not keepdims and in_shape:
-        g = np.expand_dims(g, axes) if axes else g
-    return np.broadcast_to(g, in_shape)
+def _spread(g, in_shape, axes):
+    return np.broadcast_to(np.expand_dims(g, axes) if axes else g, in_shape)
 
 
-def tensor_sum(t, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(t, axis=None) -> Tensor:
     tt = as_tensor(t)
     axes = _reduction_axes(axis, tt.data.ndim)
-    out = tt.data.sum(axis=axes if axes else None, keepdims=keepdims)
+    out = tt.data.sum(axis=axes if axes else None)
 
     def bw(g):
-        return (_spread(g, tt.data.shape, axes, keepdims).astype(DTYPE, copy=False),)
+        return (_spread(g, tt.data.shape, axes).astype(DTYPE, copy=False),)
 
     return _record((tt,), out, bw)
 
 
-def tensor_mean(t, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_mean(t, axis=None) -> Tensor:
     tt = as_tensor(t)
     axes = _reduction_axes(axis, tt.data.ndim)
     count = int(np.prod([tt.data.shape[a] for a in axes])) if axes else 1
-    out = tt.data.mean(axis=axes if axes else None, keepdims=keepdims)
+    out = tt.data.mean(axis=axes if axes else None)
 
     def bw(g):
-        spread = _spread(g, tt.data.shape, axes, keepdims)
+        spread = _spread(g, tt.data.shape, axes)
         return ((spread / count).astype(DTYPE, copy=False),)
 
     return _record((tt,), out, bw)
@@ -431,7 +429,7 @@ _TOEPLITZ_ENTRIES = 8192
 # way; three or four rows were slower on every 16x16 plane.
 _BAND_MIN_ROWS = 16
 _BAND_ROWS = 2
-# Tap-loop output rows of at least this many kernel widths run
+# Unrecorded tap-loop output rows of at least this many kernel widths run
 # channels-first. On the table1 planes channels-first won at every row of
 # 136 or more. At rows of 68 with a 3x3 kernel it saved 14 ms on
 # 1x768x50x68 and lost 2-3 ms on the two smaller planes; with 5x5 and 7x7
@@ -439,23 +437,27 @@ _BAND_ROWS = 2
 _DW_ROW_PER_K = 16
 
 
-def _dw_kernel(n: int, c: int, h: int, w: int, k: int, stride: int, padding: int) -> str:
-    """The depthwise kernel for a shape: "band", "toeplitz", "channels-last"
-    or "channels-first".
+def _dw_kernel(n: int, c: int, h: int, w: int, k: int, stride: int, padding: int,
+               recorded: bool) -> str:
+    """The depthwise kernel for a shape, and for whether the conv is put on
+    the tape: "band", "toeplitz", "channels-last" or "channels-first".
 
     The Toeplitz matmul of whole planes does h*w/k^2 times the tap loop's
     multiply-adds, but in BLAS rather than in 2-3 array passes per tap,
     so it wins on small planes and loses as the operator grows. On the
     larger of those planes, blocks of _BAND_ROWS output rows ("band")
     cut that to (stride*(_BAND_ROWS-1) + k)*w/k^2 times, for the price of
-    copying the planes into row blocks. In the tap loop, a channels-last tap's inner loop
-    runs over the channels of one output pixel; a channels-first one over
-    one output row of one plane, with no transposes into and out of NHWC.
-    Short rows go channels-last.
+    copying the planes into row blocks. The tap loop has no backward, so a
+    recorded conv past the Toeplitz budget runs the band. In the tap
+    loop, a channels-last tap's inner loop runs over the channels of one
+    output pixel; a channels-first one over one output row of one plane,
+    with no transposes into and out of NHWC. Short rows go channels-last.
     """
     oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
     if c * oh * ow * h * w <= _TOEPLITZ_ENTRIES * n * k * k:
         return "band" if h >= _BAND_MIN_ROWS else "toeplitz"
+    if recorded:
+        return "band"
     return "channels-last" if ow < _DW_ROW_PER_K * k else "channels-first"
 
 
@@ -483,13 +485,14 @@ def _dw_blocks(n: int, c: int, oh: int, wp: int, stride: int,
 
 
 def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int,
-                    channels_last: bool, need_gx: bool, need_gw: bool):
+                    channels_last: bool) -> np.ndarray:
     """Depthwise conv as k^2 shifted multiply-accumulates, block by block.
 
     Every buffer is indexed (n, h, w, c) and laid out NHWC when
     ``channels_last``, NCHW otherwise, so one tap loop serves both
     layouts. Its work is linear in the plane, so it takes the planes too
-    large for :func:`_conv_toeplitz`.
+    large for :func:`_conv_toeplitz`. It is forward only: no conv that
+    is put on the tape runs it.
     """
     n, c, h, w = xd.shape
     k = wd.shape[-1]
@@ -497,48 +500,19 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int,
     xp = _dw_array(np.zeros, n, h + 2 * padding, w + 2 * padding, c, channels_last)
     xp[:, padding:padding + h, padding:padding + w] = xd.transpose(0, 2, 3, 1)
     wt = np.ascontiguousarray(wd.reshape(c, k * k).T)
-    blocks = []  # (channels, output rows, the input rows they read, the taps over those)
+    out = _dw_array(np.empty, n, oh, ow, c, channels_last)
     for chans, orows in _dw_blocks(n, c, oh, xp.shape[2], stride, channels_last):
         r0, r1 = orows.start, orows.stop
-        blocks.append((chans, orows, slice(stride * r0, stride * (r1 - 1) + k),
-                       _taps(k, stride, r1 - r0, ow)))
-    out = _dw_array(np.empty, n, oh, ow, c, channels_last)
-    for chans, orows, irows, taps in blocks:
-        acc, xb, wb = out[:, orows, :, chans], xp[:, irows, :, chans], wt[:, chans]
+        acc, wb = out[:, orows, :, chans], wt[:, chans]
+        xb = xp[:, stride * r0:stride * (r1 - 1) + k, :, chans]  # the input rows they read
         tmp = np.empty_like(acc)
-        for t, rows, cs in taps:
+        for t, rows, cs in _taps(k, stride, r1 - r0, ow):
             if t == 0:
                 np.multiply(xb[:, rows, cs], wb[t], out=acc)
             else:
                 np.multiply(xb[:, rows, cs], wb[t], out=tmp)
                 acc += tmp
-    if not need_gw:
-        xp = None  # only the weight gradient reads the padded input
-
-    def bw(gout):
-        g = gout.transpose(0, 2, 3, 1)
-        if channels_last:
-            g = np.ascontiguousarray(g)
-        gw = np.zeros((k * k, c), dtype=DTYPE) if need_gw else None
-        gxp = _dw_array(np.zeros, n, h + 2 * padding, w + 2 * padding, c, channels_last) \
-            if need_gx else None
-        for chans, orows, irows, taps in blocks:
-            gb, wb = g[:, orows, :, chans], wt[:, chans]
-            tmp = np.empty_like(gb)
-            for t, rows, cs in taps:
-                if need_gw:
-                    np.multiply(gb, xp[:, irows, :, chans][:, rows, cs], out=tmp)
-                    gw[t, chans] += tmp.sum(axis=(0, 1, 2))
-                if need_gx:
-                    np.multiply(gb, wb[t], out=tmp)
-                    gxp[:, irows, :, chans][:, rows, cs] += tmp
-        gx = None
-        if need_gx:
-            gx = np.ascontiguousarray(
-                gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2))
-        return gx, None if gw is None else gw.T.reshape(wd.shape)
-
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2)), bw
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 @lru_cache(maxsize=64)
@@ -690,10 +664,11 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
 
     Depthwise convs on small planes run as batched matmuls with each
     channel's Toeplitz matrix, of the whole plane or, on planes of at
-    least 16 rows, of blocks of two output rows; on larger planes they
-    run as shifted multiply-accumulates laid out channels-last or
+    least 16 rows, of blocks of two output rows. On larger planes a
+    recorded conv runs the blocks of two rows, and an unrecorded one the
+    forward-only shifted multiply-accumulates, laid out channels-last or
     channels-first. :func:`_dw_kernel` picks one of the four from the
-    shape alone.
+    shape and from whether the conv is recorded.
     Stride-1 1x1 convs run as one matmul; every other shape goes through
     im2col. The backward computes the input and weight gradients only
     for the operands that need one when the op is recorded.
@@ -731,13 +706,12 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
 
     need_gx, need_gw = _needs_grad(xt), _needs_grad(wt)
     if groups == c_in == c_out:
-        kernel = _dw_kernel(n, c_in, h, w, k, stride, padding)
+        kernel = _dw_kernel(n, c_in, h, w, k, stride, padding, _recording((xt, wt)))
         if kernel in ("band", "toeplitz"):
             out, bw = _conv_toeplitz(xd, wd, stride, padding,
                                      _BAND_ROWS if kernel == "band" else oh, need_gx, need_gw)
-        else:
-            out, bw = _conv_depthwise(xd, wd, stride, padding, kernel == "channels-last",
-                                      need_gx, need_gw)
+        else:  # never recorded, so it needs no backward
+            out, bw = _conv_depthwise(xd, wd, stride, padding, kernel == "channels-last"), None
     elif k == 1 and stride == 1 and padding == 0 and groups == 1:
         out, bw = _conv_pointwise(xd, wd, need_gx, need_gw)
     else:
@@ -754,11 +728,10 @@ _TINY = np.finfo(DTYPE).tiny
 _AFFINE_BLOCK_BYTES = 1 << 18
 
 
-def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray, flush: bool) -> np.ndarray:
-    """``xd * scale + shift`` per channel of an NCHW array, into a fresh array.
-
-    With ``flush``, every result with ``|y| < finfo(float32).tiny`` becomes
-    +0.0 and every other result keeps its bits.
+def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``xd * scale + shift`` per channel of an NCHW array, into a fresh array,
+    flushed: every result with ``|y| < finfo(float32).tiny`` becomes +0.0
+    and every other result keeps its bits.
     """
     n, c, h, w = xd.shape
     out = np.empty(xd.shape, dtype=DTYPE)
@@ -768,8 +741,7 @@ def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray, flush: bool) -
         y = out[:, chans]
         np.multiply(xd[:, chans], scale[chans, None, None], out=y)
         y += shift[chans, None, None]
-        if flush:
-            np.copyto(y, 0, where=np.abs(y) < _TINY)
+        np.copyto(y, 0, where=np.abs(y) < _TINY)
     return out
 
 
@@ -837,10 +809,12 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     the running buffers with momentum ``BN_MOMENTUM``; it works on the
     (n, c*h*w) rows of the input and takes every per-channel sum over the
     batch first, then over the plane (:func:`_train_batch_norm`). Eval
-    mode is one per-channel affine ``x * s + t`` with ``s = gamma /
-    sqrt(running_var + BN_EPS)`` and ``t = beta - running_mean * s``; when
-    it is not recorded, its output is flushed: every subnormal becomes 0.
-    The running buffers are plain arrays mutated in place; they carry no
+    mode is one per-channel affine ``x * s + t`` with ``s = gamma *
+    invstd``, ``invstd = 1 / sqrt(running_var + BN_EPS)``, and ``t = beta
+    + s * -running_mean``. Unrecorded, it is :func:`_affine`, whose output
+    is flushed: every subnormal becomes 0. Recorded, it is composed of
+    recorded primitives, which differentiate it, and is not flushed. The
+    running buffers are plain arrays mutated in place; they carry no
     gradient.
     """
     xt, gt, bt = as_tensor(x), as_tensor(gamma), as_tensor(beta)
@@ -857,24 +831,12 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
                                  True if update_stats is None else update_stats)
 
     invstd = 1.0 / np.sqrt(running_var + DTYPE(BN_EPS))
-    scale = gt.data * invstd
-    recorded = _recording((xt, gt, bt))
-    out = _affine(xd, scale, bt.data - running_mean * scale, flush=not recorded)
-    if not recorded:
-        return Tensor(out)
-    need_gx, need_gg, need_gb = _needs_grad(xt), _needs_grad(gt), _needs_grad(bt)
-    xhat = None
-    if need_gg:
-        xhat = xd - running_mean[None, :, None, None]
-        xhat *= invstd[None, :, None, None]
-
-    def bw(g):
-        dgamma = (g * xhat).sum(axis=(0, 2, 3)) if need_gg else None
-        dbeta = g.sum(axis=(0, 2, 3)) if need_gb else None
-        dx = g * scale[None, :, None, None] if need_gx else None
-        return dx, dgamma, dbeta
-
-    return _record((xt, gt, bt), out, bw)
+    if not _recording((xt, gt, bt)):
+        scale = gt.data * invstd
+        return Tensor(_affine(xd, scale, bt.data - running_mean * scale))
+    scale = gt * Tensor(invstd)
+    shift = bt + scale * Tensor(-running_mean)
+    return xt * reshape(scale, (1, c, 1, 1)) + reshape(shift, (1, c, 1, 1))
 
 
 def cross_entropy(logits, labels) -> Tensor:

@@ -31,7 +31,7 @@ from .costmodel import (
 from .derive import default_source_architecture
 from .errors import ParameterError
 from .numerics import SGD, Adam, Tensor, no_grad
-# not called here: perfbench/instrument.py patches these names (until ROADMAP item 5)
+# not called here: perfbench/instrument.py patches these names (until ROADMAP item 1)
 from .numerics import backward, clip_grad_norm  # noqa: F401
 from .seeding import seed_for
 from .supernet import Supernet

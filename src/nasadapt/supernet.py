@@ -17,8 +17,6 @@ Mask semantics (mode of :func:`build_masks`):
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ContractError, DimensionError, ParameterError
@@ -86,16 +84,9 @@ class MixedLayer:
     def __init__(self, spec: BlockSpec, layer: int, layout: list[Candidate],
                  source: TensorSource):
         self.candidates = op_candidates(spec, layer)
-        # every layer has a convolution candidate; its stages give the
-        # layer's widths and stride, which a skip must preserve
-        conv = next(stages for _, stages in layout if stages)
-        self.c_in = conv[0].c_in
-        stride = math.prod(s.stride for s in conv)
-        has_skip = not all(stages for _, stages in layout)
-        if has_skip and (stride != 1 or self.c_in != conv[-1].c_out):
-            raise DimensionError(
-                f"skip candidate needs stride 1 and equal widths, got "
-                f"stride={stride}, {self.c_in}->{conv[-1].c_out}")
+        # every layer has a convolution candidate; its first stage gives the
+        # layer's input width
+        self.c_in = next(stages for _, stages in layout if stages)[0].c_in
         self.ops = [ConvChain(stages, source.scope(prefix)) for prefix, stages in layout]
 
 

@@ -3,14 +3,17 @@ float64, and phase-scoped gradients.
 
 ``conv2d`` sends depthwise convs on small planes to batched matmuls with
 Toeplitz matrices, of whole planes ("toeplitz") or of blocks of two
-output rows ("band"), and larger ones to a tap loop of shifted
+output rows ("band"). On larger planes a recorded conv runs the band and
+an unrecorded one a forward-only tap loop of shifted
 multiply-accumulates, laid out channels-last or channels-first;
-``_dw_kernel`` picks one of the four from the shape. Stride-1 1x1 convs
-run as one matmul. ``_conv_im2col`` handles every shape and stays the
-oracle here. The fast paths sum in another order, so they agree with it
-to float32 rounding, not bit for bit. Parity tests force the depthwise
-kernel they test, so each keeps its coverage whatever the shape rule
-picks; one test pins the rule's choices on the desk3 and table1 shapes.
+``_dw_kernel`` picks one of the four from the shape and from whether the
+conv is recorded. Stride-1 1x1 convs run as one matmul. ``_conv_im2col``
+handles every shape and stays the oracle here. The fast paths sum in
+another order, so they agree with it to float32 rounding, not bit for
+bit. Parity tests force the depthwise kernel they test, so each keeps its
+coverage whatever the shape rule picks; the tap loop's run under
+``no_grad`` and check the forward only. Two tests pin the rule's choices
+on the desk3 and table1 shapes and the kernels a desk3 run reaches.
 """
 
 import os
@@ -24,13 +27,14 @@ import numpy as np
 import pytest
 
 import nasadapt
+from nasadapt.cli import end_to_end
 from nasadapt.derive import arch_layers, default_source_architecture
 from nasadapt.errors import ContractError
 from nasadapt.layers import stem_stages
-from nasadapt.numerics import Tensor, batch_norm, conv2d, count_madds, relu6
+from nasadapt.numerics import Tensor, batch_norm, conv2d, count_madds, no_grad, relu6
 from nasadapt.numerics import tensor as engine
 from nasadapt.searchloop import SEARCH_BATCH_SIZE, SearchSchedule, search
-from nasadapt.searchspace import load_bundled_config
+from nasadapt.searchspace import bundled_config_path, load_bundled_config
 from nasadapt.supernet import build_supernet
 from nasadapt.toytask import (EVAL_BATCH_SIZE, FINETUNE_BATCH_SIZE, DatasetSpec, ProxyHead,
                                generate)
@@ -75,11 +79,55 @@ def _assert_parity(x, w, stride, padding, groups, rng, x_grad=True, w_grad=True)
         np.testing.assert_allclose(got_gw, want_gw, rtol=0, atol=GW_ATOL)
 
 
+def _assert_forward_parity(x, w, stride, padding, groups, x_grad=True, w_grad=True):
+    """The forward against the oracle, unrecorded, as the tap loop only runs."""
+    want, _ = _oracle(x, w, stride, padding, groups)
+    with no_grad():
+        got = conv2d(Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=w_grad),
+                     stride=stride, padding=padding, groups=groups)
+    assert got.node is None
+    np.testing.assert_allclose(got.data, want, rtol=0, atol=FWD_ATOL)
+
+
+TAP_LOOP = ("channels-last", "channels-first")
+
+
 def _force_kernel(monkeypatch, kernel):
-    """Send every depthwise conv to ``kernel``; return the shapes that asked."""
+    """Send every depthwise conv to ``kernel``; return the shapes that asked.
+
+    The tap loop has no backward, so a recorded conv is refused it here
+    rather than left to fail inside ``backward``.
+    """
     asked = []
-    monkeypatch.setattr(engine, "_dw_kernel", lambda *shape: asked.append(shape) or kernel)
+
+    def force(*args):  # the shape, then whether the conv is recorded
+        if args[-1] and kernel in TAP_LOOP:
+            raise AssertionError(f"a recorded conv cannot run the forward-only {kernel} loop")
+        asked.append(args)
+        return kernel
+
+    monkeypatch.setattr(engine, "_dw_kernel", force)
     return asked
+
+
+def _spy_kernel(monkeypatch):
+    """Let the shape rule choose; return the kernels it chose, in call order."""
+    chosen, choose = [], engine._dw_kernel
+    monkeypatch.setattr(engine, "_dw_kernel",
+                        lambda *args: chosen.append(choose(*args)) or chosen[-1])
+    return chosen
+
+
+@pytest.mark.parametrize("kernel", TAP_LOOP)
+def test_force_kernel_refuses_the_tap_loop_to_a_recorded_conv(monkeypatch, kernel):
+    asked = _force_kernel(monkeypatch, kernel)
+    x = Tensor(np.zeros((1, 2, 5, 5), np.float32), requires_grad=True)
+    w = Tensor(np.zeros((2, 1, 3, 3), np.float32))
+    with pytest.raises(AssertionError, match="recorded conv"):
+        conv2d(x, w, padding=1, groups=2)
+    with no_grad():
+        assert conv2d(x, w, padding=1, groups=2).node is None
+    assert len(asked) == 1
 
 
 @pytest.mark.parametrize("blocked", [False, True], ids=["one-block", "row-blocks"])
@@ -101,7 +149,7 @@ def test_depthwise_matches_im2col(monkeypatch, k, stride, hw, batch, blocked):
     rng = np.random.default_rng(k * 100 + stride * 10 + batch)
     x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
     wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
-    _assert_parity(x, wd, stride, padding, c, rng)
+    _assert_forward_parity(x, wd, stride, padding, c)
     assert len(asked) == 1
 
 
@@ -124,7 +172,7 @@ def test_channels_first_depthwise_matches_im2col(monkeypatch, k, stride, blocks)
     rng = np.random.default_rng(k * 10 + stride)
     x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
     wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
-    _assert_parity(x, wd, stride, padding, c, rng)
+    _assert_forward_parity(x, wd, stride, padding, c)
     assert len(asked) == 1
 
 
@@ -166,44 +214,62 @@ def test_band_depthwise_matches_im2col(monkeypatch, k, stride, hw, rows, padding
 
 @pytest.mark.parametrize("x_grad, w_grad", [(True, False), (False, True)],
                          ids=["only-gx", "only-gw"])
-@pytest.mark.parametrize("kernel", ["band", "toeplitz", "channels-last", "channels-first"])
+@pytest.mark.parametrize("kernel", ["band", "toeplitz", *TAP_LOOP])
 def test_phase_scoped_depthwise_matches_im2col(monkeypatch, kernel, x_grad, w_grad):
     _force_kernel(monkeypatch, kernel)
     rng = np.random.default_rng(13)
     x = rng.standard_normal((2, 6, 7, 6)).astype(np.float32)
     wd = rng.standard_normal((6, 1, 5, 5)).astype(np.float32)
-    _assert_parity(x, wd, 2, 2, 6, rng, x_grad=x_grad, w_grad=w_grad)
+    if kernel in TAP_LOOP:  # forward only
+        _assert_forward_parity(x, wd, 2, 2, 6, x_grad=x_grad, w_grad=w_grad)
+    else:
+        _assert_parity(x, wd, 2, 2, 6, rng, x_grad=x_grad, w_grad=w_grad)
 
 
 def test_a_long_row_runs_channels_first(monkeypatch):
     # in the tap loop, rows of _DW_ROW_PER_K kernel widths select channels-first
     k = 5
     ow = engine._DW_ROW_PER_K * k
-    assert engine._dw_kernel(1, 3, 5, ow, k, 1, 2) == "channels-first"
-    assert engine._dw_kernel(1, 3, 5, ow - 1, k, 1, 2) == "channels-last"
-    chosen = []
-    choose = engine._dw_kernel
-    monkeypatch.setattr(engine, "_dw_kernel",
-                        lambda *shape: chosen.append(choose(*shape)) or chosen[-1])
+    assert engine._dw_kernel(1, 3, 5, ow, k, 1, 2, False) == "channels-first"
+    assert engine._dw_kernel(1, 3, 5, ow - 1, k, 1, 2, False) == "channels-last"
+    chosen = _spy_kernel(monkeypatch)
     rng = np.random.default_rng(12)
     x = rng.standard_normal((1, 3, 5, ow)).astype(np.float32)
     wd = rng.standard_normal((3, 1, k, k)).astype(np.float32)
-    _assert_parity(x, wd, 1, 2, 3, rng)
+    _assert_forward_parity(x, wd, 1, 2, 3)
     assert chosen == ["channels-first"]
+
+
+@pytest.mark.parametrize("shape, k, stride", [
+    ((1, 3, 5, 80), 5, 1), ((2, 16, 12, 12), 3, 1), ((1, 8, 24, 24), 7, 2)],
+    ids=["long-row", "many-channels", "k7-stride2"])
+def test_recorded_depthwise_past_the_budget_runs_the_band(monkeypatch, shape, k, stride):
+    # these shapes hold more Toeplitz entries than the budget, so unrecorded
+    # they run the tap loop; recorded, they need a backward and run the band
+    n, c, h, w = shape
+    padding = (k - 1) // 2
+    assert engine._dw_kernel(n, c, h, w, k, stride, padding, False) in TAP_LOOP
+    chosen = _spy_kernel(monkeypatch)
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(shape).astype(np.float32)
+    wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
+    _assert_parity(x, wd, stride, padding, c, rng)
+    assert chosen == ["band"]
 
 
 def test_every_desk3_depthwise_conv_runs_channels_last(monkeypatch):
     # desk3 trains on 32x32 inputs: its planes are at most 16 wide, under
     # 16 kernel widths, so with the Toeplitz kernel shut off the tap loop
-    # runs every one of them channels-last
+    # runs every one of them channels-last in an unrecorded forward
     monkeypatch.setattr(engine, "_TOEPLITZ_ENTRIES", 0)
     chosen = []
     choose = engine._dw_kernel
     monkeypatch.setattr(engine, "_dw_kernel",
-                        lambda *shape: chosen.append((shape[3], choose(*shape))) or chosen[-1][1])
+                        lambda *args: chosen.append((args[3], choose(*args))) or chosen[-1][1])
     cfg = load_bundled_config("desk3")
     x = Tensor(np.zeros((2, 3, *cfg.input_resolution), dtype=np.float32))
-    build_supernet(cfg, seed=0).forward(x, training=True)
+    with no_grad():
+        build_supernet(cfg, seed=0).forward(x, training=True)
     assert chosen and all(kernel == "channels-last" for _, kernel in chosen)
     assert max(w for w, _ in chosen) == cfg.input_resolution[1] // 2
 
@@ -229,21 +295,28 @@ def test_depthwise_kernel_choice_on_desk3_and_table1_shapes(monkeypatch):
     choose = engine._dw_kernel
     desk3 = []
     monkeypatch.setattr(engine, "_dw_kernel",
-                        lambda *shape: desk3.append((shape, choose(*shape))) or choose(*shape))
+                        lambda *args: desk3.append((args, choose(*args))) or choose(*args))
     for n in (SEARCH_BATCH_SIZE, FINETUNE_BATCH_SIZE, EVAL_BATCH_SIZE):
         net.forward(Tensor(np.zeros((n, 3, *cfg.input_resolution), dtype=np.float32)),
                     training=True)
-    assert len(desk3) == 3 * 13 and max(shape[2] for shape, _ in desk3) == 16
+    assert len(desk3) == 3 * 13 and max(args[2] for args, _ in desk3) == 16
     by_plane = {}
-    for (n, c, h, w, k, stride, padding), kernel in desk3:
+    for (n, c, h, w, k, stride, padding, recorded), kernel in desk3:
+        assert recorded
         by_plane.setdefault((h, stride), set()).add(kernel)
     assert by_plane == {
         (16, 1): {"band"}, (16, 2): {"band"}, (8, 1): {"toeplitz"}, (8, 2): {"toeplitz"},
         (4, 1): {"toeplitz"}, (4, 2): {"toeplitz"}, (2, 1): {"toeplitz"},
     }
-    # table1 verify runs one 800x1088 image through the k3 default source and
-    # its all-k7 growth (the stem stays k3): the tap loop, laid out by output
-    # row length and kernel
+    # at any batch size a recorded desk3 conv runs a Toeplitz kernel, which
+    # has a backward
+    for (_, *shape, _), _ in desk3:
+        for n in range(1, 33):
+            assert choose(n, *shape, True) in {"band", "toeplitz"}, (n, shape)
+    # table1 verify runs one 800x1088 image, unrecorded, through the k3
+    # default source and its all-k7 growth (the stem stays k3): the tap
+    # loop, laid out by output row length and kernel; recorded, those
+    # shapes would run the band
     source = default_source_architecture(load_bundled_config("table1"))
     grown = replace(source, blocks=tuple(
         replace(b, ops=tuple(replace(op, kernel=7) for op in b.ops)) for b in source.blocks))
@@ -251,7 +324,8 @@ def test_depthwise_kernel_choice_on_desk3_and_table1_shapes(monkeypatch):
     for shape in _dw_shapes(source, 1) + _dw_shapes(grown, 1):
         n, c, h, w, k, stride, padding = shape
         table1.setdefault((k, engine._out_size(w, k, stride, padding)), set()).add(
-            choose(*shape))
+            choose(*shape, False))
+        assert choose(*shape, True) == "band"
     assert table1 == {
         (3, 544): {"channels-first"}, (3, 272): {"channels-first"},
         (3, 136): {"channels-first"}, (3, 68): {"channels-first"},
@@ -289,13 +363,16 @@ FD_STEP = 1e-2
 
 
 def test_depthwise_stride2_k7_finite_differences(monkeypatch):
-    _force_kernel(monkeypatch, "channels-last")
+    # with the Toeplitz budget at 0 every conv is past it: recorded, the band runs
+    monkeypatch.setattr(engine, "_TOEPLITZ_ENTRIES", 0)
+    chosen = _spy_kernel(monkeypatch)
     rng = np.random.default_rng(6)
     x = rand_tensor(rng, (2, 3, 9, 8), scale=0.5)
     w = rand_tensor(rng, (3, 1, 7, 7), scale=0.5)
     r = Tensor(rng.standard_normal((2, 3, 5, 4)).astype(np.float32))
     check_gradients(lambda: (conv2d(x, w, stride=2, padding=3, groups=3) * r).sum(),
                     [x, w], h=FD_STEP, what="depthwise k7 stride 2")
+    assert set(chosen) == {"band"}
 
 
 @pytest.mark.parametrize("hw, k, stride", [((6, 5), 5, 1), ((9, 8), 7, 2), ((2, 2), 5, 1)],
@@ -353,7 +430,7 @@ from nasadapt.toytask import EVAL_BATCH_SIZE, FINETUNE_BATCH_SIZE
 cfg = load_bundled_config("desk3")
 dw_shapes, bn_shapes = set(), set()
 choose, norm = engine._dw_kernel, layers.batch_norm
-engine._dw_kernel = lambda *shape: dw_shapes.add(shape) or choose(*shape)
+engine._dw_kernel = lambda *args: dw_shapes.add(args[:-1]) or choose(*args)
 layers.batch_norm = lambda x, *args, **kw: bn_shapes.add(x.shape) or norm(x, *args, **kw)
 net = build_supernet(cfg, seed=0)
 for n in (SEARCH_BATCH_SIZE, FINETUNE_BATCH_SIZE, EVAL_BATCH_SIZE):
@@ -413,6 +490,28 @@ def test_train_batch_norm_bytes_do_not_depend_on_the_thread_count():
     assert one[0] > 20 and one == two
 
 
+def test_desk3_run_reaches_no_tap_loop_and_records_no_eval_batch_norm(monkeypatch, tmp_path):
+    # a short desk3 e2e at the default batch sizes, one epoch per stage: the
+    # forward-only kernels never see a recorded input
+    import nasadapt.layers as layers
+
+    evals, norm = [], layers.batch_norm  # whether each eval batch norm was recorded
+
+    def spy(x, gamma, beta, mean, var, training, *args, **kw):
+        out = norm(x, gamma, beta, mean, var, training, *args, **kw)
+        if not training:
+            evals.append(out.node is not None)
+        return out
+
+    kernels = _spy_kernel(monkeypatch)
+    monkeypatch.setattr(layers, "batch_norm", spy)
+    summary = end_to_end(str(bundled_config_path("desk3")), 3, tmp_path, epochs=2, warmup=1,
+                         pretrain_epochs=1, finetune_epochs=1)
+    assert np.isfinite(summary["final_loss"])
+    assert set(kernels) == {"band", "toeplitz"}
+    assert evals and not any(evals)
+
+
 def test_madds_count_of_a_supernet_forward_is_unchanged():
     # pinned from the im2col-only engine: dispatch happens after counting
     net = build_supernet(load_bundled_config("desk3"), seed=0)
@@ -456,8 +555,8 @@ def test_input_with_a_node_gets_a_gradient():
     assert gx is not None and gw is None
 
 
-@pytest.mark.parametrize("training", [True, False])
-def test_batch_norm_skips_only_unneeded_gradients(training):
+def test_batch_norm_skips_only_unneeded_gradients():
+    # train mode only: a recorded eval batch norm is composed of primitives
     rng = np.random.default_rng(10)
     xd = rng.standard_normal((2, 3, 4, 4)).astype(np.float32)
     gout = rng.standard_normal(xd.shape).astype(np.float32)
@@ -466,7 +565,7 @@ def test_batch_norm_skips_only_unneeded_gradients(training):
         out = batch_norm(Tensor(xd, requires_grad=x_grad),
                          Tensor(np.full(3, 1.5, np.float32), requires_grad=gamma_grad),
                          Tensor(np.zeros(3, np.float32), requires_grad=beta_grad),
-                         np.zeros(3, np.float32), np.ones(3, np.float32), training=training)
+                         np.zeros(3, np.float32), np.ones(3, np.float32), training=True)
         return out.node.backward_fn(gout)
 
     full = grads(True, True, True)
