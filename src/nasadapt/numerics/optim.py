@@ -21,6 +21,12 @@ def _check_common(lr: float, weight_decay: float):
         raise ParameterError(f"weight_decay must be >= 0, got {weight_decay}")
 
 
+def _check_grads(params: list[Tensor]):
+    """A step moves every parameter or none: check all gradients first."""
+    if any(p.grad is None for p in params):
+        raise ContractError("optimizer step with missing gradient")
+
+
 class SGD:
     """SGD with momentum ``SGD_MOMENTUM``; weight decay enters as an additive
     L2 gradient term. The ``momentum`` keyword takes only that value; it stays
@@ -37,9 +43,8 @@ class SGD:
         self._buf: dict[int, np.ndarray] = {}
 
     def step(self):
+        _check_grads(self.params)
         for p in self.params:
-            if p.grad is None:
-                raise ContractError("optimizer step with missing gradient")
             g = p.grad
             if self.weight_decay:
                 g = g + DTYPE(self.weight_decay) * p.data
@@ -70,14 +75,13 @@ class Adam:
         self._t = 0
 
     def step(self):
+        _check_grads(self.params)
         self._t += 1
         beta1, beta2 = ADAM_BETAS
         b1, b2 = DTYPE(beta1), DTYPE(beta2)
         bc1 = 1.0 - beta1 ** self._t
         bc2 = 1.0 - beta2 ** self._t
         for p in self.params:
-            if p.grad is None:
-                raise ContractError("optimizer step with missing gradient")
             g = p.grad
             m = self._m.setdefault(id(p), np.zeros_like(p.data))
             v = self._v.setdefault(id(p), np.zeros_like(p.data))

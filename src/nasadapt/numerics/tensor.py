@@ -14,6 +14,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -429,18 +430,12 @@ _TOEPLITZ_ENTRIES = 8192
 # way; three or four rows were slower on every 16x16 plane.
 _BAND_MIN_ROWS = 16
 _BAND_ROWS = 2
-# Unrecorded tap-loop output rows of at least this many kernel widths run
-# channels-first. On the table1 planes channels-first won at every row of
-# 136 or more. At rows of 68 with a 3x3 kernel it saved 14 ms on
-# 1x768x50x68 and lost 2-3 ms on the two smaller planes; with 5x5 and 7x7
-# kernels channels-last won at every row of 68 or fewer.
-_DW_ROW_PER_K = 16
 
 
 def _dw_kernel(n: int, c: int, h: int, w: int, k: int, stride: int, padding: int,
                recorded: bool) -> str:
     """The depthwise kernel for a shape, and for whether the conv is put on
-    the tape: "band", "toeplitz", "channels-last" or "channels-first".
+    the tape: "band", "toeplitz" or "taps".
 
     The Toeplitz matmul of whole planes does h*w/k^2 times the tap loop's
     multiply-adds, but in BLAS rather than in 2-3 array passes per tap,
@@ -448,71 +443,64 @@ def _dw_kernel(n: int, c: int, h: int, w: int, k: int, stride: int, padding: int
     larger of those planes, blocks of _BAND_ROWS output rows ("band")
     cut that to (stride*(_BAND_ROWS-1) + k)*w/k^2 times, for the price of
     copying the planes into row blocks. The tap loop has no backward, so a
-    recorded conv past the Toeplitz budget runs the band. In the tap
-    loop, a channels-last tap's inner loop runs over the channels of one
-    output pixel; a channels-first one over one output row of one plane,
-    with no transposes into and out of NHWC. Short rows go channels-last.
+    recorded conv past the Toeplitz budget runs the band.
     """
     oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
     if c * oh * ow * h * w <= _TOEPLITZ_ENTRIES * n * k * k:
         return "band" if h >= _BAND_MIN_ROWS else "toeplitz"
-    if recorded:
-        return "band"
-    return "channels-last" if ow < _DW_ROW_PER_K * k else "channels-first"
+    return "band" if recorded else "taps"
 
 
-def _dw_array(make, n: int, h: int, w: int, c: int, channels_last: bool) -> np.ndarray:
-    """``make`` (``np.zeros``, ``np.empty``) of an array indexed (n, h, w, c),
-    laid out NHWC or NCHW in memory."""
-    if channels_last:
-        return make((n, h, w, c), dtype=DTYPE)
-    return make((n, c, h, w), dtype=DTYPE).transpose(0, 2, 3, 1)
+def _phase_lines(size: int, padding: int, stride: int, phase: int,
+                 length: int) -> tuple[slice, slice]:
+    """The lines of a phase plane of ``length`` lines that hold input, and the
+    input lines they hold: phase line i is padded line ``stride*i + phase``."""
+    first = (phase - padding) % stride  # the first input line in this phase
+    lo = (first + padding) // stride
+    count = min(length - lo, len(range(first, size, stride)))
+    return slice(lo, lo + count), slice(first, first + stride * count, stride)
 
 
-def _dw_blocks(n: int, c: int, oh: int, wp: int, stride: int,
-               channels_last: bool) -> list[tuple[slice, slice]]:
-    """(channels, output rows) of each block whose input fits the budget.
+def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """Depthwise conv as k^2 shifted multiply-accumulates over flat phase planes.
 
-    Channels-last blocks span every channel, so they are contiguous
-    bands of rows; channels-first blocks are as many whole planes as
-    fit, or bands of rows of one plane when a plane alone does not.
-    """
-    row = stride * n * wp * np.dtype(DTYPE).itemsize  # one plane's input per output row
-    planes = c if channels_last else max(1, min(c, _DW_BLOCK_BYTES // (row * oh)))
-    rows = max(1, min(oh, _DW_BLOCK_BYTES // (row * planes)))
-    return [(slice(c0, min(c, c0 + planes)), slice(r0, min(oh, r0 + rows)))
-            for c0 in range(0, c, planes) for r0 in range(0, oh, rows)]
-
-
-def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int,
-                    channels_last: bool) -> np.ndarray:
-    """Depthwise conv as k^2 shifted multiply-accumulates, block by block.
-
-    Every buffer is indexed (n, h, w, c) and laid out NHWC when
-    ``channels_last``, NCHW otherwise, so one tap loop serves both
-    layouts. Its work is linear in the plane, so it takes the planes too
-    large for :func:`_conv_toeplitz`. It is forward only: no conv that
+    The padded input is split once into stride x stride phase planes, phase
+    (a, b) holding the padded rows a, a+stride, ... and columns b, b+stride,
+    .... Each is one flat run of rows of ``ws = ow + (k-1)//stride``
+    columns, plus a spare row for the last run's overhang. Tap (ki, kj)
+    reads phase (ki % stride, kj % stride) from offset ``(ki//stride)*ws +
+    kj//stride`` on: one contiguous run per plane, whose first ``ow``
+    columns per row are output. A block is as many whole planes as fit the
+    byte budget, or a band of rows of one plane. Forward only: no conv that
     is put on the tape runs it.
     """
     n, c, h, w = xd.shape
-    k = wd.shape[-1]
-    oh, ow = _out_size(h, k, stride, padding), _out_size(w, k, stride, padding)
-    xp = _dw_array(np.zeros, n, h + 2 * padding, w + 2 * padding, c, channels_last)
-    xp[:, padding:padding + h, padding:padding + w] = xd.transpose(0, 2, 3, 1)
-    wt = np.ascontiguousarray(wd.reshape(c, k * k).T)
-    out = _dw_array(np.empty, n, oh, ow, c, channels_last)
-    for chans, orows in _dw_blocks(n, c, oh, xp.shape[2], stride, channels_last):
-        r0, r1 = orows.start, orows.stop
-        acc, wb = out[:, orows, :, chans], wt[:, chans]
-        xb = xp[:, stride * r0:stride * (r1 - 1) + k, :, chans]  # the input rows they read
-        tmp = np.empty_like(acc)
-        for t, rows, cs in _taps(k, stride, r1 - r0, ow):
-            if t == 0:
-                np.multiply(xb[:, rows, cs], wb[t], out=acc)
-            else:
-                np.multiply(xb[:, rows, cs], wb[t], out=tmp)
+    k, s = wd.shape[-1], stride
+    oh, ow = _out_size(h, k, s, padding), _out_size(w, k, s, padding)
+    reach = (k - 1) // s
+    hs, ws = oh + reach + 1, ow + reach
+    phases = np.zeros((n, c, s, s, hs, ws), dtype=DTYPE)
+    for a, b in np.ndindex(s, s):
+        (prows, xrows), (pcols, xcols) = (_phase_lines(h, padding, s, a, hs),
+                                          _phase_lines(w, padding, s, b, ws))
+        phases[:, :, a, b, prows, pcols] = xd[:, :, xrows, xcols]
+    phases = phases.reshape(n, c, s * s, hs * ws)
+    taps = [((ki % s) * s + kj % s, (ki // s) * ws + kj // s) for ki, kj in np.ndindex(k, k)]
+    wt = np.ascontiguousarray(wd.reshape(c, k * k).T)[:, :, None]
+    row = s * s * n * ws * np.dtype(DTYPE).itemsize  # one plane's input per output row
+    planes = max(1, min(c, _DW_BLOCK_BYTES // (row * oh)))
+    rows = max(1, min(oh, _DW_BLOCK_BYTES // (row * planes)))
+    out = np.empty((n, c, oh, ow), dtype=DTYPE)
+    for c0, r0 in product(range(0, c, planes), range(0, oh, rows)):
+        chans, r1 = slice(c0, min(c, c0 + planes)), min(oh, r0 + rows)
+        acc, tmp = np.empty((2, n, chans.stop - c0, (r1 - r0) * ws), dtype=DTYPE)
+        for t, (phase, offset) in enumerate(taps):
+            run = phases[:, chans, phase, r0 * ws + offset:r1 * ws + offset]
+            np.multiply(run, wt[t, chans], out=tmp if t else acc)
+            if t:
                 acc += tmp
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+        out[:, chans, r0:r1] = acc.reshape(n, -1, r1 - r0, ws)[..., :ow]
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -662,13 +650,10 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     ``groups=1`` is a dense convolution, ``groups=C_in`` a depthwise one.
     Output spatial size is ``floor((H + 2*padding - k)/stride) + 1``.
 
-    Depthwise convs on small planes run as batched matmuls with each
-    channel's Toeplitz matrix, of the whole plane or, on planes of at
-    least 16 rows, of blocks of two output rows. On larger planes a
-    recorded conv runs the blocks of two rows, and an unrecorded one the
-    forward-only shifted multiply-accumulates, laid out channels-last or
-    channels-first. :func:`_dw_kernel` picks one of the four from the
-    shape and from whether the conv is recorded.
+    Depthwise convs run the kernel :func:`_dw_kernel` picks from the shape
+    and from whether the conv is recorded: a batched matmul with each
+    channel's Toeplitz matrix, of whole planes or of blocks of two output
+    rows, or, unrecorded on large planes, a forward-only tap loop.
     Stride-1 1x1 convs run as one matmul; every other shape goes through
     im2col. The backward computes the input and weight gradients only
     for the operands that need one when the op is recorded.
@@ -707,11 +692,11 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     need_gx, need_gw = _needs_grad(xt), _needs_grad(wt)
     if groups == c_in == c_out:
         kernel = _dw_kernel(n, c_in, h, w, k, stride, padding, _recording((xt, wt)))
-        if kernel in ("band", "toeplitz"):
+        if kernel == "taps":  # never recorded, so it needs no backward
+            out, bw = _conv_depthwise(xd, wd, stride, padding), None
+        else:
             out, bw = _conv_toeplitz(xd, wd, stride, padding,
                                      _BAND_ROWS if kernel == "band" else oh, need_gx, need_gw)
-        else:  # never recorded, so it needs no backward
-            out, bw = _conv_depthwise(xd, wd, stride, padding, kernel == "channels-last"), None
     elif k == 1 and stride == 1 and padding == 0 and groups == 1:
         out, bw = _conv_pointwise(xd, wd, need_gx, need_gw)
     else:

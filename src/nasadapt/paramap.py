@@ -73,6 +73,9 @@ class ParameterBundle:
     @classmethod
     def load(cls, path) -> "ParameterBundle":
         tensors = load_tensors(path)
+        for name, arr in tensors.items():
+            if not np.isfinite(arr).all():
+                raise ContractError(f"{path}: '{name}' holds a non-finite value")
         sidecar = Path(path).with_suffix(".arch.json")
         arch = arch_to_doc(load_arch(sidecar)) if sidecar.exists() else None
         return cls(tensors=tensors, arch=arch)
@@ -291,6 +294,8 @@ def verify_function_preservation(source_net: DiscreteNetwork,
                         f"{ft.shape[2]}x{ft.shape[3]} in the target: their strides differ")
                 dev = float(np.abs(fs.data[:, :shared[b]] -
                                    ft.data[:, :shared[b]]).max())
+                if not np.isfinite(dev):
+                    raise ContractError(f"block{b} deviates by {dev}: its outputs are not finite")
                 per_block[b] = max(per_block[b], dev)
     worst = int(np.argmax(per_block))
     return {

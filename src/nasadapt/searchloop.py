@@ -30,9 +30,9 @@ from .costmodel import (
 )
 from .derive import default_source_architecture
 from .errors import ParameterError
-from .numerics import SGD, Adam, Tensor, no_grad
-# not called here: perfbench/instrument.py patches these names (until ROADMAP item 1)
-from .numerics import backward, clip_grad_norm  # noqa: F401
+from .numerics import SGD, Adam, Tensor, clip_grad_norm, no_grad
+# not called here: perfbench/instrument.py patches this name (until ROADMAP item 1)
+from .numerics import backward  # noqa: F401
 from .seeding import seed_for
 from .supernet import Supernet
 from .toytask import ProxyHead, SyntheticDataset, batch_stream, train_step
@@ -159,6 +159,7 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
     requires_grad_before = [p.requires_grad for p in w_params + arch_params]
     w_opt = SGD(w_params, lr=W_LR, weight_decay=W_WEIGHT_DECAY)
     arch_opt = Adam(arch_params, lr=ARCH_LR, weight_decay=ARCH_WEIGHT_DECAY)
+    clip = partial(clip_grad_norm, max_norm=GRAD_CLIP_NORM)
 
     steps_per_epoch = max(1, len(train_a) // SEARCH_BATCH_SIZE)
     history = SearchHistory()
@@ -171,7 +172,7 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
                 step += 1
                 m_val, _, _ = train_step(net, head, dataset, next(batches_a), w_opt,
                                          f"step {step} (epoch {epoch}, phase w)",
-                                         GRAD_CLIP_NORM)
+                                         clip)
                 with no_grad():
                     c_val = float(expected_cost(net.alpha, net.beta, table).data) \
                         / normalizer
@@ -185,7 +186,7 @@ def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
                 m_val, t_val, cost = train_step(net, head, dataset, next(batches_b),
                                                 arch_opt,
                                                 f"step {step} (epoch {epoch}, phase arch)",
-                                                GRAD_CLIP_NORM, add_cost)
+                                                clip, add_cost)
                 history.steps.append(StepRecord(
                     step=step, epoch=epoch, phase="arch", model_loss=m_val,
                     expected_cost=float(cost.data) / normalizer,

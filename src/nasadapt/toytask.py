@@ -18,7 +18,7 @@ import numpy as np
 from .derive import DiscreteArchitecture, arch_to_doc, instantiate
 from .errors import ContractError, ParameterError
 from .layers import TensorSource, trunc_normal, zeros
-from .numerics import SGD, Tensor, backward, clip_grad_norm, cross_entropy, matmul, no_grad
+from .numerics import SGD, Tensor, backward, cross_entropy, matmul, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
 from .paramap import ParameterBundle
@@ -187,11 +187,11 @@ def batch_stream(indices: np.ndarray, batch_size: int,
 
 
 def train_step(net, head: ProxyHead, dataset: SyntheticDataset, idx: np.ndarray, opt,
-               where: str, clip_norm: float | None = None,
+               where: str, clip: Callable[[list[Tensor]], float] | None = None,
                add_cost: Callable[[Tensor], tuple[Tensor, Tensor]] | None = None,
                ) -> tuple[float, float, Tensor | None]:
     """One optimizer step on the samples ``idx``: forward, model loss, finite
-    check, zero, backward, optional clip of ``opt``'s gradients, step.
+    check, zero, backward, ``clip`` of ``opt``'s parameters if given, step.
 
     ``add_cost`` (a search's arch step) maps the model loss to the loss and
     the expected-cost tensor; such a step leaves running statistics frozen.
@@ -207,8 +207,8 @@ def train_step(net, head: ProxyHead, dataset: SyntheticDataset, idx: np.ndarray,
         raise ContractError(f"non-finite loss {value} at {where}")
     opt.zero_grad()
     backward(loss)
-    if clip_norm is not None:
-        clip_grad_norm(opt.params, clip_norm)
+    if clip is not None:
+        clip(opt.params)
     opt.step()
     return m_loss.item(), value, cost
 

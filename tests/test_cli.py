@@ -476,6 +476,12 @@ def broken(artifacts, from_arrays_inputs, space_path):
     del tensors["block1/layer0/depthwise/weight"]
     save_tensors(paths["missing_tensor"], tensors)
     copy(sidecar, "missing_tensor.arch.json")
+    # one NaN weight: without a check, verify passes it with max deviation 0.0
+    tensors = load_tensors(source)
+    tensors["block1/layer0/depthwise/weight"][0, 0, 1, 1] = np.nan
+    paths["nan_src"] = root / "nan_src.nat"
+    save_tensors(paths["nan_src"], tensors)
+    copy(sidecar, "nan_src.arch.json")
     paths["bad_json"].write_text(malformed)
     paths["bad_utf8"].write_bytes(b'{"v": 1, "name": "\xff"}')
     (root / "bad_data.json").write_text(malformed)
@@ -574,6 +580,10 @@ EXIT_2_CASES = {
     "verify-malformed-src-sidecar": ("verify --src {bad_arch_sidecar} --dst-arch {target}",
                                      "bad_sidecar.arch.json"),
     "verify-stride-mismatch": ("verify --src {source} --dst-arch {stride_target}", None),
+    "verify-nan-src": ("verify --src {nan_src} --dst-arch {target}", None),
+    "remap-nan-src": ("remap --src {nan_src} --dst-arch {target} --out {out}", None),
+    "search-init-from-nan-src": (
+        "search --space {space} --data {data} --init-from {nan_src} --out {out}", None),
     "finetune-truncated-data": ("finetune --arch {arch} --data {trunc_data} --out {out}",
                                 None),
     "finetune-params-missing-tensor": (
@@ -642,6 +652,9 @@ class TestExit2Sweep:
             assert "block0 outputs" in err and "their strides differ" in err
         if case.endswith("-nan-pixel"):
             assert f"{broken['nan_pixel']}: 'images' holds a non-finite value" in err
+        if case.endswith("-nan-src"):
+            assert (f"{broken['nan_src']}: 'block1/layer0/depthwise/weight' holds a "
+                    "non-finite value") in err
         assert not out.exists()
 
     @pytest.mark.parametrize("case", list(FIELD_CASES))

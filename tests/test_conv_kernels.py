@@ -5,17 +5,20 @@ float64, and phase-scoped gradients.
 Toeplitz matrices, of whole planes ("toeplitz") or of blocks of two
 output rows ("band"). On larger planes a recorded conv runs the band and
 an unrecorded one a forward-only tap loop of shifted
-multiply-accumulates, laid out channels-last or channels-first;
-``_dw_kernel`` picks one of the four from the shape and from whether the
-conv is recorded. Stride-1 1x1 convs run as one matmul. ``_conv_im2col``
-handles every shape and stays the oracle here. The fast paths sum in
-another order, so they agree with it to float32 rounding, not bit for
-bit. Parity tests force the depthwise kernel they test, so each keeps its
+multiply-accumulates over flat phase planes ("taps"); ``_dw_kernel``
+picks one of the three from the shape and from whether the conv is
+recorded. Stride-1 1x1 convs run as one matmul. ``_conv_im2col`` handles
+every shape and stays the oracle here. The fast paths sum in another
+order, so they agree with it to float32 rounding, not bit for bit; the
+tap loop is also pinned bit for bit to a numpy sum of shifted products.
+Parity tests force the depthwise kernel they test, so each keeps its
 coverage whatever the shape rule picks; the tap loop's run under
-``no_grad`` and check the forward only. Two tests pin the rule's choices
-on the desk3 and table1 shapes and the kernels a desk3 run reaches.
+``no_grad`` and check the forward only, some on inputs in NCHW and in
+NHWC memory. Two tests pin the rule's choices on the desk3 and table1
+shapes and the kernels a desk3 run reaches.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -89,7 +92,18 @@ def _assert_forward_parity(x, w, stride, padding, groups, x_grad=True, w_grad=Tr
     np.testing.assert_allclose(got.data, want, rtol=0, atol=FWD_ATOL)
 
 
-TAP_LOOP = ("channels-last", "channels-first")
+TAP_LOOP = "taps"
+# The tap loop reads its input through whatever strides it has; tests
+# parametrized by layout hand it the same values in NCHW ("channels-first")
+# or NHWC ("channels-last") memory.
+LAYOUTS = ("channels-first", "channels-last")
+
+
+def _in_layout(x, layout):
+    """``x`` (NCHW values) in NCHW memory, or in NHWC memory seen as NCHW."""
+    if layout == "channels-first":
+        return x
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 def _force_kernel(monkeypatch, kernel):
@@ -101,7 +115,7 @@ def _force_kernel(monkeypatch, kernel):
     asked = []
 
     def force(*args):  # the shape, then whether the conv is recorded
-        if args[-1] and kernel in TAP_LOOP:
+        if args[-1] and kernel == TAP_LOOP:
             raise AssertionError(f"a recorded conv cannot run the forward-only {kernel} loop")
         asked.append(args)
         return kernel
@@ -118,10 +132,22 @@ def _spy_kernel(monkeypatch):
     return chosen
 
 
-@pytest.mark.parametrize("kernel", TAP_LOOP)
-def test_force_kernel_refuses_the_tap_loop_to_a_recorded_conv(monkeypatch, kernel):
-    asked = _force_kernel(monkeypatch, kernel)
-    x = Tensor(np.zeros((1, 2, 5, 5), np.float32), requires_grad=True)
+def _spy_blocks(monkeypatch):
+    """Record the channel and output-row starts of each tap-loop call's blocks."""
+    blocks, product = [], engine.product
+
+    def spy(chans, rows):
+        blocks.append((list(chans), list(rows)))
+        return product(chans, rows)
+
+    monkeypatch.setattr(engine, "product", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_force_kernel_refuses_the_tap_loop_to_a_recorded_conv(monkeypatch, layout):
+    asked = _force_kernel(monkeypatch, TAP_LOOP)
+    x = Tensor(_in_layout(np.zeros((1, 2, 5, 5), np.float32), layout), requires_grad=True)
     w = Tensor(np.zeros((2, 1, 3, 3), np.float32))
     with pytest.raises(AssertionError, match="recorded conv"):
         conv2d(x, w, padding=1, groups=2)
@@ -130,50 +156,90 @@ def test_force_kernel_refuses_the_tap_loop_to_a_recorded_conv(monkeypatch, kerne
     assert len(asked) == 1
 
 
-@pytest.mark.parametrize("blocked", [False, True], ids=["one-block", "row-blocks"])
+@pytest.mark.parametrize("blocks", ["one-block", "row-blocks"])
 @pytest.mark.parametrize("batch", BATCH)
 @pytest.mark.parametrize("hw", SPATIAL, ids=["odd", "even"])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("k", [1, 3, 5, 7])
-def test_depthwise_matches_im2col(monkeypatch, k, stride, hw, batch, blocked):
+def test_depthwise_matches_im2col(monkeypatch, k, stride, hw, batch, blocks):
     c, padding = 7, (k - 1) // 2
     h, w = hw
-    wp = w + 2 * padding
-    row_bytes = stride * batch * wp * c * 4
-    # row-blocks: 2 output rows per block, so an odd row count ends in a short block
-    monkeypatch.setattr(engine, "_DW_BLOCK_BYTES", 2 * row_bytes if blocked else 1 << 30)
-    asked = _force_kernel(monkeypatch, "channels-last")
-    oh = (h + 2 * padding - k) // stride + 1
-    (chans, rows), *_ = engine._dw_blocks(batch, c, oh, wp, stride, channels_last=True)
-    assert chans == slice(0, c) and (rows.stop - rows.start == 2) == blocked
+    oh, ow = (engine._out_size(size, k, stride, padding) for size in hw)
+    row_bytes = stride * stride * batch * (ow + (k - 1) // stride) * 4  # one plane per output row
+    # row-blocks: two output rows of one plane per block, so an odd row
+    # count ends in a short block
+    budget = 2 * row_bytes if blocks == "row-blocks" else 1 << 30
+    monkeypatch.setattr(engine, "_DW_BLOCK_BYTES", budget)
+    asked, split = _force_kernel(monkeypatch, TAP_LOOP), _spy_blocks(monkeypatch)
     rng = np.random.default_rng(k * 100 + stride * 10 + batch)
     x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
     wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
     _assert_forward_parity(x, wd, stride, padding, c)
     assert len(asked) == 1
+    assert split == [(list(range(c)), list(range(0, oh, 2))) if blocks == "row-blocks"
+                     else ([0], [0])]
 
 
 @pytest.mark.parametrize("blocks", ["planes", "plane-rows"])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("k", [3, 5, 7])
 def test_channels_first_depthwise_matches_im2col(monkeypatch, k, stride, blocks):
-    # test_depthwise_matches_im2col covers channels-last
+    # NCHW input split by channel: test_depthwise_matches_im2col covers one
+    # block and row blocks of every plane, this the whole-plane split and a
+    # band of rows of one plane at the second batch size
     batch, c, (h, w), padding = 2, 7, SPATIAL[1], (k - 1) // 2
-    oh = (h + 2 * padding - k) // stride + 1
-    row_bytes = stride * batch * (w + 2 * padding) * 4  # one plane's input per output row
+    oh, ow = (engine._out_size(size, k, stride, padding) for size in (h, w))
+    row_bytes = stride * stride * batch * (ow + (k - 1) // stride) * 4  # one plane per output row
     # planes: three whole planes per block, so the last block has one;
     # plane-rows: two output rows of one plane per block
     budget = 3 * oh * row_bytes if blocks == "planes" else 2 * row_bytes
     monkeypatch.setattr(engine, "_DW_BLOCK_BYTES", budget)
-    asked = _force_kernel(monkeypatch, "channels-first")
-    (chans, rows), *_ = engine._dw_blocks(batch, c, oh, w + 2 * padding, stride, False)
-    assert (chans.stop - chans.start, rows.stop - rows.start) == \
-        ((3, oh) if blocks == "planes" else (1, 2))
+    asked, split = _force_kernel(monkeypatch, TAP_LOOP), _spy_blocks(monkeypatch)
     rng = np.random.default_rng(k * 10 + stride)
-    x = rng.standard_normal((batch, c, h, w)).astype(np.float32)
+    x = _in_layout(rng.standard_normal((batch, c, h, w)).astype(np.float32), "channels-first")
     wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
     _assert_forward_parity(x, wd, stride, padding, c)
     assert len(asked) == 1
+    assert split == [([0, 3, 6], [0]) if blocks == "planes"
+                     else (list(range(c)), list(range(0, oh, 2)))]
+
+
+def _taps_reference(x, wd, stride, padding):
+    """Depthwise conv as the sum of its k^2 shifted products, taps in
+    row-major order, each product rounded to float32 before it is added."""
+    k = wd.shape[-1]
+    oh, ow = (engine._out_size(size, k, stride, padding) for size in x.shape[2:])
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    products = (xp[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+                * wd[:, 0, ki, kj, None, None] for ki in range(k) for kj in range(k))
+    out = next(products)
+    for p in products:
+        out = out + p
+    return out
+
+
+def test_tap_loop_is_bit_identical_to_the_shifted_product_sum(monkeypatch):
+    # a 1 KB block budget gives the sweep's planes every split: one block,
+    # blocks of several whole planes, and bands of rows of one plane
+    monkeypatch.setattr(engine, "_DW_BLOCK_BYTES", 1024)
+    split = _spy_blocks(monkeypatch)
+    rng = np.random.default_rng(18)
+    shapes = 0
+    for n, c, h, w, k, stride in itertools.product([1, 2], [1, 3, 8], [1, 2, 5, 13],
+                                                   [1, 4, 16], [1, 3, 5, 7], [1, 2, 3]):
+        for padding in range(k):
+            if min(h, w) + 2 * padding < k:
+                continue
+            x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+            wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
+            got = engine._conv_depthwise(x, wd, stride, padding)
+            assert np.array_equal(got, _taps_reference(x, wd, stride, padding)), \
+                (n, c, h, w, k, stride, padding)
+            shapes += 1
+    assert shapes > 2000
+    assert ([0], [0]) in split
+    assert any(len(chans) > 1 and chans[1] - chans[0] > 1 for chans, _ in split)
+    assert any(len(rows) > 1 for _, rows in split)
 
 
 @pytest.mark.parametrize("hw", [(9, 9), (10, 8), (2, 2), (4, 4)],
@@ -214,30 +280,32 @@ def test_band_depthwise_matches_im2col(monkeypatch, k, stride, hw, rows, padding
 
 @pytest.mark.parametrize("x_grad, w_grad", [(True, False), (False, True)],
                          ids=["only-gx", "only-gw"])
-@pytest.mark.parametrize("kernel", ["band", "toeplitz", *TAP_LOOP])
-def test_phase_scoped_depthwise_matches_im2col(monkeypatch, kernel, x_grad, w_grad):
+@pytest.mark.parametrize("kernel, layout", [
+    pytest.param("band", "channels-first", id="band"),
+    pytest.param("toeplitz", "channels-first", id="toeplitz"),
+    *(pytest.param(TAP_LOOP, layout, id=layout) for layout in LAYOUTS),
+])
+def test_phase_scoped_depthwise_matches_im2col(monkeypatch, kernel, layout, x_grad, w_grad):
     _force_kernel(monkeypatch, kernel)
     rng = np.random.default_rng(13)
-    x = rng.standard_normal((2, 6, 7, 6)).astype(np.float32)
+    x = _in_layout(rng.standard_normal((2, 6, 7, 6)).astype(np.float32), layout)
     wd = rng.standard_normal((6, 1, 5, 5)).astype(np.float32)
-    if kernel in TAP_LOOP:  # forward only
+    if kernel == TAP_LOOP:  # forward only
         _assert_forward_parity(x, wd, 2, 2, 6, x_grad=x_grad, w_grad=w_grad)
     else:
         _assert_parity(x, wd, 2, 2, 6, rng, x_grad=x_grad, w_grad=w_grad)
 
 
-def test_a_long_row_runs_channels_first(monkeypatch):
-    # in the tap loop, rows of _DW_ROW_PER_K kernel widths select channels-first
-    k = 5
-    ow = engine._DW_ROW_PER_K * k
-    assert engine._dw_kernel(1, 3, 5, ow, k, 1, 2, False) == "channels-first"
-    assert engine._dw_kernel(1, 3, 5, ow - 1, k, 1, 2, False) == "channels-last"
+def test_long_and_short_rows_run_the_one_tap_loop(monkeypatch):
+    # past the Toeplitz budget, an unrecorded conv runs the tap loop
+    # whatever its row length: 80- and 79-wide rows, and 24-wide ones
     chosen = _spy_kernel(monkeypatch)
     rng = np.random.default_rng(12)
-    x = rng.standard_normal((1, 3, 5, ow)).astype(np.float32)
-    wd = rng.standard_normal((3, 1, k, k)).astype(np.float32)
-    _assert_forward_parity(x, wd, 1, 2, 3)
-    assert chosen == ["channels-first"]
+    for shape in ((1, 3, 5, 80), (1, 3, 5, 79), (1, 64, 24, 24)):
+        x = rng.standard_normal(shape).astype(np.float32)
+        wd = rng.standard_normal((shape[1], 1, 5, 5)).astype(np.float32)
+        _assert_forward_parity(x, wd, 1, 2, shape[1])
+    assert chosen == [TAP_LOOP] * 3
 
 
 @pytest.mark.parametrize("shape, k, stride", [
@@ -248,7 +316,7 @@ def test_recorded_depthwise_past_the_budget_runs_the_band(monkeypatch, shape, k,
     # they run the tap loop; recorded, they need a backward and run the band
     n, c, h, w = shape
     padding = (k - 1) // 2
-    assert engine._dw_kernel(n, c, h, w, k, stride, padding, False) in TAP_LOOP
+    assert engine._dw_kernel(n, c, h, w, k, stride, padding, False) == TAP_LOOP
     chosen = _spy_kernel(monkeypatch)
     rng = np.random.default_rng(17)
     x = rng.standard_normal(shape).astype(np.float32)
@@ -257,10 +325,10 @@ def test_recorded_depthwise_past_the_budget_runs_the_band(monkeypatch, shape, k,
     assert chosen == ["band"]
 
 
-def test_every_desk3_depthwise_conv_runs_channels_last(monkeypatch):
-    # desk3 trains on 32x32 inputs: its planes are at most 16 wide, under
-    # 16 kernel widths, so with the Toeplitz kernel shut off the tap loop
-    # runs every one of them channels-last in an unrecorded forward
+def test_every_desk3_depthwise_conv_runs_the_tap_loop_unrecorded(monkeypatch):
+    # desk3 trains on 32x32 inputs, so its planes are at most 16 wide; with
+    # the Toeplitz kernel shut off the tap loop runs every one of them in an
+    # unrecorded forward
     monkeypatch.setattr(engine, "_TOEPLITZ_ENTRIES", 0)
     chosen = []
     choose = engine._dw_kernel
@@ -270,7 +338,7 @@ def test_every_desk3_depthwise_conv_runs_channels_last(monkeypatch):
     x = Tensor(np.zeros((2, 3, *cfg.input_resolution), dtype=np.float32))
     with no_grad():
         build_supernet(cfg, seed=0).forward(x, training=True)
-    assert chosen and all(kernel == "channels-last" for _, kernel in chosen)
+    assert chosen and all(kernel == TAP_LOOP for _, kernel in chosen)
     assert max(w for w, _ in chosen) == cfg.input_resolution[1] // 2
 
 
@@ -314,26 +382,16 @@ def test_depthwise_kernel_choice_on_desk3_and_table1_shapes(monkeypatch):
         for n in range(1, 33):
             assert choose(n, *shape, True) in {"band", "toeplitz"}, (n, shape)
     # table1 verify runs one 800x1088 image, unrecorded, through the k3
-    # default source and its all-k7 growth (the stem stays k3): the tap
-    # loop, laid out by output row length and kernel; recorded, those
-    # shapes would run the band
+    # default source and its all-k7 growth (the stem stays k3): every
+    # depthwise conv runs the tap loop; recorded, those shapes would run
+    # the band
     source = default_source_architecture(load_bundled_config("table1"))
     grown = replace(source, blocks=tuple(
         replace(b, ops=tuple(replace(op, kernel=7) for op in b.ops)) for b in source.blocks))
-    table1 = {}
-    for shape in _dw_shapes(source, 1) + _dw_shapes(grown, 1):
-        n, c, h, w, k, stride, padding = shape
-        table1.setdefault((k, engine._out_size(w, k, stride, padding)), set()).add(
-            choose(*shape, False))
-        assert choose(*shape, True) == "band"
-    assert table1 == {
-        (3, 544): {"channels-first"}, (3, 272): {"channels-first"},
-        (3, 136): {"channels-first"}, (3, 68): {"channels-first"},
-        (3, 34): {"channels-last"},
-        (7, 272): {"channels-first"},
-        (7, 136): {"channels-first"}, (7, 68): {"channels-last"},
-        (7, 34): {"channels-last"},
-    }
+    table1 = set(_dw_shapes(source, 1) + _dw_shapes(grown, 1))
+    assert len(table1) == 19
+    for shape in table1:
+        assert (choose(*shape, False), choose(*shape, True)) == (TAP_LOOP, "band"), shape
 
 
 @pytest.mark.parametrize("batch", BATCH)

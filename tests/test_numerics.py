@@ -458,6 +458,28 @@ class TestOptimizers:
         with pytest.raises(ContractError):
             SGD([p], lr=0.1).step()
 
+    @pytest.mark.parametrize("make", [lambda ps: SGD(ps, lr=0.1, weight_decay=0.01),
+                                      lambda ps: Adam(ps, lr=0.01, weight_decay=0.01)],
+                             ids=["sgd", "adam"])
+    def test_failed_step_moves_nothing(self, make):
+        # b has no gradient: the step raises before a, a moment or the step count moves
+        a = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+        b = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
+        opt = make([a, b])
+        a.grad, b.grad = np.array([0.5, -1.0], np.float32), np.array([2.0], np.float32)
+        opt.step()  # one good step, so every moment exists
+
+        def state():
+            moments = [getattr(opt, name, {}) for name in ("_buf", "_m", "_v")]
+            return [a.data.tobytes(), b.data.tobytes(), getattr(opt, "_t", None)] + \
+                [{key: m.tobytes() for key, m in buf.items()} for buf in moments]
+
+        a.grad, b.grad = np.array([0.25, 0.75], np.float32), None
+        before = state()
+        with pytest.raises(ContractError, match="missing gradient"):
+            opt.step()
+        assert state() == before
+
     def test_adam_first_step_magnitude(self):
         p = Tensor(np.array([0.3, -0.7], dtype=np.float32), requires_grad=True)
         p.grad = np.array([2.0, -3.0], dtype=np.float32)

@@ -500,8 +500,8 @@ class TestFunctionPreservation:
         # The seed-built table1 default source, as the benchmark builds it, at
         # a reduced resolution: its eval activations underflow block by block,
         # so the subnormal flush of eval batch norm zeroes values on both sides.
-        # 64x224 puts the first depthwise planes on channels-first, the later
-        # ones on channels-last and the last 7x7 ones on the Toeplitz matmul.
+        # 64x224 puts the depthwise planes on the tap loop, and the last 7x7
+        # ones on the Toeplitz matmul.
         source = replace(default_source_architecture(load_bundled_config("table1")),
                          input_resolution=(64, 224))
         grown = replace(source, blocks=tuple(
@@ -525,7 +525,16 @@ class TestFunctionPreservation:
         report = verify_function_preservation(
             net, instantiate(grown, arrays=mapped.tensors), samples=1, seed=1)
         assert report["max_deviation"] == 0.0 and report["passed"]
-        assert sum(flushed) > 0 and layouts == {"channels-first", "channels-last", "toeplitz"}
+        assert sum(flushed) > 0 and layouts == {"taps", "toeplitz"}
+
+    def test_non_finite_deviation_names_the_block(self):
+        # max(0.0, nan) is 0.0, so a NaN deviation would otherwise pass as 0.0
+        bundle, arch = source_bundle(desk_config(), seed=8)
+        tensors = {k: v.copy() for k, v in bundle.tensors.items()}
+        tensors["block2/layer1/project/weight"][0, 0] = np.nan
+        with pytest.raises(ContractError, match="block2 deviates by nan"):
+            verify_function_preservation(instantiate(arch, arrays=bundle.tensors),
+                                         instantiate(arch, arrays=tensors), samples=1)
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_no_samples_rejected(self, samples):

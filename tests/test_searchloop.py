@@ -8,7 +8,7 @@ import pytest
 from nasadapt.costmodel import build_madds_table, madds_of_discrete
 from nasadapt.derive import default_source_architecture
 from nasadapt.errors import ContractError, ParameterError
-from nasadapt.numerics import Adam
+from nasadapt.numerics import Adam, clip_grad_norm
 from nasadapt.searchloop import (
     ARCH_LR,
     ARCH_WEIGHT_DECAY,
@@ -113,9 +113,9 @@ class TestSearch:
         normalizer = madds_of_discrete(default_source_architecture(cfg), cfg)
         add_cost = partial(_add_cost, net, build_madds_table(cfg), 0.1, normalizer)
         _train_only(arch_params, w_params)
+        clip = partial(clip_grad_norm, max_norm=GRAD_CLIP_NORM)
         for step in range(1, 4):
-            train_step(net, head, ds, np.arange(8), opt, f"step {step}", GRAD_CLIP_NORM,
-                       add_cost)
+            train_step(net, head, ds, np.arange(8), opt, f"step {step}", clip, add_cost)
         after = net.to_arrays() | head.to_arrays()
         for n, a in before.items():
             assert a.tobytes() == after[n].tobytes(), n
