@@ -98,18 +98,6 @@ class TensorSource:
         return {name: t.data for name, t in self.params.items()} | self.state
 
 
-class BatchNorm2d:
-    def __init__(self, channels: int, source: TensorSource):
-        self.gamma = source.param("gamma", (channels,), ones)
-        self.beta = source.param("beta", (channels,), zeros)
-        self.running_mean = source.buffer("mean", (channels,), zeros)
-        self.running_var = source.buffer("var", (channels,), ones)
-
-    def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
-        return batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
-                          training=training, update_stats=update_stats)
-
-
 @dataclass(frozen=True)
 class ConvStage:
     """One conv + batch norm; its tensors live under ``name/``."""
@@ -141,18 +129,23 @@ def stem_stages(stem: StemSpec) -> tuple[ConvStage, ...]:
 
 class ConvChain:
     """Runs a stage list: conv then batch norm per stage, relu6 between stages;
-    an empty list is the identity (a skip). ``weight`` and ``bn`` map each
-    stage's name to its conv weight and its batch norm."""
+    an empty list is the identity (a skip). ``weight`` maps each stage's name
+    to its conv weight, and ``bn`` to its batch norm's gamma, beta, running
+    mean and running variance."""
 
     def __init__(self, stages: tuple[ConvStage, ...], source: TensorSource):
         self.stages = stages
         self.weight: dict[str, Tensor] = {}
-        self.bn: dict[str, BatchNorm2d] = {}
+        self.bn: dict[str, tuple[Tensor, Tensor, np.ndarray, np.ndarray]] = {}
         for s in stages:
             scoped = source.scope(s.name)
             self.weight[s.name] = scoped.param(
                 "weight", (s.c_out, s.c_in // s.groups, s.kernel, s.kernel), trunc_normal)
-            self.bn[s.name] = BatchNorm2d(s.c_out, scoped.scope("bn"))
+            bn = scoped.scope("bn")
+            self.bn[s.name] = (bn.param("gamma", (s.c_out,), ones),
+                               bn.param("beta", (s.c_out,), zeros),
+                               bn.buffer("mean", (s.c_out,), zeros),
+                               bn.buffer("var", (s.c_out,), ones))
 
     def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
         h = x
@@ -161,5 +154,5 @@ class ConvChain:
                 h = relu6(h)
             h = conv2d(h, self.weight[s.name], stride=s.stride, padding=(s.kernel - 1) // 2,
                        groups=s.groups)
-            h = self.bn[s.name](h, training, update_stats)
+            h = batch_norm(h, *self.bn[s.name], training=training, update_stats=update_stats)
         return h

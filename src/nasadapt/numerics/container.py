@@ -3,7 +3,7 @@
 Layout: the 4 magic bytes ``NAT1``, then for each tensor a little-endian
 uint32 header length, a UTF-8 JSON header ``{"name", "dtype": "f32",
 "shape"}``, and the row-major little-endian float32 payload. Round trips
-are bit exact.
+are bit exact. Every value read back must be finite.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ParameterError, ParseError
+from ..errors import ContractError, ParameterError, ParseError
 
 MAGIC = b"NAT1"
 
@@ -80,5 +80,7 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         pos += nbytes
         if name in out:
             raise ParseError(str(path), f"duplicate tensor name '{name}'")
+        if not np.isfinite(arr).all():
+            raise ContractError(f"{path}: '{name}' holds a non-finite value")
         out[name] = arr.astype(np.float32, copy=True)
     return out

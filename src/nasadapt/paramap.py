@@ -73,9 +73,6 @@ class ParameterBundle:
     @classmethod
     def load(cls, path) -> "ParameterBundle":
         tensors = load_tensors(path)
-        for name, arr in tensors.items():
-            if not np.isfinite(arr).all():
-                raise ContractError(f"{path}: '{name}' holds a non-finite value")
         sidecar = Path(path).with_suffix(".arch.json")
         arch = arch_to_doc(load_arch(sidecar)) if sidecar.exists() else None
         return cls(tensors=tensors, arch=arch)

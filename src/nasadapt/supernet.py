@@ -224,7 +224,7 @@ def load_logits(path, config: SearchSpaceConfig):
     Returns (alpha, beta) as constant tensors nested like
     ``Supernet.alpha``/``Supernet.beta``. The checkpoint's ``alpha/*`` and
     ``beta/*`` vectors must be exactly the space's, with the space's
-    lengths and finite values; weights are not read.
+    lengths; like every container, the file must hold only finite values.
     """
     arrays = load_tensors(path)
     lengths = logit_lengths(config)
@@ -240,6 +240,4 @@ def load_logits(path, config: SearchSpaceConfig):
             raise ContractError(
                 f"{path}: '{name}' has shape {arrays[name].shape}, the search space "
                 f"expects ({length},)")
-        if not np.isfinite(arrays[name]).all():
-            raise ContractError(f"{path}: '{name}' holds a non-finite logit")
     return _nest(config, {name: Tensor(arrays[name]) for name in lengths})

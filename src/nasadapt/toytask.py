@@ -139,8 +139,6 @@ def load_dataset(path) -> SyntheticDataset:
         got = arrays[name].shape if name in arrays else None
         if got != shape:
             raise ContractError(f"{path}: '{name}' has shape {got}, its sidecar implies {shape}")
-    if not np.isfinite(arrays["images"]).all():
-        raise ContractError(f"{path}: 'images' holds a non-finite value")
     labels = arrays["labels"]
     bad = labels[(labels != np.round(labels)) | (labels < 0) | (labels >= spec.n_classes)]
     if bad.size:

@@ -513,6 +513,11 @@ def broken(artifacts, from_arrays_inputs, space_path):
     tensors["labels"][:2] = [2.5, 1.9]
     paths["bad_labels"] = root / "bad_labels.nat"
     save_tensors(paths["bad_labels"], tensors)
+    # one NaN weight in a supernet checkpoint: derive reads only its logits
+    tensors = load_tensors(artifacts["ckpt"])
+    tensors["stem/conv/weight"][0, 0, 1, 1] = np.nan
+    paths["nan_weight_ckpt"] = root / "nan_weight_ckpt.nat"
+    save_tensors(paths["nan_weight_ckpt"], tensors)
     # a logit JSON cannot hold: cost --ckpt would write "total": NaN
     for name, value in (("nan_ckpt", np.nan), ("inf_ckpt", np.inf)):
         tensors = load_tensors(artifacts["ckpt"])
@@ -550,6 +555,8 @@ EXIT_2_CASES = {
                                "bad.json"),
     "derive-non-utf8-space": ("derive --ckpt {ckpt} --space {bad_utf8} --out {out}",
                               "bad_utf8.json"),
+    "derive-nan-weight": ("derive --ckpt {nan_weight_ckpt} --space {space} --out {out}",
+                          None),
     "cost-truncated-ckpt": ("cost --space {space} --ckpt {trunc_ckpt}", None),
     "cost-wrong-space": ("cost --space {table1} --ckpt {ckpt}", None),
     "cost-malformed-arch": ("cost --space {space} --arch {bad_json}", "bad.json"),
@@ -652,6 +659,9 @@ class TestExit2Sweep:
             assert "block0 outputs" in err and "their strides differ" in err
         if case.endswith("-nan-pixel"):
             assert f"{broken['nan_pixel']}: 'images' holds a non-finite value" in err
+        if case.endswith("-nan-weight"):
+            assert (f"{broken['nan_weight_ckpt']}: 'stem/conv/weight' holds a "
+                    "non-finite value") in err
         if case.endswith("-nan-src"):
             assert (f"{broken['nan_src']}: 'block1/layer0/depthwise/weight' holds a "
                     "non-finite value") in err

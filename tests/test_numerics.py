@@ -25,6 +25,8 @@ from nasadapt.numerics import (
     trace,
 )
 from nasadapt.numerics import tensor as engine
+from nasadapt.numerics.optim import ADAM_BETAS, ADAM_EPS, SGD_MOMENTUM
+from nasadapt.searchloop import ARCH_LR, ARCH_WEIGHT_DECAY, W_LR, W_WEIGHT_DECAY
 from nasadapt.searchspace import load_bundled_config
 from nasadapt.supernet import build_supernet
 from nasadapt.toytask import ProxyHead, model_loss
@@ -470,15 +472,51 @@ class TestOptimizers:
         opt.step()  # one good step, so every moment exists
 
         def state():
-            moments = [getattr(opt, name, {}) for name in ("_buf", "_m", "_v")]
+            moments = [getattr(opt, name, None) for name in ("_momentum", "_m", "_v")]
             return [a.data.tobytes(), b.data.tobytes(), getattr(opt, "_t", None)] + \
-                [{key: m.tobytes() for key, m in buf.items()} for buf in moments]
+                [None if m is None else m.tobytes() for m in moments]
 
         a.grad, b.grad = np.array([0.25, 0.75], np.float32), None
         before = state()
         with pytest.raises(ContractError, match="missing gradient"):
             opt.step()
         assert state() == before
+
+    @pytest.mark.parametrize("group", ["weights-sgd", "logits-adam"])
+    def test_flat_group_matches_per_tensor_rules(self, group):
+        # desk3's two search groups, against the update rules applied one tensor
+        # at a time; every element must come out bit for bit the same
+        net = build_supernet(load_bundled_config("desk3"), seed=0)
+        if group == "weights-sgd":
+            params = net.weight_params() + ProxyHead(net.final_channels, 4, seed=0).params()
+            opt = SGD(params, lr=W_LR, weight_decay=W_WEIGHT_DECAY)
+        else:
+            params = net.arch_params()
+            opt = Adam(params, lr=ARCH_LR, weight_decay=ARCH_WEIGHT_DECAY)
+        assert all(np.shares_memory(p.data, opt._data) for p in params)
+        lr, wd = np.float32(opt.lr), np.float32(opt.weight_decay)
+        b1, b2 = (np.float32(b) for b in ADAM_BETAS)
+        ref = [p.data.copy() for p in params]
+        moments = [[np.zeros_like(r), np.zeros_like(r)] for r in ref]
+        rng = np.random.default_rng(18)
+        for t in range(1, 6):
+            grads = [(rng.standard_normal(r.shape) * 0.1).astype(np.float32) for r in ref]
+            for p, g in zip(params, grads):
+                p.grad = g.copy()
+            opt.step()
+            for r, g, m in zip(ref, grads, moments):
+                if group == "weights-sgd":
+                    g = g + wd * r
+                    m[0] = g.copy() if t == 1 else m[0] * np.float32(SGD_MOMENTUM) + g
+                    r -= lr * m[0]
+                else:
+                    m[0] = m[0] * b1 + (1 - b1) * g
+                    m[1] = m[1] * b2 + (1 - b2) * g * g
+                    mhat = m[0] / np.float32(1.0 - ADAM_BETAS[0] ** t)
+                    vhat = m[1] / np.float32(1.0 - ADAM_BETAS[1] ** t)
+                    r -= np.float32(opt.lr * opt.weight_decay) * r
+                    r -= lr * mhat / (np.sqrt(vhat) + np.float32(ADAM_EPS))
+            assert all(np.array_equal(p.data, r) for p, r in zip(params, ref)), f"step {t}"
 
     def test_adam_first_step_magnitude(self):
         p = Tensor(np.array([0.3, -0.7], dtype=np.float32), requires_grad=True)
