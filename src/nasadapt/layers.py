@@ -7,7 +7,8 @@ module states, once, the stage list of an inverted-residual operation
 expansion 1, a kxk ``depthwise`` carrying the stride, a 1x1 ``project``)
 and of the stem (a strided 3x3 ``conv``, then a k3/e1 MBConv).
 :class:`ConvChain` runs a stage list with relu6 after every stage but the
-last; the parameter mapper and the cost model read the same lists.
+last, as the epilogue of that stage's batch norm; the parameter mapper and
+the cost model read the same lists.
 Every module takes its tensors from a :class:`TensorSource` and names
 each one where it creates it.
 """
@@ -21,7 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .numerics import Tensor, batch_norm, conv2d, relu6
+from .numerics import Tensor, batch_norm, conv2d
+# not called here: perfbench/instrument.py patches this name (until ROADMAP item 1)
+from .numerics import relu6  # noqa: F401
 from .numerics.tensor import DTYPE
 from .searchspace import StemSpec
 
@@ -128,10 +131,12 @@ def stem_stages(stem: StemSpec) -> tuple[ConvStage, ...]:
 
 
 class ConvChain:
-    """Runs a stage list: conv then batch norm per stage, relu6 between stages;
-    an empty list is the identity (a skip). ``weight`` maps each stage's name
-    to its conv weight, and ``bn`` to its batch norm's gamma, beta, running
-    mean and running variance."""
+    """Runs a stage list: conv then batch norm per stage, the batch norm of
+    every stage but the last followed by relu6 in the same call, its
+    epilogue; an empty list is the identity (a skip). Unrecorded in eval
+    mode, each epilogue writes over its conv's output, which nothing else
+    reads. ``weight`` maps each stage's name to its conv weight, and ``bn``
+    to its batch norm's gamma, beta, running mean and running variance."""
 
     def __init__(self, stages: tuple[ConvStage, ...], source: TensorSource):
         self.stages = stages
@@ -148,11 +153,12 @@ class ConvChain:
                                bn.buffer("var", (s.c_out,), ones))
 
     def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
-        h = x
+        h, last = x, len(self.stages) - 1
         for n, s in enumerate(self.stages):
-            if n:
-                h = relu6(h)
             h = conv2d(h, self.weight[s.name], stride=s.stride, padding=(s.kernel - 1) // 2,
                        groups=s.groups)
-            h = batch_norm(h, *self.bn[s.name], training=training, update_stats=update_stats)
+            # the conv output has no other reader: an unrecorded eval
+            # batch norm may write its result over it
+            h = batch_norm(h, *self.bn[s.name], training=training, update_stats=update_stats,
+                           relu6=n < last, out=h.data)
         return h

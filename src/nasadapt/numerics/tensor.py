@@ -334,6 +334,9 @@ def relu6(t) -> Tensor:
     return _record((tt,), out, bw)
 
 
+_relu6 = relu6  # batch_norm's keyword of the same name hides it there
+
+
 def softmax(t, axis: int = -1) -> Tensor:
     """Numerically safe softmax (max subtraction) along one axis."""
     tt = as_tensor(t)
@@ -451,40 +454,40 @@ def _dw_kernel(n: int, c: int, h: int, w: int, k: int, stride: int, padding: int
     return "band" if recorded else "taps"
 
 
-def _phase_lines(size: int, padding: int, stride: int, phase: int,
+def _phase_lines(size: int, padding: int, stride: int, phase: int, start: int,
                  length: int) -> tuple[slice, slice]:
-    """The lines of a phase plane of ``length`` lines that hold input, and the
-    input lines they hold: phase line i is padded line ``stride*i + phase``."""
-    first = (phase - padding) % stride  # the first input line in this phase
-    lo = (first + padding) // stride
-    count = min(length - lo, len(range(first, size, stride)))
-    return slice(lo, lo + count), slice(first, first + stride * count, stride)
+    """Of the ``length`` lines of a phase plane from line ``start`` on, the
+    ones that hold input, counted from ``start``, and the input lines they
+    hold: phase line i is padded line ``stride*i + phase``, input line
+    ``stride*i + phase - padding``."""
+    lo = max(start, -((phase - padding) // stride))  # the first line past the top padding
+    count = max(0, min(start + length, -((phase - padding - size) // stride)) - lo)
+    first = stride * lo + phase - padding
+    return slice(lo - start, lo - start + count), slice(first, first + stride * count, stride)
 
 
 def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Depthwise conv as k^2 shifted multiply-accumulates over flat phase planes.
 
-    The padded input is split once into stride x stride phase planes, phase
-    (a, b) holding the padded rows a, a+stride, ... and columns b, b+stride,
-    .... Each is one flat run of rows of ``ws = ow + (k-1)//stride``
-    columns, plus a spare row for the last run's overhang. Tap (ki, kj)
-    reads phase (ki % stride, kj % stride) from offset ``(ki//stride)*ws +
-    kj//stride`` on: one contiguous run per plane, whose first ``ow``
-    columns per row are output. A block is as many whole planes as fit the
-    byte budget, or a band of rows of one plane. Forward only: no conv that
-    is put on the tape runs it.
+    The padded input splits into stride x stride phase planes, phase (a, b)
+    holding the padded rows a, a+stride, ... and columns b, b+stride, ....
+    Each is one flat run of rows of ``ws = ow + (k-1)//stride`` columns.
+    Tap (ki, kj) reads phase (ki % stride, kj % stride) from offset
+    ``(ki//stride)*ws + kj//stride`` on: one contiguous run per plane,
+    whose first ``ow`` columns per row are output. A block is as many
+    whole planes as fit the byte budget, or a band of rows of one plane.
+    Each block copies the phase rows its taps read, its own rows plus
+    ``(k-1)//stride + 1`` below them for the taps' reach and the last
+    run's overhang, from the input into a zeroed buffer of its own, so no
+    padded copy of the whole input exists. Forward only: no conv that is
+    put on the tape runs it.
     """
     n, c, h, w = xd.shape
     k, s = wd.shape[-1], stride
     oh, ow = _out_size(h, k, s, padding), _out_size(w, k, s, padding)
     reach = (k - 1) // s
-    hs, ws = oh + reach + 1, ow + reach
-    phases = np.zeros((n, c, s, s, hs, ws), dtype=DTYPE)
-    for a, b in np.ndindex(s, s):
-        (prows, xrows), (pcols, xcols) = (_phase_lines(h, padding, s, a, hs),
-                                          _phase_lines(w, padding, s, b, ws))
-        phases[:, :, a, b, prows, pcols] = xd[:, :, xrows, xcols]
-    phases = phases.reshape(n, c, s * s, hs * ws)
+    ws = ow + reach
+    cols = [_phase_lines(w, padding, s, b, 0, ws) for b in range(s)]
     taps = [((ki % s) * s + kj % s, (ki // s) * ws + kj // s) for ki, kj in np.ndindex(k, k)]
     wt = np.ascontiguousarray(wd.reshape(c, k * k).T)[:, :, None]
     row = s * s * n * ws * np.dtype(DTYPE).itemsize  # one plane's input per output row
@@ -493,13 +496,20 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -
     out = np.empty((n, c, oh, ow), dtype=DTYPE)
     for c0, r0 in product(range(0, c, planes), range(0, oh, rows)):
         chans, r1 = slice(c0, min(c, c0 + planes)), min(oh, r0 + rows)
-        acc, tmp = np.empty((2, n, chans.stop - c0, (r1 - r0) * ws), dtype=DTYPE)
+        m, lines, span = chans.stop - c0, r1 - r0 + reach + 1, (r1 - r0) * ws
+        phases = np.zeros((n, m, s, s, lines, ws), dtype=DTYPE)
+        for a, b in np.ndindex(s, s):
+            (prows, xrows), (pcols, xcols) = _phase_lines(h, padding, s, a, r0, lines), cols[b]
+            phases[:, :, a, b, prows, pcols] = xd[:, chans, xrows, xcols]
+        phases = phases.reshape(n, m, s * s, lines * ws)
+        acc, tmp = np.empty((2, n, m, span), dtype=DTYPE)
         for t, (phase, offset) in enumerate(taps):
-            run = phases[:, chans, phase, r0 * ws + offset:r1 * ws + offset]
-            np.multiply(run, wt[t, chans], out=tmp if t else acc)
+            np.multiply(phases[:, :, phase, offset:offset + span], wt[t, chans],
+                        out=tmp if t else acc)
             if t:
                 acc += tmp
-        out[:, chans, r0:r1] = acc.reshape(n, -1, r1 - r0, ws)[..., :ow]
+        out[:, chans, r0:r1] = acc.reshape(n, m, r1 - r0, ws)[..., :ow]
+        del phases, acc, tmp  # before the next block allocates its own
     return out
 
 
@@ -713,13 +723,16 @@ _TINY = np.finfo(DTYPE).tiny
 _AFFINE_BLOCK_BYTES = 1 << 18
 
 
-def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """``xd * scale + shift`` per channel of an NCHW array, into a fresh array,
-    flushed: every result with ``|y| < finfo(float32).tiny`` becomes +0.0
-    and every other result keeps its bits.
+def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray, clip: bool,
+            out: np.ndarray) -> np.ndarray:
+    """``xd * scale + shift`` per channel of an NCHW array, into ``out``, which
+    may be ``xd`` itself, flushed: every result with ``|y| < finfo(float32).tiny``
+    becomes +0.0 and every other result keeps its bits. With ``clip``, each
+    block of channels is then clipped as :func:`relu6` clips. Flush, then
+    clip: clipping first gives the same bits, but the flush's copy mask is
+    then dense and the pass about 2x slower.
     """
     n, c, h, w = xd.shape
-    out = np.empty(xd.shape, dtype=DTYPE)
     step = max(1, _AFFINE_BLOCK_BYTES // (n * h * w * np.dtype(DTYPE).itemsize))
     for c0 in range(0, c, step):
         chans = slice(c0, c0 + step)
@@ -727,6 +740,8 @@ def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray) -> np.ndarray:
         np.multiply(xd[:, chans], scale[chans, None, None], out=y)
         y += shift[chans, None, None]
         np.copyto(y, 0, where=np.abs(y) < _TINY)
+        if clip:
+            np.clip(y, 0.0, 6.0, out=y)
     return out
 
 
@@ -736,14 +751,16 @@ def _channel_sums(rows: np.ndarray, c: int) -> np.ndarray:
 
 
 def _train_batch_norm(xt: Tensor, gt: Tensor, bt: Tensor, running_mean: np.ndarray,
-                      running_var: np.ndarray, update_stats: bool) -> Tensor:
+                      running_var: np.ndarray, update_stats: bool, clip: bool) -> Tensor:
     """Train-mode batch norm on the (n, c*h*w) rows of an NCHW input.
 
     Each per-channel vector is applied as one row of c*h*w entries, the
     vector repeated over each plane. ``xc = x - mean`` is kept for the
     backward: ``dgamma = sum(g*xc) * invstd``, and ``dx = s*g - s*dbeta/cnt
     - xc * s*invstd*dgamma/cnt`` with ``s = gamma*invstd`` over the ``cnt``
-    entries of a channel.
+    entries of a channel. With ``clip``, the output is clipped in place as
+    :func:`relu6` clips, and the backward first masks ``g`` as relu6's
+    backward does, reading the mask off the clipped output.
     """
     xd = xt.data
     n, c, h, w = xd.shape
@@ -762,11 +779,15 @@ def _train_batch_norm(xt: Tensor, gt: Tensor, bt: Tensor, running_mean: np.ndarr
     scale = gt.data * invstd
     np.multiply(xc, scale.repeat(hw), out=out)
     out += bt.data.repeat(hw)
+    if clip:
+        np.clip(out, 0.0, 6.0, out=out)
     if not (need_gx or need_gg):
         xc = None  # only dgamma and dx read it
 
     def bw(g):
         g2 = g.reshape(n, c * hw)
+        if clip:  # relu6's mask: the same off the clipped output as off the unclipped
+            g2 = g2 * ((out > 0.0) & (out < 6.0))
         dgamma = dbeta = dx = None
         if need_gb or need_gx:
             dbeta = _channel_sums(g2, c)
@@ -786,21 +807,29 @@ def _train_batch_norm(xt: Tensor, gt: Tensor, bt: Tensor, running_mean: np.ndarr
 
 
 def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, update_stats: Optional[bool] = None) -> Tensor:
-    """Per-channel batch normalization over an NCHW tensor.
+               training: bool, update_stats: Optional[bool] = None, *, relu6: bool = False,
+               out: Optional[np.ndarray] = None) -> Tensor:
+    """Per-channel batch normalization over an NCHW tensor; with ``relu6``,
+    followed by :func:`relu6` in the same call, bit for bit, gradients too.
 
     Train mode normalizes by batch statistics (biased, two-pass variance)
     and, when ``update_stats`` (defaults to ``training``), folds them into
     the running buffers with momentum ``BN_MOMENTUM``; it works on the
     (n, c*h*w) rows of the input and takes every per-channel sum over the
-    batch first, then over the plane (:func:`_train_batch_norm`). Eval
-    mode is one per-channel affine ``x * s + t`` with ``s = gamma *
-    invstd``, ``invstd = 1 / sqrt(running_var + BN_EPS)``, and ``t = beta
-    + s * -running_mean``. Unrecorded, it is :func:`_affine`, whose output
-    is flushed: every subnormal becomes 0. Recorded, it is composed of
-    recorded primitives, which differentiate it, and is not flushed. The
-    running buffers are plain arrays mutated in place; they carry no
-    gradient.
+    batch first, then over the plane (:func:`_train_batch_norm`), and is
+    one tape node, its clip included. Eval mode is one per-channel affine
+    ``x * s + t`` with ``s = gamma * invstd``, ``invstd = 1 /
+    sqrt(running_var + BN_EPS)``, and ``t = beta + s * -running_mean``.
+    Unrecorded, it is :func:`_affine`: the affine, a flush that turns
+    every subnormal into 0, then the clip, in one pass per block of
+    channels. Recorded, it is composed of recorded primitives, which
+    differentiate it, then :func:`relu6`, and is not flushed. The running
+    buffers are plain arrays mutated in place; they carry no gradient.
+
+    ``out`` is for a caller whose input has no other reader, such as a
+    conv output: the unrecorded eval path writes its result into it, and
+    it may be the input's own data. Every other path ignores it and
+    returns a fresh array; without it, no path writes the input.
     """
     xt, gt, bt = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd = xt.data
@@ -813,15 +842,17 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
             raise DimensionError(f"{name} must have shape ({c},), got {arr.shape}")
     if training:
         return _train_batch_norm(xt, gt, bt, running_mean, running_var,
-                                 True if update_stats is None else update_stats)
+                                 True if update_stats is None else update_stats, relu6)
 
     invstd = 1.0 / np.sqrt(running_var + DTYPE(BN_EPS))
     if not _recording((xt, gt, bt)):
         scale = gt.data * invstd
-        return Tensor(_affine(xd, scale, bt.data - running_mean * scale))
+        return Tensor(_affine(xd, scale, bt.data - running_mean * scale, relu6,
+                              np.empty(xd.shape, dtype=DTYPE) if out is None else out))
     scale = gt * Tensor(invstd)
     shift = bt + scale * Tensor(-running_mean)
-    return xt * reshape(scale, (1, c, 1, 1)) + reshape(shift, (1, c, 1, 1))
+    y = xt * reshape(scale, (1, c, 1, 1)) + reshape(shift, (1, c, 1, 1))
+    return _relu6(y) if relu6 else y
 
 
 def cross_entropy(logits, labels) -> Tensor:

@@ -1,5 +1,6 @@
 """Conv fast paths against the im2col reference, train batch norm against
-float64, and phase-scoped gradients.
+float64 and its fused relu6 against a separate one, and phase-scoped
+gradients.
 
 ``conv2d`` sends depthwise convs on small planes to batched matmuls with
 Toeplitz matrices, of whole planes ("toeplitz") or of blocks of two
@@ -22,6 +23,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -240,6 +242,24 @@ def test_tap_loop_is_bit_identical_to_the_shifted_product_sum(monkeypatch):
     assert ([0], [0]) in split
     assert any(len(chans) > 1 and chans[1] - chans[0] > 1 for chans, _ in split)
     assert any(len(rows) > 1 for _, rows in split)
+
+
+def test_tap_loop_holds_no_copy_of_its_input(monkeypatch):
+    # beyond its output, an unrecorded conv past the Toeplitz budget holds
+    # only block-sized buffers, never a padded copy of its whole input
+    kernels = _spy_kernel(monkeypatch)
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((1, 16, 160, 160)).astype(np.float32)
+    wd = rng.standard_normal((16, 1, 7, 7)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            out = conv2d(Tensor(x), Tensor(wd), padding=3, groups=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernels == [TAP_LOOP] and x.nbytes > 3 * engine._DW_BLOCK_BYTES
+    assert peak - out.data.nbytes < 3 * engine._DW_BLOCK_BYTES
 
 
 @pytest.mark.parametrize("hw", [(9, 9), (10, 8), (2, 2), (4, 4)],
@@ -700,6 +720,31 @@ def test_train_batch_norm_matches_float64_on_desk3_shapes(monkeypatch):
                                  _train_batch_norm_float64(x, gamma, beta, g)):
             dev = float(np.abs(a - want).max() / np.abs(want).max())
             assert dev <= 16 * 2.0 ** -24, f"{shape} {name}: {dev:.2e}"
+
+
+def test_train_epilogue_is_relu6_of_batch_norm_bit_for_bit_on_desk3_shapes(monkeypatch):
+    # batch_norm(relu6=True) is one tape node; its output, its three
+    # gradients and the running statistics are those of relu6(batch_norm())
+    shapes = _desk3_batch_norm_shapes(monkeypatch)
+    rng = np.random.default_rng(17)
+    clipped = [0, 0]  # outputs clipped to 0 and to 6, over all shapes
+    for shape in shapes:
+        c = shape[1]
+        x = rng.standard_normal(shape).astype(np.float32)
+        gamma = (rng.standard_normal(c) * 3).astype(np.float32)
+        beta = (rng.standard_normal(c) * 3).astype(np.float32)
+        g = rng.standard_normal(shape).astype(np.float32)
+        stats = [(np.zeros(c, np.float32), np.ones(c, np.float32)) for _ in range(2)]
+        fused, inner = (batch_norm(*(Tensor(a, requires_grad=True) for a in (x, gamma, beta)),
+                                   *stats[i], training=True, relu6=i == 0) for i in range(2))
+        outer = relu6(inner)
+        got = (fused.data, *fused.node.backward_fn(g), *stats[0])
+        want = (outer.data, *inner.node.backward_fn(outer.node.backward_fn(g)[0]), *stats[1])
+        for name, a, b in zip(("out", "dx", "dgamma", "dbeta", "mean", "var"), got, want):
+            assert np.array_equal(a.view(np.uint32), b.view(np.uint32)), f"{shape} {name}"
+        clipped[0] += int((fused.data == 0).sum())
+        clipped[1] += int((fused.data == 6).sum())
+    assert len(shapes) > 20 and min(clipped) > 0
 
 
 def _tiny_search_setup(seed=3):

@@ -1,14 +1,17 @@
 """Tensor engine tests: forward semantics, gradient oracles, optimizers."""
 
 import gc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nasadapt import layers
 from nasadapt.derive import default_source_architecture, instantiate
 from nasadapt.errors import ContractError, DimensionError, ParameterError
+from nasadapt.layers import ConvChain, TensorSource, mbconv_stages
 from nasadapt.numerics import (
     SGD,
     Adam,
@@ -218,6 +221,26 @@ class TestBatchNorm:
         if shape[0] * shape[2] * shape[3] == 1:
             assert not x.grad.any() and not gamma.grad.any()
 
+    def test_train_epilogue_gradients_on_2x2_planes(self):
+        # the fused relu6 on one tape node; the outputs stay 0.05 or more
+        # from both kinks, so the finite differences never step across one
+        rng = np.random.default_rng(10)
+        x = rand_tensor(rng, (2, 3, 2, 2))
+        gamma = Tensor(np.array([4.0, 2.5, -3.0], dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.array([3.0, 0.5, 2.0], dtype=np.float32), requires_grad=True)
+        mean, var = self._stats(3)
+        coeff = Tensor(rng.standard_normal((2, 3, 2, 2)).astype(np.float32))
+
+        def loss():
+            y = batch_norm(x, gamma, beta, mean, var, training=True, update_stats=False,
+                           relu6=True)
+            return (y * coeff).sum()
+
+        y = batch_norm(x, gamma, beta, mean, var, training=True, update_stats=False).data
+        assert (y < -0.05).any() and (y > 6.05).any()
+        assert np.minimum(np.abs(y), np.abs(y - 6)).min() >= 0.05
+        check_gradients(loss, [x, gamma, beta], what="batch_norm train relu6 2x2")
+
     def _eval_case(self, stats):
         """N(0, 1) input, gamma/beta and running statistics: unit ones, or
         the ones one train pass over other data leaves."""
@@ -287,6 +310,58 @@ class TestBatchNorm:
         y2 = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), mean, var, training=False)
         assert y2.node is None and y2.data.tobytes() == y.data.tobytes()
         assert x.tobytes() == before
+
+    def _edge_case(self):
+        """Eval inputs whose affine ``x * s + t`` gives results of exactly 0
+        and 6, subnormals, -0.0 and NaN, beside N(0, 9) ones: s = 0 in
+        channels 0-2, so t (6, +0.0, -0.0) is added to +-0.0."""
+        tiny = np.finfo(np.float32).tiny
+        rng = np.random.default_rng(14)
+        x = (rng.standard_normal((2, 5, 3, 4)) * 3).astype(np.float32)
+        x[0, 3, 0] = [tiny / 4, -tiny / 3, 1e-39, -1e-39]
+        x[1, 4, 0] = [np.nan, -0.0, 6.0, 0.0]
+        x[1, 0, 0, 0] = np.nan
+        gamma = np.array([0.0, 0.0, 0.0, 1.0, 2.0], np.float32)
+        beta = np.array([6.0, 0.0, -0.0, 0.0, 1.0], np.float32)
+        mean, var = self._stats(5)
+        s = gamma * (1.0 / np.sqrt(var + np.float32(engine.BN_EPS)))
+        plain = x * s[:, None, None] + (beta - mean * s)[:, None, None]
+        for edge in (plain == 0.0, plain == 6.0, (plain == 0.0) & np.signbit(plain),
+                     np.isnan(plain), (plain != 0.0) & (np.abs(plain) < tiny)):
+            assert edge.any()
+        return x, gamma, beta, mean, var
+
+    @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "unrecorded"])
+    def test_eval_epilogue_is_relu6_of_batch_norm_bit_for_bit(self, recorded):
+        x, gamma, beta, mean, var = self._edge_case()
+
+        def norm(**kw):
+            with nullcontext() if recorded else no_grad():
+                return batch_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta),
+                                  mean, var, training=False, **kw)
+
+        want = relu6(norm()).data.view(np.uint32)
+        fused = norm(relu6=True)
+        assert (fused.node is not None) == recorded
+        assert np.array_equal(fused.data.view(np.uint32), want)
+        if not recorded:  # and written over the input, as a conv chain asks
+            own = x.copy()
+            with no_grad():
+                over = batch_norm(Tensor(own), Tensor(gamma), Tensor(beta), mean, var,
+                                  training=False, relu6=True, out=own)
+            assert np.shares_memory(over.data, own)
+            assert np.array_equal(own.view(np.uint32), want)
+
+    @pytest.mark.parametrize("relu6_", [False, True], ids=["plain", "relu6"])
+    @pytest.mark.parametrize("mode", ["train", "recorded-eval", "unrecorded-eval"])
+    def test_no_mode_writes_its_input(self, mode, relu6_):
+        x, gamma, beta, mean, var = self._edge_case()
+        before = x.tobytes()
+        with no_grad() if mode == "unrecorded-eval" else nullcontext():
+            y = batch_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta),
+                           mean, var, training=mode == "train", relu6=relu6_)
+        assert (y.node is None) == (mode == "unrecorded-eval")
+        assert x.tobytes() == before and not np.shares_memory(x, y.data)
 
     def test_channel_mismatch(self):
         x = Tensor(np.zeros((1, 3, 2, 2), dtype=np.float32))
@@ -556,6 +631,25 @@ class TestOptimizers:
             SGD([p], lr=0.0)
         with pytest.raises(ParameterError):
             Adam([p], lr=0.1, weight_decay=-1.0)
+
+
+@pytest.mark.parametrize("mode", ["train", "recorded-eval", "unrecorded-eval"])
+def test_conv_chain_reuses_only_its_unrecorded_eval_conv_outputs(monkeypatch, mode):
+    # every stage's batch norm result is a fresh array, except in an
+    # unrecorded eval forward, where it is written over the conv output
+    chain = ConvChain(mbconv_stages(4, 6, 3, 3, 1), TensorSource(seed=0))
+    x = np.random.default_rng(15).standard_normal((2, 4, 6, 6)).astype(np.float32)
+    before = x.tobytes()
+    convs, norms, conv, norm = [], [], layers.conv2d, layers.batch_norm
+    monkeypatch.setattr(layers, "conv2d", lambda *a, **kw: convs.append(conv(*a, **kw))
+                        or convs[-1])
+    monkeypatch.setattr(layers, "batch_norm", lambda *a, **kw: norms.append(norm(*a, **kw))
+                        or norms[-1])
+    with no_grad() if mode == "unrecorded-eval" else nullcontext():
+        chain(Tensor(x), training=mode == "train")
+    assert x.tobytes() == before
+    assert [np.shares_memory(c.data, b.data) for c, b in zip(convs, norms)] == \
+        [mode == "unrecorded-eval"] * 3
 
 
 def test_forward_determinism():

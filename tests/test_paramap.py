@@ -513,9 +513,11 @@ class TestFunctionPreservation:
         flushed, layouts = [], set()
         affine, choose = engine._affine, engine._dw_kernel
 
-        def counting_affine(xd, scale, shift):
-            out = affine(xd, scale, shift)
-            plain = xd * scale[:, None, None] + shift[:, None, None]
+        def counting_affine(xd, scale, shift, clip, out):
+            plain = xd * scale[:, None, None] + shift[:, None, None]  # before out may overwrite xd
+            if clip:
+                plain = np.clip(plain, 0.0, 6.0)
+            out = affine(xd, scale, shift, clip, out)
             flushed.append(int((out != plain).sum()))
             return out
 
