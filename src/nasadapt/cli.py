@@ -148,6 +148,7 @@ def _cmd_verify(args) -> int:
     mapped, _ = map_to_derived(source, target_arch, eps=0.0)
     src_net = instantiate(source.architecture(), arrays=source.tensors)
     dst_net = instantiate(target_arch, arrays=mapped.tensors)
+    del source, mapped  # each network holds its own copies
     report = verify_function_preservation(src_net, dst_net, samples=args.samples,
                                           tol=args.tol, seed=args.seed)
     write_json(report, args.out)

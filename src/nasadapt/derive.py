@@ -182,7 +182,7 @@ class DiscreteNetwork:
         self.blocks = [[ConvChain(stages, source.scope(prefix)) for prefix, stages in layers]
                        for layers in arch_layers(arch)]
         self.final_channels = arch.blocks[-1].channels
-        self._tensors = source
+        self._tensors = source.close()
 
     def forward(self, x, training: bool = True,
                 update_stats: bool | None = None) -> list[Tensor]:

@@ -25,7 +25,7 @@ from .errors import ContractError, ParameterError
 from .numerics import Tensor, batch_norm, conv2d
 # not called here: perfbench/instrument.py patches this name (until ROADMAP item 1)
 from .numerics import relu6  # noqa: F401
-from .numerics.tensor import DTYPE
+from .numerics.tensor import DTYPE, _dw_kernel, _out_size, _recording
 from .searchspace import StemSpec
 
 
@@ -55,8 +55,9 @@ class TensorSource:
     From a seed, each tensor is its init (``trunc_normal``, ``ones`` or
     ``zeros``), drawn from one PCG64 generator in creation order. From
     arrays, each tensor is a float32 copy of the array of its name, and
-    nothing is drawn. ``params`` and ``state`` map names to the trainable
-    tensors and the running statistics, in creation order.
+    nothing is drawn; a built network keeps its source closed
+    (:meth:`close`), not the arrays. ``params`` and ``state`` map names to
+    the trainable tensors and the running statistics, in creation order.
     """
 
     def __init__(self, seed: int | None = None,
@@ -95,6 +96,14 @@ class TensorSource:
         name, data = self._take(name, shape, init)
         self.state[name] = data
         return data
+
+    def close(self) -> "TensorSource":
+        """Forget the arrays the tensors were copied from, so that what was
+        built from them does not keep them alive; later takes find no
+        tensor. Returns this source, its record intact."""
+        if self._arrays is not None:
+            self._arrays = {}
+        return self
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Every recorded tensor's array: parameters, then running statistics."""
@@ -135,8 +144,10 @@ class ConvChain:
     every stage but the last followed by relu6 in the same call, its
     epilogue; an empty list is the identity (a skip). Unrecorded in eval
     mode, each epilogue writes over its conv's output, which nothing else
-    reads. ``weight`` maps each stage's name to its conv weight, and ``bn``
-    to its batch norm's gamma, beta, running mean and running variance."""
+    reads, and a chain over :data:`BAND_BYTES` runs in bands of rows
+    (:meth:`_bands`). ``weight`` maps each stage's name to its conv
+    weight, and ``bn`` to its batch norm's gamma, beta, running mean and
+    running variance."""
 
     def __init__(self, stages: tuple[ConvStage, ...], source: TensorSource):
         self.stages = stages
@@ -153,6 +164,9 @@ class ConvChain:
                                bn.buffer("var", (s.c_out,), ones))
 
     def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
+        bands = 1 if training else self._bands(x)
+        if bands > 1:
+            return self._banded(x.data, bands)
         h, last = x, len(self.stages) - 1
         for n, s in enumerate(self.stages):
             h = conv2d(h, self.weight[s.name], stride=s.stride, padding=(s.kernel - 1) // 2,
@@ -162,3 +176,127 @@ class ConvChain:
             h = batch_norm(h, *self.bn[s.name], training=training, update_stats=update_stats,
                            relu6=n < last, out=h.data)
         return h
+
+    def _depthwise(self) -> int:
+        """Index of the depthwise stage, or -1 for a list without one or one
+        that bands do not cover: more than one stage before it, a kernel
+        smaller than its stride, or a later stage that is not a stride-1
+        1x1 conv."""
+        d = next((i for i, s in enumerate(self.stages) if s.groups > 1), -1)
+        if d not in (0, 1) or self.stages[d].kernel < self.stages[d].stride or \
+                any(s.kernel != 1 or s.stride != 1 for s in self.stages[d + 1:]):
+            return -1
+        return d
+
+    def _planes(self, d: int, shape: tuple) -> tuple[int, int, int, int]:
+        """The input and output planes (h, w, oh, ow) of depthwise stage
+        ``d`` for a chain input of ``shape``."""
+        planes = [shape[2:]]
+        for s in self.stages[:d + 1]:
+            planes.append([_out_size(v, s.kernel, s.stride, (s.kernel - 1) // 2)
+                           for v in planes[-1]])
+        return (*planes[-2], *planes[-1])
+
+    def _bands(self, x: Tensor) -> int:
+        """How many bands of depthwise output rows an eval forward of ``x``
+        runs in; 1 is the whole plane. An unrecorded forward whose
+        depthwise conv runs the tap loop on the whole plane (``_dw_kernel``)
+        takes bands of as many rows as keep every stage's output within
+        :data:`BAND_BYTES`, but at least enough that each conv's matmul
+        exceeds :data:`_SMALL_GEMM_MADDS`, if its plane holds two such
+        bands."""
+        d = self._depthwise()
+        if d < 0 or _recording((x, self.weight[self.stages[d].name])):
+            return 1
+        dw, n = self.stages[d], x.shape[0]
+        h, w, oh, ow = self._planes(d, x.shape)
+        k, stride, pad = dw.kernel, dw.stride, (dw.kernel - 1) // 2
+        if _dw_kernel(n, dw.c_in, h, w, k, stride, pad, False) != "taps":
+            return 1
+        # per band row: each stage's output bytes, and each matmul's
+        # multiply-adds per sample, which a band of r rows takes r times (a
+        # stage before the depthwise one makes at least stride*r - pad rows)
+        item = np.dtype(DTYPE).itemsize
+        row_bytes = [n * s.c_out * ow * item for s in self.stages[d:]]
+        need = [_SMALL_GEMM_MADDS // (ow * s.c_out * s.c_in) + 1 for s in self.stages[d + 1:]]
+        for s in self.stages[:d]:
+            row_bytes.append(n * s.c_out * w * stride * item)
+            made = _SMALL_GEMM_MADDS // (w * s.c_out * s.c_in * s.kernel ** 2) + 1
+            need.append(-(-(made + pad) // stride))
+        return max(1, oh // max(BAND_BYTES // max(row_bytes), *need, 1))
+
+    def _banded(self, x: np.ndarray, bands: int) -> Tensor:
+        """The unrecorded eval forward in ``bands`` bands of depthwise output
+        rows, of sizes that differ by at most one.
+
+        The depthwise input lives in a window of the zero-padded rows one
+        band reads. The stage before the depthwise one, if any, writes each
+        of its output rows into the window once, through its batch norm's
+        ``out``; rows the next band reads again move to the window's top,
+        and rows in the padding are zeroed. Each band's depthwise conv runs
+        with ``padding=0`` on the window, and its later stages on the
+        band's rows, the last one's batch norm writing into the output.
+        Every conv and batch norm is the whole plane's call on fewer rows:
+        the same kernels and the same float32 operations per element, so
+        the same bits, and in sum the same multiply-adds.
+        """
+        d = self._depthwise()
+        pre, dw, last = self.stages[:d], self.stages[d], len(self.stages) - 1
+        n = x.shape[0]
+        h, w, oh, ow = self._planes(d, x.shape)
+        k, stride, pad = dw.kernel, dw.stride, (dw.kernel - 1) // 2
+        most = -(-oh // bands)
+        window = np.zeros((n, dw.c_in, stride * (most - 1) + k, w + 2 * pad), dtype=DTYPE)
+        out = np.empty((n, self.stages[-1].c_out, oh, ow), dtype=DTYPE)
+        top = done = 0  # padded rows: the window's first, and the first not yet made
+        for j in range(bands):
+            r0, r1 = j * oh // bands, (j + 1) * oh // bands
+            lo, hi = stride * r0, stride * (r1 - 1) + k  # the padded rows the band reads
+            window[:, :, :done - lo] = window[:, :, lo - top:done - top]
+            top = lo
+            # padded rows [done, hi) hold input rows [a, b) and padding
+            a, b = min(max(done - pad, 0), h), max(min(hi - pad, h), 0)
+            window[:, :, done - top:a + pad - top] = 0
+            window[:, :, max(b + pad, done) - top:hi - top] = 0
+            if a < b:
+                rows = window[:, :, a + pad - top:b + pad - top, pad:pad + w]
+                if pre:
+                    t = conv2d(_padded_rows(x, pre[0], a, b), self.weight[pre[0].name],
+                               stride=pre[0].stride, padding=0)
+                    batch_norm(t, *self.bn[pre[0].name], training=False, relu6=True, out=rows)
+                else:
+                    rows[...] = x[:, :, a:b]
+            done = hi
+            t = window[:, :, lo - top:hi - top]
+            assert _dw_kernel(n, dw.c_in, hi - lo, t.shape[3], k, stride, 0, False) == "taps"
+            for i in range(d, last + 1):
+                s = self.stages[i]
+                t = conv2d(t, self.weight[s.name], stride=s.stride, padding=0, groups=s.groups)
+                t = batch_norm(t, *self.bn[s.name], training=False, relu6=i < last,
+                               out=out[:, :, r0:r1] if i == last else t.data)
+        return Tensor(out)
+
+
+# An unrecorded eval chain runs in bands of rows that hold about this many
+# bytes of each stage output (ConvChain._bands). On a 2-core VM at one BLAS
+# thread, a table1-adapt pass peaked at 169, 189 and 241 MB with 4, 8 and
+# 16 MB bands, and its two eval forwards at 800x1088 took 11 %, 5 % and
+# 2 % longer than on whole planes.
+BAND_BYTES = 8 << 20
+# OpenBLAS on AVX-512 runs a matmul of at most 100^3 multiply-adds through a
+# small-matrix kernel that rounds differently from its blocked kernels, so
+# the same pixels can come out of a small product and a large one with
+# different bits; a large product gives every pixel the same bits however
+# its pixels are split. Each band's matmuls stay above this size.
+_SMALL_GEMM_MADDS = 100 ** 3
+
+
+def _padded_rows(x: np.ndarray, stage: ConvStage, a: int, b: int) -> np.ndarray:
+    """The zero-padded rows of ``x`` that output rows [a, b) of ``stage`` read."""
+    n, c, h, w = x.shape
+    pad = (stage.kernel - 1) // 2
+    first = stage.stride * a - pad
+    out = np.zeros((n, c, stage.stride * (b - a - 1) + stage.kernel, w + 2 * pad), dtype=DTYPE)
+    lo, hi = max(first, 0), min(first + out.shape[2], h)
+    out[:, :, lo - first:hi - first, pad:pad + w] = x[:, :, lo:hi]
+    return out

@@ -62,6 +62,9 @@ def count_madds():
     Counts one multiply-add per kernel multiplication, i.e.
     ``N * k^2 * (C_in/groups) * C_out * H_out * W_out`` per convolution.
     Normalization, activations, and elementwise arithmetic are excluded.
+    ``conv_calls`` counts ``conv2d`` calls: a conv chain that runs in bands
+    of rows (``layers.ConvChain``) makes one per stage and band, whose
+    multiply-adds add up to the whole plane's.
     """
     prev = _STATE.counter
     counter = MAddsCounter()
@@ -435,6 +438,27 @@ _BAND_MIN_ROWS = 16
 _BAND_ROWS = 2
 
 
+# ufunc buffer size, in entries, for the tap loop and the eval affine. At
+# numpy's default of 8192, a per-channel value broadcast over rows of up to
+# half that many entries goes through the ufunc buffers: (20, 3000) float32
+# entries times a (20, 1) weight took 0.77 ns per entry, against 0.21 ns at
+# 1024, and verify's two table1 eval forwards at 800x1088 6.2 s against
+# 5.9 s (2-core VM, one BLAS thread). Neither loop casts, so the buffer
+# size changes how numpy groups the rows, never a result.
+_UFUNC_BUFSIZE = 1024
+
+
+@contextmanager
+def _small_ufunc_buffers():
+    """Run ufuncs with _UFUNC_BUFSIZE-entry buffers; numpy keeps the
+    setting per thread and context, so no other caller sees it."""
+    prev = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(prev)
+
+
 def _dw_kernel(n: int, c: int, h: int, w: int, k: int, stride: int, padding: int,
                recorded: bool) -> str:
     """The depthwise kernel for a shape, and for whether the conv is put on
@@ -466,6 +490,7 @@ def _phase_lines(size: int, padding: int, stride: int, phase: int, start: int,
     return slice(lo - start, lo - start + count), slice(first, first + stride * count, stride)
 
 
+@_small_ufunc_buffers()
 def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -> np.ndarray:
     """Depthwise conv as k^2 shifted multiply-accumulates over flat phase planes.
 
@@ -723,6 +748,7 @@ _TINY = np.finfo(DTYPE).tiny
 _AFFINE_BLOCK_BYTES = 1 << 18
 
 
+@_small_ufunc_buffers()
 def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray, clip: bool,
             out: np.ndarray) -> np.ndarray:
     """``xd * scale + shift`` per channel of an NCHW array, into ``out``, which

@@ -147,7 +147,7 @@ class Supernet:
         self.stem = ConvChain(stem_stages(config.stem), source.scope("stem"))
         self.blocks = [MixedBlock(spec, layers, mask_mode, source)
                        for spec, layers in zip(config.blocks, space_layers(config))]
-        self._tensors = source
+        self._tensors = source.close()
 
     @property
     def final_channels(self) -> int:

@@ -155,7 +155,7 @@ class ProxyHead:
         source = TensorSource(seed, arrays).scope("head")
         self.weight = source.param("weight", (in_channels, n_classes), trunc_normal)
         self.bias = source.param("bias", (n_classes,), zeros)
-        self._tensors = source
+        self._tensors = source.close()
 
     def __call__(self, features: Tensor) -> Tensor:
         pooled = features.mean(axis=(2, 3))

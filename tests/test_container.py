@@ -1,9 +1,13 @@
 """Checkpoint container: bit-exact round trips and format validation."""
 
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nasadapt.errors import ParameterError, ParseError
+from nasadapt.errors import ContractError, ParameterError, ParseError
 from nasadapt.numerics import load_tensors, save_tensors
 
 from helpers import write_raw_container
@@ -74,3 +78,73 @@ def test_rejects_malformed_header(tmp_path, header):
     write_raw_container(path, header)
     with pytest.raises(ParseError):
         load_tensors(path)
+
+
+def _container_bytes(named):
+    """The format, written out by hand: magic, then per tensor a uint32
+    header length, the sorted-key JSON header and the float32 payload."""
+    raw = b"NAT1"
+    for name, arr in named.items():
+        header = json.dumps({"name": name, "dtype": "f32", "shape": list(arr.shape)},
+                            sort_keys=True).encode("utf-8")
+        raw += struct.pack("<I", len(header)) + header + arr.astype("<f4").tobytes()
+    return raw
+
+
+def test_zero_size_and_scalar_tensors_round_trip(tmp_path):
+    named = {
+        "empty": np.zeros((0, 2), dtype=np.float32),
+        "scalar": np.full((), 2.5, dtype=np.float32),
+        "hollow": np.zeros((3, 0, 4), dtype=np.float32),
+        "strided": np.arange(24, dtype=np.float32).reshape(4, 6)[:, ::2].T,
+    }
+    path = tmp_path / "edges.nat"
+    save_tensors(path, named)
+    assert path.read_bytes() == _container_bytes(named)
+    loaded = load_tensors(path)
+    assert list(loaded) == list(named)
+    for name, arr in named.items():
+        assert loaded[name].dtype == np.float32 and loaded[name].shape == arr.shape
+        assert loaded[name].tobytes() == np.ascontiguousarray(arr).tobytes()
+        assert loaded[name].flags.c_contiguous and loaded[name].flags.writeable
+
+
+@pytest.mark.parametrize("cut,message", [
+    (2, "bad magic bytes"),
+    (6, "truncated header length"),
+    (20, "truncated header"),
+    (-1, "truncated payload for tensor 'a'"),
+])
+def test_truncation_messages(tmp_path, cut, message):
+    path = tmp_path / "cut.nat"
+    save_tensors(path, {"a": np.ones((2, 3), dtype=np.float32)})
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ParseError, match=message):
+        load_tensors(path)
+
+
+def test_non_finite_payload_is_rejected(tmp_path):
+    path = tmp_path / "nan.nat"
+    save_tensors(path, {"a": np.ones(5, dtype=np.float32)})
+    raw = bytearray(path.read_bytes())
+    raw[-4:] = np.array([np.nan], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ContractError, match="'a' holds a non-finite value"):
+        load_tensors(path)
+
+
+def test_load_holds_the_payloads_once(tmp_path):
+    # each payload goes straight from the file into its array: no copy of
+    # the file's bytes, no second copy of a tensor, no entrywise temporary
+    rng = np.random.default_rng(5)
+    path = tmp_path / "big.nat"
+    save_tensors(path, {"a": rng.standard_normal((1000, 1000)).astype(np.float32),
+                        "b": rng.standard_normal((3, 500, 700)).astype(np.float32)})
+    tracemalloc.start()
+    try:
+        loaded = load_tensors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(arr.nbytes for arr in loaded.values()) < path.stat().st_size < peak
+    assert peak < path.stat().st_size + (128 << 10)

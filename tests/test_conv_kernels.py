@@ -262,6 +262,25 @@ def test_tap_loop_holds_no_copy_of_its_input(monkeypatch):
     assert peak - out.data.nbytes < 3 * engine._DW_BLOCK_BYTES
 
 
+def test_tap_loop_and_eval_affine_restore_the_ufunc_buffer_size(monkeypatch):
+    # both run with small ufunc buffers (the shifted-product test above pins
+    # the tap loop's bits against numpy's default ones); callers keep theirs
+    sizes = []
+    multiply = np.multiply
+    monkeypatch.setattr(np, "multiply", lambda *a, **kw: sizes.append(np.getbufsize())
+                        or multiply(*a, **kw))
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((1, 4, 9, 9)).astype(np.float32)
+    wd = rng.standard_normal((4, 1, 3, 3)).astype(np.float32)
+    before = np.getbufsize()
+    out = engine._conv_depthwise(x, wd, 1, 1)
+    with no_grad():
+        batch_norm(Tensor(out), np.ones(4, np.float32), np.zeros(4, np.float32),
+                   np.zeros(4, np.float32), np.ones(4, np.float32), training=False)
+    assert np.getbufsize() == before != engine._UFUNC_BUFSIZE
+    assert sizes and set(sizes) == {engine._UFUNC_BUFSIZE}
+
+
 @pytest.mark.parametrize("hw", [(9, 9), (10, 8), (2, 2), (4, 4)],
                          ids=["odd", "even", "2x2", "4x4"])
 @pytest.mark.parametrize("stride", [1, 2])

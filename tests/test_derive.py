@@ -1,5 +1,8 @@
 """Architecture derivation: argmax collapse, JSON round trip, instantiation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from nasadapt.searchspace import (
     parse_json,
 )
 from nasadapt.supernet import build_supernet
+from nasadapt.toytask import ProxyHead
 
 
 def zero_logits(cfg):
@@ -213,3 +217,25 @@ class TestInstantiate:
         arch = default_source_architecture(cfg)
         net = instantiate(arch, seed=0)
         assert [len(ops) for ops in net.blocks] == [4, 4, 4, 4, 4, 1]
+
+
+def test_networks_built_from_arrays_do_not_keep_them():
+    config = load_bundled_config("desk3")
+    arch = default_source_architecture(config)
+    cases = [
+        (lambda arrays: instantiate(arch, arrays=arrays), instantiate(arch, seed=0).to_arrays()),
+        (lambda arrays: build_supernet(config, arrays=arrays),
+         build_supernet(config, seed=0).to_arrays()),
+        (lambda arrays: ProxyHead(16, 4, arrays=arrays), ProxyHead(16, 4, seed=0).to_arrays()),
+    ]
+    for build, arrays in cases:
+        arrays = {name: arr.copy() for name, arr in arrays.items()}
+        expected = {name: arr.copy() for name, arr in arrays.items()}
+        refs = [weakref.ref(arr) for arr in arrays.values()]
+        net = build(arrays)
+        del arrays
+        gc.collect()
+        assert all(ref() is None for ref in refs), type(net).__name__
+        built = net.to_arrays()
+        assert list(built) == list(expected)
+        assert all(np.array_equal(built[name], expected[name]) for name in expected)
