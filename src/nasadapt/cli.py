@@ -35,7 +35,7 @@ from .derive import (
     load_arch,
     save_arch,
 )
-from .errors import NasAdaptError
+from .errors import ContractError, NasAdaptError
 from .paramap import (
     ParameterBundle,
     check_eps,
@@ -152,7 +152,10 @@ def _cmd_verify(args) -> int:
     report = verify_function_preservation(src_net, dst_net, samples=args.samples,
                                           tol=args.tol, seed=args.seed)
     write_json(report, args.out)
-    return 0 if report["passed"] else 2
+    if not report["passed"]:
+        raise ContractError(f"function not preserved: {report['worst']} deviates by "
+                            f"{report['max_deviation']}, above tol {args.tol}")
+    return 0
 
 
 def _cmd_finetune(args) -> int:

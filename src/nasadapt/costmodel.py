@@ -13,20 +13,22 @@ cost exactly. Consequence: a discrete cost can exceed the deployed
 network's true count when the previous block chose a non-maximal width;
 the two agree exactly when every block picks its maximum candidate.
 
-Every count sums :func:`conv_madds` over the stage list the networks are
-built from, each stage at its output size. Normalization, activations and
-elementwise adds are excluded; a skip (an empty stage list) costs zero.
+Every count sums, over the stage list the networks are built from, each
+stage's weight entries times its output plane (:func:`layers.out_hw`).
+Normalization, activations and elementwise adds are excluded; a skip (an
+empty stage list) costs zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .derive import DiscreteArchitecture
 from .errors import ContractError
-from .layers import ConvStage, stem_stages
+from .layers import ConvStage, out_hw, stem_stages
 from .numerics import Tensor, matmul, softmax
 from .searchspace import (
     OpCandidate,
@@ -37,23 +39,13 @@ from .searchspace import (
 from .supernet import layer_candidates
 
 
-def _out_hw(h: int, w: int, stride: int) -> tuple[int, int]:
-    # shape-preserving padding makes this kernel-independent
-    return (h - 1) // stride + 1, (w - 1) // stride + 1
-
-
-def conv_madds(c_in: int, c_out: int, k: int, h_out: int, w_out: int,
-               groups: int = 1) -> int:
-    return k * k * (c_in // groups) * c_out * h_out * w_out
-
-
 def stages_madds(stages: tuple[ConvStage, ...], h: int, w: int) -> int:
     """Multiply-adds of a stage list on an h x w input: each stage's conv
     counted at its output size."""
     total = 0
     for s in stages:
-        h, w = _out_hw(h, w, s.stride)
-        total += conv_madds(s.c_in, s.c_out, s.kernel, h, w, s.groups)
+        h, w = out_hw(h, w, s.stride)
+        total += math.prod(s.weight_shape) * h * w
     return total
 
 
@@ -63,12 +55,12 @@ def stem_madds(config: SearchSpaceConfig) -> int:
 
 
 def block_input_sizes(config: SearchSpaceConfig) -> list[tuple[int, int]]:
-    """Spatial size entering each block (after the stem's stride-2 conv)."""
-    h, w = _out_hw(*config.input_resolution, 2)
+    """Spatial size entering each block (after the stem's strided conv)."""
+    h, w = out_hw(*config.input_resolution, stem_stages(config.stem)[0].stride)
     sizes = []
     for spec in config.blocks:
         sizes.append((h, w))
-        h, w = _out_hw(h, w, spec.stride)
+        h, w = out_hw(h, w, spec.stride)
     return sizes
 
 
@@ -79,7 +71,7 @@ def _layer_madds(config: SearchSpaceConfig, index: int, layer: int, channels: in
     candidate stage lists at that width. The first layer runs at the block's
     input size ``size_in``, later layers at its output size."""
     if layer > 0:
-        size_in = _out_hw(*size_in, config.blocks[index].stride)
+        size_in = out_hw(*size_in, config.blocks[index].stride)
     return [stages_madds(stages, *size_in)
             for _, stages in layer_candidates(config, index, layer, channels)]
 

@@ -1,14 +1,15 @@
 """Network building blocks shared by the supernet and derived networks.
 
-Every network is a chain of conv stages: a bias-free square-kernel
-convolution with shape-preserving padding, then batch normalization. This
-module states, once, the stage list of an inverted-residual operation
-(MBConv: a 1x1 ``expand`` to ``expansion * c_in`` channels, omitted at
-expansion 1, a kxk ``depthwise`` carrying the stride, a 1x1 ``project``)
-and of the stem (a strided 3x3 ``conv``, then a k3/e1 MBConv).
-:class:`ConvChain` runs a stage list with relu6 after every stage but the
-last, as the epilogue of that stage's batch norm; the parameter mapper and
-the cost model read the same lists.
+Every network is a chain of conv stages, each stating its own geometry
+(:class:`ConvStage`): a bias-free square-kernel convolution with
+shape-preserving padding, then batch normalization. This module states,
+once, the stage list of an inverted-residual operation (MBConv: a 1x1
+``expand`` to ``expansion * c_in`` channels, omitted at expansion 1, a kxk
+``depthwise`` carrying the stride, a 1x1 ``project``) and of the stem (a
+strided 3x3 ``conv``, then a k3/e1 MBConv). :class:`ConvChain` runs a stage
+list with relu6 after every stage but the last, as the epilogue of that
+stage's batch norm; the parameter mapper and the cost model read the same
+lists.
 Every module takes its tensors from a :class:`TensorSource` and names
 each one where it creates it.
 """
@@ -25,7 +26,7 @@ from .errors import ContractError, ParameterError
 from .numerics import Tensor, batch_norm, conv2d
 # not called here: perfbench/instrument.py patches this name (until ROADMAP item 1)
 from .numerics import relu6  # noqa: F401
-from .numerics.tensor import DTYPE, _dw_kernel, _out_size, _recording
+from .numerics.tensor import DTYPE, _dw_kernel, _recording
 from .searchspace import StemSpec
 
 
@@ -76,16 +77,20 @@ class TensorSource:
         child._prefix = f"{self._prefix}{name}/"
         return child
 
-    def _take(self, name: str, shape: tuple, init) -> tuple[str, np.ndarray]:
+    def read(self, name: str, shape: tuple) -> np.ndarray:
+        """The array of ``name``, not copied, once checked to have ``shape``."""
         name = self._prefix + name
-        if self._arrays is None:
-            return name, init(self._rng, shape)
         if name not in self._arrays:
             raise ContractError(f"missing tensor '{name}'")
         if self._arrays[name].shape != shape:
             raise ContractError(f"tensor '{name}' has shape {self._arrays[name].shape}, "
                                 f"the network expects {shape}")
-        return name, np.array(self._arrays[name], dtype=DTYPE, order="C")
+        return self._arrays[name]
+
+    def _take(self, name: str, shape: tuple, init) -> tuple[str, np.ndarray]:
+        if self._arrays is None:
+            return self._prefix + name, init(self._rng, shape)
+        return self._prefix + name, np.array(self.read(name, shape), dtype=DTYPE, order="C")
 
     def param(self, name: str, shape: tuple, init) -> Tensor:
         name, data = self._take(name, shape, init)
@@ -110,6 +115,11 @@ class TensorSource:
         return {name: t.data for name, t in self.params.items()} | self.state
 
 
+def out_hw(h: int, w: int, stride: int) -> tuple[int, int]:
+    """The output plane of a conv stage (odd kernel) on an h x w input."""
+    return (h - 1) // stride + 1, (w - 1) // stride + 1
+
+
 @dataclass(frozen=True)
 class ConvStage:
     """One conv + batch norm; its tensors live under ``name/``."""
@@ -120,6 +130,14 @@ class ConvStage:
     kernel: int
     stride: int = 1
     groups: int = 1
+
+    @property
+    def padding(self) -> int:
+        return (self.kernel - 1) // 2
+
+    @property
+    def weight_shape(self) -> tuple[int, int, int, int]:
+        return (self.c_out, self.c_in // self.groups, self.kernel, self.kernel)
 
 
 def mbconv_stages(c_in: int, c_out: int, kernel: int, expansion: int,
@@ -147,7 +165,9 @@ class ConvChain:
     reads, and a chain over :data:`BAND_BYTES` runs in bands of rows
     (:meth:`_bands`). ``weight`` maps each stage's name to its conv
     weight, and ``bn`` to its batch norm's gamma, beta, running mean and
-    running variance."""
+    running variance. Bands cover one stage, then a depthwise stage whose
+    kernel is at least its stride, then stride-1 1x1 stages (an MBConv
+    with an expand, or the stem); ``_plan`` holds those first two stages."""
 
     def __init__(self, stages: tuple[ConvStage, ...], source: TensorSource):
         self.stages = stages
@@ -155,13 +175,15 @@ class ConvChain:
         self.bn: dict[str, tuple[Tensor, Tensor, np.ndarray, np.ndarray]] = {}
         for s in stages:
             scoped = source.scope(s.name)
-            self.weight[s.name] = scoped.param(
-                "weight", (s.c_out, s.c_in // s.groups, s.kernel, s.kernel), trunc_normal)
+            self.weight[s.name] = scoped.param("weight", s.weight_shape, trunc_normal)
             bn = scoped.scope("bn")
             self.bn[s.name] = (bn.param("gamma", (s.c_out,), ones),
                                bn.param("beta", (s.c_out,), zeros),
                                bn.buffer("mean", (s.c_out,), zeros),
                                bn.buffer("var", (s.c_out,), ones))
+        self._plan = stages[:2] if len(stages) >= 2 and stages[0].groups == 1 and \
+            stages[1].groups > 1 and stages[1].kernel >= stages[1].stride and \
+            all(s.kernel == 1 and s.stride == 1 for s in stages[2:]) else None
 
     def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
         bands = 1 if training else self._bands(x)
@@ -169,33 +191,13 @@ class ConvChain:
             return self._banded(x.data, bands)
         h, last = x, len(self.stages) - 1
         for n, s in enumerate(self.stages):
-            h = conv2d(h, self.weight[s.name], stride=s.stride, padding=(s.kernel - 1) // 2,
+            h = conv2d(h, self.weight[s.name], stride=s.stride, padding=s.padding,
                        groups=s.groups)
             # the conv output has no other reader: an unrecorded eval
             # batch norm may write its result over it
             h = batch_norm(h, *self.bn[s.name], training=training, update_stats=update_stats,
                            relu6=n < last, out=h.data)
         return h
-
-    def _depthwise(self) -> int:
-        """Index of the depthwise stage, or -1 for a list without one or one
-        that bands do not cover: more than one stage before it, a kernel
-        smaller than its stride, or a later stage that is not a stride-1
-        1x1 conv."""
-        d = next((i for i, s in enumerate(self.stages) if s.groups > 1), -1)
-        if d not in (0, 1) or self.stages[d].kernel < self.stages[d].stride or \
-                any(s.kernel != 1 or s.stride != 1 for s in self.stages[d + 1:]):
-            return -1
-        return d
-
-    def _planes(self, d: int, shape: tuple) -> tuple[int, int, int, int]:
-        """The input and output planes (h, w, oh, ow) of depthwise stage
-        ``d`` for a chain input of ``shape``."""
-        planes = [shape[2:]]
-        for s in self.stages[:d + 1]:
-            planes.append([_out_size(v, s.kernel, s.stride, (s.kernel - 1) // 2)
-                           for v in planes[-1]])
-        return (*planes[-2], *planes[-1])
 
     def _bands(self, x: Tensor) -> int:
         """How many bands of depthwise output rows an eval forward of ``x``
@@ -205,24 +207,23 @@ class ConvChain:
         :data:`BAND_BYTES`, but at least enough that each conv's matmul
         exceeds :data:`_SMALL_GEMM_MADDS`, if its plane holds two such
         bands."""
-        d = self._depthwise()
-        if d < 0 or _recording((x, self.weight[self.stages[d].name])):
+        if self._plan is None or _recording((x, self.weight[self._plan[1].name])):
             return 1
-        dw, n = self.stages[d], x.shape[0]
-        h, w, oh, ow = self._planes(d, x.shape)
-        k, stride, pad = dw.kernel, dw.stride, (dw.kernel - 1) // 2
-        if _dw_kernel(n, dw.c_in, h, w, k, stride, pad, False) != "taps":
+        pre, dw = self._plan
+        n = x.shape[0]
+        h, w = out_hw(*x.shape[2:], pre.stride)
+        oh, ow = out_hw(h, w, dw.stride)
+        if _dw_kernel(n, dw.c_in, h, w, dw.kernel, dw.stride, dw.padding, False) != "taps":
             return 1
         # per band row: each stage's output bytes, and each matmul's
-        # multiply-adds per sample, which a band of r rows takes r times (a
+        # multiply-adds per sample, which a band of r rows takes r times (the
         # stage before the depthwise one makes at least stride*r - pad rows)
         item = np.dtype(DTYPE).itemsize
-        row_bytes = [n * s.c_out * ow * item for s in self.stages[d:]]
-        need = [_SMALL_GEMM_MADDS // (ow * s.c_out * s.c_in) + 1 for s in self.stages[d + 1:]]
-        for s in self.stages[:d]:
-            row_bytes.append(n * s.c_out * w * stride * item)
-            made = _SMALL_GEMM_MADDS // (w * s.c_out * s.c_in * s.kernel ** 2) + 1
-            need.append(-(-(made + pad) // stride))
+        row_bytes = [n * s.c_out * ow * item for s in self.stages[1:]]
+        row_bytes.append(n * pre.c_out * w * dw.stride * item)
+        need = [_SMALL_GEMM_MADDS // (ow * s.c_out * s.c_in) + 1 for s in self.stages[2:]]
+        made = _SMALL_GEMM_MADDS // (w * pre.c_out * pre.c_in * pre.kernel ** 2) + 1
+        need.append(-(-(made + dw.padding) // dw.stride))
         return max(1, oh // max(BAND_BYTES // max(row_bytes), *need, 1))
 
     def _banded(self, x: np.ndarray, bands: int) -> Tensor:
@@ -230,7 +231,7 @@ class ConvChain:
         rows, of sizes that differ by at most one.
 
         The depthwise input lives in a window of the zero-padded rows one
-        band reads. The stage before the depthwise one, if any, writes each
+        band reads. The stage before the depthwise one writes each
         of its output rows into the window once, through its batch norm's
         ``out``; rows the next band reads again move to the window's top,
         and rows in the padding are zeroed. Each band's depthwise conv runs
@@ -240,11 +241,11 @@ class ConvChain:
         the same kernels and the same float32 operations per element, so
         the same bits, and in sum the same multiply-adds.
         """
-        d = self._depthwise()
-        pre, dw, last = self.stages[:d], self.stages[d], len(self.stages) - 1
+        (pre, dw), last = self._plan, len(self.stages) - 1
         n = x.shape[0]
-        h, w, oh, ow = self._planes(d, x.shape)
-        k, stride, pad = dw.kernel, dw.stride, (dw.kernel - 1) // 2
+        h, w = out_hw(*x.shape[2:], pre.stride)
+        oh, ow = out_hw(h, w, dw.stride)
+        k, stride, pad = dw.kernel, dw.stride, dw.padding
         most = -(-oh // bands)
         window = np.zeros((n, dw.c_in, stride * (most - 1) + k, w + 2 * pad), dtype=DTYPE)
         out = np.empty((n, self.stages[-1].c_out, oh, ow), dtype=DTYPE)
@@ -259,18 +260,14 @@ class ConvChain:
             window[:, :, done - top:a + pad - top] = 0
             window[:, :, max(b + pad, done) - top:hi - top] = 0
             if a < b:
-                rows = window[:, :, a + pad - top:b + pad - top, pad:pad + w]
-                if pre:
-                    t = conv2d(_padded_rows(x, pre[0], a, b), self.weight[pre[0].name],
-                               stride=pre[0].stride, padding=0)
-                    batch_norm(t, *self.bn[pre[0].name], training=False, relu6=True, out=rows)
-                else:
-                    rows[...] = x[:, :, a:b]
+                t = conv2d(_padded_rows(x, pre, a, b), self.weight[pre.name],
+                           stride=pre.stride, padding=0)
+                batch_norm(t, *self.bn[pre.name], training=False, relu6=True,
+                           out=window[:, :, a + pad - top:b + pad - top, pad:pad + w])
             done = hi
             t = window[:, :, lo - top:hi - top]
             assert _dw_kernel(n, dw.c_in, hi - lo, t.shape[3], k, stride, 0, False) == "taps"
-            for i in range(d, last + 1):
-                s = self.stages[i]
+            for i, s in enumerate(self.stages[1:], 1):
                 t = conv2d(t, self.weight[s.name], stride=s.stride, padding=0, groups=s.groups)
                 t = batch_norm(t, *self.bn[s.name], training=False, relu6=i < last,
                                out=out[:, :, r0:r1] if i == last else t.data)
@@ -294,7 +291,7 @@ _SMALL_GEMM_MADDS = 100 ** 3
 def _padded_rows(x: np.ndarray, stage: ConvStage, a: int, b: int) -> np.ndarray:
     """The zero-padded rows of ``x`` that output rows [a, b) of ``stage`` read."""
     n, c, h, w = x.shape
-    pad = (stage.kernel - 1) // 2
+    pad = stage.padding
     first = stage.stride * a - pad
     out = np.zeros((n, c, stage.stride * (b - a - 1) + stage.kernel, w + 2 * pad), dtype=DTYPE)
     lo, hi = max(first, 0), min(first + out.shape[2], h)

@@ -37,10 +37,10 @@ from .derive import (
     arch_from_doc,
     arch_layers,
     arch_to_doc,
-    instantiate,
     load_arch,
 )
 from .errors import ContractError, ParameterError
+from .layers import ConvStage, TensorSource, stem_stages
 from .numerics import Tensor, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
@@ -155,20 +155,22 @@ def _map_tensor(arr: np.ndarray, shape: tuple[int, ...], pad: float,
     return out, mask, [grow if m > n else shrink for n, m, grow, shrink in extents if n != m]
 
 
-# Each tensor of a stage, in mapping order, and the value its new entries take.
-_STAGE_PADS = (("weight", 0.0), ("bn/gamma", 0.0), ("bn/beta", 0.0), ("bn/mean", 0.0),
-               ("bn/var", 1.0))
+def _stage_tensors(s: ConvStage) -> tuple[tuple[str, tuple, float], ...]:
+    """Each tensor of a stage in mapping order: name, shape, and its new entries' value."""
+    c = (s.c_out,)
+    return (("weight", s.weight_shape, 0.0), ("bn/gamma", c, 0.0), ("bn/beta", c, 0.0),
+            ("bn/mean", c, 0.0), ("bn/var", c, 1.0))
 
 
 def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed: int,
          ) -> tuple[dict[str, np.ndarray], MappingReport]:
     """Map a source onto a target given as ``blocks[i][l]``: the (tensor
-    prefix, stage list) of every operation of layer l in block i. The source
-    is read through the network its architecture builds from it, which
-    checks every tensor's name and shape. The stem is copied; target layer l
-    of a block takes source layer l, or the source block's last layer beyond
-    its depth, whose stage list must match the target's stage by stage.
-    Returns the tensors and the report in mapping order.
+    prefix, stage list) of every operation of layer l in block i. Every
+    tensor the source's stage lists name is checked for its shape, without
+    building the source network. The stem is copied, parameters first;
+    target layer l of a block takes source layer l, or the source block's
+    last layer beyond its depth, whose stage list must match the target's
+    stage by stage. Returns the tensors and the report in mapping order.
 
     As each tensor is put, U(-eps, eps) noise from one ``PCG64(seed)`` stream
     is added to its zero-masked entries. Running statistics are skipped:
@@ -181,13 +183,19 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
     if len(source_arch.blocks) != len(blocks):
         raise ContractError(
             f"source has {len(source_arch.blocks)} blocks, target has {len(blocks)}")
-    src = instantiate(source_arch, arrays=source.tensors).to_arrays()
+    src_blocks = arch_layers(source_arch)
+    shapes = {f"{prefix}/{st.name}/{name}": shape
+              for prefix, stages in [("stem", stem_stages(stem)), *sum(src_blocks, [])]
+              for st in stages for name, shape, _ in _stage_tensors(st)}
+    reader = TensorSource(arrays=source.tensors)
+    for name, shape in shapes.items():
+        reader.read(name, shape)
     out: dict[str, np.ndarray] = {}
     report = MappingReport()
     rng = np.random.Generator(np.random.PCG64(seed))
 
     def put(target, source_name, shape, pad=0.0, base=()):
-        arr, mask, rules = _map_tensor(src[source_name], shape, pad)
+        arr, mask, rules = _map_tensor(source.tensors[source_name], shape, pad)
         zero_count = int(mask.sum())
         noised = eps > 0 and zero_count > 0 and not target.endswith(_STAT_SUFFIXES)
         if noised:
@@ -195,10 +203,10 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
         out[target] = arr
         report.add(target, source_name, [*base, *rules], zero_count, noised)
 
-    for name, arr in src.items():
-        if name.startswith("stem/"):
-            put(name, name, arr.shape)
-    for src_layers, layers in zip(arch_layers(source_arch), blocks):
+    stem_names = [name for name in shapes if name.startswith("stem/")]
+    for name in sorted(stem_names, key=lambda n: n.endswith(_STAT_SUFFIXES)):
+        put(name, name, shapes[name])
+    for src_layers, layers in zip(src_blocks, blocks):
         last = len(src_layers) - 1
         for l, ops in enumerate(layers):
             s_prefix, s_stages = src_layers[min(l, last)]
@@ -209,10 +217,9 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
                     raise ContractError(f"cannot map {s_prefix} (stages {s_names}) onto "
                                         f"{prefix} (stages {t_names})")
                 for s, t in zip(s_stages, stages):
-                    weight = (t.c_out, t.c_in // t.groups, t.kernel, t.kernel)
-                    for name, pad in _STAGE_PADS:
+                    for name, shape, pad in _stage_tensors(t):
                         put(f"{prefix}/{t.name}/{name}", f"{s_prefix}/{s.name}/{name}",
-                            weight if name == "weight" else (t.c_out,), pad, base)
+                            shape, pad, base)
     return out, report
 
 

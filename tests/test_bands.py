@@ -63,9 +63,17 @@ def test_banded_mbconv_is_the_whole_plane_bit_for_bit(monkeypatch, k, stride, e)
     # 73 and 37 rows are odd; the first band reads the top padding and the
     # last the bottom
     x = np.random.default_rng(k * 10 + stride + e).standard_normal((1, 64, 73, 64))
-    bands = _check_bands_match_whole_plane(_chain(mbconv_stages(64, 48, k, e, stride)),
-                                           x.astype(np.float32), monkeypatch)
-    assert bands >= 3
+    x = x.astype(np.float32)
+    chain = _chain(mbconv_stages(64, 48, k, e, stride))
+    if e > 1:
+        assert _check_bands_match_whole_plane(chain, x, monkeypatch) >= 3
+        return
+    # expansion 1 has no expanded intermediate to bound: even a 1-byte
+    # budget runs the whole plane, with the same bits
+    want, madds, calls, _ = _eval(chain, x, 1 << 62, monkeypatch)
+    got, band_madds, band_calls, bands = _eval(chain, x, 1, monkeypatch)
+    assert (bands, calls, band_calls, band_madds) == (1, 2, 2, madds)
+    assert got.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
 
 
 def test_one_row_bands_in_a_batch(monkeypatch):

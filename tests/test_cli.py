@@ -696,6 +696,27 @@ class TestExit2Sweep:
         assert "tol must be >= 0" in err
         assert not out.exists()
 
+    def test_failed_verify_is_one_line_after_its_report(self, capsys, tmp_path):
+        # a layer cut from block 1 changes the function: the report is
+        # written, then the failure names the worst block
+        arch = default_source_architecture(load_bundled_config("desk3"))
+        source = tmp_path / "source.nat"
+        save_tensors(source, instantiate(arch, seed=1).to_arrays())
+        source.with_suffix(".arch.json").write_text(arch_to_json(arch))
+        doc = arch_to_doc(arch)
+        del doc["blocks"][1]["ops"][1:]
+        target = tmp_path / "cut.json"
+        target.write_text(json.dumps(doc))
+        out = tmp_path / "verify.json"
+        code = main(["verify", "--src", str(source), "--dst-arch", str(target),
+                     "--tol", "0", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        report = json.loads(out.read_text())
+        assert report["passed"] is False
+        assert (f"{report['worst']} deviates by {report['max_deviation']}, "
+                "above tol 0.0") in err
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
     def test_remap_rejects_eps(self, capsys, broken, space_path, eps):
         out = broken["out"].parent / "remapped.nat"

@@ -388,7 +388,7 @@ def _dw_shapes(arch, n):
     for s in stem_stages(arch.stem) + tuple(
             stage for layers in arch_layers(arch) for _, stages in layers for stage in stages):
         if s.groups > 1:
-            shapes.append((n, s.c_in, h, w, s.kernel, s.stride, (s.kernel - 1) // 2))
+            shapes.append((n, s.c_in, h, w, s.kernel, s.stride, s.padding))
         h, w = (h - 1) // s.stride + 1, (w - 1) // s.stride + 1
     return shapes
 

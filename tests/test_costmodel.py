@@ -110,7 +110,8 @@ class TestTable:
     def test_entry_matches_definition(self):
         cfg = load_bundled_config("desk3")
         table = build_madds_table(cfg)
-        from nasadapt.costmodel import block_input_sizes, _out_hw
+        from nasadapt.costmodel import block_input_sizes
+        from nasadapt.layers import out_hw
 
         sizes = block_input_sizes(cfg)
         rng = np.random.default_rng(2)
@@ -125,7 +126,7 @@ class TestTable:
             if l == 0:
                 c_in, stride, (h, w) = cfg.block_input_channels(i), spec.stride, sizes[i]
             else:
-                c_in, stride, (h, w) = cands[ci], 1, _out_hw(*sizes[i], spec.stride)
+                c_in, stride, (h, w) = cands[ci], 1, out_hw(*sizes[i], spec.stride)
             op = ops[oi]
             stages = () if op.kind == "skip" else mbconv_stages(
                 c_in, cands[ci], op.kernel, op.expansion, stride)

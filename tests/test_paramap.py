@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from nasadapt.derive import (
     DerivedBlock,
     DerivedOp,
     DiscreteArchitecture,
+    DiscreteNetwork,
     arch_to_doc,
     default_source_architecture,
     instantiate,
@@ -566,6 +568,46 @@ def test_source_not_matching_its_architecture_rejected(target, name, edit):
             map_to_derived(bundle, arch)
         else:
             map_to_supernet(bundle, cfg)
+
+
+class TestSourceReadInPlace:
+    """The mapper checks its source against the stage lists and reads the
+    bundle's arrays: it builds no network, so it holds no copy of them."""
+
+    def test_builds_no_network(self, monkeypatch):
+        cfg = desk_config()
+        bundle, arch = source_bundle(cfg, seed=1)
+        target = widened(rekernel(arch, 1, 5), 0, 24)
+
+        def run():
+            return [map_to_derived(bundle, target, eps=1e-3, seed=2),
+                    map_to_supernet(bundle, cfg, eps=1e-3, seed=2)]
+
+        want = run()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the mapper built a network")
+
+        monkeypatch.setattr(DiscreteNetwork, "__init__", refuse)
+        for (got, got_report), (mapped, report) in zip(run(), want):
+            assert list(got.tensors) == list(mapped.tensors)
+            assert all(got.tensors[n].tobytes() == a.tobytes()
+                       for n, a in mapped.tensors.items())
+            assert got_report.entries == report.entries
+
+    def test_peak_is_about_the_output(self):
+        # a network built from the source would copy every tensor: 2x
+        cfg = load_bundled_config("table1")
+        arch = default_source_architecture(cfg)
+        bundle = ParameterBundle(tensors=instantiate(arch, seed=1).to_arrays(),
+                                 arch=arch_to_doc(arch))
+        tracemalloc.start()
+        try:
+            mapped, _ = map_to_derived(bundle, arch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * sum(a.nbytes for a in mapped.tensors.values())
 
 
 class TestBundleIO:
