@@ -138,7 +138,9 @@ def total_loss(model_loss: Tensor, cost: Tensor, lam: float, normalizer: float) 
     return model_loss + cost * np.float32(lam / normalizer)
 
 
-def _check_block_consistency(block, spec, index: int) -> None:
+def _op_indices(block, spec, index: int) -> list[int]:
+    """Each op's index among its layer's candidates; a block outside its
+    space is a ContractError."""
     cands = channel_candidates(spec)
     if block.channels not in cands:
         raise ContractError(
@@ -148,17 +150,17 @@ def _check_block_consistency(block, spec, index: int) -> None:
     if len(block.ops) > spec.n_max:
         raise ContractError(
             f"block {index}: {len(block.ops)} ops exceed n_max {spec.n_max}")
+    indices = []
     for j, op in enumerate(block.ops):
-        expected_stride = spec.stride if j == 0 else 1
-        if op.stride != expected_stride:
+        offered = op_candidates(spec, j + 1)
+        cand = OpCandidate("mbconv", op.kernel, op.expansion, op.stride)
+        if cand not in offered:
             raise ContractError(
-                f"block {index} op {j}: stride {op.stride} != {expected_stride}")
-        if op.kernel not in spec.kernels:
-            raise ContractError(
-                f"block {index} op {j}: kernel {op.kernel} not in {spec.kernels}")
-        if op.expansion not in spec.expansions:
-            raise ContractError(
-                f"block {index} op {j}: expansion {op.expansion} not in {spec.expansions}")
+                f"block {index} op {j}: kernel {op.kernel}, expansion {op.expansion}, "
+                f"stride {op.stride} is not among its layer's candidates: kernels "
+                f"{spec.kernels}, expansions {spec.expansions}, stride {offered[0].stride}")
+        indices.append(offered.index(cand))
+    return indices
 
 
 def madds_of_discrete_per_block(arch: DiscreteArchitecture,
@@ -174,15 +176,9 @@ def madds_of_discrete_per_block(arch: DiscreteArchitecture,
             f"input resolution mismatch: {arch.input_resolution} vs "
             f"{config.input_resolution}")
     sizes = block_input_sizes(config)
-    out = []
-    for i, (block, spec) in enumerate(zip(arch.blocks, config.blocks)):
-        _check_block_consistency(block, spec, i)
-        out.append(sum(
-            _layer_madds(config, i, j, block.channels, sizes[i])[
-                op_candidates(spec, j + 1).index(
-                    OpCandidate("mbconv", kernel=op.kernel, expansion=op.expansion))]
-            for j, op in enumerate(block.ops)))
-    return out
+    return [sum(_layer_madds(config, i, j, block.channels, sizes[i])[o]
+                for j, o in enumerate(_op_indices(block, spec, i)))
+            for i, (block, spec) in enumerate(zip(arch.blocks, config.blocks))]
 
 
 def madds_of_discrete(arch: DiscreteArchitecture, config: SearchSpaceConfig) -> int:

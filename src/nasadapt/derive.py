@@ -72,11 +72,8 @@ def derive_architecture(alpha, beta, config: SearchSpaceConfig) -> DiscreteArchi
             if not np.isfinite(vec).all():
                 raise ContractError(f"non-finite operation logits for block {i} layer {layer}")
             chosen = op_candidates(spec, layer)[int(np.argmax(vec))]
-            if chosen.kind == "skip":
-                continue
-            stride = spec.stride if layer == 1 else 1
-            ops.append(DerivedOp(kernel=chosen.kernel, expansion=chosen.expansion,
-                                 stride=stride))
+            if chosen.kind != "skip":
+                ops.append(DerivedOp(chosen.kernel, chosen.expansion, chosen.stride))
         blocks.append(DerivedBlock(channels=channels, ops=tuple(ops)))
     return DiscreteArchitecture(input_resolution=config.input_resolution,
                                 stem=config.stem, blocks=tuple(blocks))
@@ -88,13 +85,10 @@ def default_source_architecture(config: SearchSpaceConfig) -> DiscreteArchitectu
     the cost normalizer."""
     blocks = []
     for spec in config.blocks:
-        kernel = spec.kernels[0]
-        expansion = spec.expansions[-1]
-        ops = tuple(
-            DerivedOp(kernel=kernel, expansion=expansion,
-                      stride=spec.stride if layer == 1 else 1)
-            for layer in range(1, spec.n_max + 1)
-        )
+        # the first kernel's candidates come first, its largest expansion last
+        picks = [op_candidates(spec, layer)[len(spec.expansions) - 1]
+                 for layer in range(1, spec.n_max + 1)]
+        ops = tuple(DerivedOp(c.kernel, c.expansion, c.stride) for c in picks)
         blocks.append(DerivedBlock(channels=channel_candidates(spec)[-1], ops=ops))
     return DiscreteArchitecture(input_resolution=config.input_resolution,
                                 stem=config.stem, blocks=tuple(blocks))

@@ -33,6 +33,7 @@ class OpCandidate:
     kind: str  # "mbconv" or "skip"
     kernel: int | None = None
     expansion: int | None = None
+    stride: int = 1
 
 
 SKIP = OpCandidate(kind="skip")
@@ -80,14 +81,16 @@ def channel_candidates(spec: BlockSpec) -> list[int]:
 def op_candidates(spec: BlockSpec, layer: int) -> list[OpCandidate]:
     """Operation candidates of layer ``layer`` (1-based).
 
-    The first layer of a block offers every kernel/expansion combination;
-    later layers add the skip connection, so a block can shrink below
-    n_max operations but never to zero.
+    Every layer offers each kernel/expansion combination; only the first
+    layer's convolutions carry the block's stride. Later layers add the skip
+    connection, so a block can shrink below n_max operations but never to
+    zero.
     """
     if layer < 1 or layer > spec.n_max:
         raise ParameterError(
             f"layer must be in [1, {spec.n_max}] for block {spec.index}, got {layer}")
-    cands = [OpCandidate(kind="mbconv", kernel=k, expansion=e)
+    stride = spec.stride if layer == 1 else 1
+    cands = [OpCandidate(kind="mbconv", kernel=k, expansion=e, stride=stride)
              for k in spec.kernels for e in spec.expansions]
     if layer > 1:
         cands.append(SKIP)

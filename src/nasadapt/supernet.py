@@ -60,13 +60,12 @@ def layer_candidates(config: SearchSpaceConfig, block: int, layer: int,
     """(tensor prefix, stage list) of every operation candidate of layer
     ``layer`` (0-based) of block ``block`` at width ``channels``, in logit
     order; a skip's list is empty. The first layer reads the previous block's
-    full width (the stem's for block 0) and applies the block stride."""
+    full width (the stem's for block 0)."""
     spec = config.blocks[block]
     c_in = config.block_input_channels(block) if layer == 0 else channels
-    stride = spec.stride if layer == 0 else 1
     return [(f"block{block}/layer{layer}/op{o}",
              () if cand.kind == "skip"
-             else mbconv_stages(c_in, channels, cand.kernel, cand.expansion, stride))
+             else mbconv_stages(c_in, channels, cand.kernel, cand.expansion, cand.stride))
             for o, cand in enumerate(op_candidates(spec, layer + 1))]
 
 

@@ -10,6 +10,7 @@ every matmul above the BLAS small-matrix size, so they cannot go below a
 few rows where the channel counts are small.
 """
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from nasadapt import layers
+from nasadapt.derive import default_source_architecture, instantiate
 from nasadapt.layers import ConvChain, TensorSource, mbconv_stages, stem_stages
 from nasadapt.numerics import Tensor, count_madds, no_grad
 from nasadapt.searchspace import StemSpec, load_bundled_config
@@ -138,3 +140,35 @@ def test_no_desk3_eval_chain_runs_in_bands():
     with no_grad(), count_madds() as counter:
         net.forward(x, training=False)
     assert counter.conv_calls == stages
+
+
+@pytest.mark.parametrize("kernel", [None, 7], ids=["source", "all-k7"])
+def test_table1_verify_networks_band_where_planned(kernel):
+    # table1's verify runs one 800x1088 probe through the default source and
+    # its all-k7 growth; at the real budget six of their 22 chains band, and a
+    # chain that stops banding raises the adaptation's peak memory
+    config = load_bundled_config("table1")
+    arch = default_source_architecture(config)
+    if kernel is not None:
+        arch = dataclasses.replace(arch, blocks=tuple(
+            dataclasses.replace(b, ops=tuple(dataclasses.replace(op, kernel=kernel)
+                                             for op in b.ops))
+            for b in arch.blocks))
+    net = instantiate(arch, seed=0)
+    chains = [("stem", net.stem)] + [(f"block{i}/layer{j}", chain)
+                                     for i, ops in enumerate(net.blocks)
+                                     for j, chain in enumerate(ops)]
+    shape = (1, 3, *config.input_resolution)
+    bands = {}
+    with no_grad():
+        for name, chain in chains:
+            # a zero-stride input: the plan reads only its shape
+            bands[name] = chain._bands(Tensor(np.broadcast_to(np.float32(0), shape)))
+            h, w = shape[2:]
+            for s in chain.stages:
+                h, w = layers.out_hw(h, w, s.stride)
+            shape = (1, chain.stages[-1].c_out, h, w)
+    assert len(bands) == 22
+    assert {name: n for name, n in bands.items() if n > 1} == {
+        "stem": 3, "block0/layer0": 10, "block0/layer1": 4, "block0/layer2": 4,
+        "block0/layer3": 4, "block1/layer0": 4}

@@ -505,6 +505,30 @@ def broken(artifacts, from_arrays_inputs, space_path):
     paths["stride_target"] = edited(
         sidecar, "stride_target.json",
         lambda d: d["blocks"][0]["ops"][-1].update(stride=3 - d["blocks"][0]["ops"][-1]["stride"]))
+    # a valid desk3 architecture at full depth, and edits that take it out of
+    # its space
+    full = root / "full_arch.json"
+    full.write_text(arch_to_json(default_source_architecture(load_bundled_config("desk3"))))
+    for name, edit in {
+        "layer2_stride_arch": lambda d: d["blocks"][0]["ops"][1].update(stride=2),
+        "kernel7_arch": lambda d: d["blocks"][0]["ops"][0].update(kernel=7),
+        "expansion6_arch": lambda d: d["blocks"][0]["ops"][0].update(expansion=6),
+        "deep_arch": lambda d: d["blocks"][0]["ops"].append(d["blocks"][0]["ops"][-1]),
+        "short_arch": lambda d: d["blocks"].pop(),
+        "stem_arch": lambda d: d["stem"].update(conv_channels=16),
+        "resolution_arch": lambda d: d.update(input_resolution=[64, 64]),
+        "no_blocks_arch": lambda d: d.update(blocks=[]),
+    }.items():
+        paths[name] = edited(full, f"{name}.json", edit)
+    # a target and a space whose stem is not the source's
+    paths["stem_target"] = edited(from_arrays_inputs["target"], "stem_target.json",
+                                  lambda d: d["stem"].update(conv_channels=16))
+    paths["stem_space"] = edited(Path(space_path), "stem_space.json",
+                                 lambda d: d["stem"].update(conv_channels=16))
+    for name, channels in (("reversed_channels_space", [16, 8, 4]),
+                           ("step0_channels_space", [8, 16, 0])):
+        paths[name] = edited(Path(space_path), f"{name}.json",
+                             lambda d, c=channels: d["blocks"][0].update(channels=c))
     paths["bad_kernel_src"] = copy(source, "bad_kernel.nat")
     edited(sidecar, "bad_kernel.arch.json",
            lambda d: d["blocks"][0]["ops"][0].update(kernel=4))
@@ -615,6 +639,42 @@ EXIT_2_CASES = {
         "e2e --space {space} --out-dir {out} --pretrain-epochs -1", None),
     "e2e-negative-finetune-epochs": (
         "e2e --space {space} --out-dir {out} --finetune-epochs -2", None),
+    # a valid architecture edited out of its space
+    "cost-arch-stride-2-in-layer-2": (
+        "cost --space {space} --arch {layer2_stride_arch} --out {out}", None),
+    "cost-arch-kernel-outside-block": (
+        "cost --space {space} --arch {kernel7_arch} --out {out}", None),
+    "cost-arch-expansion-outside-block": (
+        "cost --space {space} --arch {expansion6_arch} --out {out}", None),
+    "cost-arch-past-n-max": ("cost --space {space} --arch {deep_arch} --out {out}", None),
+    "cost-arch-one-block-short": ("cost --space {space} --arch {short_arch} --out {out}",
+                                  None),
+    "cost-arch-other-stem": ("cost --space {space} --arch {stem_arch} --out {out}", None),
+    "cost-arch-other-resolution": (
+        "cost --space {space} --arch {resolution_arch} --out {out}", None),
+    "remap-dst-arch-other-stem": (
+        "remap --src {source} --dst-arch {stem_target} --out {out}", None),
+    "search-init-from-other-stem": (
+        "search --space {stem_space} --data {data} --init-from {source} --out {out}", None),
+}
+
+# the start of the message that these cases print after "nasadapt: error: "
+ERROR_TEXT = {
+    "cost-arch-stride-2-in-layer-2":
+        "block 0 op 1: kernel 3, expansion 3, stride 2 is not among its layer's "
+        "candidates: kernels (3, 5), expansions (3,), stride 1",
+    "cost-arch-kernel-outside-block":
+        "block 0 op 0: kernel 7, expansion 3, stride 2 is not among its layer's "
+        "candidates: kernels (3, 5), expansions (3,), stride 2",
+    "cost-arch-expansion-outside-block":
+        "block 0 op 0: kernel 3, expansion 6, stride 2 is not among its layer's "
+        "candidates: kernels (3, 5), expansions (3,), stride 2",
+    "cost-arch-past-n-max": "block 0: 3 ops exceed n_max 2",
+    "cost-arch-one-block-short": "architecture has 2 blocks, config has 3",
+    "cost-arch-other-stem": "stem mismatch: ",
+    "cost-arch-other-resolution": "input resolution mismatch: (64, 64) vs (32, 32)",
+    "remap-dst-arch-other-stem": "incompatible stem: ",
+    "search-init-from-other-stem": "incompatible stem: ",
 }
 
 # (command line, the file and the $-rooted field path its error must name)
@@ -635,6 +695,14 @@ FIELD_CASES = {
                          "bad_kernel.arch.json", "$.blocks[0].ops[0].kernel"),
     "verify-src-kernel": ("verify --src {bad_kernel_src} --dst-arch {target}",
                           "bad_kernel.arch.json", "$.blocks[0].ops[0].kernel"),
+    "cost-arch-no-blocks": ("cost --space {space} --arch {no_blocks_arch} --out {out}",
+                            "no_blocks_arch.json", "$.blocks"),
+    "search-space-channels-reversed": (
+        "search --space {reversed_channels_space} --data {data} --out {out}",
+        "reversed_channels_space.json", "$.blocks[0].channels"),
+    "cost-space-channel-step-0": (
+        "cost --space {step0_channels_space} --arch {arch} --out {out}",
+        "step0_channels_space.json", "$.blocks[0].channels"),
 }
 
 
@@ -665,6 +733,8 @@ class TestExit2Sweep:
         if case.endswith("-nan-src"):
             assert (f"{broken['nan_src']}: 'block1/layer0/depthwise/weight' holds a "
                     "non-finite value") in err
+        if case in ERROR_TEXT:
+            assert err.startswith(f"nasadapt: error: {ERROR_TEXT[case]}")
         assert not out.exists()
 
     @pytest.mark.parametrize("case", list(FIELD_CASES))

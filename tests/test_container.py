@@ -91,6 +91,15 @@ def _container_bytes(named):
     return raw
 
 
+def test_rejects_duplicate_tensor_name(tmp_path):
+    # two well-formed entries under one name: the second must not replace the first
+    entry = _container_bytes({"x": np.ones(2, dtype=np.float32)})
+    path = tmp_path / "duplicate.nat"
+    path.write_bytes(entry + entry[len(b"NAT1"):])
+    with pytest.raises(ParseError, match="duplicate tensor name 'x'"):
+        load_tensors(path)
+
+
 def test_zero_size_and_scalar_tensors_round_trip(tmp_path):
     named = {
         "empty": np.zeros((0, 2), dtype=np.float32),

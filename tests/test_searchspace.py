@@ -120,18 +120,23 @@ class TestChannelCandidates:
 
 class TestOpCandidates:
     def test_first_layer_excludes_skip(self):
-        got = op_candidates(make_block(), layer=1)
+        # the first layer's convolutions carry the block's stride
+        got = op_candidates(make_block(stride=2), layer=1)
         assert got == [
-            OpCandidate("mbconv", 3, 3), OpCandidate("mbconv", 3, 6),
-            OpCandidate("mbconv", 5, 3), OpCandidate("mbconv", 5, 6),
-            OpCandidate("mbconv", 7, 3), OpCandidate("mbconv", 7, 6),
+            OpCandidate("mbconv", 3, 3, 2), OpCandidate("mbconv", 3, 6, 2),
+            OpCandidate("mbconv", 5, 3, 2), OpCandidate("mbconv", 5, 6, 2),
+            OpCandidate("mbconv", 7, 3, 2), OpCandidate("mbconv", 7, 6, 2),
         ]
 
     def test_later_layers_add_skip_last(self):
-        got = op_candidates(make_block(), layer=2)
-        assert len(got) == 7
-        assert got[-1].kind == "skip"
-        assert got[:-1] == op_candidates(make_block(), layer=1)
+        # the same kernels and expansions at stride 1, then the skip
+        got = op_candidates(make_block(stride=2), layer=2)
+        assert got == [
+            OpCandidate("mbconv", 3, 3, 1), OpCandidate("mbconv", 3, 6, 1),
+            OpCandidate("mbconv", 5, 3, 1), OpCandidate("mbconv", 5, 6, 1),
+            OpCandidate("mbconv", 7, 3, 1), OpCandidate("mbconv", 7, 6, 1),
+            OpCandidate("skip"),
+        ]
 
     def test_single_kernel_config(self):
         block = make_block(kernels=(3,), expansions=(6,))

@@ -73,6 +73,32 @@ class TestGenerate:
             want = np.where(mask[None], color[:, None, None], background)
             np.testing.assert_array_equal(ds.images[i], want.astype(np.float32))
 
+    def test_six_classes_bit_identical(self):
+        # classes 4 and 5 draw the ring and the diamond
+        spec = DatasetSpec(n_samples=12, n_classes=6, seed=3)
+        a, b = generate(spec), generate(spec)
+        assert set(a.labels.tolist()) == set(range(6))
+        assert a.images.tobytes() == b.images.tobytes()
+        assert a.labels.tobytes() == b.labels.tobytes()
+
+    def test_ring_leaves_out_its_centre(self):
+        # radius 8 around (16, 16), hollow inside radius 4
+        mask = _shape_mask("ring", 32, 32, 16.0, 16.0, 8.0)
+        assert not mask[16, 16] and not mask[16, 19]
+        assert mask[16, 22] and mask[10, 16] and mask[16, 24]
+        assert not mask[16, 25]
+        assert (mask <= _shape_mask("disk", 32, 32, 16.0, 16.0, 8.0)).all()
+
+    def test_diamond_leaves_out_its_bounding_squares_corners(self):
+        mask = _shape_mask("diamond", 32, 32, 16.0, 16.0, 8.0)
+        assert mask[16, 16]
+        assert mask[8, 16] and mask[24, 16] and mask[16, 8] and mask[16, 24]
+        for y, x in ((8, 8), (8, 24), (24, 8), (24, 24), (11, 11)):
+            assert not mask[y, x]
+        assert (mask <= _shape_mask("square", 32, 32, 16.0, 16.0, 8.0)).all()
+        # |dy| + |dx| <= 8 on the integer grid
+        assert mask.sum() == 2 * 8 * 8 + 2 * 8 + 1
+
     def test_invalid_specs(self):
         with pytest.raises(ParameterError):
             generate(DatasetSpec(n_samples=2, n_classes=4))
