@@ -166,8 +166,7 @@ def _cmd_finetune(args) -> int:
                              seed=seed_for(args.seed, "finetune"))
     bundle.save(args.out)
     if args.history:
-        write_csv(args.history, ["epoch", "loss"],
-                  ([epoch, repr(v)] for epoch, v in enumerate(curve, 1)))
+        write_csv(args.history, ["epoch", "loss"], enumerate(curve, 1))
     accuracy = evaluate_accuracy(arch, bundle, dataset)
     write_json({"final_loss": curve[-1] if curve else None,
                 "train_accuracy": accuracy, "epochs": args.epochs}, None)

@@ -30,12 +30,7 @@ from .derive import DiscreteArchitecture
 from .errors import ContractError
 from .layers import ConvStage, out_hw, stem_stages
 from .numerics import Tensor, matmul, softmax
-from .searchspace import (
-    OpCandidate,
-    SearchSpaceConfig,
-    channel_candidates,
-    op_candidates,
-)
+from .searchspace import SearchSpaceConfig, channel_candidates, op_candidates
 from .supernet import layer_candidates
 
 
@@ -153,13 +148,12 @@ def _op_indices(block, spec, index: int) -> list[int]:
     indices = []
     for j, op in enumerate(block.ops):
         offered = op_candidates(spec, j + 1)
-        cand = OpCandidate("mbconv", op.kernel, op.expansion, op.stride)
-        if cand not in offered:
+        if op not in offered:
             raise ContractError(
                 f"block {index} op {j}: kernel {op.kernel}, expansion {op.expansion}, "
                 f"stride {op.stride} is not among its layer's candidates: kernels "
                 f"{spec.kernels}, expansions {spec.expansions}, stride {offered[0].stride}")
-        indices.append(offered.index(cand))
+        indices.append(offered.index(op))
     return indices
 
 

@@ -18,6 +18,7 @@ from .errors import ContractError, ParseError
 from .layers import ConvChain, ConvStage, TensorSource, mbconv_stages, stem_stages
 from .numerics import Tensor
 from .searchspace import (
+    OpCandidate,
     SearchSpaceConfig,
     StemSpec,
     _bounded,
@@ -34,17 +35,15 @@ from .searchspace import (
 ARCH_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class DerivedOp:
-    kernel: int
-    expansion: int
-    stride: int
+# a derived operation is the candidate it was picked as; perfbench/workloads.py
+# still builds ops by this name (until ROADMAP item 1)
+DerivedOp = OpCandidate
 
 
 @dataclass(frozen=True)
 class DerivedBlock:
     channels: int
-    ops: tuple[DerivedOp, ...]
+    ops: tuple[OpCandidate, ...]
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def derive_architecture(alpha, beta, config: SearchSpaceConfig) -> DiscreteArchi
                 raise ContractError(f"non-finite operation logits for block {i} layer {layer}")
             chosen = op_candidates(spec, layer)[int(np.argmax(vec))]
             if chosen.kind != "skip":
-                ops.append(DerivedOp(chosen.kernel, chosen.expansion, chosen.stride))
+                ops.append(chosen)
         blocks.append(DerivedBlock(channels=channels, ops=tuple(ops)))
     return DiscreteArchitecture(input_resolution=config.input_resolution,
                                 stem=config.stem, blocks=tuple(blocks))
@@ -86,9 +85,8 @@ def default_source_architecture(config: SearchSpaceConfig) -> DiscreteArchitectu
     blocks = []
     for spec in config.blocks:
         # the first kernel's candidates come first, its largest expansion last
-        picks = [op_candidates(spec, layer)[len(spec.expansions) - 1]
-                 for layer in range(1, spec.n_max + 1)]
-        ops = tuple(DerivedOp(c.kernel, c.expansion, c.stride) for c in picks)
+        ops = tuple(op_candidates(spec, layer)[len(spec.expansions) - 1]
+                    for layer in range(1, spec.n_max + 1))
         blocks.append(DerivedBlock(channels=channel_candidates(spec)[-1], ops=ops))
     return DiscreteArchitecture(input_resolution=config.input_resolution,
                                 stem=config.stem, blocks=tuple(blocks))
@@ -100,7 +98,7 @@ def arch_to_doc(arch: DiscreteArchitecture) -> dict:
         "input_resolution": list(arch.input_resolution),
         "stem": asdict(arch.stem),
         "blocks": [{"channels": b.channels,
-                    "ops": [{"kind": "mbconv", **asdict(op)} for op in b.ops]}
+                    "ops": [asdict(op) for op in b.ops]}
                    for b in arch.blocks],
     }
 
@@ -134,7 +132,7 @@ def arch_from_doc(raw: dict) -> DiscreteArchitecture:
             kind = _require(oraw, "kind", opath, str, "a string")
             if kind != "mbconv":
                 raise ParseError(f"{opath}.kind", f"unknown operation kind '{kind}'")
-            ops.append(DerivedOp(
+            ops.append(OpCandidate(
                 kernel=_bounded(oraw, "kernel", opath, lambda v: v >= 1 and v % 2 == 1,
                                 "odd and >= 1"),
                 expansion=_positive(oraw, "expansion", opath),

@@ -26,7 +26,7 @@ noise as each tensor is mapped, so gradients can reach them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -109,13 +109,7 @@ class MappingReport:
             zero_count=zero_count, noised=noised)
 
     def save(self, path) -> None:
-        write_json({
-            "entries": [
-                {"target": e.target, "source": e.source, "rules": list(e.rules),
-                 "zero_count": e.zero_count, "noised": e.noised}
-                for e in self.entries.values()
-            ]
-        }, path)
+        write_json({"entries": [asdict(e) for e in self.entries.values()]}, path)
 
 
 def _resize(arr: np.ndarray, shape: tuple[int, ...], centred: tuple[int, ...] = (),

@@ -16,7 +16,7 @@ fine-tuning runs, with gradients clipped at norm ``GRAD_CLIP_NORM``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -103,7 +103,8 @@ class SearchHistory:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """The one CSV dialect of the CLI's tables: ``csv.writer``'s, CRLF line ends."""
+    """The one CSV dialect of the CLI's tables: ``csv.writer``'s, CRLF line ends,
+    floats as ``repr``."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -111,9 +112,7 @@ def write_csv(path, header: list[str], rows) -> None:
 
 
 def history_to_csv(history: SearchHistory, path) -> None:
-    write_csv(path, ["step", "epoch", "phase", "model_loss", "expected_cost", "total_loss"],
-              ([r.step, r.epoch, r.phase, repr(r.model_loss), repr(r.expected_cost),
-                repr(r.total_loss)] for r in history.steps))
+    write_csv(path, [f.name for f in fields(StepRecord)], map(astuple, history.steps))
 
 
 def _snapshot(net: Supernet, epoch: int) -> EpochSnapshot:

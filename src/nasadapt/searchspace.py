@@ -28,9 +28,9 @@ DEFAULT_STEM_MBCONV_CHANNELS = 16
 
 @dataclass(frozen=True)
 class OpCandidate:
-    """One searchable operation: an inverted-residual conv or a skip."""
+    """One operation, searchable or derived: an inverted-residual conv or a skip."""
 
-    kind: str  # "mbconv" or "skip"
+    kind: str = "mbconv"  # or "skip"
     kernel: int | None = None
     expansion: int | None = None
     stride: int = 1
@@ -90,7 +90,7 @@ def op_candidates(spec: BlockSpec, layer: int) -> list[OpCandidate]:
         raise ParameterError(
             f"layer must be in [1, {spec.n_max}] for block {spec.index}, got {layer}")
     stride = spec.stride if layer == 1 else 1
-    cands = [OpCandidate(kind="mbconv", kernel=k, expansion=e, stride=stride)
+    cands = [OpCandidate(kernel=k, expansion=e, stride=stride)
              for k in spec.kernels for e in spec.expansions]
     if layer > 1:
         cands.append(SKIP)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -114,12 +114,7 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
         "images": dataset.images,
         "labels": dataset.labels.astype(DTYPE),
     })
-    write_json({
-        "n_samples": dataset.spec.n_samples,
-        "resolution": list(dataset.spec.resolution),
-        "n_classes": dataset.spec.n_classes,
-        "seed": dataset.spec.seed,
-    }, path.with_suffix(".json"))
+    write_json(asdict(dataset.spec), path.with_suffix(".json"))
 
 
 def _spec_from_doc(raw: dict) -> DatasetSpec:
@@ -250,9 +245,8 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
                                         f"fine-tune step {step} (epoch {epoch})")
                 epoch_losses.append(loss)
             curve.append(float(np.mean(epoch_losses)))
-    arrays = net.to_arrays() | head.to_arrays()
-    bundle = ParameterBundle(tensors={k: v.copy() for k, v in arrays.items()},
-                             arch=arch_to_doc(arch))
+    # nothing else holds these arrays once this returns, so the bundle takes them
+    bundle = ParameterBundle(tensors=net.to_arrays() | head.to_arrays(), arch=arch_to_doc(arch))
     return bundle, curve
 
 

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 
 from nasadapt.numerics import Tensor
+from nasadapt.searchspace import channel_candidates, op_candidates
 
 
 def finite_difference(f, arrays, h=1e-3):
@@ -63,6 +64,14 @@ def check_gradients(build_loss, params, h=1e-3, rtol=1e-3, what=""):
     numeric = finite_difference(lambda: build_loss().data, [p.data for p in params], h=h)
     for i, (a, n) in enumerate(zip(analytic, numeric)):
         assert_grads_close(a, n, rtol=rtol, what=f"{what} param {i}")
+
+
+def zero_logits(cfg):
+    """Zero alpha (per block, per layer) and beta (per block) vectors of a space."""
+    alphas = [[np.zeros(len(op_candidates(s, l + 1)), dtype=np.float32)
+               for l in range(s.n_max)] for s in cfg.blocks]
+    betas = [np.zeros(len(channel_candidates(s)), dtype=np.float32) for s in cfg.blocks]
+    return alphas, betas
 
 
 def rand_tensor(rng, shape, scale=1.0, requires_grad=True):

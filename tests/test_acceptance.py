@@ -17,7 +17,6 @@ from nasadapt.costmodel import (
 )
 from nasadapt.derive import (
     DerivedBlock,
-    DerivedOp,
     DiscreteArchitecture,
     arch_to_doc,
     default_source_architecture,
@@ -46,6 +45,7 @@ from nasadapt.searchloop import (
     search,
 )
 from nasadapt.searchspace import (
+    OpCandidate,
     channel_candidates,
     load_bundled_config,
     op_candidates,
@@ -326,8 +326,8 @@ def test_function_preservation():
             input_resolution=source_arch.input_resolution, stem=source_arch.stem,
             blocks=tuple(
                 DerivedBlock(channels=b.channels,
-                             ops=tuple(DerivedOp(kernel=kernel, expansion=o.expansion,
-                                                 stride=o.stride) for o in b.ops))
+                             ops=tuple(OpCandidate(kernel=kernel, expansion=o.expansion,
+                                                   stride=o.stride) for o in b.ops))
                 if i < 2 else b
                 for i, b in enumerate(source_arch.blocks)))
 
@@ -373,8 +373,8 @@ def test_pretrained_vs_scratch():
         input_resolution=source_arch.input_resolution, stem=source_arch.stem,
         blocks=tuple(
             DerivedBlock(channels=b.channels,
-                         ops=tuple(DerivedOp(kernel=5, expansion=o.expansion,
-                                             stride=o.stride) for o in b.ops))
+                         ops=tuple(OpCandidate(kernel=5, expansion=o.expansion,
+                                               stride=o.stride) for o in b.ops))
             if i < 2 else b
             for i, b in enumerate(source_arch.blocks)))
     epochs = 10

@@ -8,6 +8,7 @@ import pytest
 
 from nasadapt.costmodel import build_madds_table, madds_of_discrete
 from nasadapt.derive import (
+    DerivedOp,
     arch_from_doc,
     arch_to_doc,
     arch_to_json,
@@ -18,6 +19,7 @@ from nasadapt.derive import (
 from nasadapt.errors import ContractError, ParameterError, ParseError
 from nasadapt.numerics import Tensor
 from nasadapt.searchspace import (
+    OpCandidate,
     channel_candidates,
     load_bundled_config,
     op_candidates,
@@ -26,12 +28,7 @@ from nasadapt.searchspace import (
 from nasadapt.supernet import build_supernet
 from nasadapt.toytask import ProxyHead
 
-
-def zero_logits(cfg):
-    alphas = [[np.zeros(len(op_candidates(s, l + 1)), dtype=np.float32)
-               for l in range(s.n_max)] for s in cfg.blocks]
-    betas = [np.zeros(len(channel_candidates(s)), dtype=np.float32) for s in cfg.blocks]
-    return alphas, betas
+from helpers import zero_logits
 
 
 class TestDerive:
@@ -46,6 +43,26 @@ class TestDerive:
             for j, op in enumerate(block.ops):
                 assert (op.kernel, op.expansion) == (first.kernel, first.expansion)
                 assert op.stride == (spec.stride if j == 0 else 1)
+
+    def test_ops_are_the_candidates_picked(self):
+        cfg = load_bundled_config("table1")
+        rng = np.random.default_rng(0)
+        alphas, betas = zero_logits(cfg)
+        alphas = [[rng.standard_normal(v.shape).astype(np.float32) for v in vecs]
+                  for vecs in alphas]
+        arch = derive_architecture(alphas, betas, cfg)
+        for block, vecs, spec in zip(arch.blocks, alphas, cfg.blocks):
+            picked = [op_candidates(spec, l + 1)[int(np.argmax(v))] for l, v in enumerate(vecs)]
+            assert list(block.ops) == [op for op in picked if op.kind != "skip"]
+        source = default_source_architecture(cfg)
+        for block, spec in zip(source.blocks, cfg.blocks):
+            for l, op in enumerate(block.ops):
+                assert op in op_candidates(spec, l + 1)
+                assert (op.kernel, op.expansion) == (spec.kernels[0], spec.expansions[-1])
+
+    def test_derived_op_name_builds_an_mbconv_candidate(self):
+        """The older name of a derived op, still imported by the benchmark."""
+        assert DerivedOp(kernel=5, expansion=6, stride=2) == OpCandidate("mbconv", 5, 6, 2)
 
     def test_skip_votes_shrink_depth(self):
         cfg = load_bundled_config("table1")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from nasadapt.derive import (
     DerivedBlock,
-    DerivedOp,
     DiscreteArchitecture,
     DiscreteNetwork,
     arch_to_doc,
@@ -28,7 +27,7 @@ from nasadapt.paramap import (
     map_to_supernet,
     verify_function_preservation,
 )
-from nasadapt.searchspace import load_bundled_config, parse_config
+from nasadapt.searchspace import OpCandidate, load_bundled_config, parse_config
 from nasadapt.supernet import build_supernet, logit_lengths
 
 
@@ -53,7 +52,7 @@ def widened(arch, block_idx, new_channels):
 
 def rekernel(arch, block_idx, kernel):
     blocks = list(arch.blocks)
-    ops = tuple(DerivedOp(kernel=kernel, expansion=o.expansion, stride=o.stride)
+    ops = tuple(OpCandidate(kernel=kernel, expansion=o.expansion, stride=o.stride)
                 for o in blocks[block_idx].ops)
     blocks[block_idx] = DerivedBlock(channels=blocks[block_idx].channels, ops=ops)
     return DiscreteArchitecture(input_resolution=arch.input_resolution,
@@ -66,7 +65,7 @@ def layered(cfg, blocks):
     return DiscreteArchitecture(
         input_resolution=cfg.input_resolution, stem=cfg.stem,
         blocks=tuple(DerivedBlock(channels=c, ops=tuple(
-            DerivedOp(kernel=k, expansion=e, stride=spec.stride if layer == 0 else 1)
+            OpCandidate(kernel=k, expansion=e, stride=spec.stride if layer == 0 else 1)
             for layer in range(depth)))
             for spec, (c, k, e, depth) in zip(cfg.blocks, blocks, strict=True)))
 
@@ -348,7 +347,7 @@ class TestMapToDerived:
 
         def first_expansion(e):
             first = arch.blocks[0]
-            op = DerivedOp(kernel=first.ops[0].kernel, expansion=e, stride=first.ops[0].stride)
+            op = OpCandidate(kernel=first.ops[0].kernel, expansion=e, stride=first.ops[0].stride)
             block = DerivedBlock(channels=first.channels, ops=(op, *first.ops[1:]))
             return DiscreteArchitecture(input_resolution=arch.input_resolution,
                                         stem=arch.stem, blocks=(block, *arch.blocks[1:]))
