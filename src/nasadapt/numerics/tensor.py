@@ -57,10 +57,12 @@ class MAddsCounter:
 
 @contextmanager
 def count_madds():
-    """Instrument conv2d: yields a counter of exact multiply-adds performed.
+    """Instrument conv2d: yields a counter of each conv's configured multiply-adds.
 
-    Counts one multiply-add per kernel multiplication, i.e.
-    ``N * k^2 * (C_in/groups) * C_out * H_out * W_out`` per convolution.
+    Counts ``N * k^2 * (C_in/groups) * C_out * H_out * W_out`` per
+    convolution, the cost model's convention, whatever the kernel does:
+    the Toeplitz kernels multiply more (zero entries of their matrices),
+    and the tap loop fewer (it skips taps that are zero in every channel).
     Normalization, activations, and elementwise arithmetic are excluded.
     ``conv_calls`` counts ``conv2d`` calls: a conv chain that runs in bands
     of rows (``layers.ConvChain``) makes one per stage and band, whose
@@ -504,8 +506,11 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -
     Each block copies the phase rows its taps read, its own rows plus
     ``(k-1)//stride + 1`` below them for the taps' reach and the last
     run's overhang, from the input into a zeroed buffer of its own, so no
-    padded copy of the whole input exists. Forward only: no conv that is
-    put on the tape runs it.
+    padded copy of the whole input exists. A tap whose weight is zero in
+    every channel is skipped, unless the block reads a NaN or an inf; a
+    block with no tap left writes +0.0. That can change only the sign of
+    an exact-zero output. Forward only: no conv that is put on the tape
+    runs it.
     """
     n, c, h, w = xd.shape
     k, s = wd.shape[-1], stride
@@ -513,8 +518,10 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -
     reach = (k - 1) // s
     ws = ow + reach
     cols = [_phase_lines(w, padding, s, b, 0, ws) for b in range(s)]
-    taps = [((ki % s) * s + kj % s, (ki // s) * ws + kj // s) for ki, kj in np.ndindex(k, k)]
     wt = np.ascontiguousarray(wd.reshape(c, k * k).T)[:, :, None]
+    taps = [(t, (ki % s) * s + kj % s, (ki // s) * ws + kj // s)
+            for t, (ki, kj) in enumerate(np.ndindex(k, k))]
+    live = [tap for tap in taps if wt[tap[0]].any()]
     row = s * s * n * ws * np.dtype(DTYPE).itemsize  # one plane's input per output row
     planes = max(1, min(c, _DW_BLOCK_BYTES // (row * oh)))
     rows = max(1, min(oh, _DW_BLOCK_BYTES // (row * planes)))
@@ -528,10 +535,13 @@ def _conv_depthwise(xd: np.ndarray, wd: np.ndarray, stride: int, padding: int) -
             phases[:, :, a, b, prows, pcols] = xd[:, chans, xrows, xcols]
         phases = phases.reshape(n, m, s * s, lines * ws)
         acc, tmp = np.empty((2, n, m, span), dtype=DTYPE)
-        for t, (phase, offset) in enumerate(taps):
+        run = live if len(live) == len(taps) or np.isfinite(phases).all() else taps
+        if not run:
+            acc.fill(0)
+        for i, (t, phase, offset) in enumerate(run):
             np.multiply(phases[:, :, phase, offset:offset + span], wt[t, chans],
-                        out=tmp if t else acc)
-            if t:
+                        out=tmp if i else acc)
+            if i:
                 acc += tmp
         out[:, chans, r0:r1] = acc.reshape(n, m, r1 - r0, ws)[..., :ow]
         del phases, acc, tmp  # before the next block allocates its own

@@ -11,7 +11,9 @@ picks one of the three from the shape and from whether the conv is
 recorded. Stride-1 1x1 convs run as one matmul. ``_conv_im2col`` handles
 every shape and stays the oracle here. The fast paths sum in another
 order, so they agree with it to float32 rounding, not bit for bit; the
-tap loop is also pinned bit for bit to a numpy sum of shifted products.
+tap loop is also pinned bit for bit to a numpy sum of shifted products,
+up to the sign of an exact zero where it skips taps that are zero in
+every channel.
 Parity tests force the depthwise kernel they test, so each keeps its
 coverage whatever the shape rule picks; the tap loop's run under
 ``no_grad`` and check the forward only, some on inputs in NCHW and in
@@ -220,6 +222,21 @@ def _taps_reference(x, wd, stride, padding):
     return out
 
 
+def _tap_loop_shapes():
+    """(n, c, h, w, k, stride, padding) of every conv the tap-loop sweeps run."""
+    for n, c, h, w, k, stride in itertools.product([1, 2], [1, 3, 8], [1, 2, 5, 13],
+                                                   [1, 4, 16], [1, 3, 5, 7], [1, 2, 3]):
+        for padding in range(k):
+            if min(h, w) + 2 * padding >= k:
+                yield n, c, h, w, k, stride, padding
+
+
+def _grown(core, k):
+    """A kernel grown to k x k by embedding ``core`` at its centre in a zero ring."""
+    ring = (k - core.shape[-1]) // 2
+    return np.pad(core, ((0, 0), (0, 0), (ring, ring), (ring, ring)))
+
+
 def test_tap_loop_is_bit_identical_to_the_shifted_product_sum(monkeypatch):
     # a 1 KB block budget gives the sweep's planes every split: one block,
     # blocks of several whole planes, and bands of rows of one plane
@@ -227,21 +244,74 @@ def test_tap_loop_is_bit_identical_to_the_shifted_product_sum(monkeypatch):
     split = _spy_blocks(monkeypatch)
     rng = np.random.default_rng(18)
     shapes = 0
-    for n, c, h, w, k, stride in itertools.product([1, 2], [1, 3, 8], [1, 2, 5, 13],
-                                                   [1, 4, 16], [1, 3, 5, 7], [1, 2, 3]):
-        for padding in range(k):
-            if min(h, w) + 2 * padding < k:
-                continue
-            x = rng.standard_normal((n, c, h, w)).astype(np.float32)
-            wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
-            got = engine._conv_depthwise(x, wd, stride, padding)
-            assert np.array_equal(got, _taps_reference(x, wd, stride, padding)), \
-                (n, c, h, w, k, stride, padding)
-            shapes += 1
+    for n, c, h, w, k, stride, padding in _tap_loop_shapes():
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        wd = rng.standard_normal((c, 1, k, k)).astype(np.float32)
+        got = engine._conv_depthwise(x, wd, stride, padding)
+        assert np.array_equal(got, _taps_reference(x, wd, stride, padding)), \
+            (n, c, h, w, k, stride, padding)
+        shapes += 1
     assert shapes > 2000
     assert ([0], [0]) in split
     assert any(len(chans) > 1 and chans[1] - chans[0] > 1 for chans, _ in split)
     assert any(len(rows) > 1 for _, rows in split)
+
+
+def test_tap_loop_skipping_zero_taps_matches_the_shifted_product_sum(monkeypatch):
+    # taps that are zero in every channel are skipped; the sum of the rest
+    # equals the full sum up to the sign of an exact zero, which
+    # array_equal does not see
+    monkeypatch.setattr(engine, "_DW_BLOCK_BYTES", 1024)
+    rng = np.random.default_rng(24)
+    for n, c, h, w, k, stride, padding in _tap_loop_shapes():
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        full = rng.standard_normal((c, 1, k, k)).astype(np.float32)
+        dead = rng.random((k, k)) < 0.5  # these taps are zero in every channel
+        some = rng.random((c, 1, k, k)) < 0.3  # these only in some channels
+        kernels = {"random zero taps": np.where(dead | some, np.float32(0), full)}
+        if k > 3:
+            kernels["k3 core"] = _grown(full[..., :3, :3], k)
+        for name, wd in kernels.items():
+            got = engine._conv_depthwise(x, wd, stride, padding)
+            assert np.array_equal(got, _taps_reference(x, wd, stride, padding)), \
+                (name, n, c, h, w, k, stride, padding)
+        zero = engine._conv_depthwise(x, np.zeros_like(full), stride, padding)
+        assert not zero.any() and not np.signbit(zero).any()
+
+
+@pytest.mark.parametrize("budget", [1024, None], ids=["blocks", "one-block"])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_tap_loop_propagates_nan_and_inf_that_only_zero_taps_read(monkeypatch, stride,
+                                                                  budget):
+    # 0 * NaN and 0 * inf are NaN, so a block that reads a non-finite value
+    # runs every tap; with small blocks, the other blocks still skip
+    if budget:
+        monkeypatch.setattr(engine, "_DW_BLOCK_BYTES", budget)
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((2, 3, 13, 16)).astype(np.float32)
+    x[0, 1, 0, 0], x[1, 2, 12, 9] = np.nan, np.inf
+    wd = _grown(rng.standard_normal((3, 1, 3, 3)).astype(np.float32), 7)
+    with np.errstate(invalid="ignore"):
+        got = engine._conv_depthwise(x, wd, stride, 3)
+        want = _taps_reference(x, wd, stride, 3)
+        core = engine._conv_depthwise(x, wd[..., 2:5, 2:5], stride, 1)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got).sum() > np.isnan(core).sum() > 0
+
+
+def test_tap_loop_multiplies_only_the_live_taps_of_a_grown_kernel(monkeypatch):
+    # a k7 kernel with a k3 core runs 9 taps per block, not 49
+    calls = []
+    multiply = np.multiply
+    monkeypatch.setattr(np, "multiply", lambda *a, **kw: calls.append(1) or multiply(*a, **kw))
+    rng = np.random.default_rng(26)
+    x = rng.standard_normal((1, 4, 9, 9)).astype(np.float32)
+    core = rng.standard_normal((4, 1, 3, 3)).astype(np.float32)
+    engine._conv_depthwise(x, _grown(core, 7), 1, 3)
+    assert len(calls) == 9
+    calls.clear()
+    engine._conv_depthwise(x, _grown(core, 7) + np.float32(1), 1, 3)
+    assert len(calls) == 49
 
 
 def test_tap_loop_holds_no_copy_of_its_input(monkeypatch):
