@@ -146,7 +146,7 @@ def _cmd_verify(args) -> int:
     source = ParameterBundle.load(args.src)
     target_arch = load_arch(args.dst_arch)
     mapped, _ = map_to_derived(source, target_arch, eps=0.0)
-    src_net = instantiate(source.architecture(), arrays=source.tensors)
+    src_net = instantiate(source.arch, arrays=source.tensors)
     dst_net = instantiate(target_arch, arrays=mapped.tensors)
     del source, mapped  # each network holds its own copies
     report = verify_function_preservation(src_net, dst_net, samples=args.samples,
@@ -358,10 +358,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NasAdaptError as exc:
-        print(f"nasadapt: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, KeyError, ValueError) as exc:
+    except (NasAdaptError, OSError, KeyError, ValueError) as exc:
         print(f"nasadapt: error: {exc}", file=sys.stderr)
         return 2
 

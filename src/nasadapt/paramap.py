@@ -36,8 +36,8 @@ from .derive import (
     DiscreteNetwork,
     arch_from_doc,
     arch_layers,
-    arch_to_doc,
     load_arch,
+    save_arch,
 )
 from .errors import ContractError, ParameterError
 from .layers import ConvStage, TensorSource, stem_stages
@@ -62,26 +62,23 @@ class ParameterBundle:
     """Named float32 tensors plus the architecture they belong to."""
 
     tensors: dict[str, np.ndarray]
-    arch: dict | None = None
+    arch: DiscreteArchitecture | None = None
+
+    def __post_init__(self):
+        # perfbench/workloads.py still passes a document (until ROADMAP item 1)
+        if isinstance(self.arch, dict):
+            self.arch = arch_from_doc(self.arch)
 
     def save(self, path) -> None:
         path = Path(path)
         save_tensors(path, self.tensors)
         if self.arch is not None:
-            write_json(self.arch, path.with_suffix(".arch.json"))
+            save_arch(self.arch, path.with_suffix(".arch.json"))
 
     @classmethod
     def load(cls, path) -> "ParameterBundle":
-        tensors = load_tensors(path)
         sidecar = Path(path).with_suffix(".arch.json")
-        arch = arch_to_doc(load_arch(sidecar)) if sidecar.exists() else None
-        return cls(tensors=tensors, arch=arch)
-
-    def architecture(self) -> DiscreteArchitecture:
-        if self.arch is None:
-            raise ContractError("bundle carries no architecture: its .arch.json sidecar "
-                                "is missing")
-        return arch_from_doc(self.arch)
+        return cls(load_tensors(path), load_arch(sidecar) if sidecar.exists() else None)
 
 
 @dataclass
@@ -171,7 +168,9 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
     they are never backpropagated, which is the only reason the noise
     exists. eps = 0 leaves everything bit-identical."""
     check_eps(eps)
-    source_arch = source.architecture()
+    source_arch = source.arch
+    if source_arch is None:
+        raise ContractError("bundle carries no architecture: its .arch.json sidecar is missing")
     if source_arch.stem != stem:
         raise ContractError(f"incompatible stem: source {source_arch.stem} vs target {stem}")
     if len(source_arch.blocks) != len(blocks):
@@ -229,7 +228,7 @@ def map_to_derived(source: ParameterBundle, arch: DiscreteArchitecture,
     """Map a source bundle onto a discrete target architecture."""
     blocks = [[[layer] for layer in layers] for layers in arch_layers(arch)]
     tensors, report = _map(source, arch.stem, blocks, eps, seed)
-    return ParameterBundle(tensors=tensors, arch=arch_to_doc(arch)), report
+    return ParameterBundle(tensors=tensors, arch=arch), report
 
 
 def map_to_supernet(source: ParameterBundle, config: SearchSpaceConfig,

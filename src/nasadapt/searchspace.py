@@ -158,6 +158,12 @@ def _resolution(obj, key, path) -> tuple[int, int]:
     return value[0], value[1]
 
 
+def _known(obj, keys, path):
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"{path}.{key}", "unknown field")
+
+
 def _int_list(obj, key, path):
     value = _require(obj, key, path, list, "a list of integers")
     if not value or not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
@@ -200,11 +206,12 @@ def _parse_block(raw, index: int) -> BlockSpec:
 
 def _config_from_doc(raw: dict) -> SearchSpaceConfig:
     _bounded(raw, "v", "$", lambda v: v == SCHEMA_VERSION, f"version {SCHEMA_VERSION}")
+    _known(raw, ("v", "input_resolution", "stem", "blocks"), "$")
     resolution = _resolution(raw, "input_resolution", "$")
-    # a space may leave out the stem or either width; StemSpec has the defaults
+    # a space may leave out the stem or either width (StemSpec's defaults), not misspell them
     stem_raw = _require(raw, "stem", "$", dict, "an object") if "stem" in raw else {}
-    stem = StemSpec(**{name: _positive(stem_raw, name, "$.stem")
-                       for name in ("conv_channels", "mbconv_channels") if name in stem_raw})
+    _known(stem_raw, ("conv_channels", "mbconv_channels"), "$.stem")
+    stem = StemSpec(**{name: _positive(stem_raw, name, "$.stem") for name in stem_raw})
     blocks_raw = _require(raw, "blocks", "$", list, "a list")
     if not blocks_raw:
         raise ParseError("$.blocks", "at least one searchable block is required")

@@ -123,9 +123,6 @@ def mixed_block_forward(x: Tensor, block: MixedBlock, alpha_logits: list[Tensor]
     The operation count is independent of how many channel candidates the
     block has: softmax(beta) only reweights constant mask rows.
     """
-    if x.data.shape[1] != block.layers[0].c_in:
-        raise DimensionError(f"block expects {block.layers[0].c_in} input channels, "
-                             f"got {x.data.shape[1]}")
     h = x
     for layer, logits in zip(block.layers, alpha_logits):
         h = mixed_op_forward(h, layer, logits, training, update_stats)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .derive import DiscreteArchitecture, arch_to_doc, instantiate
+from .derive import DiscreteArchitecture, instantiate
 from .errors import ContractError, ParameterError
 from .layers import TensorSource, trunc_normal, zeros
 from .numerics import SGD, Tensor, backward, cross_entropy, matmul, no_grad
@@ -246,7 +246,7 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
                 epoch_losses.append(loss)
             curve.append(float(np.mean(epoch_losses)))
     # nothing else holds these arrays once this returns, so the bundle takes them
-    bundle = ParameterBundle(tensors=net.to_arrays() | head.to_arrays(), arch=arch_to_doc(arch))
+    bundle = ParameterBundle(tensors=net.to_arrays() | head.to_arrays(), arch=arch)
     return bundle, curve
 
 

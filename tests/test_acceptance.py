@@ -18,7 +18,6 @@ from nasadapt.costmodel import (
 from nasadapt.derive import (
     DerivedBlock,
     DiscreteArchitecture,
-    arch_to_doc,
     default_source_architecture,
     derive_architecture,
     instantiate,
@@ -319,7 +318,7 @@ def test_function_preservation():
     src_net.forward(Tensor(ds.images), training=True)
     bundle = ParameterBundle(
         tensors={k2: v.copy() for k2, v in src_net.to_arrays().items()},
-        arch=arch_to_doc(source_arch))
+        arch=source_arch)
 
     def kernel_grown(kernel):
         return DiscreteArchitecture(
@@ -352,7 +351,7 @@ def test_function_preservation():
     narrow_net.forward(Tensor(ds.images), training=True)
     narrow_bundle = ParameterBundle(
         tensors={k2: v.copy() for k2, v in narrow_net.to_arrays().items()},
-        arch=arch_to_doc(narrow_arch))
+        arch=narrow_arch)
     padded, rep_map = map_to_derived(narrow_bundle, source_arch, eps=0.0)
     pad_rules_ok = {r for e in rep_map.entries.values() for r in e.rules} <= \
         {"direct", "channel-pad"}

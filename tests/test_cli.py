@@ -525,6 +525,12 @@ def broken(artifacts, from_arrays_inputs, space_path):
                                   lambda d: d["stem"].update(conv_channels=16))
     paths["stem_space"] = edited(Path(space_path), "stem_space.json",
                                  lambda d: d["stem"].update(conv_channels=16))
+    # misspelt optional keys: without a check each falls back to its default
+    paths["stem_typo_space"] = edited(
+        Path(space_path), "stem_typo_space.json",
+        lambda d: d.update(stem={"conv_chanels": 8, "mbconv_channels": 8}))
+    paths["top_typo_space"] = edited(Path(space_path), "top_typo_space.json",
+                                     lambda d: d.update(stme=d.pop("stem")))
     for name, channels in (("reversed_channels_space", [16, 8, 4]),
                            ("step0_channels_space", [8, 16, 0])):
         paths[name] = edited(Path(space_path), f"{name}.json",
@@ -703,6 +709,10 @@ FIELD_CASES = {
     "cost-space-channel-step-0": (
         "cost --space {step0_channels_space} --arch {arch} --out {out}",
         "step0_channels_space.json", "$.blocks[0].channels"),
+    "search-space-stem-typo": ("search --space {stem_typo_space} --data {data} --out {out}",
+                               "stem_typo_space.json", "$.stem.conv_chanels"),
+    "cost-space-top-level-typo": ("cost --space {top_typo_space} --arch {arch} --out {out}",
+                                  "top_typo_space.json", "$.stme"),
 }
 
 

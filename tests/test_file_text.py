@@ -2,6 +2,7 @@
 mapping report, search history, fine-tune curve and architecture sidecar."""
 
 import numpy as np
+import pytest
 
 import nasadapt.cli as cli
 from nasadapt.derive import DerivedBlock, DiscreteArchitecture, arch_to_doc, save_arch
@@ -100,9 +101,12 @@ def test_finetune_curve(tmp_path, monkeypatch, capsys):
     assert '"final_loss": 0.3333333333333333' in capsys.readouterr().out
 
 
-def test_arch_sidecar(tmp_path):
+# perfbench/workloads.py passes the architecture as a document
+@pytest.mark.parametrize("arch", [ONE_BLOCK, arch_to_doc(ONE_BLOCK)],
+                         ids=["architecture", "document"])
+def test_arch_sidecar(tmp_path, arch):
     ParameterBundle(tensors={"w": np.zeros(2, dtype=np.float32)},
-                    arch=arch_to_doc(ONE_BLOCK)).save(tmp_path / "net.nat")
+                    arch=arch).save(tmp_path / "net.nat")
     assert (tmp_path / "net.arch.json").read_text(encoding="utf-8") == (
         '{\n'
         '  "blocks": [\n'

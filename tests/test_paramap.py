@@ -14,7 +14,6 @@ from nasadapt.derive import (
     DerivedBlock,
     DiscreteArchitecture,
     DiscreteNetwork,
-    arch_to_doc,
     default_source_architecture,
     instantiate,
 )
@@ -39,7 +38,20 @@ def source_bundle(cfg, seed=0):
     arch = default_source_architecture(cfg)
     net = instantiate(arch, seed=seed)
     return ParameterBundle(tensors={k: v.copy() for k, v in net.to_arrays().items()},
-                           arch=arch_to_doc(arch)), arch
+                           arch=arch), arch
+
+
+def saved_with_sidecar_edit(tmp_path, edit):
+    """Save a desk3 source bundle, apply ``edit`` to its .arch.json sidecar,
+    and return the bundle path."""
+    bundle, _ = source_bundle(desk_config())
+    path = tmp_path / "source.nat"
+    bundle.save(path)
+    sidecar = path.with_suffix(".arch.json")
+    doc = json.loads(sidecar.read_text())
+    edit(doc)
+    sidecar.write_text(json.dumps(doc))
+    return path
 
 
 def widened(arch, block_idx, new_channels):
@@ -84,7 +96,7 @@ def mapped_pair(source_blocks, target_blocks, eps=0.0):
     cfg = desk_config()
     source = layered(cfg, source_blocks)
     bundle = ParameterBundle(tensors=instantiate(source, seed=0).to_arrays(),
-                             arch=arch_to_doc(source))
+                             arch=source)
     mapped, report = map_to_derived(bundle, layered(cfg, target_blocks), eps=eps)
     return bundle.tensors, mapped.tensors, report
 
@@ -111,13 +123,12 @@ class TestMapKernel:
             assert entry.rules == ("direct",), name
             assert out[name].tobytes() == src[name].tobytes(), name
 
-    def test_even_kernel_rejected(self):
-        # the mapper reads its source through arch_from_doc, which admits odd kernels only
-        cfg = desk_config()
-        bundle, arch = source_bundle(cfg)
-        bundle.arch["blocks"][0]["ops"][0]["kernel"] = 4
+    def test_even_kernel_rejected(self, tmp_path):
+        # a source is read through its sidecar, which admits odd kernels only
+        path = saved_with_sidecar_edit(
+            tmp_path, lambda d: d["blocks"][0]["ops"][0].update(kernel=4))
         with pytest.raises(ParseError, match=r"\$\.blocks\[0\]\.ops\[0\]\.kernel"):
-            map_to_derived(bundle, arch)
+            ParameterBundle.load(path)
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.sampled_from([1, 3, 5]), grow=st.sampled_from([2, 4]),
@@ -128,7 +139,7 @@ class TestMapKernel:
         big = [(16, k + grow, 3, 2), (16, k + grow, 3, 2), (24, 3, 6, 2)]
         src = instantiate(layered(cfg, small), seed=seed).to_arrays()
         there, _ = map_to_derived(
-            ParameterBundle(tensors=src, arch=arch_to_doc(layered(cfg, small))),
+            ParameterBundle(tensors=src, arch=layered(cfg, small)),
             layered(cfg, big))
         back, report = map_to_derived(there, layered(cfg, small))
         assert report.entries["block1/layer0/depthwise/weight"].rules == ("kernel-crop",)
@@ -226,13 +237,11 @@ class TestMapDepth:
         name = "block1/layer0/depthwise/weight"
         assert out[name].tobytes() == src[name].tobytes()
 
-    def test_empty_source_rejected(self):
-        # the mapper reads its source through arch_from_doc, which admits no empty block
-        cfg = desk_config()
-        bundle, arch = source_bundle(cfg)
-        bundle.arch["blocks"][1]["ops"] = []
-        with pytest.raises(ParseError, match="at least one operation"):
-            map_to_derived(bundle, arch)
+    def test_empty_source_rejected(self, tmp_path):
+        # a source is read through its sidecar, which admits no empty block
+        path = saved_with_sidecar_edit(tmp_path, lambda d: d["blocks"][1].update(ops=[]))
+        with pytest.raises(ParseError, match=r"\$\.blocks\[1\]\.ops: .*at least one op"):
+            ParameterBundle.load(path)
 
 
 class TestNoise:
@@ -320,7 +329,7 @@ class TestMapToDerived:
         shallow_net = instantiate(shallow, seed=1)
         shallow_bundle = ParameterBundle(
             tensors={k: v.copy() for k, v in shallow_net.to_arrays().items()},
-            arch=arch_to_doc(shallow))
+            arch=shallow)
         mapped, report = map_to_derived(shallow_bundle, arch, eps=0.0)
         entry = report.entries["block0/layer1/project/weight"]
         assert "depth-copy" in entry.rules
@@ -354,7 +363,7 @@ class TestMapToDerived:
 
         source = first_expansion(1)
         bundle = ParameterBundle(tensors=instantiate(source, seed=0).to_arrays(),
-                                 arch=arch_to_doc(source))
+                                 arch=source)
         with pytest.raises(ContractError,
                            match="cannot map block0/layer0 .* onto block0/layer0 "):
             map_to_derived(bundle, first_expansion(6))
@@ -377,7 +386,7 @@ class TestMappedBytes:
         source = layered(cfg, [(12, 3, 3, 2), (16, 5, 3, 2), (24, 3, 6, 1)])
         target = layered(cfg, [(16, 5, 3, 2), (8, 3, 3, 2), (24, 3, 3, 2)])
         bundle = ParameterBundle(tensors=instantiate(source, seed=4).to_arrays(),
-                                 arch=arch_to_doc(source))
+                                 arch=source)
         mapped, report = map_to_derived(bundle, target, eps=1e-3, seed=11)
         assert {r for e in report.entries.values() for r in e.rules} == {
             "direct", "depth-copy", "channel-pad", "channel-truncate", "kernel-embed",
@@ -470,7 +479,7 @@ class TestFunctionPreservation:
         net = instantiate(narrow, seed=9)
         bundle = ParameterBundle(
             tensors={k: v.copy() for k, v in net.to_arrays().items()},
-            arch=arch_to_doc(narrow))
+            arch=narrow)
         # randomize source BN stats so preservation is not trivial
         rng = np.random.default_rng(4)
         for name, arr in bundle.tensors.items():
@@ -509,7 +518,7 @@ class TestFunctionPreservation:
             replace(b, ops=tuple(replace(op, kernel=7) for op in b.ops))
             for b in source.blocks))
         net = instantiate(source, seed=1)
-        bundle = ParameterBundle(tensors=net.to_arrays(), arch=arch_to_doc(source))
+        bundle = ParameterBundle(tensors=net.to_arrays(), arch=source)
         mapped, _ = map_to_derived(bundle, grown, eps=0.0)
         flushed, layouts = [], set()
         affine, choose = engine._affine, engine._dw_kernel
@@ -599,7 +608,7 @@ class TestSourceReadInPlace:
         cfg = load_bundled_config("table1")
         arch = default_source_architecture(cfg)
         bundle = ParameterBundle(tensors=instantiate(arch, seed=1).to_arrays(),
-                                 arch=arch_to_doc(arch))
+                                 arch=arch)
         tracemalloc.start()
         try:
             mapped, _ = map_to_derived(bundle, arch)
@@ -616,7 +625,7 @@ class TestBundleIO:
         path = tmp_path / "source.nat"
         bundle.save(path)
         loaded = ParameterBundle.load(path)
-        assert loaded.arch == bundle.arch
+        assert loaded.arch == arch
         assert set(loaded.tensors) == set(bundle.tensors)
         for name in bundle.tensors:
             assert loaded.tensors[name].tobytes() == bundle.tensors[name].tobytes()
@@ -632,7 +641,7 @@ class TestBundleIO:
             ParameterBundle.load(path)
         assert err.value.path == f"{sidecar}:$"
 
-    def test_missing_arch_metadata(self, tmp_path):
-        bundle = ParameterBundle(tensors={"x": np.ones(2, dtype=np.float32)}, arch=None)
-        with pytest.raises(ContractError):
-            bundle.architecture()
+    def test_missing_arch_metadata(self):
+        bundle, arch = source_bundle(desk_config())
+        with pytest.raises(ContractError, match="sidecar is missing"):
+            map_to_derived(ParameterBundle(tensors=bundle.tensors, arch=None), arch)
