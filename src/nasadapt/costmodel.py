@@ -62,9 +62,9 @@ def block_input_sizes(config: SearchSpaceConfig) -> list[tuple[int, int]]:
 def _layer_madds(config: SearchSpaceConfig, index: int, layer: int, channels: int,
                  size_in: tuple[int, int]) -> list[int]:
     """Table-convention cost of every operation candidate of layer ``layer``
-    (0-based) of block ``index`` at width ``channels``: the supernet's
-    candidate stage lists at that width. The first layer runs at the block's
-    input size ``size_in``, later layers at its output size."""
+    of block ``index`` at width ``channels``: the supernet's candidate stage
+    lists at that width. The first layer runs at the block's input size
+    ``size_in``, later layers at its output size."""
     if layer > 0:
         size_in = out_hw(*size_in, config.blocks[index].stride)
     return [stages_madds(stages, *size_in)
@@ -147,7 +147,7 @@ def _op_indices(block, spec, index: int) -> list[int]:
             f"block {index}: {len(block.ops)} ops exceed n_max {spec.n_max}")
     indices = []
     for j, op in enumerate(block.ops):
-        offered = op_candidates(spec, j + 1)
+        offered = op_candidates(spec, j)
         if op not in offered:
             raise ContractError(
                 f"block {index} op {j}: kernel {op.kernel}, expansion {op.expansion}, "

@@ -22,6 +22,7 @@ from .searchspace import (
     SearchSpaceConfig,
     StemSpec,
     _bounded,
+    _known,
     _positive,
     _require,
     _resolution,
@@ -66,8 +67,8 @@ def derive_architecture(alpha, beta, config: SearchSpaceConfig) -> DiscreteArchi
             raise ContractError(f"non-finite channel logits for block {i}")
         channels = channel_candidates(spec)[int(np.argmax(beta_vec))]
         ops = []
-        for layer in range(1, spec.n_max + 1):
-            vec = _logits(alpha[i][layer - 1])
+        for layer in range(spec.n_max):
+            vec = _logits(alpha[i][layer])
             if not np.isfinite(vec).all():
                 raise ContractError(f"non-finite operation logits for block {i} layer {layer}")
             chosen = op_candidates(spec, layer)[int(np.argmax(vec))]
@@ -86,7 +87,7 @@ def default_source_architecture(config: SearchSpaceConfig) -> DiscreteArchitectu
     for spec in config.blocks:
         # the first kernel's candidates come first, its largest expansion last
         ops = tuple(op_candidates(spec, layer)[len(spec.expansions) - 1]
-                    for layer in range(1, spec.n_max + 1))
+                    for layer in range(spec.n_max))
         blocks.append(DerivedBlock(channels=channel_candidates(spec)[-1], ops=ops))
     return DiscreteArchitecture(input_resolution=config.input_resolution,
                                 stem=config.stem, blocks=tuple(blocks))
@@ -110,8 +111,10 @@ def arch_to_json(arch: DiscreteArchitecture) -> str:
 def arch_from_doc(raw: dict) -> DiscreteArchitecture:
     """Validate a decoded architecture document (docs/arch.schema.json)."""
     _bounded(raw, "v", "$", lambda v: v == ARCH_SCHEMA_VERSION, f"version {ARCH_SCHEMA_VERSION}")
+    _known(raw, ("v", "input_resolution", "stem", "blocks"), "$")
     resolution = _resolution(raw, "input_resolution", "$")
     stem_raw = _require(raw, "stem", "$", dict, "an object")
+    _known(stem_raw, ("conv_channels", "mbconv_channels"), "$.stem")
     stem = StemSpec(
         conv_channels=_positive(stem_raw, "conv_channels", "$.stem"),
         mbconv_channels=_positive(stem_raw, "mbconv_channels", "$.stem"),
@@ -123,6 +126,7 @@ def arch_from_doc(raw: dict) -> DiscreteArchitecture:
     for i, braw in enumerate(blocks_raw):
         path = f"$.blocks[{i}]"
         channels = _positive(braw, "channels", path)
+        _known(braw, ("channels", "ops"), path)
         ops_raw = _require(braw, "ops", path, list, "a list")
         if not ops_raw:
             raise ParseError(f"{path}.ops", "a block must retain at least one operation")
@@ -132,6 +136,7 @@ def arch_from_doc(raw: dict) -> DiscreteArchitecture:
             kind = _require(oraw, "kind", opath, str, "a string")
             if kind != "mbconv":
                 raise ParseError(f"{opath}.kind", f"unknown operation kind '{kind}'")
+            _known(oraw, ("kind", "kernel", "expansion", "stride"), opath)
             ops.append(OpCandidate(
                 kernel=_bounded(oraw, "kernel", opath, lambda v: v >= 1 and v % 2 == 1,
                                 "odd and >= 1"),

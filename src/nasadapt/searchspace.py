@@ -79,20 +79,20 @@ def channel_candidates(spec: BlockSpec) -> list[int]:
 
 
 def op_candidates(spec: BlockSpec, layer: int) -> list[OpCandidate]:
-    """Operation candidates of layer ``layer`` (1-based).
+    """Operation candidates of layer ``layer`` of a block.
 
     Every layer offers each kernel/expansion combination; only the first
     layer's convolutions carry the block's stride. Later layers add the skip
     connection, so a block can shrink below n_max operations but never to
     zero.
     """
-    if layer < 1 or layer > spec.n_max:
+    if not 0 <= layer < spec.n_max:
         raise ParameterError(
-            f"layer must be in [1, {spec.n_max}] for block {spec.index}, got {layer}")
-    stride = spec.stride if layer == 1 else 1
+            f"layer must be in [0, {spec.n_max}) for block {spec.index}, got {layer}")
+    stride = spec.stride if layer == 0 else 1
     cands = [OpCandidate(kernel=k, expansion=e, stride=stride)
              for k in spec.kernels for e in spec.expansions]
-    if layer > 1:
+    if layer > 0:
         cands.append(SKIP)
     return cands
 
@@ -185,6 +185,7 @@ def _ascending(obj, key, path, ok, what):
 def _parse_block(raw, index: int) -> BlockSpec:
     path = f"$.blocks[{index}]"
     n_max = _positive(raw, "n_max", path)
+    _known(raw, ("n_max", "stride", "kernels", "expansions", "channels"), path)
     stride = _bounded(raw, "stride", path, lambda v: v in (1, 2), "1 or 2")
     kernels = _ascending(raw, "kernels", path, lambda v: v >= 1 and v % 2 == 1, "odd and >= 1")
     expansions = _ascending(raw, "expansions", path, lambda v: v >= 1, ">= 1")

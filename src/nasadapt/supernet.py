@@ -58,15 +58,15 @@ Candidate = tuple[str, tuple[ConvStage, ...]]
 def layer_candidates(config: SearchSpaceConfig, block: int, layer: int,
                      channels: int) -> list[Candidate]:
     """(tensor prefix, stage list) of every operation candidate of layer
-    ``layer`` (0-based) of block ``block`` at width ``channels``, in logit
-    order; a skip's list is empty. The first layer reads the previous block's
-    full width (the stem's for block 0)."""
+    ``layer`` of block ``block`` at width ``channels``, in logit order; a
+    skip's list is empty. The first layer reads the previous block's full
+    width (the stem's for block 0)."""
     spec = config.blocks[block]
     c_in = config.block_input_channels(block) if layer == 0 else channels
     return [(f"block{block}/layer{layer}/op{o}",
              () if cand.kind == "skip"
              else mbconv_stages(c_in, channels, cand.kernel, cand.expansion, cand.stride))
-            for o, cand in enumerate(op_candidates(spec, layer + 1))]
+            for o, cand in enumerate(op_candidates(spec, layer))]
 
 
 def space_layers(config: SearchSpaceConfig) -> list[list[list[Candidate]]]:
@@ -111,7 +111,7 @@ class MixedBlock:
         self.candidates = channel_candidates(spec)
         self.c_full = self.candidates[-1]
         self.masks = build_masks(self.candidates, mask_mode)
-        self.layers = [MixedLayer(spec, l + 1, layout, source)
+        self.layers = [MixedLayer(spec, l, layout, source)
                        for l, layout in enumerate(layers)]
 
 
@@ -194,13 +194,13 @@ def logit_lengths(config: SearchSpaceConfig) -> dict[str, int]:
     """Checkpoint name and length of every architecture-logit vector.
 
     ``alpha/{i}/{l}`` scores the operation candidates of layer l in block
-    i, ``beta/{i}`` the channel candidates of block i (indices 0-based);
-    all alpha vectors come first, in block then layer order.
+    i, ``beta/{i}`` the channel candidates of block i; all alpha vectors
+    come first, in block then layer order.
     """
     lengths = {}
     for i, spec in enumerate(config.blocks):
         for l in range(spec.n_max):
-            lengths[f"alpha/{i}/{l}"] = len(op_candidates(spec, l + 1))
+            lengths[f"alpha/{i}/{l}"] = len(op_candidates(spec, l))
     for i, spec in enumerate(config.blocks):
         lengths[f"beta/{i}"] = len(channel_candidates(spec))
     return lengths

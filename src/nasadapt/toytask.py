@@ -22,7 +22,7 @@ from .numerics import SGD, Tensor, backward, cross_entropy, matmul, no_grad
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
 from .paramap import ParameterBundle
-from .searchspace import _require, _resolution, read_json, write_json
+from .searchspace import _known, _require, _resolution, read_json, write_json
 
 SHAPE_NAMES = ("disk", "square", "plus", "cross", "ring", "diamond")
 SCALE_FRACTIONS = (0.20, 0.28, 0.36)
@@ -118,6 +118,7 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
 
 
 def _spec_from_doc(raw: dict) -> DatasetSpec:
+    _known(raw, ("n_samples", "resolution", "n_classes", "seed"), "$")
     return DatasetSpec(n_samples=_require(raw, "n_samples", "$", int, "an integer"),
                        resolution=_resolution(raw, "resolution", "$"),
                        n_classes=_require(raw, "n_classes", "$", int, "an integer"),

@@ -68,7 +68,7 @@ def check_gradients(build_loss, params, h=1e-3, rtol=1e-3, what=""):
 
 def zero_logits(cfg):
     """Zero alpha (per block, per layer) and beta (per block) vectors of a space."""
-    alphas = [[np.zeros(len(op_candidates(s, l + 1)), dtype=np.float32)
+    alphas = [[np.zeros(len(op_candidates(s, l)), dtype=np.float32)
                for l in range(s.n_max)] for s in cfg.blocks]
     betas = [np.zeros(len(channel_candidates(s)), dtype=np.float32) for s in cfg.blocks]
     return alphas, betas

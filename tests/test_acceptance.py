@@ -170,7 +170,7 @@ def test_cost_model_consistency():
         alphas, betas = [], []
         for spec in cfg.blocks:
             vecs = []
-            for layer in range(1, spec.n_max + 1):
+            for layer in range(spec.n_max):
                 v = np.zeros(len(op_candidates(spec, layer)), dtype=np.float32)
                 v[int(rng.integers(v.shape[0]))] = 80.0
                 vecs.append(Tensor(v))
@@ -197,7 +197,7 @@ def test_cost_model_consistency():
             total += float(p_b @ per_c)
         return total
 
-    alphas = [[Tensor(rng.standard_normal(len(op_candidates(s, l + 1))).astype(np.float32),
+    alphas = [[Tensor(rng.standard_normal(len(op_candidates(s, l))).astype(np.float32),
                       requires_grad=True) for l in range(s.n_max)] for s in cfg.blocks]
     betas = [Tensor(rng.standard_normal(len(channel_candidates(s))).astype(np.float32),
                     requires_grad=True) for s in cfg.blocks]

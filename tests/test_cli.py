@@ -421,6 +421,32 @@ class TestEndToEnd:
         assert (first / "derived.nat").read_bytes() == \
             (second / "derived.nat").read_bytes()
 
+    def test_e2e_is_its_subcommands(self, tmp_path, space_path):
+        # search --init-from, derive, remap and finetune on e2e's data and
+        # source write e2e's bytes
+        e2e, chain = tmp_path / "e2e", tmp_path / "chain"
+        assert main(["e2e", "--space", space_path, "--seed", "3", "--out-dir", str(e2e),
+                     "--samples", "64", "--epochs", "2", "--warmup", "1",
+                     "--pretrain-epochs", "1", "--finetune-epochs", "1"]) == 0
+        chain.mkdir()
+        data, arch = str(e2e / "data.nat"), str(chain / "derived_arch.json")
+        for argv in (
+                ["search", "--space", space_path, "--data", data, "--init-from",
+                 str(e2e / "source.nat"), "--epochs", "2", "--warmup", "1", "--seed", "3",
+                 "--out", str(chain / "supernet.nat"), "--history", str(chain / "history.csv")],
+                ["derive", "--ckpt", str(chain / "supernet.nat"), "--space", space_path,
+                 "--out", arch],
+                ["remap", "--src", str(e2e / "source.nat"), "--dst-arch", arch, "--seed", "3",
+                 "--out", str(chain / "remapped.nat"),
+                 "--report", str(chain / "remap_report.json")],
+                ["finetune", "--arch", arch, "--data", data, "--params",
+                 str(chain / "remapped.nat"), "--epochs", "1", "--seed", "3",
+                 "--out", str(chain / "derived.nat")]):
+            assert main(argv) == 0, argv[0]
+        for name in ("supernet.nat", "history.csv", "derived_arch.json", "remap_report.json",
+                     "derived.nat", "derived.arch.json"):
+            assert (chain / name).read_bytes() == (e2e / name).read_bytes(), name
+
 
 class TestDeterminism:
     def test_gen_data_reproducible(self, tmp_path):
@@ -531,6 +557,19 @@ def broken(artifacts, from_arrays_inputs, space_path):
         lambda d: d.update(stem={"conv_chanels": 8, "mbconv_channels": 8}))
     paths["top_typo_space"] = edited(Path(space_path), "top_typo_space.json",
                                      lambda d: d.update(stme=d.pop("stem")))
+    # an extra key in each other kind of object: without a check each is ignored
+    for name, src, edit in (
+            ("top_key_arch", artifacts["arch"], lambda d: d.update(name="desk3")),
+            ("stem_key_arch", artifacts["arch"], lambda d: d["stem"].update(mbconv_chanels=8)),
+            ("block_key_target", from_arrays_inputs["target"],
+             lambda d: d["blocks"][0].update(chanels=8)),
+            ("block_key_space", Path(space_path), lambda d: d["blocks"][0].update(n_maks=9))):
+        paths[name] = edited(src, f"{name}.json", edit)
+    paths["op_key_src"] = copy(source, "op_key.nat")
+    edited(sidecar, "op_key.arch.json", lambda d: d["blocks"][0]["ops"][0].update(kernal=3))
+    paths["data_key"] = copy(artifacts["data"], "data_key.nat")
+    edited(artifacts["data"].with_suffix(".json"), "data_key.json",
+           lambda d: d.update(resoltion=[16, 16]))
     for name, channels in (("reversed_channels_space", [16, 8, 4]),
                            ("step0_channels_space", [8, 16, 0])):
         paths[name] = edited(Path(space_path), f"{name}.json",
@@ -713,6 +752,19 @@ FIELD_CASES = {
                                "stem_typo_space.json", "$.stem.conv_chanels"),
     "cost-space-top-level-typo": ("cost --space {top_typo_space} --arch {arch} --out {out}",
                                   "top_typo_space.json", "$.stme"),
+    "cost-arch-top-level-key": ("cost --space {space} --arch {top_key_arch} --out {out}",
+                                "top_key_arch.json", "$.name"),
+    "finetune-arch-stem-key": ("finetune --arch {stem_key_arch} --data {data} --out {out}",
+                               "stem_key_arch.json", "$.stem.mbconv_chanels"),
+    "remap-dst-arch-block-key": (
+        "remap --src {source} --dst-arch {block_key_target} --out {out}",
+        "block_key_target.json", "$.blocks[0].chanels"),
+    "verify-src-op-key": ("verify --src {op_key_src} --dst-arch {target}",
+                          "op_key.arch.json", "$.blocks[0].ops[0].kernal"),
+    "search-space-block-key": ("search --space {block_key_space} --data {data} --out {out}",
+                               "block_key_space.json", "$.blocks[0].n_maks"),
+    "search-data-key": ("search --space {space} --data {data_key} --out {out}",
+                        "data_key.json", "$.resoltion"),
 }
 
 

@@ -581,16 +581,22 @@ def test_pointwise_finite_differences():
 
 # Runs in a child process: depthwise conv and train batch norm, forward and
 # backward, over every depthwise and batch-norm shape of a desk3 supernet
-# forward at each training and eval batch size. Prints each primitive's
-# shape count and one sha256 of its outputs, gradients and running buffers.
+# forward at each training and eval batch size, then a short desk3 e2e.
+# Prints each primitive's shape count and one sha256 of its outputs,
+# gradients and running buffers, then the e2e's file count and one sha256 of
+# its printed summary and every artifact.
 _DESK3_DIGEST = """
+import contextlib
 import hashlib
+import io
+import tempfile
+from pathlib import Path
 
 import numpy as np
-from nasadapt import layers
+from nasadapt import cli, layers
 from nasadapt.numerics import Tensor, batch_norm, conv2d, tensor as engine
 from nasadapt.searchloop import SEARCH_BATCH_SIZE
-from nasadapt.searchspace import load_bundled_config
+from nasadapt.searchspace import bundled_config_path, load_bundled_config
 from nasadapt.supernet import build_supernet
 from nasadapt.toytask import EVAL_BATCH_SIZE, FINETUNE_BATCH_SIZE
 
@@ -625,12 +631,22 @@ for shape in sorted(bn_shapes):
     for a in (out.data, *grads, mean, var):
         digest.update(a.tobytes())
 print(len(bn_shapes), digest.hexdigest())
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()) as summary:
+    assert cli.main(["e2e", "--space", str(bundled_config_path("desk3")), "--seed", "3",
+                     "--out-dir", out, "--samples", "64", "--epochs", "2", "--warmup", "1",
+                     "--pretrain-epochs", "1", "--finetune-epochs", "1"]) == 0
+    files = sorted(Path(out).iterdir())
+    digest = hashlib.sha256(summary.getvalue().encode())
+    for p in files:
+        digest.update(p.name.encode() + p.read_bytes())
+print(len(files), digest.hexdigest())
 """
 
 
 @lru_cache(maxsize=None)
 def _desk3_digests(threads):
-    """{"depthwise"|"batch_norm": (shape count, sha256)} from a child process."""
+    """{"depthwise"|"batch_norm": (shape count, sha256), "e2e": (file count,
+    sha256)} from a child process."""
     src = str(Path(nasadapt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -640,8 +656,9 @@ def _desk3_digests(threads):
     proc = subprocess.run([sys.executable, "-c", _DESK3_DIGEST], capture_output=True,
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    dw, bn = (line.split() for line in proc.stdout.splitlines())
-    return {"depthwise": (int(dw[0]), dw[1]), "batch_norm": (int(bn[0]), bn[1])}
+    lines = [line.split() for line in proc.stdout.splitlines()]
+    return {key: (int(n), sha) for key, (n, sha) in zip(("depthwise", "batch_norm", "e2e"),
+                                                         lines, strict=True)}
 
 
 def test_depthwise_bytes_do_not_depend_on_the_thread_count():
@@ -655,6 +672,12 @@ def test_train_batch_norm_bytes_do_not_depend_on_the_thread_count():
     # train batch norm sums with numpy's own reductions, never BLAS
     one, two = _desk3_digests(1)["batch_norm"], _desk3_digests(2)["batch_norm"]
     assert one[0] > 20 and one == two
+
+
+def test_e2e_bytes_do_not_depend_on_the_thread_count():
+    # every artifact of a short desk3 e2e, and the summary it prints
+    one, two = _desk3_digests(1)["e2e"], _desk3_digests(2)["e2e"]
+    assert one[0] == 11 and one == two
 
 
 def test_desk3_run_reaches_no_tap_loop_and_records_no_eval_batch_norm(monkeypatch, tmp_path):

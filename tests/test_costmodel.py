@@ -101,7 +101,7 @@ class TestTable:
         for spec, costs in zip(cfg.blocks, table.blocks):
             for l, mat in enumerate(costs):
                 assert (mat >= 0).all()
-                for oi, op in enumerate(op_candidates(spec, l + 1)):
+                for oi, op in enumerate(op_candidates(spec, l)):
                     if op.kind == "skip":
                         assert (mat[:, oi] == 0).all()
                     else:
@@ -119,7 +119,7 @@ class TestTable:
             i = int(rng.integers(len(cfg.blocks)))
             spec = cfg.blocks[i]
             l = int(rng.integers(spec.n_max))
-            ops = op_candidates(spec, l + 1)
+            ops = op_candidates(spec, l)
             oi = int(rng.integers(len(ops)))
             cands = channel_candidates(spec)
             ci = int(rng.integers(len(cands)))
@@ -140,7 +140,7 @@ class TestTable:
         lo, hi = 0, len(cands) - 1
         assert cands[lo] == 16 and cands[hi] == 28
         for l, mat in enumerate(costs):
-            for oi, op in enumerate(op_candidates(cfg.blocks[0], l + 1)):
+            for oi, op in enumerate(op_candidates(cfg.blocks[0], l)):
                 if op.kind == "mbconv":
                     assert mat[hi, oi] > mat[lo, oi]
 
@@ -150,7 +150,7 @@ class TestExpectedCost:
         alphas, betas = [], []
         for spec in cfg.blocks:
             vecs = []
-            for layer in range(1, spec.n_max + 1):
+            for layer in range(spec.n_max):
                 n = len(op_candidates(spec, layer))
                 data = np.zeros(n, dtype=np.float32) if rng is None else \
                     (rng.standard_normal(n) * scale).astype(np.float32)
@@ -275,7 +275,7 @@ class TestTotalLoss:
     def test_gradient_linearity_in_beta(self):
         cfg = load_bundled_config("desk3")
         table = build_madds_table(cfg)
-        alphas = [[Tensor(np.zeros(len(op_candidates(s, l + 1)), dtype=np.float32))
+        alphas = [[Tensor(np.zeros(len(op_candidates(s, l)), dtype=np.float32))
                    for l in range(s.n_max)] for s in cfg.blocks]
         lam, norm = 0.25, float(table.stem_cost)
         beta_a = [Tensor(np.zeros(len(channel_candidates(s)), dtype=np.float32),
@@ -313,10 +313,10 @@ class TestDiscrete:
         betas = []
         for spec in cfg.blocks:
             vecs = []
-            for layer in range(1, spec.n_max + 1):
+            for layer in range(spec.n_max):
                 ops = op_candidates(spec, layer)
                 data = np.zeros(len(ops), dtype=np.float32)
-                if layer > 1:
+                if layer > 0:
                     data[-1] = 80.0  # pick skip: the block keeps one op
                 vecs.append(Tensor(data))
             alphas.append(vecs)

@@ -39,7 +39,7 @@ class TestDerive:
         for block, spec in zip(arch.blocks, cfg.blocks):
             assert block.channels == channel_candidates(spec)[0]
             assert len(block.ops) == spec.n_max  # skip is last, never wins a tie
-            first = op_candidates(spec, 1)[0]
+            first = op_candidates(spec, 0)[0]
             for j, op in enumerate(block.ops):
                 assert (op.kernel, op.expansion) == (first.kernel, first.expansion)
                 assert op.stride == (spec.stride if j == 0 else 1)
@@ -52,12 +52,12 @@ class TestDerive:
                   for vecs in alphas]
         arch = derive_architecture(alphas, betas, cfg)
         for block, vecs, spec in zip(arch.blocks, alphas, cfg.blocks):
-            picked = [op_candidates(spec, l + 1)[int(np.argmax(v))] for l, v in enumerate(vecs)]
+            picked = [op_candidates(spec, l)[int(np.argmax(v))] for l, v in enumerate(vecs)]
             assert list(block.ops) == [op for op in picked if op.kind != "skip"]
         source = default_source_architecture(cfg)
         for block, spec in zip(source.blocks, cfg.blocks):
             for l, op in enumerate(block.ops):
-                assert op in op_candidates(spec, l + 1)
+                assert op in op_candidates(spec, l)
                 assert (op.kernel, op.expansion) == (spec.kernels[0], spec.expansions[-1])
 
     def test_derived_op_name_builds_an_mbconv_candidate(self):
@@ -69,7 +69,7 @@ class TestDerive:
         alphas, betas = zero_logits(cfg)
         for vecs, spec in zip(alphas, cfg.blocks):
             for l in range(1, spec.n_max):
-                vecs[l][-1] = 50.0  # skip wins on layers 2..n_max
+                vecs[l][-1] = 50.0  # skip wins on every layer after the first
         arch = derive_architecture(alphas, betas, cfg)
         assert [len(b.ops) for b in arch.blocks] == [1, 1, 1, 1, 1, 1]
 

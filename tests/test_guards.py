@@ -68,7 +68,7 @@ def no_op_block():
 
 GUARDS = {
     "derive-nan-alpha": (lambda: derive_architecture(*nan_logits("alpha"), CONFIG),
-                         ContractError, "non-finite operation logits for block 0 layer 1"),
+                         ContractError, "non-finite operation logits for block 0 layer 0"),
     "derive-nan-beta": (lambda: derive_architecture(*nan_logits("beta"), CONFIG),
                         ContractError, "non-finite channel logits for block 0"),
     "cost-block-count": (lambda: expected_cost_of(*(v[:2] for v in zero_logits(CONFIG))),

@@ -72,6 +72,13 @@ REJECTED = {
     "space-no-blocks": ("searchspace", lambda d: d.update(blocks=[])),
     "arch-no-blocks": ("arch", lambda d: d.update(blocks=[])),
     "arch-skip-op": ("arch", lambda d: d["blocks"][0]["ops"][0].update(kind="skip")),
+    "space-duplicate-kernel": ("searchspace", lambda d: d["blocks"][0].update(kernels=[3, 3])),
+    "space-duplicate-expansion": ("searchspace",
+                                  lambda d: d["blocks"][0].update(expansions=[3, 3])),
+    "space-unknown-block-key": ("searchspace", lambda d: d["blocks"][0].update(n_maks=9)),
+    "arch-unknown-top-level-key": ("arch", lambda d: d.update(name="desk3")),
+    "arch-unknown-block-key": ("arch", lambda d: d["blocks"][0].update(chanels=8)),
+    "arch-unknown-op-key": ("arch", lambda d: d["blocks"][0]["ops"][0].update(kernal=3)),
 }
 
 

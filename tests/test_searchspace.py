@@ -121,7 +121,7 @@ class TestChannelCandidates:
 class TestOpCandidates:
     def test_first_layer_excludes_skip(self):
         # the first layer's convolutions carry the block's stride
-        got = op_candidates(make_block(stride=2), layer=1)
+        got = op_candidates(make_block(stride=2), layer=0)
         assert got == [
             OpCandidate("mbconv", 3, 3, 2), OpCandidate("mbconv", 3, 6, 2),
             OpCandidate("mbconv", 5, 3, 2), OpCandidate("mbconv", 5, 6, 2),
@@ -130,7 +130,7 @@ class TestOpCandidates:
 
     def test_later_layers_add_skip_last(self):
         # the same kernels and expansions at stride 1, then the skip
-        got = op_candidates(make_block(stride=2), layer=2)
+        got = op_candidates(make_block(stride=2), layer=1)
         assert got == [
             OpCandidate("mbconv", 3, 3, 1), OpCandidate("mbconv", 3, 6, 1),
             OpCandidate("mbconv", 5, 3, 1), OpCandidate("mbconv", 5, 6, 1),
@@ -140,18 +140,18 @@ class TestOpCandidates:
 
     def test_single_kernel_config(self):
         block = make_block(kernels=(3,), expansions=(6,))
-        got = op_candidates(block, layer=3)
+        got = op_candidates(block, layer=2)
         assert got == [OpCandidate("mbconv", 3, 6), OpCandidate("skip")]
 
     def test_layer_out_of_range(self):
         with pytest.raises(ParameterError):
-            op_candidates(make_block(n_max=4), layer=5)
+            op_candidates(make_block(n_max=4), layer=4)
         with pytest.raises(ParameterError):
-            op_candidates(make_block(), layer=0)
+            op_candidates(make_block(), layer=-1)
 
     def test_depth_one_block_has_no_skip_anywhere(self):
         block = make_block(n_max=1)
-        assert all(c.kind == "mbconv" for c in op_candidates(block, layer=1))
+        assert all(c.kind == "mbconv" for c in op_candidates(block, layer=0))
 
 
 def test_block_input_channels():
