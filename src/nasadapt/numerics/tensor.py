@@ -749,10 +749,10 @@ def conv2d(x, weight, stride: int = 1, padding: int = 0, groups: int = 1) -> Ten
     return _record((xt, wt), out, bw)
 
 
-# Float32 magnitudes below this are subnormal. Arithmetic on a subnormal
-# operand runs in microcode, up to a hundred times slower than on a normal
-# number, and numpy offers no flush-to-zero mode.
-_TINY = np.finfo(DTYPE).tiny
+# Eval results below sqrt(finfo.tiny) = 2**-63 flush to +0.0, so their products with weights
+# of at least that are normal: arithmetic on a subnormal runs in microcode, up to a hundred
+# times slower, and numpy offers no flush-to-zero mode.
+_FLUSH_FLOOR = np.sqrt(np.finfo(DTYPE).tiny)
 # Byte budget for one block of whole channels in the eval affine: the
 # flush then reads the block back from cache.
 _AFFINE_BLOCK_BYTES = 1 << 18
@@ -762,7 +762,7 @@ _AFFINE_BLOCK_BYTES = 1 << 18
 def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray, clip: bool,
             out: np.ndarray) -> np.ndarray:
     """``xd * scale + shift`` per channel of an NCHW array, into ``out``, which
-    may be ``xd`` itself, flushed: every result with ``|y| < finfo(float32).tiny``
+    may be ``xd`` itself, flushed: every result with ``|y| < sqrt(finfo(float32).tiny)``
     becomes +0.0 and every other result keeps its bits. With ``clip``, each
     block of channels is then clipped as :func:`relu6` clips. Flush, then
     clip: clipping first gives the same bits, but the flush's copy mask is
@@ -775,7 +775,7 @@ def _affine(xd: np.ndarray, scale: np.ndarray, shift: np.ndarray, clip: bool,
         y = out[:, chans]
         np.multiply(xd[:, chans], scale[chans, None, None], out=y)
         y += shift[chans, None, None]
-        np.copyto(y, 0, where=np.abs(y) < _TINY)
+        np.copyto(y, 0, where=np.abs(y) < _FLUSH_FLOOR)
         if clip:
             np.clip(y, 0.0, 6.0, out=y)
     return out
@@ -857,7 +857,7 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     ``x * s + t`` with ``s = gamma * invstd``, ``invstd = 1 /
     sqrt(running_var + BN_EPS)``, and ``t = beta + s * -running_mean``.
     Unrecorded, it is :func:`_affine`: the affine, a flush that turns
-    every subnormal into 0, then the clip, in one pass per block of
+    every result below sqrt(tiny) into 0, then the clip, in one pass per block of
     channels. Recorded, it is composed of recorded primitives, which
     differentiate it, then :func:`relu6`, and is not flushed. The running
     buffers are plain arrays mutated in place; they carry no gradient.

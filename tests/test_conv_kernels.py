@@ -581,20 +581,26 @@ def test_pointwise_finite_differences():
 
 # Runs in a child process: depthwise conv and train batch norm, forward and
 # backward, over every depthwise and batch-norm shape of a desk3 supernet
-# forward at each training and eval batch size, then a short desk3 e2e.
-# Prints each primitive's shape count and one sha256 of its outputs,
-# gradients and running buffers, then the e2e's file count and one sha256 of
-# its printed summary and every artifact.
+# forward at each training and eval batch size, then a short desk3 e2e, then
+# the unrecorded eval forwards of the seed-1 table1 default source and its
+# k7-grown target at 200x272, with 256 KB bands and with the default
+# BAND_BYTES. Prints each primitive's shape count and one sha256 of its
+# outputs, gradients and running buffers, then the e2e's file count and one
+# sha256 of its printed summary and every artifact, then for each band size
+# the number of banded chain calls and one sha256 of both networks' features.
 _DESK3_DIGEST = """
 import contextlib
 import hashlib
 import io
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 from nasadapt import cli, layers
-from nasadapt.numerics import Tensor, batch_norm, conv2d, tensor as engine
+from nasadapt.derive import default_source_architecture, instantiate
+from nasadapt.numerics import Tensor, batch_norm, conv2d, no_grad, tensor as engine
+from nasadapt.paramap import ParameterBundle, map_to_derived
 from nasadapt.searchloop import SEARCH_BATCH_SIZE
 from nasadapt.searchspace import bundled_config_path, load_bundled_config
 from nasadapt.supernet import build_supernet
@@ -640,13 +646,34 @@ with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringI
     for p in files:
         digest.update(p.name.encode() + p.read_bytes())
 print(len(files), digest.hexdigest())
+source = replace(default_source_architecture(load_bundled_config("table1")),
+                 input_resolution=(200, 272))
+grown = replace(source, blocks=tuple(
+    replace(b, ops=tuple(replace(op, kernel=7) for op in b.ops)) for b in source.blocks))
+net = instantiate(source, seed=1)
+mapped, _ = map_to_derived(ParameterBundle(tensors=net.to_arrays(), arch=source), grown,
+                           eps=0.0)
+nets = (net, instantiate(grown, arrays=mapped.tensors))
+x = Tensor(np.random.default_rng(1).random((1, 3, 200, 272), dtype=np.float32))
+banded, band = [], layers.ConvChain._banded
+layers.ConvChain._banded = lambda self, *args: banded.append(args[1]) or band(self, *args)
+for band_bytes in (256 << 10, layers.BAND_BYTES):
+    layers.BAND_BYTES = band_bytes
+    banded.clear()
+    digest = hashlib.sha256()
+    with no_grad():
+        for net in nets:
+            for feat in net.forward(x, training=False):
+                digest.update(feat.data.tobytes())
+    print(len(banded), digest.hexdigest())
 """
 
 
 @lru_cache(maxsize=None)
 def _desk3_digests(threads):
     """{"depthwise"|"batch_norm": (shape count, sha256), "e2e": (file count,
-    sha256)} from a child process."""
+    sha256), "table1-256k"|"table1": (banded chain calls, sha256)} from a
+    child process."""
     src = str(Path(nasadapt.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -657,8 +684,8 @@ def _desk3_digests(threads):
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = [line.split() for line in proc.stdout.splitlines()]
-    return {key: (int(n), sha) for key, (n, sha) in zip(("depthwise", "batch_norm", "e2e"),
-                                                         lines, strict=True)}
+    keys = ("depthwise", "batch_norm", "e2e", "table1-256k", "table1")
+    return {key: (int(n), sha) for key, (n, sha) in zip(keys, lines, strict=True)}
 
 
 def test_depthwise_bytes_do_not_depend_on_the_thread_count():
@@ -678,6 +705,15 @@ def test_e2e_bytes_do_not_depend_on_the_thread_count():
     # every artifact of a short desk3 e2e, and the summary it prints
     one, two = _desk3_digests(1)["e2e"], _desk3_digests(2)["e2e"]
     assert one[0] == 11 and one == two
+
+
+def test_table1_eval_bytes_do_not_depend_on_the_bands_or_the_thread_count():
+    # the tap loop, the bands and the large pointwise matmuls, which no desk3
+    # shape reaches: small bands split chains that run whole planes by default
+    one, two = _desk3_digests(1), _desk3_digests(2)
+    small, default = one["table1-256k"], one["table1"]
+    assert small[0] > default[0] and small[1] == default[1]
+    assert (small, default) == (two["table1-256k"], two["table1"])
 
 
 def test_desk3_run_reaches_no_tap_loop_and_records_no_eval_batch_norm(monkeypatch, tmp_path):

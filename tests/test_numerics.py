@@ -264,9 +264,9 @@ class TestBatchNorm:
             unrecorded = batch_norm(Tensor(x, requires_grad=True), Tensor(gamma),
                                     Tensor(beta), mean, var, training=False)
         assert recorded.node is not None and unrecorded.node is None
-        # both are one float32 affine; the flush moves only a subnormal, by < tiny
-        tiny = np.finfo(np.float32).tiny
-        assert float(np.abs(unrecorded.data - recorded.data).max()) < tiny
+        # both are one float32 affine; the flush moves only a value below
+        # sqrt(tiny), by less than that
+        assert float(np.abs(unrecorded.data - recorded.data).max()) < engine._FLUSH_FLOOR
         # against the four-pass normalization in float64: a few roundings of
         # each term, bounded by 8 unit roundoffs of |x s| + |mean s| + |beta|
         s = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + engine.BN_EPS)
@@ -276,27 +276,32 @@ class TestBatchNorm:
         for got in (recorded.data, unrecorded.data):
             assert (np.abs(got - want) <= bound).all()
 
-    def test_unrecorded_eval_flushes_exactly_the_subnormals(self):
-        tiny = np.finfo(np.float32).tiny
+    def test_unrecorded_eval_flushes_exactly_the_values_below_the_floor(self):
+        tiny, floor = np.finfo(np.float32).tiny, engine._FLUSH_FLOOR
         rng = np.random.default_rng(13)
         x = rng.standard_normal((1, 3, 4, 6)).astype(np.float32)
-        x[0, 0, 0] = [tiny / 4, -tiny / 3, tiny, -2 * tiny, 3e-45, -1e-44]
+        x[0, 0, 0] = [np.nextafter(floor, 0), floor, -floor, tiny, 2 * tiny, -1e-44]
         x[0, 1, 0] = [1e-39, -1e-39, 0.0, -0.0, 1e30, -1e30]
-        # channel 2 has s = 0 and t = tiny: every output is exactly tiny, a normal
+        # channel 0 has s = 1 and t = 0, so its results are its inputs; channel
+        # 2 has s = 0 and t = floor: every output is exactly the floor
         gamma = np.array([1.0, 0.5, 0.0], np.float32)
-        beta = np.array([0.0, 0.0, tiny], np.float32)
-        mean, var = np.zeros(3, np.float32), np.ones(3, np.float32)
+        beta = np.array([0.0, 0.0, floor], np.float32)
+        mean = np.zeros(3, np.float32)
+        var = np.array([1 - 1e-5, 1.0, 1.0], np.float32)
         with no_grad():
             y = batch_norm(Tensor(x), Tensor(gamma), Tensor(beta), mean, var,
                            training=False).data
         s = gamma * (1.0 / np.sqrt(var + np.float32(engine.BN_EPS)))
+        assert s[0] == 1.0
         plain = x * s[:, None, None]
         plain += (beta - mean * s)[:, None, None]
-        small = np.abs(plain) < tiny
-        assert (small & (plain != 0)).sum() >= 6  # subnormal affine results
+        small = np.abs(plain) < floor
+        assert (small & (plain != 0)).sum() >= 6  # nonzero affine results below the floor
+        assert (small & (np.abs(plain) >= tiny)).sum() >= 3  # normal ones among them
         assert (y[small] == 0.0).all() and not np.signbit(y[small]).any()
         assert y[~small].tobytes() == plain[~small].tobytes()
-        assert (y[0, 2] == tiny).all()
+        assert list(y[0, 0, 0, :3]) == [0.0, floor, -floor]
+        assert (y[0, 2] == floor).all()
 
     def test_unrecorded_eval_leaves_its_input_alone(self):
         x, gamma, beta, mean, var = self._eval_case("train-pass")
@@ -313,12 +318,14 @@ class TestBatchNorm:
 
     def _edge_case(self):
         """Eval inputs whose affine ``x * s + t`` gives results of exactly 0
-        and 6, subnormals, -0.0 and NaN, beside N(0, 9) ones: s = 0 in
-        channels 0-2, so t (6, +0.0, -0.0) is added to +-0.0."""
+        and 6, subnormals, a normal below the flush floor, -0.0 and NaN,
+        beside N(0, 9) ones: s = 0 in channels 0-2, so t (6, +0.0, -0.0) is
+        added to +-0.0."""
         tiny = np.finfo(np.float32).tiny
         rng = np.random.default_rng(14)
         x = (rng.standard_normal((2, 5, 3, 4)) * 3).astype(np.float32)
         x[0, 3, 0] = [tiny / 4, -tiny / 3, 1e-39, -1e-39]
+        x[0, 3, 1, 0] = 1e-30
         x[1, 4, 0] = [np.nan, -0.0, 6.0, 0.0]
         x[1, 0, 0, 0] = np.nan
         gamma = np.array([0.0, 0.0, 0.0, 1.0, 2.0], np.float32)
@@ -327,7 +334,8 @@ class TestBatchNorm:
         s = gamma * (1.0 / np.sqrt(var + np.float32(engine.BN_EPS)))
         plain = x * s[:, None, None] + (beta - mean * s)[:, None, None]
         for edge in (plain == 0.0, plain == 6.0, (plain == 0.0) & np.signbit(plain),
-                     np.isnan(plain), (plain != 0.0) & (np.abs(plain) < tiny)):
+                     np.isnan(plain), (plain != 0.0) & (np.abs(plain) < tiny),
+                     (np.abs(plain) >= tiny) & (np.abs(plain) < engine._FLUSH_FLOOR)):
             assert edge.any()
         return x, gamma, beta, mean, var
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nasadapt import layers
 from nasadapt.derive import (
     DerivedBlock,
     DiscreteArchitecture,
@@ -32,6 +33,20 @@ from nasadapt.supernet import build_supernet, logit_lengths
 
 def desk_config():
     return load_bundled_config("desk3")
+
+
+def _seed_built_table1_grown_to_k7():
+    """The seed-1 table1 default source, as the benchmark builds it, and its
+    eps-0 mapping onto every kernel grown to 7, at 64x224: the depthwise
+    planes run the tap loop, and the last 7x7 ones the Toeplitz matmul."""
+    source = replace(default_source_architecture(load_bundled_config("table1")),
+                     input_resolution=(64, 224))
+    grown = replace(source, blocks=tuple(
+        replace(b, ops=tuple(replace(op, kernel=7) for op in b.ops)) for b in source.blocks))
+    net = instantiate(source, seed=1)
+    mapped, _ = map_to_derived(ParameterBundle(tensors=net.to_arrays(), arch=source), grown,
+                               eps=0.0)
+    return net, instantiate(grown, arrays=mapped.tensors)
 
 
 def source_bundle(cfg, seed=0):
@@ -507,19 +522,9 @@ class TestFunctionPreservation:
         assert report["max_deviation"] == 0.0
 
     def test_seed_built_table1_source_grown_to_k7_keeps_zero_deviation(self, monkeypatch):
-        # The seed-built table1 default source, as the benchmark builds it, at
-        # a reduced resolution: its eval activations underflow block by block,
-        # so the subnormal flush of eval batch norm zeroes values on both sides.
-        # 64x224 puts the depthwise planes on the tap loop, and the last 7x7
-        # ones on the Toeplitz matmul.
-        source = replace(default_source_architecture(load_bundled_config("table1")),
-                         input_resolution=(64, 224))
-        grown = replace(source, blocks=tuple(
-            replace(b, ops=tuple(replace(op, kernel=7) for op in b.ops))
-            for b in source.blocks))
-        net = instantiate(source, seed=1)
-        bundle = ParameterBundle(tensors=net.to_arrays(), arch=source)
-        mapped, _ = map_to_derived(bundle, grown, eps=0.0)
+        # its eval activations shrink block by block, so the eval batch
+        # norm's flush below sqrt(tiny) zeroes values on both sides
+        net, grown_net = _seed_built_table1_grown_to_k7()
         flushed, layouts = [], set()
         affine, choose = engine._affine, engine._dw_kernel
 
@@ -534,10 +539,28 @@ class TestFunctionPreservation:
         monkeypatch.setattr(engine, "_affine", counting_affine)
         monkeypatch.setattr(engine, "_dw_kernel",
                             lambda *shape: layouts.add(choose(*shape)) or choose(*shape))
-        report = verify_function_preservation(
-            net, instantiate(grown, arrays=mapped.tensors), samples=1, seed=1)
+        report = verify_function_preservation(net, grown_net, samples=1, seed=1)
         assert report["max_deviation"] == 0.0 and report["passed"]
         assert sum(flushed) > 0 and layouts == {"taps", "toeplitz"}
+
+    def test_seed_built_table1_eval_convs_read_nothing_below_the_flush_floor(self,
+                                                                              monkeypatch):
+        # every conv after the stem reads a flushed batch-norm output (or a
+        # zero pad), so each operand entry is 0 or at least sqrt(tiny), and
+        # its product with any weight of at least sqrt(tiny) is normal
+        nets = _seed_built_table1_grown_to_k7()
+        stems = {id(net.stem.weight["conv"]) for net in nets}
+        below, conv = [], layers.conv2d
+
+        def spy(x, weight, *args, **kw):
+            if id(weight) not in stems:
+                xd = np.abs(x.data if isinstance(x, Tensor) else x)
+                below.append(int(((xd > 0) & (xd < engine._FLUSH_FLOOR)).sum()))
+            return conv(x, weight, *args, **kw)
+
+        monkeypatch.setattr(layers, "conv2d", spy)
+        verify_function_preservation(*nets, samples=1, seed=1)
+        assert len(below) > 100 and sum(below) == 0
 
     def test_non_finite_deviation_names_the_block(self):
         # max(0.0, nan) is 0.0, so a NaN deviation would otherwise pass as 0.0

@@ -7,6 +7,7 @@ from nasadapt.derive import default_source_architecture, instantiate
 from nasadapt.errors import ParameterError
 from nasadapt.numerics import Tensor
 from nasadapt.searchspace import load_bundled_config
+from nasadapt.seeding import seed_for
 from nasadapt.toytask import (
     BACKGROUND_AMPLITUDE,
     DatasetSpec,
@@ -24,6 +25,14 @@ from nasadapt.toytask import (
 )
 
 from helpers import check_gradients, rand_tensor
+
+
+def test_stage_seeds_are_the_seed_xor_the_crc32_of_their_tags():
+    # pinned: changing the fan-out changes every artifact of every seed
+    tags = ("data", "source", "supernet", "noise", "head", "split", "batches", "finetune")
+    assert [seed_for(7, tag) for tag in tags] == [
+        770962276, 1602912116, 1874913175, 2108266030, 670299803, 838179350, 1886283092,
+        2120591357]
 
 
 class TestGenerate:
