@@ -64,8 +64,9 @@ class SearchSchedule:
             raise ParameterError(
                 f"need 0 <= warmup ({self.warmup_epochs}) <= total "
                 f"({self.total_epochs})")
-        if not self.lam >= 0:  # also rejects NaN
-            raise ParameterError(f"lambda must be >= 0, got {self.lam}")
+        # also rejects NaN, and values a float32 cannot hold (the loss multiplies by one)
+        if not 0 <= self.lam <= float(np.finfo(np.float32).max):
+            raise ParameterError(f"lambda must be finite and >= 0, got {self.lam}")
 
 
 def split_data(dataset_size: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

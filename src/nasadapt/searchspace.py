@@ -128,6 +128,8 @@ def read_json(path, from_doc):
         return from_doc(parse_json(Path(path).read_bytes()))
     except ParseError as exc:
         raise exc.in_file(path) from None
+    except ParameterError as exc:
+        raise ParseError(f"{path}:$", str(exc)) from None
 
 
 def _require(obj, key, path, types, type_name):

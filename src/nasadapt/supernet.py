@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, ParameterError
+from .errors import ContractError, ParameterError
 from .layers import ConvChain, ConvStage, TensorSource, mbconv_stages, stem_stages, zeros
 from .numerics import Tensor, matmul, reshape, softmax
 from .numerics.container import load_tensors, save_tensors
@@ -83,18 +83,12 @@ class MixedLayer:
     def __init__(self, spec: BlockSpec, layer: int, layout: list[Candidate],
                  source: TensorSource):
         self.candidates = op_candidates(spec, layer)
-        # every layer has a convolution candidate; its first stage gives the
-        # layer's input width
-        self.c_in = next(stages for _, stages in layout if stages)[0].c_in
         self.ops = [ConvChain(stages, source.scope(prefix)) for prefix, stages in layout]
 
 
 def mixed_op_forward(x: Tensor, layer: MixedLayer, alpha_logits: Tensor,
                      training: bool = True, update_stats: bool | None = None) -> Tensor:
     """softmax(alpha)-weighted sum of every candidate's output."""
-    if x.data.shape[1] != layer.c_in:
-        raise DimensionError(f"mixed op expects {layer.c_in} input channels, "
-                             f"got {x.data.shape[1]}")
     weights = softmax(alpha_logits)
     out = None
     for idx, op in enumerate(layer.ops):

@@ -41,6 +41,17 @@ class DatasetSpec:
     n_classes: int = 4
     seed: int = 0
 
+    def __post_init__(self):
+        if not 2 <= self.n_classes <= len(SHAPE_NAMES):
+            raise ParameterError(
+                f"n_classes must be in [2, {len(SHAPE_NAMES)}], got {self.n_classes}")
+        if self.n_samples < self.n_classes:
+            raise ParameterError(f"need at least one sample per class, got {self.n_samples} "
+                                 f"samples for {self.n_classes} classes")
+        if min(self.resolution) < 16:
+            raise ParameterError("resolution must be at least 16x16, got "
+                                 f"{self.resolution[0]}x{self.resolution[1]}")
+
 
 class SyntheticDataset:
     def __init__(self, spec: DatasetSpec, images: np.ndarray, labels: np.ndarray):
@@ -77,16 +88,7 @@ def _shape_mask(kind: str, h: int, w: int, cy: float, cx: float, r: float) -> np
 
 def generate(spec: DatasetSpec) -> SyntheticDataset:
     """Deterministic class-balanced dataset; pixel values in [0, 1]."""
-    if spec.n_classes < 2 or spec.n_classes > len(SHAPE_NAMES):
-        raise ParameterError(
-            f"n_classes must be in [2, {len(SHAPE_NAMES)}], got {spec.n_classes}")
-    if spec.n_samples < spec.n_classes:
-        raise ParameterError(
-            f"need at least one sample per class, got {spec.n_samples} samples "
-            f"for {spec.n_classes} classes")
     h, w = spec.resolution
-    if min(h, w) < 16:
-        raise ParameterError(f"resolution must be at least 16x16, got {h}x{w}")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     labels = np.arange(spec.n_samples, dtype=np.int64) % spec.n_classes
     rng.shuffle(labels)

@@ -40,6 +40,11 @@ def run_cli_process(argv):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+# sidecars that parse and fit their arrays, but describe no dataset gen-data could make
+DATASET_RULE_CASES = ("zero-samples", "one-class", "small-resolution")
+SIDECAR_CASES = ("resolution-int", "list", "more-samples", "classes-string", *DATASET_RULE_CASES)
+
+
 def assert_one_line_error(code, stderr):
     assert code == 2
     assert "Traceback" not in stderr
@@ -165,10 +170,10 @@ class TestUsage:
         assert_one_line_error(proc.returncode, proc.stderr)
         assert "blocks[0].ops[0].expansion" in proc.stderr
 
-    @pytest.mark.parametrize("case", ["resolution-int", "list", "more-samples",
-                                      "classes-string"])
-    def test_bad_dataset_sidecar_exits_2_without_traceback(self, tmp_path, space_path,
-                                                           case):
+    @staticmethod
+    def bad_dataset(tmp_path, case):
+        """A dataset container whose sidecar breaks one rule; the three rule
+        cases hold arrays that fit the sidecar, so only the rule rejects them."""
         data = tmp_path / "data.nat"
         assert main(["gen-data", "--samples", "16", "--out", str(data)]) == 0
         sidecar = data.with_suffix(".json")
@@ -176,11 +181,40 @@ class TestUsage:
         doc = {"resolution-int": {**doc, "resolution": 32},
                "list": [doc],
                "more-samples": {**doc, "n_samples": 64},
-               "classes-string": {**doc, "n_classes": "4"}}[case]
+               "classes-string": {**doc, "n_classes": "4"},
+               "zero-samples": {**doc, "n_samples": 0},
+               "one-class": {**doc, "n_classes": 1},
+               "small-resolution": {**doc, "resolution": [8, 8]}}[case]
+        if case in DATASET_RULE_CASES:
+            n, (h, w) = doc["n_samples"], doc["resolution"]
+            save_tensors(data, {"images": np.zeros((n, 3, h, w), dtype=np.float32),
+                                "labels": np.arange(n, dtype=np.float32) % doc["n_classes"]})
         sidecar.write_text(json.dumps(doc))
+        return data
+
+    @pytest.mark.parametrize("case", SIDECAR_CASES)
+    def test_bad_dataset_sidecar_exits_2_without_traceback(self, tmp_path, space_path,
+                                                           case):
+        data = self.bad_dataset(tmp_path, case)
         proc = run_cli_process(["search", "--space", space_path, "--data", str(data),
                                 "--out", str(tmp_path / "supernet.nat")])
         assert_one_line_error(proc.returncode, proc.stderr)
+
+    @pytest.mark.parametrize("case", SIDECAR_CASES)
+    def test_finetune_rejects_bad_dataset_sidecar_before_writing(self, capsys, tmp_path,
+                                                                 case):
+        data = self.bad_dataset(tmp_path, case)
+        capsys.readouterr()
+        arch = tmp_path / "arch.json"
+        arch.write_text(arch_to_json(default_source_architecture(load_bundled_config("desk3"))))
+        out = tmp_path / "out.nat"
+        code = main(["finetune", "--arch", str(arch), "--data", str(data), "--epochs", "0",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert not out.exists()
+        if case in DATASET_RULE_CASES:
+            assert f"{data.with_suffix('.json')}:$: " in err
 
 
 class TestArtifacts:
@@ -873,6 +907,11 @@ class TestExit2Sweep:
             end_to_end(space_path, 0, broken["out"], mask_mode="diagonal")
         assert not broken["out"].exists()
 
+    def test_e2e_checks_lambda_before_writing(self, broken, space_path):
+        with pytest.raises(ParameterError, match="lambda must be finite and >= 0, got inf"):
+            end_to_end(space_path, 0, broken["out"], lam=float("inf"))
+        assert not broken["out"].exists()
+
     def test_remap_usage_checked_before_source(self, capsys, broken):
         # neither --dst-arch nor --space: a usage error, whatever the source holds
         out = broken["out"].parent / "remapped.nat"
@@ -881,7 +920,7 @@ class TestExit2Sweep:
         assert "one of the arguments --dst-arch --space is required" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("lam", ["nan", "-0.1"])
+    @pytest.mark.parametrize("lam", ["nan", "-0.1", "inf", "1e39"])
     def test_search_rejects_lambda(self, capsys, broken, space_path, lam):
         out = broken["out"].parent / "supernet.nat"
         code = main(["search", "--space", space_path, "--data", str(broken["data"]),

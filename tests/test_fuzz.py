@@ -3,17 +3,19 @@
 Containers are fuzzed by truncation and byte flips of a valid file;
 architecture and search-space documents by replacing or deleting one
 field of a valid document. Any exception other than a ``NasAdaptError``
-fails the example.
+fails the example. A dataset is fuzzed end to end, through ``finetune``:
+it must exit 0 or 2.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nasadapt.derive import arch_from_doc, arch_to_doc, default_source_architecture
+from nasadapt.cli import main
+from nasadapt.derive import arch_from_doc, arch_to_doc, arch_to_json, default_source_architecture
 from nasadapt.errors import NasAdaptError
 from nasadapt.numerics.container import load_tensors, save_tensors
 from nasadapt.searchspace import (
@@ -108,3 +110,30 @@ def test_document_field_replacement(doc, parse, data):
         parse(_replaced(doc, path, value))
     except NasAdaptError:
         pass
+
+
+@pytest.fixture(scope="module")
+def dataset_paths(tmp_path_factory):
+    """(architecture, dataset container, bundle) paths of a finetune run."""
+    root = tmp_path_factory.mktemp("fuzz-data")
+    arch = root / "arch.json"
+    arch.write_text(arch_to_json(default_source_architecture(load_bundled_config("desk3"))))
+    return arch, root / "data.nat", root / "out.nat"
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(["n_samples", "n_classes", "height", "width"]),
+       value=st.integers(-1, 20))
+@example(field="n_samples", value=0)
+def test_dataset_integer_through_finetune(dataset_paths, field, value):
+    arch, data, out = dataset_paths
+    dims = {"n_samples": 8, "n_classes": 4, "height": 16, "width": 16} | {field: value}
+    doc = {"n_samples": dims["n_samples"], "n_classes": dims["n_classes"],
+           "resolution": [dims["height"], dims["width"]], "seed": 0}
+    # arrays that match the sidecar wherever a shape allows it
+    n, h, w = (max(dims[k], 0) for k in ("n_samples", "height", "width"))
+    save_tensors(data, {"images": np.zeros((n, 3, h, w), dtype=np.float32),
+                        "labels": np.arange(n, dtype=np.float32) % max(dims["n_classes"], 1)})
+    data.with_suffix(".json").write_text(json.dumps(doc))
+    assert main(["finetune", "--arch", str(arch), "--data", str(data), "--out", str(out),
+                 "--epochs", "0"]) in (0, 2)

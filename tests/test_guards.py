@@ -56,7 +56,8 @@ def block_counts_differ():
 
 def wrong_input_width():
     layer = build_supernet(CONFIG, seed=0).blocks[0].layers[0]
-    mixed_op_forward(Tensor(np.zeros((1, layer.c_in + 1, 8, 8), dtype=np.float32)), layer,
+    c_in = layer.ops[0].stages[0].c_in
+    mixed_op_forward(Tensor(np.zeros((1, c_in + 1, 8, 8), dtype=np.float32)), layer,
                      Tensor(np.zeros(len(layer.ops), dtype=np.float32)))
 
 
@@ -79,7 +80,8 @@ GUARDS = {
                          ContractError, "beta length 4 does not match table channels 3"),
     "masks-not-ascending": (lambda: build_masks([8, 4]),
                             ParameterError, "channel candidates must be strictly ascending"),
-    "mixed-op-width": (wrong_input_width, DimensionError, "mixed op expects 8 input channels"),
+    "mixed-op-width": (wrong_input_width, DimensionError,
+                       "weight expects 8 channels per group, input provides 9"),
     "unknown-shape": (lambda: _shape_mask("hexagon", 16, 16, 8.0, 8.0, 4.0),
                       ParameterError, "unknown shape kind 'hexagon'"),
     "report-target-twice": (duplicate_target, ContractError,
