@@ -105,12 +105,10 @@ def _cmd_cost(args) -> int:
     config = load_config(args.space)
     if args.arch is not None:
         arch = load_arch(args.arch)
-        doc = {
-            "kind": "discrete",
-            "total": madds_of_discrete(arch, config),
-            "stem": stem_madds(config),
-            "per_block": madds_of_discrete_per_block(arch, config),
-        }
+        stem = stem_madds(config)
+        per_block = madds_of_discrete_per_block(arch, config)
+        doc = {"kind": "discrete", "total": stem + sum(per_block), "stem": stem,
+               "per_block": per_block}
     else:
         alpha, beta = load_logits(args.ckpt, config)
         table = build_madds_table(config)

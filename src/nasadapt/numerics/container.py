@@ -1,9 +1,9 @@
 """Binary container for named float32 tensors.
 
 Layout: the 4 magic bytes ``NAT1``, then for each tensor a little-endian
-uint32 header length, a UTF-8 JSON header ``{"name", "dtype": "f32",
-"shape"}``, and the row-major little-endian float32 payload. Round trips
-are bit exact. Every value read back must be finite.
+uint32 header length, a UTF-8 JSON header with exactly the keys ``name``,
+``"dtype": "f32"`` and ``shape``, and the row-major little-endian float32
+payload. Round trips are bit exact. Every value read back must be finite.
 """
 
 from __future__ import annotations
@@ -77,7 +77,8 @@ def load_tensors(path) -> dict[str, np.ndarray]:
             if not isinstance(header, dict):
                 raise ParseError(str(path), f"tensor header must be an object, got {header!r}")
             name, dtype, shape = header.get("name"), header.get("dtype"), header.get("shape")
-            if dtype != "f32" or not isinstance(name, str) or not _is_shape(shape):
+            if (header.keys() != {"name", "dtype", "shape"} or dtype != "f32"
+                    or not isinstance(name, str) or not _is_shape(shape)):
                 raise ParseError(str(path), f"malformed header {header}")
             nbytes = math.prod(shape) * 4
             if pos + nbytes > size:

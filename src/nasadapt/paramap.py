@@ -217,8 +217,9 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
 
 
 def check_eps(eps: float) -> None:
-    """A mapping noise amplitude is finite and >= 0."""
-    if not 0 <= eps < np.inf:
+    """A mapping noise amplitude is finite, >= 0 and a float32 value (the
+    noise is drawn in float32)."""
+    if not 0 <= eps <= float(np.finfo(DTYPE).max):
         raise ParameterError(f"eps must be finite and >= 0, got {eps}")
 
 

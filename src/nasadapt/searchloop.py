@@ -139,16 +139,16 @@ def _add_cost(net: Supernet, table: MAddsTable, lam: float, normalizer: float,
     return total_loss(m_loss, cost, lam, normalizer), cost
 
 
-def search(net: Supernet, dataset: SyntheticDataset, schedule: SearchSchedule,
-           head: ProxyHead | None = None) -> tuple[Supernet, SearchHistory]:
-    """Run the warm-up-then-alternating schedule; mutates net (and head)."""
+def search(net: Supernet, dataset: SyntheticDataset,
+           schedule: SearchSchedule) -> tuple[Supernet, SearchHistory]:
+    """Run the warm-up-then-alternating schedule under a proxy head drawn
+    from the schedule's seed; mutates net."""
     normalizer = float(madds_of_discrete(default_source_architecture(net.config),
                                          net.config))
     table = build_madds_table(net.config)
     add_cost = partial(_add_cost, net, table, schedule.lam, normalizer)
-    if head is None:
-        head = ProxyHead(net.final_channels, dataset.spec.n_classes,
-                         seed=seed_for(schedule.seed, "head"))
+    head = ProxyHead(net.final_channels, dataset.spec.n_classes,
+                     seed=seed_for(schedule.seed, "head"))
     train_a, train_b = split_data(len(dataset), schedule.seed)
     rng = np.random.Generator(np.random.PCG64(seed_for(schedule.seed, "batches")))
     batches_a = batch_stream(train_a, SEARCH_BATCH_SIZE, rng)

@@ -77,36 +77,27 @@ def space_layers(config: SearchSpaceConfig) -> list[list[list[Candidate]]]:
             for i, spec in enumerate(config.blocks)]
 
 
-class MixedLayer:
-    """One searchable operation slot: all candidates plus their logits' home."""
-
-    def __init__(self, spec: BlockSpec, layer: int, layout: list[Candidate],
-                 source: TensorSource):
-        self.candidates = op_candidates(spec, layer)
-        self.ops = [ConvChain(stages, source.scope(prefix)) for prefix, stages in layout]
-
-
-def mixed_op_forward(x: Tensor, layer: MixedLayer, alpha_logits: Tensor,
+def mixed_op_forward(x: Tensor, layer: list[ConvChain], alpha_logits: Tensor,
                      training: bool = True, update_stats: bool | None = None) -> Tensor:
-    """softmax(alpha)-weighted sum of every candidate's output."""
+    """softmax(alpha)-weighted sum of every candidate chain's output."""
     weights = softmax(alpha_logits)
     out = None
-    for idx, op in enumerate(layer.ops):
+    for idx, op in enumerate(layer):
         term = op(x, training, update_stats) * weights[idx]
         out = term if out is None else out + term
     return out
 
 
 class MixedBlock:
-    """n_max mixed operations at full width, masked once at the output."""
+    """n_max mixed operations at full width, masked once at the output: each
+    layer is its candidates' chains in logit order, and the mask matrix is
+    (channel candidates, full width)."""
 
     def __init__(self, spec: BlockSpec, layers: list[list[Candidate]], mask_mode: str,
                  source: TensorSource):
-        self.candidates = channel_candidates(spec)
-        self.c_full = self.candidates[-1]
-        self.masks = build_masks(self.candidates, mask_mode)
-        self.layers = [MixedLayer(spec, l, layout, source)
-                       for l, layout in enumerate(layers)]
+        self.masks = build_masks(channel_candidates(spec), mask_mode)
+        self.layers = [[ConvChain(stages, source.scope(prefix)) for prefix, stages in layout]
+                       for layout in layers]
 
 
 def mixed_block_forward(x: Tensor, block: MixedBlock, alpha_logits: list[Tensor],
@@ -122,7 +113,7 @@ def mixed_block_forward(x: Tensor, block: MixedBlock, alpha_logits: list[Tensor]
         h = mixed_op_forward(h, layer, logits, training, update_stats)
     weights = softmax(beta_logits)
     mask_vec = matmul(weights, Tensor(block.masks))
-    return h * reshape(mask_vec, (1, block.c_full, 1, 1))
+    return h * reshape(mask_vec, (1, -1, 1, 1))
 
 
 class Supernet:
@@ -141,7 +132,7 @@ class Supernet:
 
     @property
     def final_channels(self) -> int:
-        return self.blocks[-1].c_full
+        return self.blocks[-1].masks.shape[1]
 
     def forward(self, x, training: bool = True,
                 update_stats: bool | None = None) -> list[Tensor]:

@@ -1,4 +1,5 @@
-"""Shared test oracles: finite differences and a float32-aware closeness check."""
+"""Shared test oracles (finite differences, a float32-aware closeness check)
+and JSON document mutation."""
 
 import json
 import struct
@@ -83,3 +84,29 @@ def write_raw_container(path, header, payload: bytes = b"\x00" * 16):
     """Write a one-entry container around an arbitrary JSON header."""
     raw = json.dumps(header).encode("utf-8")
     path.write_bytes(b"NAT1" + struct.pack("<I", len(raw)) + raw + payload)
+
+
+DELETE = object()
+
+
+def json_paths(doc, prefix=()):
+    """Every key path into a JSON document, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from json_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    """The text of a copy of ``doc`` with ``path`` set to ``value``, or
+    removed when ``value`` is ``DELETE``."""
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return json.dumps(doc)

@@ -90,17 +90,17 @@ def test_relaxation_correctness():
     worst_sum, worst_hot = 0.0, 0.0
     for draw in range(20):
         x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
-        logits = rng.standard_normal(len(layer.ops)).astype(np.float32) * 2.0
+        logits = rng.standard_normal(len(layer)).astype(np.float32) * 2.0
         mixed = mixed_op_forward(x, layer, Tensor(logits), training=False).data
         p = np_softmax(logits)
-        oracle = sum(p[o] * layer.ops[o](x, False, None).data
-                     for o in range(len(layer.ops)))
+        oracle = sum(p[o] * layer[o](x, False, None).data
+                     for o in range(len(layer)))
         worst_sum = max(worst_sum, float(np.abs(mixed - oracle).max()))
-        chosen = draw % len(layer.ops)
-        hot = np.zeros(len(layer.ops), dtype=np.float32)
+        chosen = draw % len(layer)
+        hot = np.zeros(len(layer), dtype=np.float32)
         hot[chosen] = 50.0
         saturated = mixed_op_forward(x, layer, Tensor(hot), training=False).data
-        alone = layer.ops[chosen](x, False, None).data
+        alone = layer[chosen](x, False, None).data
         worst_hot = max(worst_hot, float(np.abs(saturated - alone).max()))
     report("relaxation-correctness", worst_sum <= 1e-5 and worst_hot <= 1e-4,
            f"weighted-sum dev {worst_sum:.2e}, one-hot dev {worst_hot:.2e}")
@@ -116,14 +116,14 @@ def test_shared_block_equivalence():
         block = net.blocks[0]
         for _ in range(4):
             x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
-            alphas = [Tensor(rng.standard_normal(len(l.candidates)).astype(np.float32))
+            alphas = [Tensor(rng.standard_normal(len(l)).astype(np.float32))
                       for l in block.layers]
-            beta = rng.standard_normal(len(block.candidates)).astype(np.float32)
+            beta = rng.standard_normal(len(block.masks)).astype(np.float32)
             got = mixed_block_forward(x, block, alphas, Tensor(beta),
                                       training=False).data
             p = np_softmax(beta)
             oracle = np.zeros_like(got)
-            for m in range(len(block.candidates)):
+            for m in range(len(block.masks)):
                 h = x
                 for layer, logits in zip(block.layers, alphas):
                     h = mixed_op_forward(h, layer, logits, training=False)

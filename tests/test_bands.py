@@ -136,7 +136,7 @@ def test_no_desk3_eval_chain_runs_in_bands():
     net = build_supernet(config, seed=0)
     x = Tensor(np.zeros((32, 3, *config.input_resolution), dtype=np.float32))
     stages = sum(len(op.stages) for block in net.blocks for layer in block.layers
-                 for op in layer.ops) + len(net.stem.stages)
+                 for op in layer) + len(net.stem.stages)
     with no_grad(), count_madds() as counter:
         net.forward(x, training=False)
     assert counter.conv_calls == stages

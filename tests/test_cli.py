@@ -883,7 +883,7 @@ class TestExit2Sweep:
         assert (f"{report['worst']} deviates by {report['max_deviation']}, "
                 "above tol 0.0") in err
 
-    @pytest.mark.parametrize("eps", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("eps", ["nan", "inf", "-1", "1e39"])
     def test_remap_rejects_eps(self, capsys, broken, space_path, eps):
         out = broken["out"].parent / "remapped.nat"
         code = main(["remap", "--src", str(broken["source"]), "--space", space_path,
@@ -910,6 +910,12 @@ class TestExit2Sweep:
     def test_e2e_checks_lambda_before_writing(self, broken, space_path):
         with pytest.raises(ParameterError, match="lambda must be finite and >= 0, got inf"):
             end_to_end(space_path, 0, broken["out"], lam=float("inf"))
+        assert not broken["out"].exists()
+
+    def test_e2e_checks_eps_before_writing(self, broken, space_path):
+        # float32 cannot hold the noise amplitude, though float64 can
+        with pytest.raises(ParameterError, match=r"eps must be finite and >= 0, got 1e\+39"):
+            end_to_end(space_path, 0, broken["out"], eps=1e39)
         assert not broken["out"].exists()
 
     def test_remap_usage_checked_before_source(self, capsys, broken):

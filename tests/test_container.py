@@ -71,8 +71,9 @@ def test_empty_container(tmp_path):
     ["x", "f32", [1]],
     {"name": "x", "dtype": "f32", "shape": [0, 2 ** 63]},
     {"name": "x", "dtype": "f32", "shape": [0] * 65},
+    {"name": "x", "dtype": "f32", "shape": [4], "scale": 2.0},
 ], ids=["float-dim", "string-dim", "negative-dims", "list-header", "huge-empty-dim",
-        "too-many-dims"])
+        "too-many-dims", "unknown-key"])
 def test_rejects_malformed_header(tmp_path, header):
     path = tmp_path / "bad.nat"
     write_raw_container(path, header)

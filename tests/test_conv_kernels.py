@@ -905,6 +905,7 @@ def _tiny_search_setup(seed=3):
 
 
 def test_search_scopes_gradients_to_the_active_phase(monkeypatch):
+    import nasadapt.searchloop as searchloop
     import nasadapt.toytask as toytask
 
     net, ds, head, schedule = _tiny_search_setup()
@@ -918,7 +919,8 @@ def test_search_scopes_gradients_to_the_active_phase(monkeypatch):
         real_backward(loss)
 
     monkeypatch.setattr(toytask, "backward", spy)
-    search(net, ds, schedule, head=head)
+    monkeypatch.setattr(searchloop, "ProxyHead", lambda *args, **kwargs: head)
+    search(net, ds, schedule)
     (w_in_w_step, arch_in_w_step), (w_in_arch_step, arch_in_arch_step) = scopes
     assert all(w_in_w_step) and not any(arch_in_w_step)
     assert not any(w_in_arch_step) and all(arch_in_arch_step)
@@ -932,6 +934,7 @@ def test_search_restores_requires_grad_after_a_failed_arch_step(monkeypatch):
     params = net.weight_params() + head.params() + net.arch_params()
     # a schedule's lambda is finite, so make the first arch-step loss NaN directly
     monkeypatch.setattr(searchloop, "total_loss", lambda m_loss, *_: m_loss * float("nan"))
+    monkeypatch.setattr(searchloop, "ProxyHead", lambda *args, **kwargs: head)
     with pytest.raises(ContractError, match="phase arch"):
-        search(net, ds, schedule, head=head)
+        search(net, ds, schedule)
     assert all(p.requires_grad for p in params)

@@ -25,6 +25,8 @@ from nasadapt.searchspace import (
     parse_json,
 )
 
+from helpers import DELETE, json_paths, replaced
+
 ARCH_DOC = arch_to_doc(default_source_architecture(load_bundled_config("desk3")))
 SPACE_DOC = json.loads(bundled_config_path("desk3").read_text(encoding="utf-8"))
 
@@ -33,7 +35,6 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=6)
-DELETE = object()
 
 
 @pytest.fixture(scope="module")
@@ -76,27 +77,6 @@ def test_container_byte_flips(container, data):
     _read(path, bytes(buf))
 
 
-def _paths(doc, prefix=()):
-    """Every key path into a JSON document, the root excluded."""
-    items = doc.items() if isinstance(doc, dict) else \
-        enumerate(doc) if isinstance(doc, list) else ()
-    for key, value in items:
-        yield prefix + (key,)
-        yield from _paths(value, prefix + (key,))
-
-
-def _replaced(doc, path, value):
-    doc = json.loads(json.dumps(doc))
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value
-    return json.dumps(doc)
-
-
 @pytest.mark.parametrize("doc, parse", [
     (ARCH_DOC, lambda text: arch_from_doc(parse_json(text))),
     (SPACE_DOC, parse_config),
@@ -104,10 +84,10 @@ def _replaced(doc, path, value):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_document_field_replacement(doc, parse, data):
-    path = data.draw(st.sampled_from(list(_paths(doc))))
+    path = data.draw(st.sampled_from(list(json_paths(doc))))
     value = data.draw(st.just(DELETE) | JSON_VALUES)
     try:
-        parse(_replaced(doc, path, value))
+        parse(replaced(doc, path, value))
     except NasAdaptError:
         pass
 

@@ -56,9 +56,9 @@ def block_counts_differ():
 
 def wrong_input_width():
     layer = build_supernet(CONFIG, seed=0).blocks[0].layers[0]
-    c_in = layer.ops[0].stages[0].c_in
+    c_in = layer[0].stages[0].c_in
     mixed_op_forward(Tensor(np.zeros((1, c_in + 1, 8, 8), dtype=np.float32)), layer,
-                     Tensor(np.zeros(len(layer.ops), dtype=np.float32)))
+                     Tensor(np.zeros(len(layer), dtype=np.float32)))
 
 
 def no_op_block():

@@ -27,7 +27,7 @@ from nasadapt.paramap import (
     map_to_supernet,
     verify_function_preservation,
 )
-from nasadapt.searchspace import OpCandidate, load_bundled_config, parse_config
+from nasadapt.searchspace import OpCandidate, load_bundled_config, op_candidates, parse_config
 from nasadapt.supernet import build_supernet, logit_lengths
 
 
@@ -428,22 +428,20 @@ class TestMapToSupernet:
         mapped, report = map_to_supernet(bundle, cfg, eps=0.0)
         net = build_supernet(cfg, arrays=mapped.tensors)
         layer = net.blocks[2].layers[1]
-        matching = [o for o, c in enumerate(layer.candidates)
+        matching = [o for o, c in enumerate(op_candidates(cfg.blocks[2], 1))
                     if c.kind == "mbconv" and c.kernel == 3 and c.expansion == 6]
         o = matching[0]
         entry = report.entries[f"block2/layer1/op{o}/depthwise/weight"]
         assert entry.rules == ("direct",)
         np.testing.assert_array_equal(
-            layer.ops[o].weight["depthwise"].data,
+            layer[o].weight["depthwise"].data,
             bundle.tensors["block2/layer1/depthwise/weight"])
 
     def test_kernel_embed_recorded_for_k5(self):
         cfg = desk_config()
         bundle, arch = source_bundle(cfg)
-        net = build_supernet(cfg, seed=5)
         _, report = map_to_supernet(bundle, cfg, eps=0.0)
-        layer = net.blocks[0].layers[0]
-        k5 = [o for o, c in enumerate(layer.candidates) if c.kernel == 5][0]
+        k5 = [o for o, c in enumerate(op_candidates(cfg.blocks[0], 0)) if c.kernel == 5][0]
         entry = report.entries[f"block0/layer0/op{k5}/depthwise/weight"]
         assert "kernel-embed" in entry.rules
 

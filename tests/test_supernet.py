@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nasadapt.errors import ContractError, ParameterError
 from nasadapt.numerics import Tensor, backward, count_madds, no_grad
 from nasadapt.numerics.container import load_tensors, save_tensors
-from nasadapt.searchspace import load_bundled_config, parse_config
+from nasadapt.searchspace import channel_candidates, load_bundled_config, parse_config
 from nasadapt.supernet import (
     build_masks,
     build_supernet,
@@ -54,8 +54,9 @@ class TestBuildMasks:
     def test_mask_bank_collects_blocks(self):
         net = build_supernet(load_bundled_config("desk3"), seed=0)
         assert len(net.blocks) == 3
-        for block in net.blocks:
-            assert block.masks.shape == (len(block.candidates), block.c_full)
+        for spec, block in zip(net.config.blocks, net.blocks):
+            widths = channel_candidates(spec)
+            assert block.masks.shape == (len(widths), widths[-1])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 32), min_size=1, max_size=6, unique=True))
@@ -73,7 +74,7 @@ class TestBuildSupernet:
     def test_table1_shape(self):
         net = build_supernet(load_bundled_config("table1"), seed=0)
         assert len(net.blocks) == 6
-        assert [len(b.candidates) for b in net.blocks] == [7, 11, 13, 15, 33, 37]
+        assert [len(b.masks) for b in net.blocks] == [7, 11, 13, 15, 33, 37]
         assert [len(vecs) for vecs in net.alpha] == [4, 4, 4, 4, 4, 1]
         from nasadapt.numerics import softmax
 
@@ -176,11 +177,11 @@ class TestMixedOp:
         net, layer = self._layer()
         rng = np.random.default_rng(0)
         x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
-        for chosen in range(len(layer.ops)):
-            logits = np.zeros(len(layer.ops), dtype=np.float32)
+        for chosen in range(len(layer)):
+            logits = np.zeros(len(layer), dtype=np.float32)
             logits[chosen] = 50.0
             mixed = mixed_op_forward(x, layer, Tensor(logits), training=False)
-            alone = layer.ops[chosen](x, False, None)
+            alone = layer[chosen](x, False, None)
             np.testing.assert_allclose(mixed.data, alone.data, atol=1e-4)
 
     def test_uniform_equals_mean(self):
@@ -189,7 +190,7 @@ class TestMixedOp:
         x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
         mixed = mixed_op_forward(x, layer, Tensor(np.zeros(3, dtype=np.float32)),
                                  training=False)
-        mean = np.mean([op(x, False, None).data for op in layer.ops], axis=0)
+        mean = np.mean([op(x, False, None).data for op in layer], axis=0)
         np.testing.assert_allclose(mixed.data, mean, atol=1e-5)
 
     def test_random_logits_match_explicit_sum(self):
@@ -200,8 +201,8 @@ class TestMixedOp:
             logits = rng.standard_normal(3).astype(np.float32)
             mixed = mixed_op_forward(x, layer, Tensor(logits), training=False)
             p = np_softmax(logits)
-            oracle = sum(p[o] * layer.ops[o](x, False, None).data
-                         for o in range(len(layer.ops)))
+            oracle = sum(p[o] * layer[o](x, False, None).data
+                         for o in range(len(layer)))
             np.testing.assert_allclose(mixed.data, oracle, atol=1e-5)
 
 
@@ -212,7 +213,7 @@ class TestMixedBlock:
         block = net.blocks[0]
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
-        alphas = [Tensor(rng.standard_normal(len(l.candidates)).astype(np.float32))
+        alphas = [Tensor(rng.standard_normal(len(l)).astype(np.float32))
                   for l in block.layers]
         out = mixed_block_forward(x, block, alphas, net.beta[0], training=False)
         h = x
@@ -226,7 +227,7 @@ class TestMixedBlock:
         block = net.blocks[0]
         rng = np.random.default_rng(4)
         x = Tensor(rng.standard_normal((1, 4, 6, 6)).astype(np.float32))
-        alphas = [Tensor(np.zeros(len(l.candidates), dtype=np.float32))
+        alphas = [Tensor(np.zeros(len(l), dtype=np.float32))
                   for l in block.layers]
         beta = Tensor(np.zeros(4, dtype=np.float32))
         out = mixed_block_forward(x, block, alphas, beta, training=False)
@@ -241,7 +242,7 @@ class TestMixedBlock:
         block = net.blocks[0]
         rng = np.random.default_rng(5)
         x = Tensor(rng.standard_normal((1, 4, 6, 6)).astype(np.float32))
-        alphas = [Tensor(np.zeros(len(l.candidates), dtype=np.float32))
+        alphas = [Tensor(np.zeros(len(l), dtype=np.float32))
                   for l in block.layers]
         h = x
         for layer, logits in zip(block.layers, alphas):
@@ -263,14 +264,14 @@ class TestMixedBlock:
         rng = np.random.default_rng(6)
         for trial in range(3):
             x = Tensor(rng.standard_normal((2, 4, 6, 6)).astype(np.float32))
-            alphas = [Tensor(rng.standard_normal(len(l.candidates)).astype(np.float32))
+            alphas = [Tensor(rng.standard_normal(len(l)).astype(np.float32))
                       for l in block.layers]
-            beta = rng.standard_normal(len(block.candidates)).astype(np.float32)
+            beta = rng.standard_normal(len(block.masks)).astype(np.float32)
             got = mixed_block_forward(x, block, alphas, Tensor(beta),
                                       training=False).data
             p = np_softmax(beta)
             oracle = np.zeros_like(got)
-            for m in range(len(block.candidates)):
+            for m in range(len(block.masks)):
                 h = x
                 for layer, logits in zip(block.layers, alphas):
                     h = mixed_op_forward(h, layer, logits, training=False)
@@ -283,7 +284,7 @@ class TestMixedBlock:
         net = build_supernet(cfg, seed=20)
         block = net.blocks[0]
         bad = Tensor(np.zeros((1, 7, 6, 6), dtype=np.float32))
-        alphas = [Tensor(np.zeros(len(l.candidates), dtype=np.float32))
+        alphas = [Tensor(np.zeros(len(l), dtype=np.float32))
                   for l in block.layers]
         from nasadapt.errors import DimensionError
 
@@ -298,9 +299,9 @@ class TestMixedBlock:
             cfg = single_block_config(channels=channels, n_max=2)
             net = build_supernet(cfg, seed=9)
             block = net.blocks[0]
-            alphas = [Tensor(np.zeros(len(l.candidates), dtype=np.float32))
+            alphas = [Tensor(np.zeros(len(l), dtype=np.float32))
                       for l in block.layers]
-            beta = Tensor(np.zeros(len(block.candidates), dtype=np.float32))
+            beta = Tensor(np.zeros(len(block.masks), dtype=np.float32))
             with count_madds() as counter:
                 mixed_block_forward(Tensor(x_np), block, alphas, beta, training=False)
             calls.append(counter.conv_calls)
