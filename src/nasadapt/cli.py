@@ -74,23 +74,30 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _search_stage(config, dataset, schedule, mask_mode, source, eps, out, history):
+    """Search a supernet mapped from ``source`` (drawn when None); save and return it."""
+    if source is None:
+        net = build_supernet(config, seed=seed_for(schedule.seed, "supernet"),
+                             mask_mode=mask_mode)
+    else:
+        mapped, _ = map_to_supernet(source, config, eps=eps, seed=seed_for(schedule.seed, "noise"))
+        net = build_supernet(config, mask_mode=mask_mode, arrays=mapped.tensors)
+    net, steps = search(net, dataset, schedule)
+    net.save(out)
+    if history:
+        history_to_csv(steps, history)
+    return net
+
+
 def _cmd_search(args) -> int:
     schedule = SearchSchedule(total_epochs=args.epochs, warmup_epochs=args.warmup,
                               lam=getattr(args, "lambda"), seed=args.seed)
     check_eps(args.eps)
     config = load_config(args.space)
     dataset = load_dataset(args.data)
-    if args.init_from:
-        mapped, _ = map_to_supernet(ParameterBundle.load(args.init_from), config,
-                                    eps=args.eps, seed=seed_for(args.seed, "noise"))
-        net = build_supernet(config, mask_mode=args.mask_mode, arrays=mapped.tensors)
-    else:
-        net = build_supernet(config, seed=seed_for(args.seed, "supernet"),
-                             mask_mode=args.mask_mode)
-    net, history = search(net, dataset, schedule)
-    net.save(args.out)
-    if args.history:
-        history_to_csv(history, args.history)
+    source = ParameterBundle.load(args.init_from) if args.init_from else None
+    _search_stage(config, dataset, schedule, args.mask_mode, source, args.eps,
+                  args.out, args.history)
     return 0
 
 
@@ -156,18 +163,24 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _finetune_stage(arch, params, dataset, epochs, seed, out, history=None):
+    """Fine-tune from ``params`` (drawn when None) and save; return the bundle and the
+    last loss, None after zero epochs."""
+    bundle, curve = finetune(arch, params, dataset, epochs=epochs, seed=seed)
+    bundle.save(out)
+    if history:
+        write_csv(history, ["epoch", "loss"], enumerate(curve, 1))
+    return bundle, curve[-1] if curve else None
+
+
 def _cmd_finetune(args) -> int:
     arch = load_arch(args.arch)
     dataset = load_dataset(args.data)
     params = ParameterBundle.load(args.params) if args.params else None
-    bundle, curve = finetune(arch, params, dataset, epochs=args.epochs,
-                             seed=seed_for(args.seed, "finetune"))
-    bundle.save(args.out)
-    if args.history:
-        write_csv(args.history, ["epoch", "loss"], enumerate(curve, 1))
-    accuracy = evaluate_accuracy(arch, bundle, dataset)
-    write_json({"final_loss": curve[-1] if curve else None,
-                "train_accuracy": accuracy, "epochs": args.epochs}, None)
+    bundle, final_loss = _finetune_stage(arch, params, dataset, args.epochs,
+                                         seed_for(args.seed, "finetune"), args.out, args.history)
+    write_json({"final_loss": final_loss, "epochs": args.epochs,
+                "train_accuracy": evaluate_accuracy(arch, bundle, dataset)}, None)
     return 0
 
 
@@ -190,45 +203,32 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
     dataset = generate(DatasetSpec(n_samples=samples, seed=seed_for(seed, "data")))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    data_path = out / "data.nat"
-    save_dataset(dataset, data_path)
+    save_dataset(dataset, out / "data.nat")
 
     source_arch = default_source_architecture(config)
-    source_bundle, source_curve = finetune(
-        source_arch, None, dataset, epochs=pretrain_epochs,
-        seed=seed_for(seed, "source"))
-    source_bundle.save(out / "source.nat")
-    source_madds = madds_of_discrete(source_arch, config)
+    source_bundle, source_loss = _finetune_stage(source_arch, None, dataset, pretrain_epochs,
+                                                 seed_for(seed, "source"), out / "source.nat")
 
-    mapped, _ = map_to_supernet(source_bundle, config, eps=eps, seed=seed_for(seed, "noise"))
-    net = build_supernet(config, mask_mode=mask_mode, arrays=mapped.tensors)
-    net, history = search(net, dataset, schedule)
-    net.save(out / "supernet.nat")
-    history_path = out / "history.csv"
-    history_to_csv(history, history_path)
-
+    net = _search_stage(config, dataset, schedule, mask_mode, source_bundle, eps,
+                        out / "supernet.nat", out / "history.csv")
     arch = derive_architecture(net.alpha, net.beta, config)
-    arch_path = out / "derived_arch.json"
-    save_arch(arch, arch_path)
-    derived_madds = madds_of_discrete(arch, config)
+    save_arch(arch, out / "derived_arch.json")
 
     mapped, report = map_to_derived(source_bundle, arch, eps=eps,
                                     seed=seed_for(seed, "noise"))
     report.save(out / "remap_report.json")
-    final_bundle, curve = finetune(arch, mapped, dataset, epochs=finetune_epochs,
-                                   seed=seed_for(seed, "finetune"))
-    final_bundle.save(out / "derived.nat")
-    accuracy = evaluate_accuracy(arch, final_bundle, dataset)
+    final_bundle, final_loss = _finetune_stage(arch, mapped, dataset, finetune_epochs,
+                                               seed_for(seed, "finetune"), out / "derived.nat")
 
     # paths are relative to out_dir so equal-seed runs emit identical bytes
     summary = {
-        "source_madds": source_madds,
-        "derived_madds": derived_madds,
-        "final_loss": curve[-1] if curve else None,
-        "train_accuracy": accuracy,
-        "history_path": history_path.name,
-        "arch_path": arch_path.name,
-        "source_pretrain_loss": source_curve[-1] if source_curve else None,
+        "source_madds": madds_of_discrete(source_arch, config),
+        "derived_madds": madds_of_discrete(arch, config),
+        "final_loss": final_loss,
+        "train_accuracy": evaluate_accuracy(arch, final_bundle, dataset),
+        "history_path": "history.csv",
+        "arch_path": "derived_arch.json",
+        "source_pretrain_loss": source_loss,
         "seed": seed,
         "lambda": lam,
         "meta": {"version": __version__},
@@ -238,12 +238,11 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
 
 
 def _cmd_e2e(args) -> int:
-    summary = end_to_end(args.space, args.seed, args.out_dir, samples=args.samples,
-                         epochs=args.epochs, warmup=args.warmup,
-                         lam=getattr(args, "lambda"), pretrain_epochs=args.pretrain_epochs,
-                         finetune_epochs=args.finetune_epochs, eps=args.eps,
-                         mask_mode=args.mask_mode)
-    write_json(summary, None)
+    write_json(end_to_end(args.space, args.seed, args.out_dir, samples=args.samples,
+                          epochs=args.epochs, warmup=args.warmup,
+                          lam=getattr(args, "lambda"), pretrain_epochs=args.pretrain_epochs,
+                          finetune_epochs=args.finetune_epochs, eps=args.eps,
+                          mask_mode=args.mask_mode), None)
     return 0
 
 

@@ -1,13 +1,30 @@
-"""Shared test oracles (finite differences, a float32-aware closeness check)
-and JSON document mutation."""
+"""Shared test oracles (finite differences, a float32-aware closeness check),
+JSON document mutation, and a process map over paired-run seeds."""
 
 import json
+import os
 import struct
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from nasadapt.numerics import Tensor
 from nasadapt.searchspace import channel_candidates, op_candidates
+
+
+def map_seeds(fn, seeds):
+    """``[fn(seed) for seed in seeds]``, one worker process per seed up to the
+    cores this process may use, in-process when that is one.
+
+    ``fn`` must be a module-level function (or a partial of one) so that the
+    pool can pickle it; an exception in a worker is re-raised here.
+    """
+    seeds = list(seeds)
+    workers = min(len(seeds), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [fn(seed) for seed in seeds]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, seeds))
 
 
 def finite_difference(f, arrays, h=1e-3):

@@ -5,6 +5,7 @@ majority votes over seeds; everything else is exact or tolerance-based.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ from nasadapt.supernet import build_masks, build_supernet, logit_lengths, \
 from nasadapt.toytask import DatasetSpec, ProxyHead, finetune, generate, \
     model_loss
 
-from helpers import check_gradients, rand_tensor
+from helpers import check_gradients, map_seeds, rand_tensor
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -288,23 +289,25 @@ def test_bilevel_phase_separation():
            f"warmup={warmup_ok} w-frozen={w_ok} state-frozen={s_ok} history={hist_ok}")
 
 
+def _cost_pressure_pair(seed):
+    """(lambda=0.1 MAdds, lambda=0 MAdds) of the architectures one seed derives."""
+    cfg = load_bundled_config("desk3")
+    ds = generate(DatasetSpec(n_samples=96, seed=seed))
+    madds = {}
+    for lam in (0.0, 0.1):
+        net = build_supernet(cfg, seed=seed)
+        schedule = SearchSchedule(total_epochs=6, warmup_epochs=3, lam=lam,
+                                  seed=seed)
+        net, _ = search(net, ds, schedule)
+        arch = derive_architecture(net.alpha, net.beta, cfg)
+        madds[lam] = madds_of_discrete(arch, cfg)
+    return madds[0.1], madds[0.0]
+
+
 def test_cost_pressure_direction():
     """Over 5 paired seeds, lambda=0.1 derives no costlier than lambda=0."""
-    cfg = load_bundled_config("desk3")
-    wins = 0
-    pairs = []
-    for seed in range(5):
-        ds = generate(DatasetSpec(n_samples=96, seed=seed))
-        madds = {}
-        for lam in (0.0, 0.1):
-            net = build_supernet(cfg, seed=seed)
-            schedule = SearchSchedule(total_epochs=6, warmup_epochs=3, lam=lam,
-                                      seed=seed)
-            net, _ = search(net, ds, schedule)
-            arch = derive_architecture(net.alpha, net.beta, cfg)
-            madds[lam] = madds_of_discrete(arch, cfg)
-        pairs.append((madds[0.1], madds[0.0]))
-        wins += madds[0.1] <= madds[0.0]
+    pairs = map_seeds(_cost_pressure_pair, range(5))
+    wins = sum(reg <= free for reg, free in pairs)
     report("cost-pressure-direction", wins >= 4, f"{wins}/5 pairs, (lam0.1, lam0)={pairs}")
 
 
@@ -364,8 +367,9 @@ def test_function_preservation():
            f"pad dev {rep_pad['max_deviation']:.2e}")
 
 
-def test_pretrained_vs_scratch():
-    """Mapped init reaches the scratch final loss in <= half the steps (4/5 seeds)."""
+def _mapped_reach(seed, epochs):
+    """First epoch at which fine-tuning from a mapped source reaches the loss that
+    fine-tuning from scratch ends at after ``epochs`` epochs; ``epochs + 1`` if never."""
     cfg = load_bundled_config("desk3")
     source_arch = default_source_architecture(cfg)
     target = DiscreteArchitecture(
@@ -376,21 +380,23 @@ def test_pretrained_vs_scratch():
                                                stride=o.stride) for o in b.ops))
             if i < 2 else b
             for i, b in enumerate(source_arch.blocks)))
+    ds = generate(DatasetSpec(n_samples=192, seed=seed))
+    source_bundle, _ = finetune(source_arch, None, ds, epochs=8, seed=seed)
+    mapped_bundle, _ = map_to_derived(source_bundle, target, eps=1e-5, seed=seed)
+    _, scratch_curve = finetune(target, None, ds, epochs=epochs, seed=seed + 100)
+    _, mapped_curve = finetune(target, mapped_bundle, ds, epochs=epochs,
+                               seed=seed + 100)
+    scratch_final = scratch_curve[-1]
+    return next((e + 1 for e, v in enumerate(mapped_curve) if v <= scratch_final),
+                epochs + 1)
+
+
+def test_pretrained_vs_scratch():
+    """Mapped init reaches the scratch final loss in <= half the steps (4/5 seeds)."""
     epochs = 10
-    wins = 0
-    details = []
-    for seed in range(5):
-        ds = generate(DatasetSpec(n_samples=192, seed=seed))
-        source_bundle, _ = finetune(source_arch, None, ds, epochs=8, seed=seed)
-        mapped_bundle, _ = map_to_derived(source_bundle, target, eps=1e-5, seed=seed)
-        _, scratch_curve = finetune(target, None, ds, epochs=epochs, seed=seed + 100)
-        _, mapped_curve = finetune(target, mapped_bundle, ds, epochs=epochs,
-                                   seed=seed + 100)
-        scratch_final = scratch_curve[-1]
-        reach = next((e + 1 for e, v in enumerate(mapped_curve) if v <= scratch_final),
-                     epochs + 1)
-        details.append((reach, epochs))
-        wins += reach <= epochs // 2
+    reaches = map_seeds(partial(_mapped_reach, epochs=epochs), range(5))
+    wins = sum(reach <= epochs // 2 for reach in reaches)
+    details = [(reach, epochs) for reach in reaches]
     report("pretrained-vs-scratch", wins >= 4,
            f"{wins}/5 pairs, reach epochs {details}")
 

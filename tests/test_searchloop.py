@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nasadapt.costmodel import build_madds_table, madds_of_discrete
-from nasadapt.derive import default_source_architecture
+from nasadapt.derive import default_source_architecture, derive_architecture
 from nasadapt.errors import ContractError, ParameterError
 from nasadapt.numerics import Adam, clip_grad_norm
 from nasadapt.searchloop import (
@@ -26,6 +26,8 @@ from nasadapt.searchspace import load_bundled_config
 from nasadapt.supernet import build_supernet, logit_lengths
 from nasadapt.toytask import DatasetSpec, ProxyHead, finetune, generate, train_step
 
+from helpers import map_seeds
+
 
 def tiny_search(seed=0, total=2, warmup=1, lam=0.1, n_samples=48, mask_mode="non_overlapping"):
     cfg = load_bundled_config("desk3")
@@ -34,6 +36,19 @@ def tiny_search(seed=0, total=2, warmup=1, lam=0.1, n_samples=48, mask_mode="non
     schedule = SearchSchedule(total_epochs=total, warmup_epochs=warmup, lam=lam,
                               seed=seed)
     return search(net, ds, schedule)
+
+
+def _large_lambda_pair(seed):
+    """(lambda=10 MAdds, lambda=0 MAdds) of the architectures one seed derives."""
+    cfg = load_bundled_config("desk3")
+    ds = generate(DatasetSpec(n_samples=64, seed=seed))
+    madds = {}
+    for lam in (0.0, 10.0):
+        net = build_supernet(cfg, seed=seed)
+        schedule = SearchSchedule(total_epochs=4, warmup_epochs=2, lam=lam, seed=seed)
+        net, _ = search(net, ds, schedule)
+        madds[lam] = madds_of_discrete(derive_architecture(net.alpha, net.beta, cfg), cfg)
+    return madds[10.0], madds[0.0]
 
 
 class TestSplit:
@@ -180,19 +195,6 @@ class TestSearch:
     def test_large_lambda_never_costlier(self):
         """100x the desk-default regularizer: majority of paired seeds derive
         architectures no costlier than unregularized runs."""
-        from nasadapt.costmodel import madds_of_discrete
-        from nasadapt.derive import derive_architecture
-
-        cfg = load_bundled_config("desk3")
-        wins = 0
-        for seed in range(5):
-            ds = generate(DatasetSpec(n_samples=64, seed=seed))
-            madds = {}
-            for lam in (0.0, 10.0):
-                net = build_supernet(cfg, seed=seed)
-                schedule = SearchSchedule(total_epochs=4, warmup_epochs=2, lam=lam,
-                                          seed=seed)
-                net, _ = search(net, ds, schedule)
-                madds[lam] = madds_of_discrete(derive_architecture(net.alpha, net.beta, cfg), cfg)
-            wins += madds[10.0] <= madds[0.0]
+        pairs = map_seeds(_large_lambda_pair, range(5))
+        wins = sum(reg <= free for reg, free in pairs)
         assert wins >= 3, f"only {wins}/5 paired seeds"
