@@ -84,7 +84,7 @@ def _search_stage(config, dataset, schedule, mask_mode, source, eps, out, histor
         net = build_supernet(config, mask_mode=mask_mode, arrays=mapped.tensors)
     net, steps = search(net, dataset, schedule)
     net.save(out)
-    if history:
+    if history is not None:
         history_to_csv(steps, history)
     return net
 
@@ -95,7 +95,7 @@ def _cmd_search(args) -> int:
     check_eps(args.eps)
     config = load_config(args.space)
     dataset = load_dataset(args.data)
-    source = ParameterBundle.load(args.init_from) if args.init_from else None
+    source = ParameterBundle.load(args.init_from) if args.init_from is not None else None
     _search_stage(config, dataset, schedule, args.mask_mode, source, args.eps,
                   args.out, args.history)
     return 0
@@ -141,7 +141,7 @@ def _cmd_remap(args) -> int:
         bundle, report = map_to_supernet(source, load_config(args.space), eps=args.eps,
                                          seed=seed_for(args.seed, "noise"))
     bundle.save(args.out)
-    if args.report:
+    if args.report is not None:
         report.save(args.report)
     return 0
 
@@ -168,7 +168,7 @@ def _finetune_stage(arch, params, dataset, epochs, seed, out, history=None):
     last loss, None after zero epochs."""
     bundle, curve = finetune(arch, params, dataset, epochs=epochs, seed=seed)
     bundle.save(out)
-    if history:
+    if history is not None:
         write_csv(history, ["epoch", "loss"], enumerate(curve, 1))
     return bundle, curve[-1] if curve else None
 
@@ -176,7 +176,7 @@ def _finetune_stage(arch, params, dataset, epochs, seed, out, history=None):
 def _cmd_finetune(args) -> int:
     arch = load_arch(args.arch)
     dataset = load_dataset(args.data)
-    params = ParameterBundle.load(args.params) if args.params else None
+    params = ParameterBundle.load(args.params) if args.params is not None else None
     bundle, final_loss = _finetune_stage(arch, params, dataset, args.epochs,
                                          seed_for(args.seed, "finetune"), args.out, args.history)
     write_json({"final_loss": final_loss, "epochs": args.epochs,

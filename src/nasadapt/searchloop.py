@@ -9,8 +9,10 @@ two-level problem. Phases are strictly separated by construction: each
 phase turns ``requires_grad`` off on the idle parameter group, so a w step
 computes no alpha/beta gradient and an arch step no w gradient. An arch
 step also leaves the normalization running statistics alone; they only
-update during w steps. Both phases run ``toytask.train_step``, the step
-fine-tuning runs, with gradients clipped at norm ``GRAD_CLIP_NORM``.
+update during w steps. Both phases run one step body: scope the gradients,
+take the expected cost at the logits the step starts from, run
+``toytask.train_step`` (the step fine-tuning runs, with gradients clipped
+at norm ``GRAD_CLIP_NORM``), and log one ``StepRecord``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from functools import partial
 import numpy as np
 
 from .costmodel import (
-    MAddsTable,
     build_madds_table,
     expected_cost,
     madds_of_discrete,
@@ -30,7 +31,7 @@ from .costmodel import (
 )
 from .derive import default_source_architecture
 from .errors import ParameterError
-from .numerics import SGD, Adam, Tensor, clip_grad_norm, no_grad
+from .numerics import SGD, Adam, Tensor, clip_grad_norm
 # not called here: perfbench/instrument.py patches this name (until ROADMAP item 1)
 from .numerics import backward  # noqa: F401
 from .seeding import seed_for
@@ -132,13 +133,6 @@ def _train_only(active: list[Tensor], idle: list[Tensor]) -> None:
         p.requires_grad = True
 
 
-def _add_cost(net: Supernet, table: MAddsTable, lam: float, normalizer: float,
-              m_loss: Tensor) -> tuple[Tensor, Tensor]:
-    """An arch step's loss, ``m_loss + lam * cost / normalizer``, and its cost."""
-    cost = expected_cost(net.alpha, net.beta, table)
-    return total_loss(m_loss, cost, lam, normalizer), cost
-
-
 def search(net: Supernet, dataset: SyntheticDataset,
            schedule: SearchSchedule) -> tuple[Supernet, SearchHistory]:
     """Run the warm-up-then-alternating schedule under a proxy head drawn
@@ -146,19 +140,20 @@ def search(net: Supernet, dataset: SyntheticDataset,
     normalizer = float(madds_of_discrete(default_source_architecture(net.config),
                                          net.config))
     table = build_madds_table(net.config)
-    add_cost = partial(_add_cost, net, table, schedule.lam, normalizer)
     head = ProxyHead(net.final_channels, dataset.spec.n_classes,
                      seed=seed_for(schedule.seed, "head"))
     train_a, train_b = split_data(len(dataset), schedule.seed)
     rng = np.random.Generator(np.random.PCG64(seed_for(schedule.seed, "batches")))
-    batches_a = batch_stream(train_a, SEARCH_BATCH_SIZE, rng)
-    batches_b = batch_stream(train_b, SEARCH_BATCH_SIZE, rng)
-
     w_params = net.weight_params() + head.params()
     arch_params = net.arch_params()
     requires_grad_before = [p.requires_grad for p in w_params + arch_params]
-    w_opt = SGD(w_params, lr=W_LR, weight_decay=W_WEIGHT_DECAY)
-    arch_opt = Adam(arch_params, lr=ARCH_LR, weight_decay=ARCH_WEIGHT_DECAY)
+    # phase -> (active group, idle group, batches, optimizer)
+    phases = {
+        "w": (w_params, arch_params, batch_stream(train_a, SEARCH_BATCH_SIZE, rng),
+              SGD(w_params, lr=W_LR, weight_decay=W_WEIGHT_DECAY)),
+        "arch": (arch_params, w_params, batch_stream(train_b, SEARCH_BATCH_SIZE, rng),
+                 Adam(arch_params, lr=ARCH_LR, weight_decay=ARCH_WEIGHT_DECAY)),
+    }
     clip = partial(clip_grad_norm, max_norm=GRAD_CLIP_NORM)
 
     steps_per_epoch = max(1, len(train_a) // SEARCH_BATCH_SIZE)
@@ -166,31 +161,24 @@ def search(net: Supernet, dataset: SyntheticDataset,
     step = 0
     try:
         for epoch in range(1, schedule.total_epochs + 1):
-            arch_phase = epoch > schedule.warmup_epochs
+            epoch_phases = ("w", "arch") if epoch > schedule.warmup_epochs else ("w",)
             for _ in range(steps_per_epoch):
-                _train_only(w_params, arch_params)
-                step += 1
-                m_val, _, _ = train_step(net, head, dataset, next(batches_a), w_opt,
-                                         f"step {step} (epoch {epoch}, phase w)",
-                                         clip)
-                with no_grad():
-                    c_val = float(expected_cost(net.alpha, net.beta, table).data) \
-                        / normalizer
-                history.steps.append(StepRecord(
-                    step=step, epoch=epoch, phase="w", model_loss=m_val,
-                    expected_cost=c_val, total_loss=m_val + schedule.lam * c_val))
-                if not arch_phase:
-                    continue
-                _train_only(arch_params, w_params)
-                step += 1
-                m_val, t_val, cost = train_step(net, head, dataset, next(batches_b),
-                                                arch_opt,
-                                                f"step {step} (epoch {epoch}, phase arch)",
-                                                clip, add_cost)
-                history.steps.append(StepRecord(
-                    step=step, epoch=epoch, phase="arch", model_loss=m_val,
-                    expected_cost=float(cost.data) / normalizer,
-                    total_loss=t_val))
+                for phase in epoch_phases:
+                    active, idle, batches, opt = phases[phase]
+                    _train_only(active, idle)
+                    step += 1
+                    # at the logits this step starts from; recorded only for an arch step
+                    cost = expected_cost(net.alpha, net.beta, table)
+                    add_cost = None if phase == "w" else \
+                        lambda m_loss: total_loss(m_loss, cost, schedule.lam, normalizer)
+                    m_val, t_val = train_step(net, head, dataset, next(batches), opt,
+                                              f"step {step} (epoch {epoch}, phase {phase})",
+                                              clip, add_cost)
+                    c_val = float(cost.data) / normalizer
+                    history.steps.append(StepRecord(
+                        step=step, epoch=epoch, phase=phase, model_loss=m_val,
+                        expected_cost=c_val,
+                        total_loss=(m_val + schedule.lam * c_val) if phase == "w" else t_val))
             history.snapshots.append(_snapshot(net, epoch))
     finally:
         for p, flag in zip(w_params + arch_params, requires_grad_before):

@@ -184,20 +184,18 @@ def batch_stream(indices: np.ndarray, batch_size: int,
 
 def train_step(net, head: ProxyHead, dataset: SyntheticDataset, idx: np.ndarray, opt,
                where: str, clip: Callable[[list[Tensor]], float] | None = None,
-               add_cost: Callable[[Tensor], tuple[Tensor, Tensor]] | None = None,
-               ) -> tuple[float, float, Tensor | None]:
+               add_cost: Callable[[Tensor], Tensor] | None = None) -> tuple[float, float]:
     """One optimizer step on the samples ``idx``: forward, model loss, finite
     check, zero, backward, ``clip`` of ``opt``'s parameters if given, step.
 
-    ``add_cost`` (a search's arch step) maps the model loss to the loss and
-    the expected-cost tensor; such a step leaves running statistics frozen.
-    A non-finite loss raises a ContractError naming ``where``. Returns the
-    model loss, the loss and the cost tensor (None without ``add_cost``).
+    ``add_cost`` (a search's arch step) maps the model loss to the loss;
+    such a step leaves running statistics frozen. A non-finite loss raises
+    a ContractError naming ``where``. Returns the model loss and the loss.
     """
     feats = net.forward(Tensor(dataset.images[idx]), training=True,
                         update_stats=None if add_cost is None else False)
     m_loss = model_loss(feats[-1], head, dataset.labels[idx])
-    loss, cost = (m_loss, None) if add_cost is None else add_cost(m_loss)
+    loss = m_loss if add_cost is None else add_cost(m_loss)
     value = loss.item()
     if not np.isfinite(value):
         raise ContractError(f"non-finite loss {value} at {where}")
@@ -206,7 +204,7 @@ def train_step(net, head: ProxyHead, dataset: SyntheticDataset, idx: np.ndarray,
     if clip is not None:
         clip(opt.params)
     opt.step()
-    return m_loss.item(), value, cost
+    return m_loss.item(), value
 
 
 def check_epochs(epochs: int, what: str = "epochs") -> None:
@@ -244,8 +242,8 @@ def finetune(arch: DiscreteArchitecture, params: ParameterBundle | None,
             epoch_losses = []
             for _ in range(steps_per_epoch):
                 step += 1
-                _, loss, _ = train_step(net, head, dataset, next(batches), opt,
-                                        f"fine-tune step {step} (epoch {epoch})")
+                _, loss = train_step(net, head, dataset, next(batches), opt,
+                                     f"fine-tune step {step} (epoch {epoch})")
                 epoch_losses.append(loss)
             curve.append(float(np.mean(epoch_losses)))
     # nothing else holds these arrays once this returns, so the bundle takes them

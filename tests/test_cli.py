@@ -18,7 +18,6 @@ from nasadapt.cli import build_parser, end_to_end, main
 from nasadapt.costmodel import build_madds_table, expected_cost, expected_cost_per_block
 from nasadapt.derive import (
     arch_to_doc,
-    arch_to_json,
     default_source_architecture,
     derive_architecture,
     instantiate,
@@ -26,7 +25,7 @@ from nasadapt.derive import (
 from nasadapt.errors import ParameterError
 from nasadapt.numerics.container import load_tensors, save_tensors
 from nasadapt.searchloop import SearchSchedule
-from nasadapt.searchspace import bundled_config_path, load_bundled_config, load_config
+from nasadapt.searchspace import bundled_config_path, json_text, load_bundled_config, load_config
 from nasadapt.seeding import seed_for
 from nasadapt.supernet import Supernet, build_supernet
 
@@ -208,7 +207,8 @@ class TestUsage:
         data = self.bad_dataset(tmp_path, case)
         capsys.readouterr()
         arch = tmp_path / "arch.json"
-        arch.write_text(arch_to_json(default_source_architecture(load_bundled_config("desk3"))))
+        arch.write_text(json_text(arch_to_doc(
+            default_source_architecture(load_bundled_config("desk3")))))
         out = tmp_path / "out.nat"
         code = main(["finetune", "--arch", str(arch), "--data", str(data), "--epochs", "0",
                      "--out", str(out)])
@@ -351,7 +351,7 @@ class TestCheckpointLogits:
         net = build_supernet(config, arrays=load_tensors(artifacts["ckpt"]))
         assert any(np.any(v.data != 0) for v in net.arch_params())
         assert artifacts["arch"].read_text() == \
-            arch_to_json(derive_architecture(net.alpha, net.beta, config)) + "\n"
+            json_text(arch_to_doc(derive_architecture(net.alpha, net.beta, config))) + "\n"
         table = build_madds_table(config)
         assert main(["cost", "--space", space_path, "--ckpt", str(artifacts["ckpt"])]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -598,7 +598,8 @@ def broken(artifacts, from_arrays_inputs, space_path):
     # a valid desk3 architecture at full depth, and edits that take it out of
     # its space
     full = root / "full_arch.json"
-    full.write_text(arch_to_json(default_source_architecture(load_bundled_config("desk3"))))
+    full.write_text(json_text(arch_to_doc(
+        default_source_architecture(load_bundled_config("desk3")))))
     for name, edit in {
         "layer2_stride_arch": lambda d: d["blocks"][0]["ops"][1].update(stride=2),
         "kernel7_arch": lambda d: d["blocks"][0]["ops"][0].update(kernel=7),
@@ -898,7 +899,7 @@ class TestExit2Sweep:
         arch = default_source_architecture(load_bundled_config("desk3"))
         source = tmp_path / "source.nat"
         save_tensors(source, instantiate(arch, seed=1).to_arrays())
-        source.with_suffix(".arch.json").write_text(arch_to_json(arch))
+        source.with_suffix(".arch.json").write_text(json_text(arch_to_doc(arch)))
         doc = arch_to_doc(arch)
         del doc["blocks"][1]["ops"][1:]
         target = tmp_path / "cut.json"
@@ -930,6 +931,24 @@ class TestExit2Sweep:
                      "--out", str(out)])
         assert_one_line_error(code, capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--init-from", "--params", "--history", "--report"])
+    def test_empty_path_is_a_path(self, capsys, broken, space_path, tmp_path, flag):
+        # an empty path names no file: it is neither read nor skipped, whatever the flag
+        out = tmp_path / "out.nat"
+        search = ["search", "--space", space_path, "--data", str(broken["data"]),
+                  "--epochs", "0", "--warmup", "0"]
+        argv = {
+            "--init-from": search,
+            "--history": search,
+            "--params": ["finetune", "--arch", str(broken["arch"]),
+                         "--data", str(broken["data"]), "--epochs", "0"],
+            "--report": ["remap", "--src", str(broken["source"]), "--space", space_path],
+        }[flag]
+        code = main([*argv, "--out", str(out), flag, ""])
+        assert_one_line_error(code, capsys.readouterr().err)
+        # an input is read before anything is written
+        assert out.exists() == (flag in ("--history", "--report"))
 
     def test_e2e_checks_mask_mode_before_writing(self, broken, space_path):
         # the CLI offers only valid modes; the function checks its own argument

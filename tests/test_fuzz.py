@@ -15,11 +15,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nasadapt.cli import main
-from nasadapt.derive import arch_from_doc, arch_to_doc, arch_to_json, default_source_architecture
+from nasadapt.derive import arch_from_doc, arch_to_doc, default_source_architecture
 from nasadapt.errors import NasAdaptError
 from nasadapt.numerics.container import load_tensors, save_tensors
 from nasadapt.searchspace import (
     bundled_config_path,
+    json_text,
     load_bundled_config,
     parse_config,
     parse_json,
@@ -97,7 +98,7 @@ def dataset_paths(tmp_path_factory):
     """(architecture, dataset container, bundle) paths of a finetune run."""
     root = tmp_path_factory.mktemp("fuzz-data")
     arch = root / "arch.json"
-    arch.write_text(arch_to_json(default_source_architecture(load_bundled_config("desk3"))))
+    arch.write_text(json_text(ARCH_DOC))
     return arch, root / "data.nat", root / "out.nat"
 
 

@@ -55,3 +55,54 @@ def test_no_unused_import(path):
 def test_check_catches_an_unused_import():
     tree = ast.parse("import os\nfrom json import dumps, loads\nprint(loads)\n")
     assert set(imported_names(tree)) - read_names(tree) == {"os", "dumps"}
+
+
+INSTRUMENT = PACKAGE.parents[1] / "perfbench" / "instrument.py"
+
+
+def patched_names(tree: ast.Module) -> set[tuple[str, str]]:
+    """``(module, name)`` for each name of a ``nasadapt`` module that the
+    benchmark's instrumentation names as a patch target: a module alias
+    followed by the name as a string, in a tuple or a call's arguments."""
+    aliases = {alias.asname: alias.name.removeprefix("nasadapt.")
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.startswith("nasadapt.") and alias.asname}
+    pairs = set()
+    for node in ast.walk(tree):
+        items = node.elts if isinstance(node, ast.Tuple) else \
+            node.args if isinstance(node, ast.Call) else []
+        for owner, name in zip(items, items[1:]):
+            if isinstance(owner, ast.Name) and owner.id in aliases \
+                    and isinstance(name, ast.Constant) and isinstance(name.value, str):
+                pairs.add((aliases[owner.id], name.value))
+    return pairs
+
+
+def shim_imports() -> list[tuple[str, str]]:
+    """``(module, name)`` for each import in the package marked ``# noqa: F401``."""
+    shims = []
+    for path in MODULES:
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts)
+        shims += [(module, name) for name, line in imported_names(ast.parse(source)).items()
+                  if "# noqa: F401" in lines[line - 1]]
+    return shims
+
+
+SHIMS = shim_imports()
+
+
+@pytest.mark.parametrize("module, name", SHIMS, ids=[f"{m}.{n}" for m, n in SHIMS])
+def test_shim_import_is_patched_by_the_benchmark(module, name):
+    # an import kept only as a patch target goes once the benchmark stops patching it
+    patched = patched_names(ast.parse(INSTRUMENT.read_text(encoding="utf-8")))
+    assert (module, name) in patched, \
+        f"{module} imports {name} unused, and perfbench/instrument.py does not patch it"
+
+
+def test_shim_check_reads_tuples_and_calls():
+    tree = ast.parse("import nasadapt.layers as layers\nimport os as o\n"
+                     "spans = ((layers, 'relu6', 'k'), (o, 'sep', 'k'))\n"
+                     "patch(layers, 'conv2d', make)\n")
+    assert patched_names(tree) == {("layers", "relu6"), ("layers", "conv2d")}

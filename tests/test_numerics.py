@@ -534,6 +534,7 @@ class TestOptimizers:
         np.testing.assert_allclose(p.data, [0.95, 2.1], rtol=1e-6)
 
     def test_sgd_momentum_fixed(self):
+        # goes with the `SGD(momentum=...)` shim: delete both together
         p = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
         with pytest.raises(ParameterError, match="momentum"):
             SGD([p], lr=0.1, momentum=0.0)

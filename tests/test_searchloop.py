@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from nasadapt.costmodel import build_madds_table, madds_of_discrete
+from nasadapt.costmodel import build_madds_table, expected_cost, madds_of_discrete, total_loss
 from nasadapt.derive import default_source_architecture, derive_architecture
 from nasadapt.errors import ContractError, ParameterError
 from nasadapt.numerics import Adam, clip_grad_norm
@@ -16,7 +16,6 @@ from nasadapt.searchloop import (
     SEARCH_BATCH_SIZE,
     W_LR,
     SearchSchedule,
-    _add_cost,
     _train_only,
     history_to_csv,
     search,
@@ -126,15 +125,28 @@ class TestSearch:
                   if n not in logits}
         opt = Adam(arch_params, lr=ARCH_LR, weight_decay=ARCH_WEIGHT_DECAY)
         normalizer = madds_of_discrete(default_source_architecture(cfg), cfg)
-        add_cost = partial(_add_cost, net, build_madds_table(cfg), 0.1, normalizer)
+        table = build_madds_table(cfg)
         _train_only(arch_params, w_params)
         clip = partial(clip_grad_norm, max_norm=GRAD_CLIP_NORM)
         for step in range(1, 4):
-            train_step(net, head, ds, np.arange(8), opt, f"step {step}", clip, add_cost)
+            cost = expected_cost(net.alpha, net.beta, table)
+            train_step(net, head, ds, np.arange(8), opt, f"step {step}", clip,
+                       lambda m_loss: total_loss(m_loss, cost, 0.1, normalizer))
         after = net.to_arrays() | head.to_arrays()
         for n, a in before.items():
             assert a.tobytes() == after[n].tobytes(), n
         assert all(after[n].any() for n in logits), "arch params should have moved"
+
+    def test_w_steps_never_move_the_logits(self):
+        # a w row's cost is taken before its step, the next arch row's after it:
+        # equal costs mean the w step left the logits alone
+        _, history = tiny_search(seed=4)
+        rows = history.steps
+        arch = [i for i, r in enumerate(rows) if r.phase == "arch"]
+        assert arch
+        for i in arch:
+            assert rows[i - 1].phase == "w"
+            assert rows[i].expected_cost == rows[i - 1].expected_cost, rows[i].step
 
     def test_fixed_seed_bit_identical_history(self):
         _, h1 = tiny_search(seed=7)
