@@ -147,7 +147,7 @@ def _cmd_remap(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    check_probes(args.samples, args.tol)
+    check_probes(args.samples, args.tol, args.seed)
     source = ParameterBundle.load(args.src)
     target_arch = load_arch(args.dst_arch)
     mapped, _ = map_to_derived(source, target_arch, eps=0.0)
@@ -355,8 +355,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (NasAdaptError, OSError, KeyError, ValueError) as exc:
-        print(f"nasadapt: error: {exc}", file=sys.stderr)
+    except (NasAdaptError, OSError, KeyError, ValueError, MemoryError) as exc:
+        print(f"nasadapt: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

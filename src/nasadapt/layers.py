@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Mapping
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .numerics import Tensor, batch_norm, conv2d
-# not called here: perfbench/instrument.py patches this name (until ROADMAP item 1)
+from .numerics import Tensor, batch_norm, conv2d, no_grad
+# not called here: perfbench/instrument.py patches this name (until ROADMAP item 2)
 from .numerics import relu6  # noqa: F401
-from .numerics.tensor import DTYPE, _dw_kernel, _recording
+from .numerics.tensor import DTYPE, _dw_kernel
 from .searchspace import StemSpec
 
 
@@ -160,10 +161,10 @@ def stem_stages(stem: StemSpec) -> tuple[ConvStage, ...]:
 class ConvChain:
     """Runs a stage list: conv then batch norm per stage, the batch norm of
     every stage but the last followed by relu6 in the same call, its
-    epilogue; an empty list is the identity (a skip). Unrecorded in eval
-    mode, each epilogue writes over its conv's output, which nothing else
-    reads, and a chain over :data:`BAND_BYTES` runs in bands of rows
-    (:meth:`_bands`). ``weight`` maps each stage's name to its conv
+    epilogue; an empty list is the identity (a skip). An eval forward runs
+    under ``no_grad``: each epilogue writes over its conv's output, which
+    nothing else reads, and a chain over :data:`BAND_BYTES` runs in bands
+    of rows (:meth:`_bands`). ``weight`` maps each stage's name to its conv
     weight, and ``bn`` to its batch norm's gamma, beta, running mean and
     running variance. Bands cover one stage, then a depthwise stage whose
     kernel is at least its stride, then stride-1 1x1 stages (an MBConv
@@ -186,28 +187,28 @@ class ConvChain:
             all(s.kernel == 1 and s.stride == 1 for s in stages[2:]) else None
 
     def __call__(self, x: Tensor, training: bool, update_stats: bool | None = None) -> Tensor:
-        bands = 1 if training else self._bands(x)
-        if bands > 1:
-            return self._banded(x.data, bands)
-        h, last = x, len(self.stages) - 1
-        for n, s in enumerate(self.stages):
-            h = conv2d(h, self.weight[s.name], stride=s.stride, padding=s.padding,
-                       groups=s.groups)
-            # the conv output has no other reader: an unrecorded eval
-            # batch norm may write its result over it
-            h = batch_norm(h, *self.bn[s.name], training=training, update_stats=update_stats,
-                           relu6=n < last, out=h.data)
-        return h
+        with nullcontext() if training else no_grad():
+            bands = 1 if training else self._bands(x)
+            if bands > 1:
+                return self._banded(x.data, bands)
+            h, last = x, len(self.stages) - 1
+            for n, s in enumerate(self.stages):
+                h = conv2d(h, self.weight[s.name], stride=s.stride, padding=s.padding,
+                           groups=s.groups)
+                # the conv output has no other reader: an eval batch norm
+                # may write its result over it
+                h = batch_norm(h, *self.bn[s.name], training=training,
+                               update_stats=update_stats, relu6=n < last, out=h.data)
+            return h
 
     def _bands(self, x: Tensor) -> int:
         """How many bands of depthwise output rows an eval forward of ``x``
-        runs in; 1 is the whole plane. An unrecorded forward whose
-        depthwise conv runs the tap loop on the whole plane (``_dw_kernel``)
-        takes bands of as many rows as keep every stage's output within
-        :data:`BAND_BYTES`, but at least enough that each conv's matmul
-        exceeds :data:`_SMALL_GEMM_MADDS`, if its plane holds two such
-        bands."""
-        if self._plan is None or _recording((x, self.weight[self._plan[1].name])):
+        runs in; 1 is the whole plane. A forward whose depthwise conv runs
+        the tap loop on the whole plane (``_dw_kernel``) takes bands of as
+        many rows as keep every stage's output within :data:`BAND_BYTES`,
+        but at least enough that each conv's matmul exceeds
+        :data:`_SMALL_GEMM_MADDS`, if its plane holds two such bands."""
+        if self._plan is None:
             return 1
         pre, dw = self._plan
         n = x.shape[0]
@@ -227,7 +228,7 @@ class ConvChain:
         return max(1, oh // max(BAND_BYTES // max(row_bytes), *need, 1))
 
     def _banded(self, x: np.ndarray, bands: int) -> Tensor:
-        """The unrecorded eval forward in ``bands`` bands of depthwise output
+        """The eval forward in ``bands`` bands of depthwise output
         rows, of sizes that differ by at most one.
 
         The depthwise input lives in a window of the zero-padded rows one
@@ -274,7 +275,7 @@ class ConvChain:
         return Tensor(out)
 
 
-# An unrecorded eval chain runs in bands of rows that hold about this many
+# An eval chain runs in bands of rows that hold about this many
 # bytes of each stage output (ConvChain._bands). On a 2-core VM at one BLAS
 # thread, a table1-adapt pass peaked at 169, 189 and 241 MB with 4, 8 and
 # 16 MB bands, and its two eval forwards at 800x1088 took 11 %, 5 % and

@@ -335,9 +335,6 @@ def relu6(t) -> Tensor:
     return _record((tt,), out, bw)
 
 
-_relu6 = relu6  # batch_norm's keyword of the same name hides it there
-
-
 def softmax(t, axis: int = -1) -> Tensor:
     """Numerically safe softmax (max subtraction) along one axis."""
     tt = as_tensor(t)
@@ -851,19 +848,19 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     the running buffers with momentum ``BN_MOMENTUM``; it works on the
     (n, c*h*w) rows of the input and takes every per-channel sum over the
     batch first, then over the plane (:func:`_train_batch_norm`), and is
-    one tape node, its clip included. Eval mode is one per-channel affine
-    ``x * s + t`` with ``s = gamma * invstd``, ``invstd = 1 /
-    sqrt(running_var + BN_EPS)``, and ``t = beta + s * -running_mean``.
-    Unrecorded, it is :func:`_affine`: the affine, a flush that turns
-    every result below sqrt(tiny) into 0, then the clip, in one pass per block of
-    channels. Recorded, it is composed of recorded primitives, which
-    differentiate it, then :func:`relu6`, and is not flushed. The running
-    buffers are plain arrays mutated in place; they carry no gradient.
+    one tape node, its clip included. Eval mode is inference, never
+    recorded: :func:`_affine`, the per-channel affine ``x * s + t`` with
+    ``s = gamma * invstd``, ``invstd = 1 / sqrt(running_var + BN_EPS)``,
+    and ``t = beta + s * -running_mean``, a flush that turns every result
+    below sqrt(tiny) into 0, then the clip, in one pass per block of
+    channels. An eval input that would be recorded raises
+    :class:`ContractError`. The running buffers are plain arrays mutated
+    in place; they carry no gradient.
 
     ``out`` is for a caller whose input has no other reader, such as a
-    conv output: the unrecorded eval path writes its result into it, and
-    it may be the input's own data. Every other path ignores it and
-    returns a fresh array; without it, no path writes the input.
+    conv output: eval mode writes its result into it, and it may be the
+    input's own data. Train mode ignores it and returns a fresh array;
+    without it, no mode writes the input.
     """
     xt, gt, bt = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     xd = xt.data
@@ -878,15 +875,11 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
         return _train_batch_norm(xt, gt, bt, running_mean, running_var,
                                  True if update_stats is None else update_stats, relu6)
 
-    invstd = 1.0 / np.sqrt(running_var + DTYPE(BN_EPS))
-    if not _recording((xt, gt, bt)):
-        scale = gt.data * invstd
-        return Tensor(_affine(xd, scale, bt.data - running_mean * scale, relu6,
-                              np.empty(xd.shape, dtype=DTYPE) if out is None else out))
-    scale = gt * Tensor(invstd)
-    shift = bt + scale * Tensor(-running_mean)
-    y = xt * reshape(scale, (1, c, 1, 1)) + reshape(shift, (1, c, 1, 1))
-    return _relu6(y) if relu6 else y
+    if _recording((xt, gt, bt)):
+        raise ContractError("eval-mode batch norm takes no gradient: run it under no_grad")
+    scale = gt.data * (1.0 / np.sqrt(running_var + DTYPE(BN_EPS)))
+    return Tensor(_affine(xd, scale, bt.data - running_mean * scale, relu6,
+                          np.empty(xd.shape, dtype=DTYPE) if out is None else out))
 
 
 def cross_entropy(logits, labels) -> Tensor:

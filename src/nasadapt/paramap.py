@@ -41,7 +41,7 @@ from .derive import (
 )
 from .errors import ContractError, ParameterError
 from .layers import ConvStage, TensorSource, stem_stages
-from .numerics import Tensor, no_grad
+from .numerics import Tensor
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
 from .searchspace import SearchSpaceConfig, StemSpec, write_json
@@ -254,13 +254,15 @@ def map_to_supernet(source: ParameterBundle, config: SearchSpaceConfig,
     return ParameterBundle(tensors=arrays), report
 
 
-def check_probes(samples: int, tol: float) -> None:
-    """A function-preservation check probes at least one input and its
-    tolerance is finite and >= 0."""
+def check_probes(samples: int, tol: float, seed: int) -> None:
+    """A function-preservation check probes at least one input, drawn from a
+    seed >= 0, and its tolerance is finite and >= 0."""
     if samples < 1:
         raise ParameterError(f"samples must be >= 1, got {samples}")
     if not 0 <= tol < np.inf:
         raise ParameterError(f"tol must be >= 0 and finite, got {tol}")
+    if seed < 0:
+        raise ParameterError(f"probe seed must be >= 0, got {seed}")
 
 
 def verify_function_preservation(source_net: DiscreteNetwork,
@@ -272,7 +274,7 @@ def verify_function_preservation(source_net: DiscreteNetwork,
     Only meaningful for mappings limited to kernel embedding and channel
     padding (eps 0); depth copies and crops change the function.
     """
-    check_probes(samples, tol)
+    check_probes(samples, tol, seed)
     if len(source_net.blocks) != len(mapped_net.blocks):
         raise ContractError("networks have different block counts")
     h, w = source_net.arch.input_resolution
@@ -280,21 +282,20 @@ def verify_function_preservation(source_net: DiscreteNetwork,
     per_block = [0.0] * len(source_net.blocks)
     shared = [min(s.channels, t.channels)
               for s, t in zip(source_net.arch.blocks, mapped_net.arch.blocks)]
-    with no_grad():
-        for _ in range(samples):
-            x = rng.random((1, 3, h, w), dtype=np.float32)
-            src_feats = source_net.forward(Tensor(x), training=False)
-            tgt_feats = mapped_net.forward(Tensor(x), training=False)
-            for b, (fs, ft) in enumerate(zip(src_feats, tgt_feats)):
-                if fs.shape[2:] != ft.shape[2:]:
-                    raise ContractError(
-                        f"block{b} outputs {fs.shape[2]}x{fs.shape[3]} in the source but "
-                        f"{ft.shape[2]}x{ft.shape[3]} in the target: their strides differ")
-                dev = float(np.abs(fs.data[:, :shared[b]] -
-                                   ft.data[:, :shared[b]]).max())
-                if not np.isfinite(dev):
-                    raise ContractError(f"block{b} deviates by {dev}: its outputs are not finite")
-                per_block[b] = max(per_block[b], dev)
+    for _ in range(samples):
+        x = rng.random((1, 3, h, w), dtype=np.float32)
+        src_feats = source_net.forward(Tensor(x), training=False)
+        tgt_feats = mapped_net.forward(Tensor(x), training=False)
+        for b, (fs, ft) in enumerate(zip(src_feats, tgt_feats)):
+            if fs.shape[2:] != ft.shape[2:]:
+                raise ContractError(
+                    f"block{b} outputs {fs.shape[2]}x{fs.shape[3]} in the source but "
+                    f"{ft.shape[2]}x{ft.shape[3]} in the target: their strides differ")
+            dev = float(np.abs(fs.data[:, :shared[b]] -
+                               ft.data[:, :shared[b]]).max())
+            if not np.isfinite(dev):
+                raise ContractError(f"block{b} deviates by {dev}: its outputs are not finite")
+            per_block[b] = max(per_block[b], dev)
     worst = int(np.argmax(per_block))
     return {
         "passed": bool(max(per_block) <= tol),

@@ -32,7 +32,7 @@ from .costmodel import (
 from .derive import default_source_architecture
 from .errors import ParameterError
 from .numerics import SGD, Adam, Tensor, clip_grad_norm
-# not called here: perfbench/instrument.py patches this name (until ROADMAP item 1)
+# not called here: perfbench/instrument.py patches this name (until ROADMAP item 2)
 from .numerics import backward  # noqa: F401
 from .seeding import seed_for
 from .supernet import Supernet

@@ -51,6 +51,8 @@ class DatasetSpec:
         if min(self.resolution) < 16:
             raise ParameterError("resolution must be at least 16x16, got "
                                  f"{self.resolution[0]}x{self.resolution[1]}")
+        if self.seed < 0:
+            raise ParameterError(f"dataset seed must be >= 0, got {self.seed}")
 
 
 class SyntheticDataset:

@@ -1,10 +1,10 @@
-"""Unrecorded eval conv chains in bands of rows against the whole plane.
+"""Eval conv chains in bands of rows against the whole plane.
 
-A chain whose stage outputs exceed ``layers.BAND_BYTES`` runs its stages
-band by band; each conv and batch norm is the whole plane's call on fewer
-rows. The bands must give the whole plane's bits and multiply-add count,
-hold only about the budget beyond the chain's input and output, and never
-touch a recorded or a training forward. The budget is patched small here so
+A chain whose stage outputs exceed ``layers.BAND_BYTES`` runs its eval
+forward band by band; each conv and batch norm is the whole plane's call on
+fewer rows. The bands must give the whole plane's bits and multiply-add
+count, hold only about the budget beyond the chain's input and output, and
+never touch a training forward. The budget is patched small here so
 that planes of a few dozen rows split into many bands; the bands still keep
 every matmul above the BLAS small-matrix size, so they cannot go below a
 few rows where the channel counts are small.
@@ -41,7 +41,7 @@ def _chain(stages, seed=0):
 
 
 def _eval(chain, x, budget, monkeypatch):
-    """(output, madds, conv calls, bands) of an unrecorded eval forward."""
+    """(output, madds, conv calls, bands) of an eval forward."""
     monkeypatch.setattr(layers, "BAND_BYTES", budget)
     with no_grad(), count_madds() as counter:
         bands = chain._bands(Tensor(x))
@@ -120,14 +120,26 @@ def test_banded_mbconv_holds_about_the_budget(monkeypatch):
     assert peak - out.data.nbytes < 4 * budget
 
 
-@pytest.mark.parametrize("mode", ["train", "recorded-eval"])
-def test_recorded_and_training_forwards_run_whole_planes(monkeypatch, mode):
+def test_training_forwards_run_whole_planes(monkeypatch):
     monkeypatch.setattr(layers, "BAND_BYTES", 1)
     chain = _chain(mbconv_stages(64, 48, 3, 6, 1))
     x = np.random.default_rng(4).standard_normal((1, 64, 49, 64)).astype(np.float32)
     with count_madds() as counter:
-        chain(Tensor(x), training=mode == "train")
+        chain(Tensor(x), training=True)
     assert counter.conv_calls == 3
+
+
+def test_grad_mode_eval_forward_bands_as_under_no_grad(monkeypatch):
+    # in grad mode, with tensors that need gradients, an eval forward is
+    # still unrecorded: the chain runs it under no_grad, in the same bands
+    chain = _chain(mbconv_stages(64, 48, 3, 6, 1))
+    x = np.random.default_rng(4).standard_normal((1, 64, 49, 64)).astype(np.float32)
+    want, madds, calls, bands = _eval(chain, x, 1, monkeypatch)
+    with count_madds() as counter:
+        got = chain(Tensor(x, requires_grad=True), training=False)
+    assert bands >= 2 and got.node is None
+    assert (counter.madds, counter.conv_calls) == (madds, calls)
+    assert got.data.view(np.uint32).tobytes() == want.view(np.uint32).tobytes()
 
 
 def test_no_desk3_eval_chain_runs_in_bands():

@@ -42,7 +42,7 @@ def run_cli_process(argv):
 
 
 # sidecars that parse and fit their arrays, but describe no dataset gen-data could make
-DATASET_RULE_CASES = ("zero-samples", "one-class", "small-resolution")
+DATASET_RULE_CASES = ("zero-samples", "one-class", "small-resolution", "negative-seed")
 SIDECAR_CASES = ("resolution-int", "list", "more-samples", "classes-string", *DATASET_RULE_CASES)
 
 
@@ -173,7 +173,7 @@ class TestUsage:
 
     @staticmethod
     def bad_dataset(tmp_path, case):
-        """A dataset container whose sidecar breaks one rule; the three rule
+        """A dataset container whose sidecar breaks one rule; the four rule
         cases hold arrays that fit the sidecar, so only the rule rejects them."""
         data = tmp_path / "data.nat"
         assert main(["gen-data", "--samples", "16", "--out", str(data)]) == 0
@@ -185,7 +185,8 @@ class TestUsage:
                "classes-string": {**doc, "n_classes": "4"},
                "zero-samples": {**doc, "n_samples": 0},
                "one-class": {**doc, "n_classes": 1},
-               "small-resolution": {**doc, "resolution": [8, 8]}}[case]
+               "small-resolution": {**doc, "resolution": [8, 8]},
+               "negative-seed": {**doc, "seed": -1}}[case]
         if case in DATASET_RULE_CASES:
             n, (h, w) = doc["n_samples"], doc["resolution"]
             save_tensors(data, {"images": np.zeros((n, 3, h, w), dtype=np.float32),
@@ -766,6 +767,10 @@ EXIT_2_CASES = {
         "remap --src {source} --dst-arch {stem_target} --out {out}", None),
     "search-init-from-other-stem": (
         "search --space {stem_space} --data {data} --init-from {source} --out {out}", None),
+    "gen-data-negative-seed": ("gen-data --seed -1 --out {out}", None),
+    # checked before the source is read
+    "verify-negative-seed": (
+        "verify --src {trunc_src} --dst-arch {target} --seed -1 --out {out}", None),
 }
 
 # the start of the message that these cases print after "nasadapt: error: "
@@ -785,6 +790,8 @@ ERROR_TEXT = {
     "cost-arch-other-resolution": "input resolution mismatch: (64, 64) vs (32, 32)",
     "remap-dst-arch-other-stem": "incompatible stem: ",
     "search-init-from-other-stem": "incompatible stem: ",
+    "gen-data-negative-seed": "dataset seed must be >= 0, got -1",
+    "verify-negative-seed": "probe seed must be >= 0, got -1",
 }
 
 # (command line, the file and the $-rooted field path its error must name)
@@ -892,6 +899,21 @@ class TestExit2Sweep:
         assert_one_line_error(code, err)
         assert "tol must be >= 0" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 1.09 PiB for an array with shape (100000000000, 3, 32, 32) "
+        "and data type float32", ""], ids=["numpy", "bare"])
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch, tmp_path, message):
+        # raised by a stub: a real oversized array is refused on some hosts and
+        # killed on hosts that overcommit memory
+        def refuse(spec):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate", refuse)
+        code = main(["gen-data", "--out", str(tmp_path / "data.nat")])
+        err = capsys.readouterr().err
+        assert_one_line_error(code, err)
+        assert err == f"nasadapt: error: {message or 'MemoryError'}\n"
 
     def test_failed_verify_is_one_line_after_its_report(self, capsys, tmp_path):
         # a layer cut from block 1 changes the function: the report is

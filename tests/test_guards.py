@@ -10,7 +10,7 @@ from nasadapt.costmodel import build_madds_table, expected_cost_per_block, madds
 from nasadapt.derive import default_source_architecture, derive_architecture, instantiate
 from nasadapt.errors import ContractError, DimensionError, ParameterError
 from nasadapt.layers import TensorSource
-from nasadapt.numerics import Tensor
+from nasadapt.numerics import Tensor, batch_norm
 from nasadapt.paramap import MappingReport, verify_function_preservation
 from nasadapt.searchspace import load_bundled_config
 from nasadapt.supernet import build_masks, build_supernet, mixed_op_forward
@@ -61,6 +61,12 @@ def wrong_input_width():
                      Tensor(np.zeros(len(layer), dtype=np.float32)))
 
 
+def recorded_eval_batch_norm():
+    ones, zeros = np.ones(2, dtype=np.float32), np.zeros(2, dtype=np.float32)
+    batch_norm(Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32), requires_grad=True),
+               Tensor(ones), Tensor(zeros), zeros, ones, training=False)
+
+
 def no_op_block():
     source = default_source_architecture(CONFIG)
     madds_of_discrete(replace(source, blocks=(replace(source.blocks[0], ops=()),
@@ -93,6 +99,9 @@ GUARDS = {
                                "a tensor source takes exactly one of a seed and arrays"),
     "source-neither": (lambda: TensorSource(), ParameterError,
                        "a tensor source takes exactly one of a seed and arrays"),
+    "eval-batch-norm-recorded": (
+        recorded_eval_batch_norm, ContractError,
+        "eval-mode batch norm takes no gradient: run it under no_grad"),
 }
 
 

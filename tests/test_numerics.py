@@ -185,8 +185,7 @@ class TestBatchNorm:
                    update_stats=False)
         np.testing.assert_array_equal(frozen_mean, np.zeros(2, dtype=np.float32))
 
-    @pytest.mark.parametrize("training", [True, False])
-    def test_gradients(self, training):
+    def test_gradients(self):
         rng = np.random.default_rng(8)
         x = rand_tensor(rng, (2, 2, 3, 3))
         gamma = Tensor(np.ones(2, dtype=np.float32) * 1.5, requires_grad=True)
@@ -196,11 +195,10 @@ class TestBatchNorm:
         coeff = Tensor(rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
 
         def loss():
-            y = batch_norm(x, gamma, beta, mean, var, training=training,
-                           update_stats=False)
+            y = batch_norm(x, gamma, beta, mean, var, training=True, update_stats=False)
             return (y * coeff).sum()
 
-        check_gradients(loss, [x, gamma, beta], what=f"batch_norm training={training}")
+        check_gradients(loss, [x, gamma, beta], what="batch_norm train")
 
     @pytest.mark.parametrize("shape", [(1, 3, 1, 1), (2, 3, 2, 2)], ids=["one-entry", "2x2"])
     def test_train_gradients_on_the_smallest_planes(self, shape):
@@ -256,25 +254,20 @@ class TestBatchNorm:
         return x, gamma, beta, mean, var
 
     @pytest.mark.parametrize("stats", ["unit", "train-pass"])
-    def test_unrecorded_eval_matches_recorded_eval(self, stats):
+    def test_eval_matches_float64_normalization(self, stats):
         x, gamma, beta, mean, var = self._eval_case(stats)
-        recorded = batch_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta),
-                              mean, var, training=False)
         with no_grad():
-            unrecorded = batch_norm(Tensor(x, requires_grad=True), Tensor(gamma),
-                                    Tensor(beta), mean, var, training=False)
-        assert recorded.node is not None and unrecorded.node is None
-        # both are one float32 affine; the flush moves only a value below
-        # sqrt(tiny), by less than that
-        assert float(np.abs(unrecorded.data - recorded.data).max()) < engine._FLUSH_FLOOR
+            got = batch_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta),
+                             mean, var, training=False)
+        assert got.node is None
         # against the four-pass normalization in float64: a few roundings of
-        # each term, bounded by 8 unit roundoffs of |x s| + |mean s| + |beta|
+        # each term, bounded by 8 unit roundoffs of |x s| + |mean s| + |beta|;
+        # the flush moves only a value below sqrt(tiny), by less than that
         s = gamma.astype(np.float64) / np.sqrt(var.astype(np.float64) + engine.BN_EPS)
         c = (slice(None), None, None)
         want = (x - mean[c]) * s[c] + beta[c]
         bound = 8 * 2.0 ** -24 * (np.abs(x * s[c]) + np.abs(mean * s)[c] + np.abs(beta)[c])
-        for got in (recorded.data, unrecorded.data):
-            assert (np.abs(got - want) <= bound).all()
+        assert (np.abs(got.data - want) <= bound).all()
 
     def test_unrecorded_eval_flushes_exactly_the_values_below_the_floor(self):
         tiny, floor = np.finfo(np.float32).tiny, engine._FLUSH_FLOOR
@@ -339,29 +332,26 @@ class TestBatchNorm:
             assert edge.any()
         return x, gamma, beta, mean, var
 
-    @pytest.mark.parametrize("recorded", [True, False], ids=["recorded", "unrecorded"])
-    def test_eval_epilogue_is_relu6_of_batch_norm_bit_for_bit(self, recorded):
+    def test_eval_epilogue_is_relu6_of_batch_norm_bit_for_bit(self):
         x, gamma, beta, mean, var = self._edge_case()
 
         def norm(**kw):
-            with nullcontext() if recorded else no_grad():
+            with no_grad():
                 return batch_norm(Tensor(x, requires_grad=True), Tensor(gamma), Tensor(beta),
                                   mean, var, training=False, **kw)
 
         want = relu6(norm()).data.view(np.uint32)
-        fused = norm(relu6=True)
-        assert (fused.node is not None) == recorded
-        assert np.array_equal(fused.data.view(np.uint32), want)
-        if not recorded:  # and written over the input, as a conv chain asks
-            own = x.copy()
-            with no_grad():
-                over = batch_norm(Tensor(own), Tensor(gamma), Tensor(beta), mean, var,
-                                  training=False, relu6=True, out=own)
-            assert np.shares_memory(over.data, own)
-            assert np.array_equal(own.view(np.uint32), want)
+        assert np.array_equal(norm(relu6=True).data.view(np.uint32), want)
+        # and written over the input, as a conv chain asks
+        own = x.copy()
+        with no_grad():
+            over = batch_norm(Tensor(own), Tensor(gamma), Tensor(beta), mean, var,
+                              training=False, relu6=True, out=own)
+        assert np.shares_memory(over.data, own)
+        assert np.array_equal(own.view(np.uint32), want)
 
     @pytest.mark.parametrize("relu6_", [False, True], ids=["plain", "relu6"])
-    @pytest.mark.parametrize("mode", ["train", "recorded-eval", "unrecorded-eval"])
+    @pytest.mark.parametrize("mode", ["train", "unrecorded-eval"])
     def test_no_mode_writes_its_input(self, mode, relu6_):
         x, gamma, beta, mean, var = self._edge_case()
         before = x.tobytes()
@@ -644,8 +634,10 @@ class TestOptimizers:
 
 @pytest.mark.parametrize("mode", ["train", "recorded-eval", "unrecorded-eval"])
 def test_conv_chain_reuses_only_its_unrecorded_eval_conv_outputs(monkeypatch, mode):
-    # every stage's batch norm result is a fresh array, except in an
-    # unrecorded eval forward, where it is written over the conv output
+    # every stage's batch norm result is a fresh array, except in an eval
+    # forward, where it is written over the conv output: the chain runs it
+    # under no_grad even when grad mode is on and its tensors need gradients
+    # ("recorded-eval", the inputs a recorded forward would take)
     chain = ConvChain(mbconv_stages(4, 6, 3, 3, 1), TensorSource(seed=0))
     x = np.random.default_rng(15).standard_normal((2, 4, 6, 6)).astype(np.float32)
     before = x.tobytes()
@@ -655,10 +647,11 @@ def test_conv_chain_reuses_only_its_unrecorded_eval_conv_outputs(monkeypatch, mo
     monkeypatch.setattr(layers, "batch_norm", lambda *a, **kw: norms.append(norm(*a, **kw))
                         or norms[-1])
     with no_grad() if mode == "unrecorded-eval" else nullcontext():
-        chain(Tensor(x), training=mode == "train")
+        out = chain(Tensor(x), training=mode == "train")
     assert x.tobytes() == before
+    assert (out.node is None) == (mode != "train")
     assert [np.shares_memory(c.data, b.data) for c, b in zip(convs, norms)] == \
-        [mode == "unrecorded-eval"] * 3
+        [mode != "train"] * 3
 
 
 def test_forward_determinism():
