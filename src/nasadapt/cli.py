@@ -40,6 +40,7 @@ from .paramap import (
     ParameterBundle,
     check_eps,
     check_probes,
+    check_source_maps,
     map_to_derived,
     map_to_supernet,
     verify_function_preservation,
@@ -200,6 +201,7 @@ def end_to_end(space_path, seed: int, out_dir, samples: int = 256,
     check_epochs(pretrain_epochs, "pretrain epochs")
     check_epochs(finetune_epochs, "finetune epochs")
     check_mask_mode(mask_mode)
+    check_source_maps(config)
     dataset = generate(DatasetSpec(n_samples=samples, seed=seed_for(seed, "data")))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

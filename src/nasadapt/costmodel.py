@@ -21,7 +21,6 @@ empty stage list) costs zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ def stages_madds(stages: tuple[ConvStage, ...], h: int, w: int) -> int:
     total = 0
     for s in stages:
         h, w = out_hw(h, w, s.stride)
-        total += math.prod(s.weight_shape) * h * w
+        total += s.c_out * (s.c_in // s.groups) * s.kernel ** 2 * h * w
     return total
 
 

@@ -17,9 +17,10 @@ each one where it creates it.
 from __future__ import annotations
 
 import copy
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,6 +122,15 @@ def out_hw(h: int, w: int, stride: int) -> tuple[int, int]:
     return (h - 1) // stride + 1, (w - 1) // stride + 1
 
 
+class StageTensor(NamedTuple):
+    """A conv stage's tensor: name, shape, init, and whether it is a running statistic."""
+
+    name: str
+    shape: tuple
+    init: Callable
+    buffer: bool = False
+
+
 @dataclass(frozen=True)
 class ConvStage:
     """One conv + batch norm; its tensors live under ``name/``."""
@@ -137,8 +147,12 @@ class ConvStage:
         return (self.kernel - 1) // 2
 
     @property
-    def weight_shape(self) -> tuple[int, int, int, int]:
-        return (self.c_out, self.c_in // self.groups, self.kernel, self.kernel)
+    def tensors(self) -> tuple[StageTensor, ...]:
+        """Its conv weight and batch norm's tensors, in creation order."""
+        c, k = (self.c_out,), self.kernel
+        return (StageTensor("weight", (*c, self.c_in // self.groups, k, k), trunc_normal),
+                StageTensor("bn/gamma", c, ones), StageTensor("bn/beta", c, zeros),
+                StageTensor("bn/mean", c, zeros, True), StageTensor("bn/var", c, ones, True))
 
 
 def mbconv_stages(c_in: int, c_out: int, kernel: int, expansion: int,
@@ -165,8 +179,8 @@ class ConvChain:
     under ``no_grad``: each epilogue writes over its conv's output, which
     nothing else reads, and a chain over :data:`BAND_BYTES` runs in bands
     of rows (:meth:`_bands`). ``weight`` maps each stage's name to its conv
-    weight, and ``bn`` to its batch norm's gamma, beta, running mean and
-    running variance. Bands cover one stage, then a depthwise stage whose
+    weight, and ``bn`` to its other tensors, as :attr:`ConvStage.tensors`
+    lists them. Bands cover one stage, then a depthwise stage whose
     kernel is at least its stride, then stride-1 1x1 stages (an MBConv
     with an expand, or the stem); ``_plan`` holds those first two stages."""
 
@@ -176,12 +190,10 @@ class ConvChain:
         self.bn: dict[str, tuple[Tensor, Tensor, np.ndarray, np.ndarray]] = {}
         for s in stages:
             scoped = source.scope(s.name)
-            self.weight[s.name] = scoped.param("weight", s.weight_shape, trunc_normal)
-            bn = scoped.scope("bn")
-            self.bn[s.name] = (bn.param("gamma", (s.c_out,), ones),
-                               bn.param("beta", (s.c_out,), zeros),
-                               bn.buffer("mean", (s.c_out,), zeros),
-                               bn.buffer("var", (s.c_out,), ones))
+            self.weight[s.name], *bn = [
+                (scoped.buffer if t.buffer else scoped.param)(t.name, t.shape, t.init)
+                for t in s.tensors]
+            self.bn[s.name] = tuple(bn)
         self._plan = stages[:2] if len(stages) >= 2 and stages[0].groups == 1 and \
             stages[1].groups > 1 and stages[1].kernel >= stages[1].stride and \
             all(s.kernel == 1 and s.stride == 1 for s in stages[2:]) else None

@@ -13,15 +13,14 @@ trailing pad slices and a narrower one drops its tail. The zero mask is
 everything outside the copied box when the pad is 0, and nothing
 otherwise.
 
-Both sides are read as the stage lists the networks build from: each
-stage's weight maps to ``(c_out, c_in // groups, kernel, kernel)`` with
-pad 0, and its four batch-norm tensors take the same resize at ``c_out``
-with their own pad values: gamma 0, shift 0, running mean 0, running
-variance 1. So padded channels emit exactly 0 in eval mode, and mappings
-that only widen or only grow kernels preserve the source function. Depth
-copies and truncations are not function preserving. Stage lists must
-match. Zero-masked entries of trainable tensors may receive small uniform
-noise as each tensor is mapped, so gradients can reach them.
+Both sides are read as the stage lists the networks build from, and each
+stage's tensors as ``ConvStage.tensors`` declares them. A new channel is
+inert: its parameters are 0 and its running statistics take their initial
+values (mean 0, variance 1), so it emits exactly 0 in eval mode, and
+mappings that only widen or only grow kernels preserve the source
+function. Depth copies and truncations are not function preserving. Stage
+lists must match. Zero-masked entries of parameters may receive small
+uniform noise as each tensor is mapped, so gradients can reach them.
 """
 
 from __future__ import annotations
@@ -36,11 +35,12 @@ from .derive import (
     DiscreteNetwork,
     arch_from_doc,
     arch_layers,
+    default_source_architecture,
     load_arch,
     save_arch,
 )
 from .errors import ContractError, ParameterError
-from .layers import ConvStage, TensorSource, stem_stages
+from .layers import TensorSource, stem_stages
 from .numerics import Tensor
 from .numerics.container import load_tensors, save_tensors
 from .numerics.tensor import DTYPE
@@ -53,8 +53,6 @@ RULE_CHANNEL_PAD = "channel-pad"
 RULE_CHANNEL_TRUNCATE = "channel-truncate"
 RULE_KERNEL_EMBED = "kernel-embed"
 RULE_KERNEL_CROP = "kernel-crop"
-
-_STAT_SUFFIXES = ("/bn/mean", "/bn/var")
 
 
 @dataclass
@@ -146,11 +144,22 @@ def _map_tensor(arr: np.ndarray, shape: tuple[int, ...], pad: float,
     return out, mask, [grow if m > n else shrink for n, m, grow, shrink in extents if n != m]
 
 
-def _stage_tensors(s: ConvStage) -> tuple[tuple[str, tuple, float], ...]:
-    """Each tensor of a stage in mapping order: name, shape, and its new entries' value."""
-    c = (s.c_out,)
-    return (("weight", s.weight_shape, 0.0), ("bn/gamma", c, 0.0), ("bn/beta", c, 0.0),
-            ("bn/mean", c, 0.0), ("bn/var", c, 1.0))
+def _paired_layers(src_blocks: list, blocks: list):
+    """((source prefix, stages), (target prefix, stages), base rules) of each
+    target operation but a skip, which owns no tensors. Target layer l of a
+    block takes source layer l, or the source block's last layer beyond its
+    depth, whose stage list must match the target's stage by stage."""
+    for src_layers, layers in zip(src_blocks, blocks):
+        last = len(src_layers) - 1
+        for l, ops in enumerate(layers):
+            s_prefix, s_stages = src_layers[min(l, last)]
+            base = (RULE_DEPTH_COPY,) if l > last else ()
+            for prefix, stages in (op for op in ops if op[1]):
+                s_names, t_names = ([st.name for st in x] for x in (s_stages, stages))
+                if s_names != t_names:
+                    raise ContractError(f"cannot map {s_prefix} (stages {s_names}) onto "
+                                        f"{prefix} (stages {t_names})")
+                yield (s_prefix, s_stages), (prefix, stages), base
 
 
 def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed: int,
@@ -158,10 +167,9 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
     """Map a source onto a target given as ``blocks[i][l]``: the (tensor
     prefix, stage list) of every operation of layer l in block i. Every
     tensor the source's stage lists name is checked for its shape, without
-    building the source network. The stem is copied, parameters first;
-    target layer l of a block takes source layer l, or the source block's
-    last layer beyond its depth, whose stage list must match the target's
-    stage by stage. Returns the tensors and the report in mapping order.
+    building the source network. The stem is copied, parameters first, then
+    each target operation from the source layer :func:`_paired_layers`
+    pairs it with. Returns the tensors, parameters first, and the report.
 
     As each tensor is put, U(-eps, eps) noise from one ``PCG64(seed)`` stream
     is added to its zero-masked entries. Running statistics are skipped:
@@ -177,43 +185,34 @@ def _map(source: ParameterBundle, stem: StemSpec, blocks: list, eps: float, seed
         raise ContractError(
             f"source has {len(source_arch.blocks)} blocks, target has {len(blocks)}")
     src_blocks = arch_layers(source_arch)
-    shapes = {f"{prefix}/{st.name}/{name}": shape
-              for prefix, stages in [("stem", stem_stages(stem)), *sum(src_blocks, [])]
-              for st in stages for name, shape, _ in _stage_tensors(st)}
+    declared = {f"{prefix}/{st.name}/{t.name}": t
+                for prefix, stages in [("stem", stem_stages(stem)), *sum(src_blocks, [])]
+                for st in stages for t in st.tensors}
     reader = TensorSource(arrays=source.tensors)
-    for name, shape in shapes.items():
-        reader.read(name, shape)
-    out: dict[str, np.ndarray] = {}
+    for name, t in declared.items():
+        reader.read(name, t.shape)
+    params, stats = {}, {}
     report = MappingReport()
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    def put(target, source_name, shape, pad=0.0, base=()):
-        arr, mask, rules = _map_tensor(source.tensors[source_name], shape, pad)
+    def put(target, source_name, t, base=()):
+        pad = float(t.init(None, ())) if t.buffer else 0.0  # a statistic's init draws nothing
+        arr, mask, rules = _map_tensor(source.tensors[source_name], t.shape, pad)
         zero_count = int(mask.sum())
-        noised = eps > 0 and zero_count > 0 and not target.endswith(_STAT_SUFFIXES)
+        noised = eps > 0 and zero_count > 0 and not t.buffer
         if noised:
             arr[mask] += rng.uniform(-eps, eps, size=zero_count).astype(DTYPE)
-        out[target] = arr
+        (stats if t.buffer else params)[target] = arr
         report.add(target, source_name, [*base, *rules], zero_count, noised)
 
-    stem_names = [name for name in shapes if name.startswith("stem/")]
-    for name in sorted(stem_names, key=lambda n: n.endswith(_STAT_SUFFIXES)):
-        put(name, name, shapes[name])
-    for src_layers, layers in zip(src_blocks, blocks):
-        last = len(src_layers) - 1
-        for l, ops in enumerate(layers):
-            s_prefix, s_stages = src_layers[min(l, last)]
-            base = (RULE_DEPTH_COPY,) if l > last else ()
-            for prefix, stages in ops:
-                s_names, t_names = ([st.name for st in x] for x in (s_stages, stages))
-                if s_names != t_names:
-                    raise ContractError(f"cannot map {s_prefix} (stages {s_names}) onto "
-                                        f"{prefix} (stages {t_names})")
-                for s, t in zip(s_stages, stages):
-                    for name, shape, pad in _stage_tensors(t):
-                        put(f"{prefix}/{t.name}/{name}", f"{s_prefix}/{s.name}/{name}",
-                            shape, pad, base)
-    return out, report
+    stem_tensors = [(name, t) for name, t in declared.items() if name.startswith("stem/")]
+    for name, t in sorted(stem_tensors, key=lambda item: item[1].buffer):
+        put(name, name, t)
+    for (s_prefix, s_stages), (prefix, stages), base in _paired_layers(src_blocks, blocks):
+        for s, st in zip(s_stages, stages):
+            for t in st.tensors:
+                put(f"{prefix}/{st.name}/{t.name}", f"{s_prefix}/{s.name}/{t.name}", t, base)
+    return params | stats, report
 
 
 def check_eps(eps: float) -> None:
@@ -242,16 +241,18 @@ def map_to_supernet(source: ParameterBundle, config: SearchSpaceConfig,
     checkpoint holds zero architecture logits, then the parameters, then
     the running statistics, in the order ``Supernet.to_arrays`` writes them.
     """
-    blocks = [[[(prefix, stages) for prefix, stages in layout if stages]
-               for layout in layers]
-              for layers in space_layers(config)]
-    tensors, report = _map(source, config.stem, blocks, eps, seed)
-    arrays = {name: np.zeros(length, dtype=DTYPE)
+    tensors, report = _map(source, config.stem, space_layers(config), eps, seed)
+    logits = {name: np.zeros(length, dtype=DTYPE)
               for name, length in logit_lengths(config).items()}
-    for stats in (False, True):
-        arrays.update((name, arr) for name, arr in tensors.items()
-                      if name.endswith(_STAT_SUFFIXES) == stats)
-    return ParameterBundle(tensors=arrays), report
+    return ParameterBundle(tensors=logits | tensors), report
+
+
+def check_source_maps(config: SearchSpaceConfig) -> None:
+    """Raise the mapper's error when the default source of a space does not
+    map onto its supernet: the mapping's layer pairing, run without arrays."""
+    for _ in _paired_layers(arch_layers(default_source_architecture(config)),
+                            space_layers(config)):
+        pass
 
 
 def check_probes(samples: int, tol: float, seed: int) -> None:

@@ -9,7 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from nasadapt.numerics import Tensor
-from nasadapt.searchspace import channel_candidates, op_candidates
+from nasadapt.supernet import logit_lengths
 
 
 def map_seeds(fn, seeds):
@@ -85,10 +85,12 @@ def check_gradients(build_loss, params, h=1e-3, rtol=1e-3, what=""):
 
 
 def zero_logits(cfg):
-    """Zero alpha (per block, per layer) and beta (per block) vectors of a space."""
-    alphas = [[np.zeros(len(op_candidates(s, l)), dtype=np.float32)
-               for l in range(s.n_max)] for s in cfg.blocks]
-    betas = [np.zeros(len(channel_candidates(s)), dtype=np.float32) for s in cfg.blocks]
+    """Zero alpha (per block, per layer) and beta (per block) vectors of a
+    space, of the lengths ``logit_lengths`` states."""
+    lengths = logit_lengths(cfg)
+    alphas = [[np.zeros(lengths[f"alpha/{i}/{l}"], dtype=np.float32) for l in range(s.n_max)]
+              for i, s in enumerate(cfg.blocks)]
+    betas = [np.zeros(lengths[f"beta/{i}"], dtype=np.float32) for i in range(len(cfg.blocks))]
     return alphas, betas
 
 

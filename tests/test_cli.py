@@ -617,6 +617,8 @@ def broken(artifacts, from_arrays_inputs, space_path):
                                   lambda d: d["stem"].update(conv_channels=16))
     paths["stem_space"] = edited(Path(space_path), "stem_space.json",
                                  lambda d: d["stem"].update(conv_channels=16))
+    paths["mixed_expansion_space"] = edited(Path(space_path), "mixed_expansion_space.json",
+                                            lambda d: d["blocks"][0].update(expansions=[1, 2]))
     # misspelt optional keys: without a check each falls back to its default
     paths["stem_typo_space"] = edited(
         Path(space_path), "stem_typo_space.json",
@@ -771,6 +773,15 @@ EXIT_2_CASES = {
     # checked before the source is read
     "verify-negative-seed": (
         "verify --src {trunc_src} --dst-arch {target} --seed -1 --out {out}", None),
+    # a global seed outside [0, 2**31) would draw the streams of one inside it
+    **{f"{command.split()[0]}-seed-{seed}": (f"{command} --seed {seed}", None)
+       for command in ("search --space {space} --data {data} --out {out}",
+                       "remap --src {source} --space {space} --out {out}",
+                       "finetune --arch {arch} --data {data} --out {out}",
+                       "e2e --space {space} --out-dir {out}")
+       for seed in (-1, 2 ** 31)},
+    # block 0 mixes expansions 1 and 2: checked before the data is drawn
+    "e2e-unmappable-space": ("e2e --space {mixed_expansion_space} --out-dir {out}", None),
 }
 
 # the start of the message that these cases print after "nasadapt: error: "
@@ -792,6 +803,11 @@ ERROR_TEXT = {
     "search-init-from-other-stem": "incompatible stem: ",
     "gen-data-negative-seed": "dataset seed must be >= 0, got -1",
     "verify-negative-seed": "probe seed must be >= 0, got -1",
+    **{f"{command}-seed-{seed}": f"seed must be in [0, 2**31), got {seed}"
+       for command in ("search", "remap", "finetune", "e2e") for seed in (-1, 2 ** 31)},
+    "e2e-unmappable-space":
+        "cannot map block0/layer0 (stages ['expand', 'depthwise', 'project']) onto "
+        "block0/layer0/op0 (stages ['depthwise', 'project'])",
 }
 
 # (command line, the file and the $-rooted field path its error must name)

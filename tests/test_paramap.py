@@ -23,11 +23,18 @@ from nasadapt.numerics import Tensor
 from nasadapt.numerics import tensor as engine
 from nasadapt.paramap import (
     ParameterBundle,
+    check_source_maps,
     map_to_derived,
     map_to_supernet,
     verify_function_preservation,
 )
-from nasadapt.searchspace import OpCandidate, load_bundled_config, op_candidates, parse_config
+from nasadapt.searchspace import (
+    OpCandidate,
+    bundled_config_path,
+    load_bundled_config,
+    op_candidates,
+    parse_config,
+)
 from nasadapt.supernet import build_supernet, logit_lengths
 
 
@@ -391,6 +398,17 @@ class TestMapToDerived:
         with pytest.raises(ContractError):
             map_to_derived(bundle, broken)
 
+    def test_tensors_in_network_order(self):
+        # parameters, then running statistics, as the target network lists
+        # them, though the mapping interleaves them stage by stage
+        cfg = desk_config()
+        source = layered(cfg, [(12, 3, 3, 2), (16, 5, 3, 2), (24, 3, 6, 1)])
+        target = layered(cfg, [(16, 5, 3, 2), (8, 3, 3, 2), (24, 3, 3, 2)])
+        bundle = ParameterBundle(tensors=instantiate(source, seed=4).to_arrays(), arch=source)
+        mapped, report = map_to_derived(bundle, target, eps=1e-3, seed=11)
+        assert list(mapped.tensors) == list(instantiate(target, seed=0).to_arrays())
+        assert list(report.entries) != list(mapped.tensors)
+
 
 class TestMappedBytes:
     def test_every_rule_at_once_pinned(self, tmp_path):
@@ -414,7 +432,7 @@ class TestMappedBytes:
             return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
 
         assert digest("mapped.nat") == \
-            "d48e6fc80bfd0895390cbff6abacf941b00210fa92d63b864785685298e0cc6b"
+            "f881dd430bba33cbc599980cddc5275fe278577a1cb9558545715b11df66056d"
         assert digest("report.json") == \
             "3060b1e889aca2fb5b60d2ac30e3ed2f028f527f21a05a7a0d13e1e71bf0b9b0"
 
@@ -454,6 +472,19 @@ class TestMapToSupernet:
         assert list(mapped.tensors) == list(net.to_arrays())
         # architecture logits are not mapping targets
         assert not any(n.startswith(("alpha/", "beta/")) for n in report.entries)
+
+    def test_up_front_check_raises_the_mappings_error(self):
+        # block 0 mixes expansions 1 and 2: the default source's k3/e2 layer
+        # has an expand stage, the k3/e1 candidate none
+        doc = json.loads(bundled_config_path("desk3").read_text(encoding="utf-8"))
+        doc["blocks"][0]["expansions"] = [1, 2]
+        cfg = parse_config(json.dumps(doc))
+        bundle, _ = source_bundle(cfg)
+        with pytest.raises(ContractError, match="cannot map block0/layer0 ") as mapped:
+            map_to_supernet(bundle, cfg)
+        with pytest.raises(ContractError) as checked:
+            check_source_maps(cfg)
+        assert str(checked.value) == str(mapped.value)
 
     def test_alpha_beta_untouched(self):
         cfg = desk_config()

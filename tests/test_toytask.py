@@ -35,6 +35,15 @@ def test_stage_seeds_are_the_seed_xor_the_crc32_of_their_tags():
         2120591357]
 
 
+def test_global_seeds_lie_in_31_bits_so_none_alias():
+    # masked to 31 bits, -1 would draw the streams of 2**31 - 1, and 2**31 those of 0
+    tags = ("data", "supernet", "noise", "finetune")
+    assert all(seed_for(2 ** 31 - 1, tag) != seed_for(0, tag) for tag in tags)
+    for seed in (-1, 2 ** 31, -2 ** 31):
+        with pytest.raises(ParameterError, match=rf"seed must be in \[0, 2\*\*31\), got {seed}$"):
+            seed_for(seed, "data")
+
+
 class TestGenerate:
     def test_bit_identical_for_same_spec(self):
         spec = DatasetSpec(n_samples=24, seed=3)
