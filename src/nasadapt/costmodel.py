@@ -7,16 +7,18 @@ so the width flowing INTO a block cannot depend on the previous block's
 eventual choice. By convention the first layer of block i is costed with
 ``c_in`` = the previous block's maximum channel candidate (the stem width
 for block 0); layers past the first use the candidate being costed for
-both input and output. :func:`madds_of_discrete` applies the same
-convention so that expected cost under one-hot logits equals the discrete
-cost exactly. Consequence: a discrete cost can exceed the deployed
+both input and output. :func:`madds_of_discrete` reads its entries from
+the table, so expected cost under one-hot logits equals the discrete cost
+exactly. Consequence: a discrete cost can exceed the deployed
 network's true count when the previous block chose a non-maximal width;
 the two agree exactly when every block picks its maximum candidate.
 
 Every count sums, over the stage list the networks are built from, each
 stage's weight entries times its output plane (:func:`layers.out_hw`).
-Normalization, activations and elementwise adds are excluded; a skip (an
-empty stage list) costs zero.
+The plane each layer reads is walked through the stage lists too: the
+stem's gives block 0's first plane, and a layer's candidates, which share
+one stride, give the next layer's. Normalization, activations and
+elementwise adds are excluded; a skip (an empty stage list) costs zero.
 """
 
 from __future__ import annotations
@@ -48,26 +50,11 @@ def stem_madds(config: SearchSpaceConfig) -> int:
     return stages_madds(stem_stages(config.stem), *config.input_resolution)
 
 
-def block_input_sizes(config: SearchSpaceConfig) -> list[tuple[int, int]]:
-    """Spatial size entering each block (after the stem's strided conv)."""
-    h, w = out_hw(*config.input_resolution, stem_stages(config.stem)[0].stride)
-    sizes = []
-    for spec in config.blocks:
-        sizes.append((h, w))
-        h, w = out_hw(h, w, spec.stride)
-    return sizes
-
-
-def _layer_madds(config: SearchSpaceConfig, index: int, layer: int, channels: int,
-                 size_in: tuple[int, int]) -> list[int]:
-    """Table-convention cost of every operation candidate of layer ``layer``
-    of block ``index`` at width ``channels``: the supernet's candidate stage
-    lists at that width. The first layer runs at the block's input size
-    ``size_in``, later layers at its output size."""
-    if layer > 0:
-        size_in = out_hw(*size_in, config.blocks[index].stride)
-    return [stages_madds(stages, *size_in)
-            for _, stages in layer_candidates(config, index, layer, channels)]
+def _out_plane(stages: tuple[ConvStage, ...], h: int, w: int) -> tuple[int, int]:
+    """The output plane of a stage list on an h x w input."""
+    for s in stages:
+        h, w = out_hw(h, w, s.stride)
+    return h, w
 
 
 @dataclass
@@ -80,12 +67,20 @@ class MAddsTable:
 
 
 def build_madds_table(config: SearchSpaceConfig) -> MAddsTable:
-    """Tabulate _layer_madds over the whole space, touching each combination once."""
-    sizes = block_input_sizes(config)
-    blocks = [[np.array([_layer_madds(config, i, l, c, sizes[i])
-                         for c in channel_candidates(spec)], dtype=np.float64)
-               for l in range(spec.n_max)]
-              for i, spec in enumerate(config.blocks)]
+    """Cost every layer's candidate stage lists at every width of its block,
+    each on the plane that the layer reads."""
+    plane = _out_plane(stem_stages(config.stem), *config.input_resolution)
+    blocks = []
+    for i, spec in enumerate(config.blocks):
+        costs = []
+        for l in range(spec.n_max):
+            rows = [layer_candidates(config, i, l, c) for c in channel_candidates(spec)]
+            costs.append(np.array([[stages_madds(stages, *plane) for _, stages in row]
+                                   for row in rows], dtype=np.float64))
+            # the candidates share one stride, and the first is never a skip
+            _, first = rows[0][0]
+            plane = _out_plane(first, *plane)
+        blocks.append(costs)
     return MAddsTable(stem_madds(config), blocks)
 
 
@@ -132,9 +127,9 @@ def total_loss(model_loss: Tensor, cost: Tensor, lam: float, normalizer: float) 
     return model_loss + cost * np.float32(lam / normalizer)
 
 
-def _op_indices(block, spec, index: int) -> list[int]:
-    """Each op's index among its layer's candidates; a block outside its
-    space is a ContractError."""
+def _indices(block, spec, index: int) -> tuple[int, list[int]]:
+    """The block's channel index, and each op's index among its layer's
+    candidates; a block outside its space is a ContractError."""
     cands = channel_candidates(spec)
     if block.channels not in cands:
         raise ContractError(
@@ -153,12 +148,14 @@ def _op_indices(block, spec, index: int) -> list[int]:
                 f"stride {op.stride} is not among its layer's candidates: kernels "
                 f"{spec.kernels}, expansions {spec.expansions}, stride {offered[0].stride}")
         indices.append(offered.index(op))
-    return indices
+    return cands.index(block.channels), indices
 
 
 def madds_of_discrete_per_block(arch: DiscreteArchitecture,
                                 config: SearchSpaceConfig) -> list[int]:
-    """Table-convention MAdds of each block of a discrete architecture."""
+    """Table-convention MAdds of each block of a discrete architecture: the
+    sum of the table's entries at its channel index and op indices. The
+    architecture is checked against the space before the table is built."""
     if len(arch.blocks) != len(config.blocks):
         raise ContractError(
             f"architecture has {len(arch.blocks)} blocks, config has {len(config.blocks)}")
@@ -168,10 +165,11 @@ def madds_of_discrete_per_block(arch: DiscreteArchitecture,
         raise ContractError(
             f"input resolution mismatch: {arch.input_resolution} vs "
             f"{config.input_resolution}")
-    sizes = block_input_sizes(config)
-    return [sum(_layer_madds(config, i, j, block.channels, sizes[i])[o]
-                for j, o in enumerate(_op_indices(block, spec, i)))
-            for i, (block, spec) in enumerate(zip(arch.blocks, config.blocks))]
+    chosen = [_indices(block, spec, i)
+              for i, (block, spec) in enumerate(zip(arch.blocks, config.blocks))]
+    table = build_madds_table(config)
+    return [sum(int(costs[j][c, o]) for j, o in enumerate(ops))
+            for (c, ops), costs in zip(chosen, table.blocks)]
 
 
 def madds_of_discrete(arch: DiscreteArchitecture, config: SearchSpaceConfig) -> int:

@@ -9,6 +9,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from nasadapt.numerics import Tensor
+from nasadapt.searchspace import channel_candidates, op_candidates
 from nasadapt.supernet import logit_lengths
 
 
@@ -25,6 +26,15 @@ def map_seeds(fn, seeds):
         return [fn(seed) for seed in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, seeds))
+
+
+def random_logits(config, rng):
+    """Standard-normal architecture logits drawn from ``rng``: every block's
+    alpha vectors in layer order, then every block's beta."""
+    alpha = [[rng.standard_normal(len(op_candidates(spec, l))) for l in range(spec.n_max)]
+             for spec in config.blocks]
+    beta = [rng.standard_normal(len(channel_candidates(spec))) for spec in config.blocks]
+    return alpha, beta
 
 
 def finite_difference(f, arrays, h=1e-3):

@@ -782,6 +782,12 @@ EXIT_2_CASES = {
        for seed in (-1, 2 ** 31)},
     # block 0 mixes expansions 1 and 2: checked before the data is drawn
     "e2e-unmappable-space": ("e2e --space {mixed_expansion_space} --out-dir {out}", None),
+    # raised by pathlib and numpy as a ValueError, which cli.main turns into
+    # one line (ROADMAP item 8's one error handler)
+    "remap-empty-src": ("remap --src= --space {space} --out {out}", None),
+    "verify-empty-src": ("verify --src= --dst-arch {target} --out {out}", None),
+    "gen-data-huge-resolution": (
+        "gen-data --samples 4 --resolution 10000000000 --out {out}", None),
 }
 
 # the start of the message that these cases print after "nasadapt: error: "
@@ -808,6 +814,9 @@ ERROR_TEXT = {
     "e2e-unmappable-space":
         "cannot map block0/layer0 (stages ['expand', 'depthwise', 'project']) onto "
         "block0/layer0/op0 (stages ['depthwise', 'project'])",
+    "remap-empty-src": "PosixPath('.') has an empty name",
+    "verify-empty-src": "PosixPath('.') has an empty name",
+    "gen-data-huge-resolution": "array is too big; ",
 }
 
 # (command line, the file and the $-rooted field path its error must name)

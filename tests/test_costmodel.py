@@ -1,10 +1,12 @@
 """Cost model: lookup table, instrumented oracle, expected-cost consistency."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from nasadapt.cli import main
 from nasadapt.costmodel import (
     build_madds_table,
     expected_cost,
@@ -13,18 +15,19 @@ from nasadapt.costmodel import (
     stem_madds,
     total_loss,
 )
-from nasadapt.derive import default_source_architecture, derive_architecture
+from nasadapt.derive import default_source_architecture, derive_architecture, save_arch
 from nasadapt.errors import ContractError
 from nasadapt.layers import ConvChain, TensorSource, mbconv_stages, stem_stages
 from nasadapt.numerics import Tensor, backward, count_madds
 from nasadapt.searchspace import (
+    bundled_config_path,
     channel_candidates,
     load_bundled_config,
     op_candidates,
     parse_config,
 )
 
-from helpers import assert_grads_close
+from helpers import assert_grads_close, random_logits
 
 
 def np_softmax64(x):
@@ -110,10 +113,16 @@ class TestTable:
     def test_entry_matches_definition(self):
         cfg = load_bundled_config("desk3")
         table = build_madds_table(cfg)
-        from nasadapt.costmodel import block_input_sizes
-        from nasadapt.layers import out_hw
 
-        sizes = block_input_sizes(cfg)
+        def strided(hw, stride):
+            return tuple(-(-n // stride) for n in hw)
+
+        # each block's input plane, stated here: the stem's 3x3 conv has
+        # stride 2, and only a block's first layer carries the block's stride
+        sizes, hw = [], strided(cfg.input_resolution, 2)
+        for spec in cfg.blocks:
+            sizes.append(hw)
+            hw = strided(hw, spec.stride)
         rng = np.random.default_rng(2)
         for _ in range(20):
             i = int(rng.integers(len(cfg.blocks)))
@@ -126,7 +135,7 @@ class TestTable:
             if l == 0:
                 c_in, stride, (h, w) = cfg.block_input_channels(i), spec.stride, sizes[i]
             else:
-                c_in, stride, (h, w) = cands[ci], 1, out_hw(*sizes[i], spec.stride)
+                c_in, stride, (h, w) = cands[ci], 1, strided(sizes[i], spec.stride)
             op = ops[oi]
             stages = () if op.kind == "skip" else mbconv_stages(
                 c_in, cands[ci], op.kernel, op.expansion, stride)
@@ -336,3 +345,42 @@ class TestDiscrete:
                                 blocks=(bad,) + arch.blocks[1:])
         with pytest.raises(ContractError):
             madds_of_discrete(broken, cfg)
+
+
+# integer multiply-add counts, and so the same on every host
+COST_PINS = {
+    ("desk3", "source"): (473536, 90112, [213504, 99840, 70080]),
+    ("desk3", "drawn"): (450112, 90112, [213504, 96576, 49920]),
+    ("table1", "source"): (11032102400, 362086400, [2309606400, 1619923200, 941500800,
+                                                    2382883200, 2547878400, 868224000]),
+    ("table1", "drawn"): (5670900800, 362086400, [595353600, 444148800, 621873600,
+                                                  895886400, 1930329600, 821222400]),
+}
+TABLE_SHA256 = {
+    "desk3": "af0a8b5520d8c04f8ce86060ae46779aae005078b547bce8d8471170824d86ef",
+    "table1": "b30bf62389c73b6c8a28a0713a22b4ad107598156476c670340a64ec0036c4ba",
+}
+
+
+class TestPins:
+    """The integer outputs of the cost model: a change to how the table or the
+    discrete cost is computed keeps every one of them."""
+
+    @pytest.mark.parametrize("name,which", list(COST_PINS))
+    def test_cost_arch_document(self, capsys, tmp_path, name, which):
+        cfg = load_bundled_config(name)
+        # "drawn": the argmax architecture of logits drawn from default_rng(0)
+        arch = default_source_architecture(cfg) if which == "source" else \
+            derive_architecture(*random_logits(cfg, np.random.default_rng(0)), cfg)
+        save_arch(arch, tmp_path / "arch.json")
+        assert main(["cost", "--space", str(bundled_config_path(name)),
+                     "--arch", str(tmp_path / "arch.json")]) == 0
+        total, stem, per_block = COST_PINS[name, which]
+        assert json.loads(capsys.readouterr().out) == {
+            "kind": "discrete", "total": total, "stem": stem, "per_block": per_block}
+
+    @pytest.mark.parametrize("name", list(TABLE_SHA256))
+    def test_table_bytes(self, name):
+        table = build_madds_table(load_bundled_config(name))
+        data = b"".join(mat.tobytes() for costs in table.blocks for mat in costs)
+        assert hashlib.sha256(data).hexdigest() == TABLE_SHA256[name]
